@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ConfluentPointError
+from .errors import ConfluentPointError, ConsistencyError
 from .exactfield import ONE, Q, Scalar, kfun
 from .exactla import LaurentPoly, det
 
@@ -37,7 +37,6 @@ __all__ = [
     "lambda_partition",
     "mu_partition",
     "symplectic_character",
-    "character_confluent",
     "character_auto",
     "s_character",
     "z_product",
@@ -58,8 +57,10 @@ def mu_partition(length: int) -> tuple[int, ...]:
     lam0 = lambda_partition(length)
     lam1 = lambda_partition(length + 1)[:length]
     lam2 = lambda_partition(length + 2)[:length]
-    assert all(m == a + 2 * b + c for m, a, b, c in zip(mu, lam0, lam1, lam2))
-    assert sum(mu) == length * length
+    if any(m != a + 2 * b + c for m, a, b, c in zip(mu, lam0, lam1, lam2)):
+        raise ConsistencyError("mu(L) != lambda(L) + 2 lambda(L+1) + lambda(L+2)")
+    if sum(mu) != length * length:
+        raise ConsistencyError("|mu(L)| != L^2")
     return mu
 
 
@@ -97,7 +98,7 @@ def symplectic_character(lam: Sequence[int], xs: Sequence[Scalar]) -> Scalar:
         return ONE
     if _has_collision(xs):
         raise ConfluentPointError(
-            "character arguments collide; use character_confluent / character_auto"
+            "character arguments collide; use character_auto"
         )
     num = [[xs[i] ** e - xs[i] ** (-e) for e in _exponents(lam, n)] for i in range(n)]
     den = [[xs[i] ** d - xs[i] ** (-d) for d in _exponents([0] * n, n)] for i in range(n)]
@@ -154,19 +155,6 @@ def character_auto(lam: Sequence[int], xs: Sequence[Scalar]) -> Scalar:
     if _has_collision(xs):
         return _character_substituted(lam, xs)
     return symplectic_character(lam, xs)
-
-
-def character_confluent(lam: Sequence[int], fixed: Sequence[Scalar], ones: int) -> Scalar:
-    """chi_lam(fixed_1, ..., fixed_k, 1, 1, ..., 1) with `ones` repeated 1s.
-
-    The repeated block is substituted as t, t^2, ..., t^m; the two
-    determinants divide exactly as Laurent polynomials in t and the
-    quotient is evaluated at t = 1.
-    """
-    if ones < 0:
-        raise ValueError("ones count must be nonnegative")
-    xs = list(fixed) + [ONE] * ones
-    return character_auto(lam, xs)
 
 
 def s_character(ys: Sequence[Scalar]) -> Scalar:

@@ -5,9 +5,10 @@ Exact values cross the boundary as strings: rationals like "5" or
 like "0:1:0:0".  Output is JSON (schemaVersion 1) or CSV; every run
 with the same flags and seed prints byte-identical text.
 
-Exit codes: 0 success, 1 argument or parse error, 2 non-generic point
-(degenerate fixed space, confluent character arguments), 3 singular
-parameter (an operator pole at the given values).
+Exit codes: 0 success, 1 argument or parse error (including L beyond
+the exact-solve cap), 2 any other domain error (non-generic point,
+confluent character arguments, failed cross-check, degree bound),
+3 singular parameter (an operator pole at the given values).
 """
 
 from __future__ import annotations
@@ -20,15 +21,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .chars import character_auto, symplectic_character, z_product
-from .errors import (
-    ConfluentPointError,
-    ConsistencyError,
-    ConventionError,
-    NonGenericPointError,
-    SingularParameterError,
-)
+from .errors import ConfluentPointError, OpenLoopError, SingularParameterError
 from .exactfield import IMAG, ONE, Scalar
-from .groundstate import GroundstateVector, solve, sum_components
+from .groundstate import SOLVE_CAP, GroundstateVector, solve, sum_components
 from .transfer import SpectralPoint
 from .verify import SUITE_NAMES, run_suite
 
@@ -86,6 +81,8 @@ def _default_w(args) -> Scalar:
 
 
 def _build_point(args) -> SpectralPoint:
+    if args.L > SOLVE_CAP:
+        raise _CliError(f"--L must be at most {SOLVE_CAP} for an exact solve")
     zs = parse_scalar_list(args.z) if args.z else []
     if len(zs) != args.L:
         raise _CliError(f"--z must provide exactly L = {args.L} values, got {len(zs)}")
@@ -267,17 +264,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        NonGenericPointError,
-        ConfluentPointError,
-        ConventionError,
-        ConsistencyError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SingularParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OpenLoopError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,13 +19,15 @@ A Scalar stores four rationals (c0, c1, c2, c3) representing
 Products are reduced with zeta**4 = zeta**2 - 1 (hence zeta**6 = -1),
 so the representation is canonical and syntactic equality of the
 coefficient vectors coincides with equality in the field.  There is no
-floating point anywhere: coefficients are `fractions.Fraction` values,
-which are always stored gcd-reduced with a positive denominator.
+floating point anywhere: the four coefficients are kept as integer
+numerators over one positive common denominator in lowest terms, and
+`Scalar.coeffs` hands them out as `fractions.Fraction` values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence, Union
 
 __all__ = [
@@ -49,21 +51,48 @@ _RationalLike = Union[int, Fraction]
 _ScalarLike = Union["Scalar", int, Fraction]
 
 
-class Scalar:
-    """An element of Q(zeta12) in the basis (1, zeta, zeta^2, zeta^3)."""
+def _raw(n: tuple[int, int, int, int], d: int) -> Scalar:
+    """Scalar n / d from numerators and a denominator already in lowest terms."""
+    x = object.__new__(Scalar)
+    x._n = n
+    x._d = d
+    return x
 
-    __slots__ = ("_c",)
+
+def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> Scalar:
+    """Scalar (n0 + n1 zeta + n2 zeta^2 + n3 zeta^3) / d in lowest terms."""
+    g = gcd(d, n0, n1, n2, n3)  # denominator first: gcd stops early at 1
+    if d < 0:
+        g = -g
+    return _raw((n0 // g, n1 // g, n2 // g, n3 // g), d // g)
+
+
+class Scalar:
+    """An element of Q(zeta12) in the basis (1, zeta, zeta^2, zeta^3).
+
+    Stored as four integer numerators over one positive common
+    denominator, with the gcd of all five equal to 1.  That form is
+    canonical, so equality and hashing compare it directly, and the
+    ring operations run on machine integers with a single gcd at the
+    end instead of one per rational coefficient.
+    """
+
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Sequence[_RationalLike] = (0, 0, 0, 0)):
         if len(coeffs) != 4:
             raise ValueError("Scalar needs exactly 4 coefficients")
-        self._c = tuple(Fraction(c) for c in coeffs)
+        fracs = [Fraction(c) for c in coeffs]
+        d = lcm(*(f.denominator for f in fracs))
+        self._n = tuple(f.numerator * (d // f.denominator) for f in fracs)
+        self._d = d
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, value: _RationalLike) -> Scalar:
-        return cls((Fraction(value), 0, 0, 0))
+        f = Fraction(value)
+        return _make(f.numerator, 0, 0, 0, f.denominator)
 
     @classmethod
     def zero(cls) -> Scalar:
@@ -77,16 +106,11 @@ class Scalar:
     def root_of_unity(cls, k: int) -> Scalar:
         """zeta**k for any integer k, reduced into the basis."""
         k %= 12
-        if k < 4:
-            coeffs = [0, 0, 0, 0]
-            coeffs[k] = 1
-            return cls(coeffs)
-        # zeta^4 = zeta^2 - 1 and zeta^6 = -1 reduce the higher powers.
-        if k == 4:
-            return cls((-1, 0, 1, 0))
-        if k == 5:
-            return cls((0, -1, 0, 1))
-        return -cls.root_of_unity(k - 6)
+        if k >= 6:  # zeta^6 = -1
+            return -cls.root_of_unity(k - 6)
+        # zeta^4 = zeta^2 - 1 and zeta^5 = zeta^3 - zeta.
+        basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        return cls((basis + ((-1, 0, 1, 0), (0, -1, 0, 1)))[k])
 
     @classmethod
     def from_strings(cls, parts: Sequence[str]) -> Scalar:
@@ -99,22 +123,22 @@ class Scalar:
 
     @property
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return self._c
+        return tuple(Fraction(n, self._d) for n in self._n)
 
     def to_strings(self) -> tuple[str, str, str, str]:
         """Serialize as four 'p/d' strings, denominator always shown."""
-        return tuple(f"{c.numerator}/{c.denominator}" for c in self._c)
+        return tuple(f"{c.numerator}/{c.denominator}" for c in self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self._c)
+        return self._n == (0, 0, 0, 0)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self._c[1:])
+        return self._n[1:] == (0, 0, 0)
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self._c[0]
+        return Fraction(self._n[0], self._d)
 
     # -- ring operations ----------------------------------------------
 
@@ -122,26 +146,34 @@ class Scalar:
     def _coerce(other: _ScalarLike) -> Scalar | None:
         if isinstance(other, Scalar):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar((Fraction(other), 0, 0, 0))
+        if isinstance(other, (int, Fraction)):  # ints have denominator 1
+            return _raw((other.numerator, 0, 0, 0), other.denominator)
         return None
 
     def __add__(self, other: _ScalarLike) -> Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(tuple(a + b for a, b in zip(self._c, o._c)))
+        # As in Fraction addition: each operand's numerators are coprime
+        # to its denominator, so only a factor of g = gcd(da, db) cancels.
+        (a0, a1, a2, a3), da = self._n, self._d
+        (b0, b1, b2, b3), db = o._n, o._d
+        g = gcd(da, db)
+        s, r = da // g, db // g
+        t = (a0 * r + b0 * s, a1 * r + b1 * s, a2 * r + b2 * s, a3 * r + b3 * s)
+        g2 = gcd(g, *t)
+        return _raw(tuple(x // g2 for x in t), s * (db // g2))
 
     __radd__ = __add__
 
     def __neg__(self) -> Scalar:
-        return Scalar(tuple(-a for a in self._c))
+        return _raw(tuple(-a for a in self._n), self._d)
 
     def __sub__(self, other: _ScalarLike) -> Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(tuple(a - b for a, b in zip(self._c, o._c)))
+        return self + (-o)
 
     def __rsub__(self, other: _ScalarLike) -> Scalar:
         o = self._coerce(other)
@@ -153,50 +185,39 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._c, o._c
-        t = [Fraction(0)] * 7
-        for i in range(4):
-            if a[i] == 0:
-                continue
-            for j in range(4):
-                if b[j] == 0:
-                    continue
-                t[i + j] += a[i] * b[j]
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = o._n
+        t4 = a1 * b3 + a2 * b2 + a3 * b1
+        t5 = a2 * b3 + a3 * b2
+        t6 = a3 * b3
         # Reduce degree 4..6: zeta^4 = zeta^2 - 1, zeta^5 = zeta^3 - zeta,
         # zeta^6 = -1.
-        return Scalar((
-            t[0] - t[4] - t[6],
-            t[1] - t[5],
-            t[2] + t[4],
-            t[3] + t[5],
-        ))
+        return _make(
+            a0 * b0 - t4 - t6,
+            a0 * b1 + a1 * b0 - t5,
+            a0 * b2 + a1 * b1 + a2 * b0 + t4,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5,
+            self._d * o._d,
+        )
 
     __rmul__ = __mul__
 
     def inv(self) -> Scalar:
-        """Multiplicative inverse, by solving x * self = 1 exactly."""
+        """Multiplicative inverse: the product of the three nontrivial
+        Galois conjugates (zeta -> zeta^5, zeta^7, zeta^11) over the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero Scalar")
+        (c0, c1, c2, c3), d = self._n, self._d
         if self.is_rational():
-            return Scalar((1 / self._c[0], 0, 0, 0))
-        # Columns of m are the basis images zeta^j * self.
-        cols = [(self * Scalar.root_of_unity(j))._c for j in range(4)]
-        m = [[cols[j][i] for j in range(4)] for i in range(4)]
-        rhs = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-        # Gaussian elimination on the 4x4 rational system.
-        for col in range(4):
-            piv = next(r for r in range(col, 4) if m[r][col] != 0)
-            m[col], m[piv] = m[piv], m[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            d = m[col][col]
-            m[col] = [v / d for v in m[col]]
-            rhs[col] /= d
-            for r in range(4):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-                    rhs[r] -= f * rhs[col]
-        return Scalar(rhs)
+            return _make(d, 0, 0, 0, c0)
+        s5 = _make(c0 + c2, -c1, -c2, c1 + c3, 1)
+        s7 = _make(c0, -c1, c2, -c3, 1)
+        s11 = _make(c0 + c2, c1, -c2, -c1 - c3, 1)
+        adj = s5 * s7 * s11
+        # self * adj = norm(numerators) / d, a nonzero rational.
+        norm = (_make(c0, c1, c2, c3, 1) * adj)._n[0]
+        (a0, a1, a2, a3), da = adj._n, adj._d
+        return _make(a0 * d, a1 * d, a2 * d, a3 * d, da * norm)
 
     def __truediv__(self, other: _ScalarLike) -> Scalar:
         o = self._coerce(other)
@@ -229,19 +250,19 @@ class Scalar:
         o = self._coerce(other) if isinstance(other, (Scalar, int, Fraction)) else None
         if o is None:
             return NotImplemented
-        return self._c == o._c
+        return self._d == o._d and self._n == o._n
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        return hash((self._n, self._d))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __repr__(self) -> str:
         if self.is_rational():
-            return f"Scalar({self._c[0]})"
+            return f"Scalar({self.rational_value()})"
         terms = []
-        for k, c in enumerate(self._c):
+        for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             unit = "" if k == 0 else ("z" if k == 1 else f"z^{k}")

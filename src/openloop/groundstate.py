@@ -70,7 +70,6 @@ __all__ = [
     "eval_s",
     "generic_parameters",
     "interpolate_all",
-    "interpolate_component",
     "left_recursion_factor",
     "pi_point",
     "reconstruct_partial_L3",
@@ -110,10 +109,7 @@ class GroundstateVector:
 
 
 def sum_components(gs: GroundstateVector) -> Scalar:
-    total = ZERO
-    for x in gs.components:
-        total = total + x
-    return total
+    return sum(gs.components, ZERO)
 
 
 def generic_parameters(
@@ -125,16 +121,34 @@ def generic_parameters(
     already chosen value (or an `avoid` value) is +-1.  Such draws keep
     all tile weights finite, the bracket [w^2] nonzero, character
     arguments collision-free, and the fixed space one-dimensional.
+
+    Candidates are p/q with |p|, q <= 9.  Only once that pool holds no
+    admissible value does the range widen, in steps of 9 up to 99, so a
+    seed that never exhausts the pool draws the same values as ever;
+    beyond 99 NonGenericPointError is raised.
     """
-    taken = [Fraction(f) for f in avoid]
+    excluded = {Fraction(0), Fraction(1), Fraction(-1)}
+
+    def take(g: Fraction) -> None:
+        excluded.update((g, -g, 1 / g, -1 / g))
+
+    for g in avoid:
+        take(Fraction(g))
     out: list[Scalar] = []
+    bound = 9
     while len(out) < count:
-        f = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        if f == 0 or abs(f) == 1:
+        while all(
+            Fraction(p, q) in excluded
+            for q in range(1, bound + 1)
+            for p in range(-bound, bound + 1)
+        ):
+            if bound >= 99:
+                raise NonGenericPointError("no admissible parameter with |p|, q <= 99 left")
+            bound += 9
+        f = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        if f in excluded:
             continue
-        if any(abs(f * g) == 1 or abs(f / g) == 1 for g in taken):
-            continue
-        taken.append(f)
+        take(f)
         out.append(Scalar.from_rational(f))
     return out
 
@@ -519,45 +533,15 @@ def _generic_w(build) -> SpectralPoint:
     raise NonGenericPointError("no generic auxiliary parameter found")
 
 
-def _solve_homogeneous_interpolated(pt: SpectralPoint) -> tuple[Scalar, ...]:
-    """Fallback when T is non-generic exactly at z_i = 1: perturb z_1,
-    interpolate each component in z_1^2 and evaluate back at 1."""
-    length = pt.length
-    width = 4 * length - 1
-    rng = random.Random(197)
-    avoid = [Fraction(1)]
-    xs: list[Scalar] = []
-    cols: list[tuple[Scalar, ...]] = []
-    while len(xs) < width + 1:
-        (cand,) = generic_parameters(rng, 1, avoid=avoid)
-        avoid.append(cand.rational_value())
-        try:
-            gs = solve(pt.with_z(1, cand), normalization="all_open", check_w=False)
-        except (NonGenericPointError, SingularParameterError):
-            continue
-        xs.append(cand * cand)
-        cols.append(gs.components)
-    comps = []
-    for k in range(1 << length):
-        poly = laurent_fit(xs[:width], [c[k] for c in cols[:width]], -(2 * length - 1), 2 * length - 1)
-        if poly.eval_at(xs[width]) != cols[width][k]:
-            raise DegreeBoundError("homogeneous interpolation failed a holdout sample")
-        comps.append(poly.eval_one())
-    return tuple(comps)
-
-
 def solve_homogeneous(length: int, zeta1: Scalar, zeta2: Scalar) -> GroundstateVector:
-    """Groundstate at z_i = 1, anchored like the generic solver.
+    """Groundstate at z_i = 1, anchored to the all-open closed form.
 
-    The auxiliary parameter is chosen deterministically.  If the fixed
-    space degenerates exactly at the homogeneous point, the vector is
-    recovered by perturbing z_1 and interpolating back to 1.
+    The auxiliary parameter is chosen deterministically.  A degenerate
+    fixed space or a vanishing all-open anchor raises
+    NonGenericPointError, as in `solve`.
     """
     pt = _generic_w(lambda w: SpectralPoint((ONE,) * length, zeta1, zeta2, w))
-    try:
-        return solve(pt, normalization="all_open")
-    except NonGenericPointError:
-        return GroundstateVector(pt, "all_open", _solve_homogeneous_interpolated(pt))
+    return solve(pt, normalization="all_open")
 
 
 def check_hamiltonian(length: int, zeta1: Scalar, zeta2: Scalar) -> bool:
@@ -620,23 +604,6 @@ def interpolate_all(
                 )
         out[word_of(idx, length)] = poly
     return out
-
-
-def interpolate_component(
-    word: str,
-    var_index: int,
-    pt: SpectralPoint,
-    sample_count: int | None = None,
-    rng: random.Random | None = None,
-) -> LaurentPoly:
-    """One component as an exact Laurent polynomial in z_{var_index}^2.
-
-    Same contract as interpolate_all; for several components of the
-    same vector prefer interpolate_all, which shares the solves.
-    """
-    if len(word) != pt.length:
-        raise ValueError("pattern length mismatch")
-    return interpolate_all(var_index, pt, sample_count, rng)[word]
 
 
 # -- partial reconstruction at L = 3 ------------------------------------

@@ -250,13 +250,7 @@ class SparseOperator:
         return self.cols[col].get(row, ZERO)
 
     def column_sums(self) -> list[Scalar]:
-        out = []
-        for col in self.cols:
-            total = ZERO
-            for v in col.values():
-                total = total + v
-            out.append(total)
-        return out
+        return [sum(col.values(), ZERO) for col in self.cols]
 
     def to_rows(self) -> list[list[Scalar]]:
         rows = [[ZERO] * self.dim for _ in range(self.dim)]
@@ -264,13 +258,6 @@ class SparseOperator:
             for r, v in col.items():
                 rows[r][j] = v
         return rows
-
-    def to_triples(self) -> list[tuple[int, int, Scalar]]:
-        out = []
-        for j, col in enumerate(self.cols):
-            for r in sorted(col):
-                out.append((r, j, col[r]))
-        return out
 
     def is_zero(self) -> bool:
         return all(not col for col in self.cols)

@@ -25,16 +25,21 @@ to the top row, because the auxiliary strand traverses the bottom
 tiles in the opposite direction; by the crossing relation this is the
 same as reading the plain weights at q z_j / w.
 
-`transfer_apply` contracts the slab with a planar frontier sweep,
-merging equal-connectivity partial states so the state count stays
-Catalan-bounded.  `transfer_apply_naive` expands the full 2^(2L+2)
-sum with an explicit edge graph and path tracing; it is deliberately
-independent of the sweep and serves as the oracle for it.
+All contractions go through one planar frontier sweep, `_sweep`,
+which carries weighted partial states tile by tile and merges those of
+equal connectivity.  `transfer_matrix` seeds it with one basis pattern
+per column; `transfer_apply` seeds it with the whole vector at once, so
+states from different input patterns merge as the bottom row consumes
+their strands; the recursion checks compare seeded columns of T at the
+specialised and at the reduced point.  `transfer_matrix_naive`
+expands the full 2^(2L+2) sum with an explicit edge graph and path
+tracing; it is deliberately independent of the sweep and serves as the
+oracle for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .baxter import face_weights_K0, face_weights_KL, face_weights_R
@@ -42,7 +47,6 @@ from .errors import SingularParameterError
 from .exactfield import ONE, Q, Scalar, ZERO
 from .linkpat import (
     SparseOperator,
-    all_patterns,
     closure,
     index_of,
     insert_left,
@@ -57,7 +61,6 @@ __all__ = [
     "transfer_matrix",
     "transfer_apply",
     "transfer_matrix_naive",
-    "transfer_apply_naive",
     "check_column_sums",
     "check_commuting",
     "check_interlace",
@@ -211,11 +214,10 @@ def _branch(states: dict, mutate, weights: tuple[Scalar, Scalar]) -> dict:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def _transfer_column(word: str, weights) -> dict[int, Scalar]:
-    bottom, top, k0, kL = weights
-    length = len(word)
+def _seed(word: str) -> tuple:
+    """Frozen frontier state of one input pattern, before any tile."""
     init: dict = {}
-    if length == 0:
+    if not word:
         _new_pair(init, _K0B, _AUX)
     else:
         m = closure(word)
@@ -225,7 +227,16 @@ def _transfer_column(word: str, weights) -> dict[int, Scalar]:
             init[a] = _BL
         for a in m.right:
             init[a] = _BR
-    states = {_freeze(init): ONE}
+    return _freeze(init)
+
+
+def _sweep(states: dict, length: int, weights) -> dict[int, Scalar]:
+    """Carry seeded frontier states through the slab; {row: amplitude}.
+
+    The bottom row consumes every input slot, so states seeded from
+    different patterns merge as soon as their connectivities agree.
+    """
+    bottom, top, k0, kL = weights
 
     for j in range(1, length + 1):
 
@@ -291,26 +302,32 @@ def _transfer_column(word: str, weights) -> dict[int, Scalar]:
     return {r: v for r, v in column.items() if not v.is_zero()}
 
 
+def _column(word: str, weights) -> dict[int, Scalar]:
+    """One column of T: the sweep of a single seeded pattern."""
+    return _sweep({_seed(word): ONE}, len(word), weights)
+
+
 def transfer_matrix(pt: SpectralPoint) -> SparseOperator:
-    """T at pt as a 2^L by 2^L operator (frontier sweep per column)."""
+    """T at pt as a 2^L by 2^L operator (one frontier sweep per column)."""
     weights = _tile_weights(pt)
     length = pt.length
-    cols = [_transfer_column(word_of(idx, length), weights) for idx in range(1 << length)]
+    cols = [_column(word_of(idx, length), weights) for idx in range(1 << length)]
     return SparseOperator(1 << length, cols)
 
 
 def transfer_apply(vec: Sequence[Scalar], pt: SpectralPoint) -> list[Scalar]:
-    """T(pt) applied to a coefficient vector in the pattern basis."""
+    """T(pt) applied to a coefficient vector in the pattern basis, in one
+    sweep seeded with every nonzero component."""
     weights = _tile_weights(pt)
     length = pt.length
     if len(vec) != 1 << length:
         raise ValueError("vector length mismatch")
+    seeded = {
+        _seed(word_of(idx, length)): x for idx, x in enumerate(vec) if not x.is_zero()
+    }
     out = [ZERO] * (1 << length)
-    for idx, x in enumerate(vec):
-        if x.is_zero():
-            continue
-        for r, v in _transfer_column(word_of(idx, length), weights).items():
-            out[r] = out[r] + v * x
+    for r, v in _sweep(seeded, length, weights).items():
+        out[r] = v
     return out
 
 
@@ -400,15 +417,6 @@ def transfer_matrix_naive(pt: SpectralPoint, cap: int = NAIVE_CAP) -> SparseOper
     return SparseOperator(1 << length, cols)
 
 
-def transfer_apply_naive(
-    vec: Sequence[Scalar], pt: SpectralPoint, cap: int = NAIVE_CAP
-) -> list[Scalar]:
-    if pt.length > cap:
-        raise ValueError(f"naive expansion refused for L > {cap}")
-    mat = transfer_matrix_naive(pt, cap)
-    return mat.apply(list(vec))
-
-
 # -- identity checks ---------------------------------------------------
 
 
@@ -447,14 +455,20 @@ def check_interlace(pt: SpectralPoint, i: int) -> bool:
     return lhs == rhs
 
 
-def _push(vec: Sequence[Scalar], small_length: int, embed) -> list[Scalar]:
-    """Carry a 2^(L-k) vector through a pattern embedding."""
-    big_length = len(embed(word_of(0, small_length)))
-    out = [ZERO] * (1 << big_length)
-    for idx, x in enumerate(vec):
-        if not x.is_zero():
-            out[index_of(embed(word_of(idx, small_length)))] = x
-    return out
+def _check_embedding(pt: SpectralPoint, reduced: SpectralPoint, embed) -> bool:
+    """T(pt) o embed = embed o T(reduced), compared one basis column at a time."""
+    wts_big = _tile_weights(pt)
+    wts_small = _tile_weights(reduced)
+    small_length = reduced.length
+    for idx in range(1 << small_length):
+        small = word_of(idx, small_length)
+        rhs = {
+            index_of(embed(word_of(r, small_length))): v
+            for r, v in _column(small, wts_small).items()
+        }
+        if _column(embed(small), wts_big) != rhs:
+            return False
+    return True
 
 
 def check_T_recursion(pt: SpectralPoint, i: int) -> bool:
@@ -464,22 +478,9 @@ def check_T_recursion(pt: SpectralPoint, i: int) -> bool:
         raise ValueError(f"bulk recursion index {i} out of range 1..{length - 1}")
     if pt.z[i] != Q * pt.z[i - 1]:
         raise ValueError("bulk recursion needs z_{i+1} = q z_i")
-    reduced = pt.without_sites((i, i + 1))
-    wts_big = _tile_weights(pt)
-    wts_small = _tile_weights(reduced)
-    for idx in range(1 << (length - 2)):
-        small = word_of(idx, length - 2)
-        lhs_col = _transfer_column(insert_link(i, small), wts_big)
-        lhs = [ZERO] * (1 << length)
-        for r, v in lhs_col.items():
-            lhs[r] = v
-        rhs_small = [ZERO] * (1 << (length - 2))
-        for r, v in _transfer_column(small, wts_small).items():
-            rhs_small[r] = v
-        rhs = _push(rhs_small, length - 2, lambda wd: insert_link(i, wd))
-        if lhs != rhs:
-            return False
-    return True
+    return _check_embedding(
+        pt, pt.without_sites((i, i + 1)), lambda word: insert_link(i, word)
+    )
 
 
 def check_T_boundary_recursion(pt: SpectralPoint, side: str) -> bool:
@@ -491,26 +492,10 @@ def check_T_boundary_recursion(pt: SpectralPoint, side: str) -> bool:
         if pt.z[0] != Q * pt.zeta1:
             raise ValueError("left boundary recursion needs z_1 = q zeta_1")
         reduced = replace(pt.without_sites((1,)), zeta1=Q * pt.zeta1)
-        embed = insert_left
-    elif side == "right":
+        return _check_embedding(pt, reduced, insert_left)
+    if side == "right":
         if pt.z[-1] != pt.zeta2 / Q:
             raise ValueError("right boundary recursion needs z_L = zeta_2 / q")
         reduced = replace(pt.without_sites((length,)), zeta2=pt.zeta2 / Q)
-        embed = insert_right
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    wts_big = _tile_weights(pt)
-    wts_small = _tile_weights(reduced)
-    for idx in range(1 << (length - 1)):
-        small = word_of(idx, length - 1)
-        lhs_col = _transfer_column(embed(small), wts_big)
-        lhs = [ZERO] * (1 << length)
-        for r, v in lhs_col.items():
-            lhs[r] = v
-        rhs_small = [ZERO] * (1 << (length - 1))
-        for r, v in _transfer_column(small, wts_small).items():
-            rhs_small[r] = v
-        rhs = _push(rhs_small, length - 1, embed)
-        if lhs != rhs:
-            return False
-    return True
+        return _check_embedding(pt, reduced, insert_right)
+    raise ValueError("side must be 'left' or 'right'")

@@ -288,6 +288,8 @@ _SUITES: dict[str, Callable[[int, int, random.Random], Report]] = {
 
 def run_suite(name: str, length: int, trials: int, seed: int) -> Report:
     """Run one named suite (or all of them) and collect (label, ok) rows."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if name == "all":
         report: Report = []
         for sub in SUITE_NAMES[:-1]:

@@ -14,7 +14,6 @@ from openloop import (
     Scalar,
     SpectralPoint,
     character_auto,
-    character_confluent,
     lambda_partition,
     s_character,
     symplectic_character,
@@ -80,7 +79,6 @@ def test_confluent_point_detection_and_limit():
         symplectic_character(lam, ones)
     # Weyl dimension of the C_3 vector representation.
     assert character_auto(lam, ones) == Scalar.from_rational(6)
-    assert character_confluent(lam, [], 3) == Scalar.from_rational(6)
 
 
 def test_confluent_limit_matches_generic_specialisation():

@@ -139,3 +139,29 @@ def test_verify_local_at_small_length_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "local", "--L", "2")
     assert code == 1
     assert "L >= 3" in err
+
+
+def test_length_beyond_solve_cap_is_a_usage_error(capsys):
+    zs = ",".join(str(k) for k in range(2, 11))
+    code, out, err = run_cli(capsys, "solve", "--L", "9", "--z", zs)
+    assert code == 1
+    assert "at most 8" in err
+
+
+def test_degree_bound_error_exits_two(capsys, monkeypatch):
+    from openloop import DegreeBoundError, cli
+
+    def fail(*args):
+        raise DegreeBoundError("component exceeds the degree window")
+
+    monkeypatch.setattr(cli, "run_suite", fail)
+    code, out, err = run_cli(capsys, "verify", "--suite", "degree", "--L", "2")
+    assert code == 2
+    assert "degree window" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_without_trials_is_a_usage_error(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", "--suite", "algebra", "--L", "3", "--trials", trials)
+    assert code == 1
+    assert "checks passed" not in out

@@ -62,6 +62,30 @@ def test_inverse_and_powers():
         ZERO.inv()
 
 
+def test_ring_operations_match_coefficientwise_fractions():
+    # Denominators sharing factors exercise the partial cancellation in
+    # addition; results must stay canonical, so equal values hash alike.
+    rng = Random(17)
+
+    def draw():
+        return [Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 6, 9, 12, 35)))
+                for _ in range(4)]
+
+    for _ in range(200):
+        a, b = draw(), draw()
+        x, y = Scalar(a), Scalar(b)
+        assert (x + y).coeffs == tuple(p + q for p, q in zip(a, b))
+        assert (x - y).coeffs == tuple(p - q for p, q in zip(a, b))
+        t = [Fraction(0)] * 7
+        for i in range(4):
+            for j in range(4):
+                t[i + j] += a[i] * b[j]
+        assert (x * y).coeffs == (t[0] - t[4] - t[6], t[1] - t[5], t[2] + t[4], t[3] + t[5])
+        back = (x + y) - y
+        assert back == x and hash(back) == hash(x)
+    assert (x - x).is_zero() and x - x == ZERO and hash(x - x) == hash(ZERO)
+
+
 def test_string_roundtrip():
     x = ZETA**5 + Scalar.from_rational(Fraction(-3, 7))
     parts = x.to_strings()

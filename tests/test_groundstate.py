@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -28,7 +30,6 @@ from openloop import (
     fourth_roots,
     generic_parameters,
     interpolate_all,
-    interpolate_component,
     kfun,
     reconstruct_partial_L3,
     solve,
@@ -62,6 +63,42 @@ def test_generic_parameters_avoid_degeneracies():
     for i, f in enumerate(fracs):
         for g in fracs[:i]:
             assert abs(f * g) != 1 and abs(f / g) != 1
+
+
+def test_generic_parameters_keep_existing_draws():
+    def draw(seed, count):
+        return [str(v.rational_value()) for v in generic_parameters(Random(seed), count)]
+
+    assert draw(5, 6) == ["-1/6", "7", "5/4", "-8/3", "3/2", "1/3"]
+    assert draw(0, 4) == ["3/7", "-8/5", "7/8", "3/5"]
+    assert draw(17, 3) == ["8/5", "-6", "-2/7"]
+
+
+def test_generic_parameters_widen_after_the_pool_runs_out():
+    # The |p|, q <= 9 pool holds 27 values up to sign and inversion, so
+    # 40 draws must widen the range instead of looping forever.
+    code = (
+        "from random import Random\n"
+        "from openloop.groundstate import generic_parameters\n"
+        "vals = [v.rational_value() for v in generic_parameters(Random(0), 40)]\n"
+        "assert len(set(vals)) == 40\n"
+        "assert max(max(abs(f.numerator), f.denominator) for f in vals) > 9\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_vanishing_homogeneous_anchor_raises():
+    # zeta_1 = zeta12^2 makes the all-open closed form vanish at z_i = 1.
+    code = (
+        "from openloop import ZETA, NonGenericPointError, Scalar, solve_homogeneous\n"
+        "try:\n"
+        "    solve_homogeneous(2, ZETA ** 2, Scalar.from_rational(3))\n"
+        "except NonGenericPointError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no NonGenericPointError')\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
 
 def test_anchor_constant_signs():
@@ -277,14 +314,12 @@ def test_interpolation_respects_degree_window():
             assert poly.eval_at(y) == gs[word]
 
 
-def test_interpolate_component_consistency():
+def test_interpolate_rejects_bad_variable_index():
     pt = draw_point(Random(881), 1)
-    poly = interpolate_component(")", 1, pt)
-    assert poly == interpolate_all(1, pt)[")"]
-    with pytest.raises(ValueError):
-        interpolate_component(")(", 1, pt)
     with pytest.raises(ValueError):
         interpolate_all(2, pt)
+    with pytest.raises(ValueError):
+        interpolate_all(0, pt)
 
 
 def test_reconstruction_matches_solver():

@@ -21,7 +21,6 @@ from openloop import (
     check_commuting,
     check_interlace,
     transfer_apply,
-    transfer_apply_naive,
     transfer_matrix,
     transfer_matrix_naive,
 )
@@ -57,11 +56,19 @@ def test_threaded_matches_naive(length):
     assert transfer_matrix(pt) == transfer_matrix_naive(pt)
 
 
-def test_naive_apply_matches_threaded_apply():
-    rng = Random(71)
-    pt = draw_point(rng, 3)
-    vec = [Scalar.from_rational(k + 1) for k in range(1 << 3)]
-    assert transfer_apply(vec, pt) == transfer_apply_naive(vec, pt)
+def test_seeded_apply_matches_matrix_apply():
+    # One sweep seeded with the whole vector equals the column-by-column
+    # matrix, and the naive oracle where it is affordable.  Zero entries
+    # exercise the skipped seeds.
+    for length in range(6):
+        pt = draw_point(Random(71 + length), length)
+        vec = [Scalar.from_rational(k % 3 - 1 + k % 5) for k in range(1 << length)]
+        applied = transfer_apply(vec, pt)
+        assert applied == transfer_matrix(pt).apply(vec)
+        if length <= NAIVE_CAP:
+            assert applied == transfer_matrix_naive(pt).apply(vec)
+    with pytest.raises(ValueError):
+        transfer_apply(vec + [ONE], pt)
 
 
 def test_naive_cap_guard():
