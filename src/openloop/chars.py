@@ -75,16 +75,18 @@ def _padded(lam: Sequence[int], n: int) -> tuple[int, ...]:
     return (lam + (0,) * n)[:n]
 
 
-def _has_collision(xs: Sequence[Scalar]) -> bool:
+def _colliding(xs: Sequence[Scalar]) -> set[int]:
+    """Indices of arguments that make the Weyl denominator vanish: those
+    with x^2 = 1 and both members of any equal or inverse pair."""
     n = len(xs)
+    colliding = set()
     for i in range(n):
-        sq = xs[i] * xs[i]
-        if sq == ONE:
-            return True
+        if xs[i] * xs[i] == ONE:
+            colliding.add(i)
         for j in range(i + 1, n):
             if xs[i] == xs[j] or xs[i] * xs[j] == ONE:
-                return True
-    return False
+                colliding.update((i, j))
+    return colliding
 
 
 def symplectic_character(lam: Sequence[int], xs: Sequence[Scalar]) -> Scalar:
@@ -96,7 +98,7 @@ def symplectic_character(lam: Sequence[int], xs: Sequence[Scalar]) -> Scalar:
         raise ValueError("character arguments must be nonzero")
     if n == 0:
         return ONE
-    if _has_collision(xs):
+    if _colliding(xs):
         raise ConfluentPointError(
             "character arguments collide; use character_auto"
         )
@@ -109,17 +111,11 @@ def _exponents(lam: Sequence[int], n: int) -> list[int]:
     return [lam[j] + n - j for j in range(n)]  # j is 0-based: lam_j + n - j + 1 - 1 + 1
 
 
-def _character_substituted(lam: Sequence[int], xs: Sequence[Scalar]) -> Scalar:
-    """Evaluate the Weyl ratio with t-power substitutions on colliding args."""
+def _character_substituted(
+    lam: Sequence[int], xs: Sequence[Scalar], colliding: set[int]
+) -> Scalar:
+    """Evaluate the Weyl ratio with t-power substitutions on the colliding args."""
     n = len(xs)
-    colliding = set()
-    for i in range(n):
-        if xs[i] * xs[i] == ONE:
-            colliding.add(i)
-        for j in range(i + 1, n):
-            if xs[i] == xs[j] or xs[i] * xs[j] == ONE:
-                colliding.add(i)
-                colliding.add(j)
     powers = {}
     nxt = 1
     for i in sorted(colliding):
@@ -152,8 +148,9 @@ def character_auto(lam: Sequence[int], xs: Sequence[Scalar]) -> Scalar:
         raise ValueError("character arguments must be nonzero")
     if n == 0:
         return ONE
-    if _has_collision(xs):
-        return _character_substituted(lam, xs)
+    colliding = _colliding(xs)
+    if colliding:
+        return _character_substituted(lam, xs, colliding)
     return symplectic_character(lam, xs)
 
 

@@ -12,6 +12,12 @@ vanishing conditions at specialization points, the homogeneous-point
 Hamiltonian annihilation, and the partial reconstruction of the L = 3
 vector from its extremal components.
 
+The per-index identities follow the convention of `transfer`: index
+i = 0 is the left wall, 1..L-1 the bulk, L the right wall, and the
+index-i data comes from its tables `pi_point`, `exchange_operator` and
+`reduction`.  `check_qkz`, `check_recursion` and `check_vanishing`
+each return one verdict per index i = 0..L.
+
 Sign bookkeeping follows the anchor constant A_0 = 1, A_L = (-1)^L
 A_{L-1}, so A_L = (-1)^{L(L+1)/2}.  With this choice the component sum
 equals the four-character product of `chars.z_product` with no stray
@@ -36,17 +42,16 @@ from .errors import (
 )
 from .exactfield import ONE, Q, Scalar, ZERO, bracket, kfun
 from .exactla import LaurentPoly, kernel_basis, laurent_fit
-from .linkpat import (
-    closure,
-    c_from_zeta,
-    hamiltonian,
-    index_of,
-    insert_left,
-    insert_link,
-    insert_right,
-    word_of,
+from .linkpat import all_patterns, c_from_zeta, hamiltonian, index_of, word_of
+from .transfer import (
+    SpectralPoint,
+    assert_generic,
+    exchange_operator,
+    pi_point,
+    reduction,
+    transfer_apply,
+    transfer_matrix,
 )
-from .transfer import SpectralPoint, assert_generic, transfer_apply, transfer_matrix
 
 __all__ = [
     "SOLVE_CAP",
@@ -55,15 +60,11 @@ __all__ = [
     "ReconstructionL3",
     "a_const",
     "bulk_recursion_factor",
-    "check_boundary_recursion",
-    "check_bulk_recursion",
     "check_hamiltonian",
-    "check_qkz_boundary",
-    "check_qkz_exchange",
+    "check_qkz",
+    "check_recursion",
     "check_sum_rule",
-    "check_vanishing_bulk",
-    "check_vanishing_left",
-    "check_vanishing_right",
+    "check_vanishing",
     "closed_form_all_close",
     "closed_form_all_open",
     "eval_a",
@@ -71,7 +72,6 @@ __all__ = [
     "generic_parameters",
     "interpolate_all",
     "left_recursion_factor",
-    "pi_point",
     "reconstruct_partial_L3",
     "right_recursion_factor",
     "solve",
@@ -220,10 +220,7 @@ def _anchor_target(pt: SpectralPoint, name: str, vec: Sequence[Scalar]):
     if name == "all_close":
         return closed_form_all_close(pt), vec[-1]
     if name == "sum":
-        total = ZERO
-        for x in vec:
-            total = total + x
-        return z_product(pt), total
+        return z_product(pt), sum(vec, ZERO)
     raise ValueError(f"unknown normalization {name!r}")
 
 
@@ -251,7 +248,6 @@ def solve(
     pt: SpectralPoint,
     normalization: str = "auto",
     check_w: bool = True,
-    cap: int = SOLVE_CAP,
 ) -> GroundstateVector:
     """Exact fixed vector of T(pt).
 
@@ -264,8 +260,8 @@ def solve(
     every anchor vanishes; an explicitly requested anchor that vanishes
     raises NonGenericPointError instead.
     """
-    if pt.length > cap:
-        raise ValueError(f"refusing exact solve beyond L = {cap}; raise cap explicitly")
+    if pt.length > SOLVE_CAP:
+        raise ValueError(f"refusing exact solve beyond L = SOLVE_CAP = {SOLVE_CAP}")
     tmat = transfer_matrix(pt)
     rows = tmat.to_rows()
     for i in range(tmat.dim):
@@ -292,21 +288,6 @@ def check_sum_rule(pt: SpectralPoint) -> bool:
 
 
 # -- qKZ operators on component evaluators -----------------------------
-
-
-def pi_point(pt: SpectralPoint, i: int) -> SpectralPoint:
-    """Argument transformation of the i-th coefficient-side operator:
-    swap z_i, z_{i+1} in the bulk; z_1 -> 1/z_1 at the left wall;
-    z_L -> 1/(s^2 z_L) at the right wall."""
-    length = pt.length
-    if i == 0:
-        return pt.with_z(1, pt.z[0].inv())
-    if i == length:
-        s2 = pt.s * pt.s
-        return pt.with_z(length, (s2 * pt.z[-1]).inv())
-    if 1 <= i <= length - 1:
-        return pt.swapped(i)
-    raise ValueError(f"operator index {i} out of range 0..{length}")
 
 
 def _qkz_multiplier(pt: SpectralPoint, i: int) -> Scalar:
@@ -340,36 +321,16 @@ def eval_s(i: int, f: ComponentEvaluator, pt: SpectralPoint) -> Scalar:
     return -f(pt) - eval_a(i, f, pt)
 
 
-def check_qkz_exchange(pt: SpectralPoint, i: int) -> bool:
-    """Exchange relation: the Baxterised crossing operator applied to
-    the eigenvector equals the eigenvector at swapped z_i, z_{i+1}."""
-    from .baxter import rcheck
-
-    if not 1 <= i <= pt.length - 1:
-        raise ValueError(f"exchange index {i} out of range 1..{pt.length - 1}")
-    lhs = rcheck(i, pt.z[i - 1] / pt.z[i], pt.length).apply(
-        list(solve(pt, check_w=False).components)
-    )
-    rhs = solve(pt.swapped(i), check_w=False)
-    return lhs == list(rhs.components)
-
-
-def check_qkz_boundary(pt: SpectralPoint) -> bool:
-    """Both wall relations: K_0 at 1/z_1 sends the eigenvector to its
-    value at z_1 -> 1/z_1, and K_L at s z_L to the value at
-    z_L -> 1/(s^2 z_L)."""
-    from .baxter import kcheck0, kcheckL
-
-    length = pt.length
+def check_qkz(pt: SpectralPoint) -> list[bool]:
+    """O_i psi(pt) = psi(pi_i pt) for i = 0..L: the exchange relations in
+    the bulk and the reflection relations at both walls.  psi(pt) is
+    solved once for all indices."""
     base = list(solve(pt, check_w=False).components)
-    lhs0 = kcheck0(pt.z[0].inv(), pt.zeta1, length).apply(base)
-    rhs0 = solve(pi_point(pt, 0), check_w=False)
-    if lhs0 != list(rhs0.components):
-        return False
-    s = pt.s
-    lhsL = kcheckL(s * pt.z[-1], s * pt.zeta2, length).apply(base)
-    rhsL = solve(pi_point(pt, length), check_w=False)
-    return lhsL == list(rhsL.components)
+    return [
+        exchange_operator(pt, i).apply(base)
+        == list(solve(pi_point(pt, i), check_w=False).components)
+        for i in range(pt.length + 1)
+    ]
 
 
 # -- size-lowering recursions ------------------------------------------
@@ -417,105 +378,58 @@ def right_recursion_factor(pt: SpectralPoint) -> Scalar:
     return total
 
 
-def _has_link(word: str, i: int) -> bool:
-    return (i, i + 1) in closure(word).pairs
+def _recursion_factor(specialised: SpectralPoint, i: int) -> Scalar:
+    if i == 0:
+        return left_recursion_factor(specialised)
+    if i == specialised.length:
+        return right_recursion_factor(specialised)
+    return bulk_recursion_factor(specialised, i)
 
 
-def check_bulk_recursion(pt: SpectralPoint, i: int) -> bool:
-    """At z_{i+1} = q z_i the vector collapses onto patterns with a
-    small link at (i, i+1): the embedded components reproduce the
-    size L - 2 vector times the factor p, and all others vanish."""
-    length = pt.length
-    if pt.z[i] != Q * pt.z[i - 1]:
-        raise ValueError("bulk recursion needs z_{i+1} = q z_i")
-    big = solve(pt, normalization="sum", check_w=False)
-    small = solve(pt.without_sites((i, i + 1)), normalization="all_open", check_w=False)
-    factor = bulk_recursion_factor(pt, i)
-    for idx, value in enumerate(small.components):
-        if big[insert_link(i, word_of(idx, length - 2))] != factor * value:
-            return False
-    for idx in range(1 << length):
-        word = word_of(idx, length)
-        if not _has_link(word, i) and not big.components[idx].is_zero():
-            return False
-    return True
-
-
-def check_boundary_recursion(pt: SpectralPoint, side: str) -> bool:
-    """Left: at z_1 = q zeta_1 the vector collapses onto patterns whose
-    first site closes to the wall, reproducing the size L - 1 vector at
-    boundary parameter q zeta_1 times r_0.  Right: mirrored at
-    z_L = zeta_2 / q with parameter zeta_2 / q and factor r_L."""
-    length = pt.length
-    if side == "left":
-        if pt.z[0] != Q * pt.zeta1:
-            raise ValueError("left boundary recursion needs z_1 = q zeta_1")
-        big = solve(pt, normalization="all_close", check_w=False)
-        reduced = replace(pt.without_sites((1,)), zeta1=Q * pt.zeta1)
-        factor = left_recursion_factor(pt)
-        embed = insert_left
-        survives = lambda word: word[0] == ")"
-    elif side == "right":
-        if pt.z[-1] != pt.zeta2 / Q:
-            raise ValueError("right boundary recursion needs z_L = zeta_2 / q")
-        big = solve(pt, normalization="all_open", check_w=False)
-        reduced = replace(pt.without_sites((length,)), zeta2=pt.zeta2 / Q)
-        factor = right_recursion_factor(pt)
-        embed = insert_right
-        survives = lambda word: word[-1] == "("
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    small = solve(reduced, normalization="all_open", check_w=False)
-    for idx, value in enumerate(small.components):
-        if big[embed(word_of(idx, length - 1))] != factor * value:
-            return False
-    for idx in range(1 << length):
-        word = word_of(idx, length)
-        if not survives(word) and not big.components[idx].is_zero():
-            return False
-    return True
+def check_recursion(pt: SpectralPoint) -> list[bool]:
+    """At each specialisation of `reduction(pt, i)`, i = 0..L, the vector
+    is the embedded size-reduced vector times its factor (r_0 at the left
+    wall, p in the bulk, r_L at the right wall), so every component off
+    the image of the embedding vanishes.  The specialised vector is taken
+    in the sum normalization, the global one, because extremal anchors
+    vanish at these points; the reduced one in the all-open one."""
+    verdicts = []
+    for i in range(pt.length + 1):
+        specialised, reduced, embed = reduction(pt, i)
+        big = solve(specialised, normalization="sum", check_w=False)
+        small = solve(reduced, normalization="all_open", check_w=False)
+        factor = _recursion_factor(specialised, i)
+        expected = [ZERO] * len(big.components)
+        for word, value in small.as_dict().items():
+            expected[index_of(embed(word))] = factor * value
+        verdicts.append(list(big.components) == expected)
+    return verdicts
 
 
 # -- vanishing conditions at specialization points ---------------------
 
 
-def check_vanishing_left(pt: SpectralPoint) -> bool:
-    """Components whose first site does not close to the left wall
-    vanish at z_1 = q zeta_1 and at z_1 = q / zeta_1.  Normalization
+def check_vanishing(pt: SpectralPoint) -> list[bool]:
+    """Components off the image of the embedding of `reduction(pt, i)`
+    vanish at its specialisation, i = 0..L.  At a wall this is also
+    checked with that wall's parameter inverted, which T does not see
+    (its wall weights depend on zeta only through k(., zeta)): the zeros
+    z_1 = q zeta_1^{+-1} and z_L = zeta_2^{+-1} / q.  Normalization
     free: tested on the raw null-space vector."""
     length = pt.length
-    for value in (Q * pt.zeta1, Q / pt.zeta1):
-        gs = solve(pt.with_z(1, value), normalization="raw", check_w=False)
-        for idx, comp in enumerate(gs.components):
-            site_open = 1 not in closure(word_of(idx, length)).left
-            if site_open and not comp.is_zero():
-                return False
-    return True
-
-
-def check_vanishing_right(pt: SpectralPoint) -> bool:
-    """Components whose last site does not open to the right wall
-    vanish at z_L = zeta_2 / q and at z_L = 1/(q s^2 zeta_2)."""
-    length = pt.length
-    s2 = pt.s * pt.s
-    for value in (pt.zeta2 / Q, (Q * s2 * pt.zeta2).inv()):
-        gs = solve(pt.with_z(length, value), normalization="raw", check_w=False)
-        for idx, comp in enumerate(gs.components):
-            site_open = length not in closure(word_of(idx, length)).right
-            if site_open and not comp.is_zero():
-                return False
-    return True
-
-
-def check_vanishing_bulk(pt: SpectralPoint, i: int) -> bool:
-    """Components without a small link at (i, i+1) vanish at
-    z_{i+1} = q z_i."""
-    length = pt.length
-    gs = solve(pt.with_z(i + 1, Q * pt.z[i - 1]), normalization="raw", check_w=False)
-    for idx, comp in enumerate(gs.components):
-        if not _has_link(word_of(idx, length), i) and not comp.is_zero():
-            return False
-    return True
+    mirrored = replace(pt, zeta1=pt.zeta1.inv(), zeta2=pt.zeta2.inv())
+    verdicts = []
+    for i in range(length + 1):
+        ok = True
+        for base in (pt, mirrored) if i in (0, length) else (pt,):
+            specialised, reduced, embed = reduction(base, i)
+            image = {index_of(embed(word)) for word in all_patterns(reduced.length)}
+            gs = solve(specialised, normalization="raw", check_w=False)
+            ok = ok and all(
+                comp.is_zero() for idx, comp in enumerate(gs.components) if idx not in image
+            )
+        verdicts.append(ok)
+    return verdicts
 
 
 # -- homogeneous point --------------------------------------------------

@@ -35,14 +35,26 @@ specialised and at the reduced point.  `transfer_matrix_naive`
 expands the full 2^(2L+2) sum with an explicit edge graph and path
 tracing; it is deliberately independent of the sweep and serves as the
 oracle for it.
+
+The exchange, reflection and recursion relations are indexed by a site
+i = 0..L: i = 0 is the left wall, 1..L-1 the bulk and L the right wall.
+Their index-i data is written once, in three tables that reject any
+other i and L = 0: `pi_point` (the moved point pi_i), `exchange_operator`
+(the Baxterised operator O_i) and `reduction` (the specialised point,
+the reduced point and the pattern embedding of the size-lowering
+recursion).  `check_interlace` and `check_T_recursion` return one
+verdict per index, left wall first; the groundstate counterparts
+(`check_qkz`, `check_recursion`, `check_vanishing`) read the same
+tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
-from .baxter import face_weights_K0, face_weights_KL, face_weights_R
+from .baxter import face_weights_K0, face_weights_KL, face_weights_R, kcheck0, kcheckL, rcheck
 from .errors import SingularParameterError
 from .exactfield import ONE, Q, Scalar, ZERO
 from .linkpat import (
@@ -58,6 +70,9 @@ from .linkpat import (
 __all__ = [
     "SpectralPoint",
     "assert_generic",
+    "pi_point",
+    "exchange_operator",
+    "reduction",
     "transfer_matrix",
     "transfer_apply",
     "transfer_matrix_naive",
@@ -65,7 +80,6 @@ __all__ = [
     "check_commuting",
     "check_interlace",
     "check_T_recursion",
-    "check_T_boundary_recursion",
     "NAIVE_CAP",
 ]
 
@@ -115,6 +129,64 @@ class SpectralPoint:
         drop = set(sites)
         zs = tuple(x for k, x in enumerate(self.z, start=1) if k not in drop)
         return replace(self, z=zs)
+
+
+# -- index-i data: 0 the left wall, 1..L-1 the bulk, L the right wall ----
+
+
+def _relation_length(pt: SpectralPoint, i: int) -> int:
+    """L, after checking that i names a wall or bulk relation of pt."""
+    length = pt.length
+    if length == 0 or not 0 <= i <= length:
+        raise ValueError(f"relation index {i} out of range 0..{length} (needs L >= 1)")
+    return length
+
+
+def pi_point(pt: SpectralPoint, i: int) -> SpectralPoint:
+    """The moved point pi_i pt: z_1 -> 1/z_1 at the left wall, z_i and
+    z_{i+1} swapped in the bulk, z_L -> 1/(s^2 z_L) at the right wall."""
+    length = _relation_length(pt, i)
+    if i == 0:
+        return pt.with_z(1, pt.z[0].inv())
+    if i == length:
+        return pt.with_z(length, (pt.s * pt.s * pt.z[-1]).inv())
+    return pt.swapped(i)
+
+
+def exchange_operator(pt: SpectralPoint, i: int) -> SparseOperator:
+    """The Baxterised operator O_i at pt: Kcheck_0(1/z_1, zeta_1) at the
+    left wall, Rcheck_i(z_i / z_{i+1}) in the bulk, Kcheck_L(s z_L, s zeta_2)
+    at the right wall."""
+    length = _relation_length(pt, i)
+    if i == 0:
+        return kcheck0(pt.z[0].inv(), pt.zeta1, length)
+    if i == length:
+        return kcheckL(pt.s * pt.z[-1], pt.s * pt.zeta2, length)
+    return rcheck(i, pt.z[i - 1] / pt.z[i], length)
+
+
+def reduction(
+    pt: SpectralPoint, i: int
+) -> tuple[SpectralPoint, SpectralPoint, Callable[[str], str]]:
+    """(specialised, reduced, embed) of the size-lowering recursion at i.
+
+    Left wall: z_1 = q zeta_1, site 1 dropped with zeta_1 advanced to
+    q zeta_1, embed prepends a strand to the left wall.  Bulk:
+    z_{i+1} = q z_i, sites i, i+1 dropped, embed inserts a small link at
+    (i, i+1).  Right wall: z_L = zeta_2 / q, site L dropped with zeta_2
+    moved to zeta_2 / q, embed appends a strand to the right wall.
+    """
+    length = _relation_length(pt, i)
+    if i == 0:
+        specialised = pt.with_z(1, Q * pt.zeta1)
+        reduced = replace(specialised.without_sites((1,)), zeta1=Q * pt.zeta1)
+        return specialised, reduced, insert_left
+    if i == length:
+        specialised = pt.with_z(length, pt.zeta2 / Q)
+        reduced = replace(specialised.without_sites((length,)), zeta2=pt.zeta2 / Q)
+        return specialised, reduced, insert_right
+    specialised = pt.with_z(i + 1, Q * pt.z[i - 1])
+    return specialised, specialised.without_sites((i, i + 1)), partial(insert_link, i)
 
 
 def _tile_weights(pt: SpectralPoint):
@@ -408,9 +480,9 @@ def _naive_column(word: str, weights) -> dict[int, Scalar]:
     return {r: v for r, v in column.items() if not v.is_zero()}
 
 
-def transfer_matrix_naive(pt: SpectralPoint, cap: int = NAIVE_CAP) -> SparseOperator:
-    if pt.length > cap:
-        raise ValueError(f"naive expansion refused for L > {cap}")
+def transfer_matrix_naive(pt: SpectralPoint) -> SparseOperator:
+    if pt.length > NAIVE_CAP:
+        raise ValueError(f"naive expansion refused for L > NAIVE_CAP = {NAIVE_CAP}")
     weights = _tile_weights(pt)
     length = pt.length
     cols = [_naive_column(word_of(idx, length), weights) for idx in range(1 << length)]
@@ -432,27 +504,16 @@ def check_commuting(pt: SpectralPoint, w2: Scalar) -> bool:
     return t1 @ t2 == t2 @ t1
 
 
-def check_interlace(pt: SpectralPoint, i: int) -> bool:
-    """Exchange of neighbouring z's (or a reflection at i = 0, L) by
-    conjugation with the Baxterised operators."""
-    from .baxter import kcheck0, kcheckL, rcheck
-
-    length = pt.length
-    if i == 0:
-        op = kcheck0(pt.z[0].inv(), pt.zeta1, length)
-        lhs = op @ transfer_matrix(pt)
-        rhs = transfer_matrix(pt.with_z(1, pt.z[0].inv())) @ op
-    elif i == length:
-        op = kcheckL(pt.z[-1], pt.zeta2, length)
-        lhs = op @ transfer_matrix(pt)
-        rhs = transfer_matrix(pt.with_z(length, pt.z[-1].inv())) @ op
-    elif 1 <= i <= length - 1:
-        op = rcheck(i, pt.z[i - 1] / pt.z[i], length)
-        lhs = op @ transfer_matrix(pt)
-        rhs = transfer_matrix(pt.swapped(i)) @ op
-    else:
-        raise ValueError(f"interlace index {i} out of range 0..{length}")
-    return lhs == rhs
+def check_interlace(pt: SpectralPoint) -> list[bool]:
+    """O_i T(pt) = T(pi_i pt) O_i for i = 0..L: the exchange of
+    neighbouring z's in the bulk and the reflections at both walls.
+    T(pt) is built once for all indices."""
+    tmat = transfer_matrix(pt)
+    verdicts = []
+    for i in range(pt.length + 1):
+        op = exchange_operator(pt, i)
+        verdicts.append(op @ tmat == transfer_matrix(pi_point(pt, i)) @ op)
+    return verdicts
 
 
 def _check_embedding(pt: SpectralPoint, reduced: SpectralPoint, embed) -> bool:
@@ -471,31 +532,7 @@ def _check_embedding(pt: SpectralPoint, reduced: SpectralPoint, embed) -> bool:
     return True
 
 
-def check_T_recursion(pt: SpectralPoint, i: int) -> bool:
-    """T_L o phi_i = phi_i o T_{L-2} at z_{i+1} = q z_i (unit factor)."""
-    length = pt.length
-    if not 1 <= i <= length - 1:
-        raise ValueError(f"bulk recursion index {i} out of range 1..{length - 1}")
-    if pt.z[i] != Q * pt.z[i - 1]:
-        raise ValueError("bulk recursion needs z_{i+1} = q z_i")
-    return _check_embedding(
-        pt, pt.without_sites((i, i + 1)), lambda word: insert_link(i, word)
-    )
-
-
-def check_T_boundary_recursion(pt: SpectralPoint, side: str) -> bool:
-    """Left: at z_1 = q zeta_1, T_L o phi_0 = phi_0 o T_{L-1} with the
-    left parameter advanced to q zeta_1.  Right: at z_L = zeta_2 / q,
-    mirrored with the right parameter moved to zeta_2 / q."""
-    length = pt.length
-    if side == "left":
-        if pt.z[0] != Q * pt.zeta1:
-            raise ValueError("left boundary recursion needs z_1 = q zeta_1")
-        reduced = replace(pt.without_sites((1,)), zeta1=Q * pt.zeta1)
-        return _check_embedding(pt, reduced, insert_left)
-    if side == "right":
-        if pt.z[-1] != pt.zeta2 / Q:
-            raise ValueError("right boundary recursion needs z_L = zeta_2 / q")
-        reduced = replace(pt.without_sites((length,)), zeta2=pt.zeta2 / Q)
-        return _check_embedding(pt, reduced, insert_right)
-    raise ValueError("side must be 'left' or 'right'")
+def check_T_recursion(pt: SpectralPoint) -> list[bool]:
+    """T_L o embed = embed o T_reduced, with unit factor, at each
+    specialisation of `reduction(pt, i)` for i = 0..L."""
+    return [_check_embedding(*reduction(pt, i)) for i in range(pt.length + 1)]

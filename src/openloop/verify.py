@@ -3,7 +3,10 @@
 Each suite runs a family of exact checks and returns (label, ok) pairs,
 one per identity, aggregated over the requested number of random
 trials.  All randomness comes from the given seed, so identical
-configurations print identical reports.
+configurations print identical reports.  The per-index checks return
+one verdict per index i = 0..L; their rows read index 0 (left wall),
+1..L-1 (bulk) and L (right wall).  Each suite has a smallest L at which
+its identities exist, and `run_suite` rejects anything smaller.
 """
 
 from __future__ import annotations
@@ -21,29 +24,25 @@ from .chars import z_product
 from .errors import DegreeBoundError, NonGenericPointError
 from .exactfield import IMAG, ONE, Q, Scalar, bracket
 from .groundstate import (
-    check_boundary_recursion,
-    check_bulk_recursion,
-    check_qkz_boundary,
-    check_qkz_exchange,
+    check_qkz,
+    check_recursion,
     check_sum_rule,
-    check_vanishing_bulk,
-    check_vanishing_left,
-    check_vanishing_right,
+    check_vanishing,
     generic_parameters,
     interpolate_all,
     solve,
     solve_homogeneous,
     sum_components,
 )
-from .linkpat import SparseOperator, generator_matrix, idempotents, insert_link, word_of
+from .linkpat import SparseOperator, generator_matrix, idempotents
 from .transfer import (
     NAIVE_CAP,
     SpectralPoint,
-    check_T_boundary_recursion,
     check_T_recursion,
     check_column_sums,
     check_commuting,
     check_interlace,
+    reduction,
     transfer_matrix,
     transfer_matrix_naive,
 )
@@ -64,6 +63,11 @@ SUITE_NAMES = (
 Report = list[tuple[str, bool]]
 
 _S_VALUES = (("1", ONE), ("-1", -ONE), ("i", IMAG), ("-i", -IMAG))
+
+
+def _walls_and_bulk(verdicts: list[bool]) -> tuple[bool, bool, bool]:
+    """(left wall, every bulk index, right wall) of a per-index check."""
+    return verdicts[0], all(verdicts[1:-1]), verdicts[-1]
 
 
 def _point(rng: random.Random, length: int, s: Scalar = ONE) -> SpectralPoint:
@@ -99,8 +103,6 @@ def suite_algebra(length: int, trials: int, rng: random.Random) -> Report:
 
 def suite_local(length: int, trials: int, rng: random.Random) -> Report:
     """Unitarity, braid exchange, reflection, crossing, tile scalars."""
-    if length < 3:
-        raise ValueError("local suite needs L >= 3 for the braid exchange")
     dim = 1 << length
     ident = SparseOperator.identity(dim)
     r_unit = k0_unit = kL_unit = True
@@ -162,16 +164,14 @@ def suite_transfer(length: int, trials: int, rng: random.Random) -> Report:
         )
         commuting &= check_commuting(pt, w2)
         sums &= check_column_sums(pt)
-        inter0 &= check_interlace(pt, 0)
-        interbulk &= all(check_interlace(pt, i) for i in range(1, length))
-        interL &= check_interlace(pt, length)
-        if length >= 2:
-            for i in range(1, length):
-                bulk_rec &= check_T_recursion(pt.with_z(i + 1, Q * pt.z[i - 1]), i)
-        left_rec &= check_T_boundary_recursion(pt.with_z(1, Q * pt.zeta1), "left")
-        right_rec &= check_T_boundary_recursion(
-            pt.with_z(length, pt.zeta2 / Q), "right"
-        )
+        left, bulk, right = _walls_and_bulk(check_interlace(pt))
+        inter0 &= left
+        interbulk &= bulk
+        interL &= right
+        left, bulk, right = _walls_and_bulk(check_T_recursion(pt))
+        left_rec &= left
+        bulk_rec &= bulk
+        right_rec &= right
         if length <= NAIVE_CAP:
             naive &= transfer_matrix(pt) == transfer_matrix_naive(pt)
     report = [
@@ -194,33 +194,31 @@ def suite_qkz(length: int, trials: int, rng: random.Random) -> Report:
     for name, s in _S_VALUES:
         exchange = boundary = True
         for _ in range(trials):
-            pt = _point(rng, length, s)
-            exchange &= all(check_qkz_exchange(pt, i) for i in range(1, length))
-            boundary &= check_qkz_boundary(pt)
+            left, bulk, right = _walls_and_bulk(check_qkz(_point(rng, length, s)))
+            exchange &= bulk
+            boundary &= left and right
         report.append((f"exchange relations at every bulk index (s = {name})", exchange))
         report.append((f"reflection relations at both walls (s = {name})", boundary))
     return report
 
 
 def _extracted_bulk_factor(pt: SpectralPoint, i: int) -> Scalar:
-    big = solve(pt, normalization="sum", check_w=False)
-    small = solve(pt.without_sites((i, i + 1)), normalization="all_open", check_w=False)
-    for idx, val in enumerate(small.components):
+    specialised, reduced, embed = reduction(pt, i)
+    big = solve(specialised, normalization="sum", check_w=False)
+    small = solve(reduced, normalization="all_open", check_w=False)
+    for word, val in small.as_dict().items():
         if not val.is_zero():
-            return big[insert_link(i, word_of(idx, pt.length - 2))] / val
+            return big[embed(word)] / val
     raise NonGenericPointError("reduced vector vanished identically")
 
 
 def suite_recursion(length: int, trials: int, rng: random.Random) -> Report:
-    if length < 2:
-        raise ValueError("recursion suite needs L >= 2")
     bulk = left = right = indep = True
     for _ in range(trials):
-        pt = _point(rng, length)
-        for i in range(1, length):
-            bulk &= check_bulk_recursion(pt.with_z(i + 1, Q * pt.z[i - 1]), i)
-        left &= check_boundary_recursion(pt.with_z(1, Q * pt.zeta1), "left")
-        right &= check_boundary_recursion(pt.with_z(length, pt.zeta2 / Q), "right")
+        at_left, at_bulk, at_right = _walls_and_bulk(check_recursion(_point(rng, length)))
+        left &= at_left
+        bulk &= at_bulk
+        right &= at_right
         if length >= 3:
             vals = generic_parameters(rng, length + 1)
             a, rest = vals[0], vals[1:length - 1]
@@ -228,10 +226,10 @@ def suite_recursion(length: int, trials: int, rng: random.Random) -> Report:
             (w,) = generic_parameters(
                 rng, 1, avoid=[v.rational_value() for v in vals]
             )
-            first = SpectralPoint((a, Q * a) + tuple(rest), zeta1, zeta2, w)
-            second = SpectralPoint(
-                (rest[0], a, Q * a) + tuple(rest[1:]), zeta1, zeta2, w
-            )
+            # The repeated a is a placeholder: the reduction sets the
+            # second of the pair to q a.
+            first = SpectralPoint((a, a) + tuple(rest), zeta1, zeta2, w)
+            second = SpectralPoint((rest[0], a, a) + tuple(rest[1:]), zeta1, zeta2, w)
             indep &= _extracted_bulk_factor(first, 1) == _extracted_bulk_factor(second, 2)
     report = [
         ("eigenvector bulk recursion with factor p, every index", bulk),
@@ -264,9 +262,7 @@ def suite_degree(length: int, trials: int, rng: random.Random) -> Report:
             interpolate_all(var, pt, rng=rng)
     except DegreeBoundError:
         window = False
-    left = check_vanishing_left(pt)
-    right = check_vanishing_right(pt)
-    bulk = all(check_vanishing_bulk(pt, i) for i in range(1, length))
+    left, bulk, right = _walls_and_bulk(check_vanishing(pt))
     return [
         ("component degree stays inside the Laurent window in each z_i^2", window),
         ("vanishing at the left wall specializations of z_1", left),
@@ -274,6 +270,19 @@ def suite_degree(length: int, trials: int, rng: random.Random) -> Report:
         ("vanishing without a small link at z_{i+1} = q z_i", bulk),
     ]
 
+
+# Smallest L at which each suite's identities exist: the local braid
+# exchange needs three sites, the recursion suite a bulk pair, and the
+# wall and bulk relations at least one site; the sum rule holds at L = 0.
+_MIN_LENGTH = {
+    "algebra": 1,
+    "local": 3,
+    "transfer": 1,
+    "qkz": 1,
+    "recursion": 2,
+    "sumrule": 0,
+    "degree": 1,
+}
 
 _SUITES: dict[str, Callable[[int, int, random.Random], Report]] = {
     "algebra": suite_algebra,
@@ -290,12 +299,15 @@ def run_suite(name: str, length: int, trials: int, seed: int) -> Report:
     """Run one named suite (or all of them) and collect (label, ok) rows."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if name != "all" and name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; options: {', '.join(SUITE_NAMES)}")
+    needed = max(_MIN_LENGTH.values()) if name == "all" else _MIN_LENGTH[name]
+    if length < needed:
+        raise ValueError(f"{name} suite needs L >= {needed}, got L = {length}")
     if name == "all":
         report: Report = []
         for sub in SUITE_NAMES[:-1]:
             for label, ok in run_suite(sub, length, trials, seed):
                 report.append((f"{sub}: {label}", ok))
         return report
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; options: {', '.join(SUITE_NAMES)}")
     return _SUITES[name](length, trials, random.Random(seed))

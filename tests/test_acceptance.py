@@ -11,7 +11,6 @@ from random import Random
 
 from openloop import (
     ONE,
-    Q,
     GroundstateVector,
     Scalar,
     character_auto,
@@ -30,13 +29,7 @@ from openloop import (
     sum_components,
     z_product,
 )
-from openloop.groundstate import (
-    a_const,
-    check_vanishing_bulk,
-    check_vanishing_left,
-    check_vanishing_right,
-    interpolate_all,
-)
+from openloop.groundstate import a_const, check_vanishing, interpolate_all
 
 from helpers import draw_point, rational
 
@@ -198,13 +191,7 @@ def test_criterion_08_degree_window_and_vanishing():
                         assert poly.max_exp <= bound and poly.min_exp >= -bound
         for length in (2, 3, 4):
             pt = draw_point(Random(85 + length), length)
-            assert check_vanishing_left(pt.with_z(1, Q * pt.zeta1))
-            assert check_vanishing_left(pt.with_z(1, Q / pt.zeta1))
-            assert check_vanishing_right(pt.with_z(length, pt.zeta2 / Q))
-            s2 = pt.s * pt.s
-            assert check_vanishing_right(pt.with_z(length, (Q * s2 * pt.zeta2).inv()))
-            for i in range(1, length):
-                assert check_vanishing_bulk(pt.with_z(i + 1, Q * pt.z[i - 1]), i)
+            assert check_vanishing(pt) == [True] * (length + 1)
 
     _report(8, "degree of each component <= 2L-1 per z_i^2 for L <= 4, vanishing at walls", body)
 

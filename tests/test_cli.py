@@ -141,6 +141,20 @@ def test_verify_local_at_small_length_is_usage_error(capsys):
     assert "L >= 3" in err
 
 
+@pytest.mark.parametrize("suite", ["algebra", "transfer", "qkz", "degree"])
+def test_verify_at_zero_sites_is_a_usage_error(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--L", "0", "--trials", "1")
+    assert code == 1
+    assert err.splitlines() == [f"error: {suite} suite needs L >= 1, got L = 0"]
+    assert out == ""
+
+
+def test_verify_sumrule_at_zero_sites(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "sumrule", "--L", "0", "--trials", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "2/2 checks passed"
+
+
 def test_length_beyond_solve_cap_is_a_usage_error(capsys):
     zs = ",".join(str(k) for k in range(2, 11))
     code, out, err = run_cli(capsys, "solve", "--L", "9", "--z", zs)

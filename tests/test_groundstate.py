@@ -18,12 +18,13 @@ from openloop import (
     Q,
     Scalar,
     SpectralPoint,
-    check_boundary_recursion,
-    check_bulk_recursion,
+    check_T_recursion,
     check_hamiltonian,
-    check_qkz_boundary,
-    check_qkz_exchange,
+    check_interlace,
+    check_qkz,
+    check_recursion,
     check_sum_rule,
+    check_vanishing,
     closed_form_all_close,
     closed_form_all_open,
     eval_s,
@@ -31,7 +32,9 @@ from openloop import (
     generic_parameters,
     interpolate_all,
     kfun,
+    pi_point,
     reconstruct_partial_L3,
+    reduction,
     solve,
     solve_homogeneous,
     sum_components,
@@ -41,11 +44,7 @@ from openloop.groundstate import (
     SOLVE_CAP,
     a_const,
     bulk_recursion_factor,
-    check_vanishing_bulk,
-    check_vanishing_left,
-    check_vanishing_right,
     left_recursion_factor,
-    pi_point,
     right_recursion_factor,
 )
 
@@ -194,16 +193,13 @@ def test_qkz_relations_level_two(s_index):
     s = fourth_roots()[s_index]
     rng = Random(700 + s_index)
     pt = draw_point(rng, 2, s=s)
-    assert check_qkz_exchange(pt, 1)
-    assert check_qkz_boundary(pt)
+    assert check_qkz(pt) == [True, True, True]
 
 
 def test_qkz_relations_level_three():
     rng = Random(709)
     pt = draw_point(rng, 3)
-    for i in (1, 2):
-        assert check_qkz_exchange(pt, i)
-    assert check_qkz_boundary(pt)
+    assert check_qkz(pt) == [True] * 4
 
 
 def test_pi_point_transformations():
@@ -221,22 +217,15 @@ def test_pi_point_transformations():
 def test_bulk_recursion(length, i):
     rng = Random(800 + 10 * length + i)
     pt = draw_point(rng, length)
-    specialised = pt.with_z(i + 1, Q * pt.z[i - 1])
-    assert check_bulk_recursion(specialised, i)
-    with pytest.raises(ValueError):
-        check_bulk_recursion(pt, i)
+    assert check_recursion(pt)[i]
 
 
 @pytest.mark.parametrize("length", [2, 3])
 def test_boundary_recursions(length):
     rng = Random(830 + length)
     pt = draw_point(rng, length)
-    left = pt.with_z(1, Q * pt.zeta1)
-    assert check_boundary_recursion(left, "left")
-    right = pt.with_z(length, pt.zeta2 / Q)
-    assert check_boundary_recursion(right, "right")
-    with pytest.raises(ValueError):
-        check_boundary_recursion(pt, "left")
+    left, *_, right = check_recursion(pt)
+    assert left and right
 
 
 def test_recursion_factors_are_nonzero_scalars():
@@ -252,11 +241,11 @@ def test_recursion_factors_are_nonzero_scalars():
 def test_extracted_factor_matches_formula():
     # Ratio of a specialised big component to its reduced preimage
     # equals the predicted factor; independent of which component and,
-    # by check_bulk_recursion, of everything else.
+    # by check_recursion, of everything else.
     pt = draw_point(Random(841), 2)
-    specialised = pt.with_z(2, Q * pt.z[0])
+    specialised, reduced, _ = reduction(pt, 1)
     big = solve(specialised, normalization="sum", check_w=False)
-    small = solve(specialised.without_sites((1, 2)), normalization="all_open", check_w=False)
+    small = solve(reduced, normalization="all_open", check_w=False)
     factor = bulk_recursion_factor(specialised, 1)
     assert big["()"] == factor * small[""]
 
@@ -265,13 +254,21 @@ def test_extracted_factor_matches_formula():
 def test_vanishing_specialisations(length):
     rng = Random(850 + length)
     pt = draw_point(rng, length)
-    assert check_vanishing_left(pt.with_z(1, Q * pt.zeta1))
-    assert check_vanishing_left(pt.with_z(1, Q / pt.zeta1))
-    assert check_vanishing_right(pt.with_z(length, pt.zeta2 / Q))
-    s2 = pt.s * pt.s
-    assert check_vanishing_right(pt.with_z(length, (Q * s2 * pt.zeta2).inv()))
-    for i in range(1, length):
-        assert check_vanishing_bulk(pt.with_z(i + 1, Q * pt.z[i - 1]), i)
+    assert check_vanishing(pt) == [True] * (length + 1)
+
+
+@pytest.mark.parametrize("s_index", [0, 1, 2, 3])
+def test_every_per_index_check_at_one_site(s_index):
+    # L = 1 has two walls and no bulk: each check returns the left and
+    # the right wall verdict, and none at L = 0.
+    pt = draw_point(Random(870 + s_index), 1, s=fourth_roots()[s_index])
+    checks = (check_interlace, check_T_recursion, check_qkz, check_recursion, check_vanishing)
+    for check in checks:
+        assert check(pt) == [True, True], check.__name__
+    empty = SpectralPoint(z=(), zeta1=pt.zeta1, zeta2=pt.zeta2, w=pt.w)
+    for check in checks:
+        with pytest.raises(ValueError):
+            check(empty)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])

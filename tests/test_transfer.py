@@ -15,11 +15,14 @@ from openloop import (
     NonGenericPointError,
     Scalar,
     SpectralPoint,
-    check_T_boundary_recursion,
     check_T_recursion,
     check_column_sums,
     check_commuting,
     check_interlace,
+    exchange_operator,
+    fourth_roots,
+    pi_point,
+    reduction,
     transfer_apply,
     transfer_matrix,
     transfer_matrix_naive,
@@ -94,38 +97,36 @@ def test_transfer_matrices_commute(length):
 
 
 def test_interlace_all_positions():
+    # Both walls and every bulk index, at each fourth root s: the right
+    # wall operator Kcheck_L(s z_L, s zeta_2) moves z_L to 1/(s^2 z_L).
     rng = Random(83)
-    length = 3
-    for _ in range(2):
-        pt = draw_point(rng, length)
-        for i in range(length + 1):
-            assert check_interlace(pt, i)
+    for length in (1, 2, 3):
+        for s in fourth_roots():
+            pt = draw_point(rng, length, s=s)
+            assert check_interlace(pt) == [True] * (length + 1)
 
 
 @pytest.mark.parametrize("length", [2, 3])
 def test_transfer_recursion_bulk(length):
     rng = Random(400 + length)
     pt = draw_point(rng, length)
-    for i in range(1, length):
-        specialised = pt.with_z(i + 1, Q * pt.z[i - 1])
-        assert check_T_recursion(specialised, i)
+    assert all(check_T_recursion(pt)[1:length])
 
 
 def test_transfer_recursion_boundaries():
     rng = Random(89)
     pt = draw_point(rng, 3)
-    left = pt.with_z(1, Q * pt.zeta1)
-    assert check_T_boundary_recursion(left, "left")
-    right = pt.with_z(3, pt.zeta2 / Q)
-    assert check_T_boundary_recursion(right, "right")
+    left, *_, right = check_T_recursion(pt)
+    assert left and right
 
 
-def test_transfer_recursion_guards():
+def test_index_tables_reject_out_of_range():
     pt = draw_point(Random(97), 2)
-    with pytest.raises(ValueError):
-        check_T_recursion(pt, 1)
-    with pytest.raises(ValueError):
-        check_T_boundary_recursion(pt, "left")
+    empty = SpectralPoint(z=(), zeta1=pt.zeta1, zeta2=pt.zeta2, w=pt.w)
+    for table in (pi_point, exchange_operator, reduction):
+        for bad in (pt, -1), (pt, 3), (empty, 0):
+            with pytest.raises(ValueError):
+                table(*bad)
 
 
 def test_assert_generic_detects_boundary_pole():
@@ -148,8 +149,6 @@ def test_unit_w_fixed_space_is_degenerate():
 
 def test_transfer_at_four_s_values():
     rng = Random(107)
-    from openloop import fourth_roots
-
     for s in fourth_roots():
         pt = draw_point(rng, 2, s=s)
         assert check_column_sums(pt)
