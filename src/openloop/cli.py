@@ -6,9 +6,10 @@ like "0:1:0:0".  Output is JSON (schemaVersion 1) or CSV; every run
 with the same flags and seed prints byte-identical text.
 
 Exit codes: 0 success, 1 argument or parse error (including L beyond
-the exact-solve cap), 2 any other domain error (non-generic point,
-confluent character arguments, failed cross-check, degree bound),
-3 singular parameter (an operator pole at the given values).
+the exact-solve cap and an unwritable --output path), 2 any other
+domain error (non-generic point, confluent character arguments, failed
+cross-check, degree bound), 3 singular parameter (an operator pole at
+the given values).
 """
 
 from __future__ import annotations
@@ -136,11 +137,14 @@ def fmt_scalar(x: Scalar) -> str:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path:
+    if not path:
+        print(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def cmd_solve(args) -> int:
@@ -172,6 +176,11 @@ def cmd_sumrule(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """One PASS/FAIL line per row of `run_suite` and the count of rows.
+
+    A row with no instance at this L is left out, not passed: at L = 1
+    the transfer suite has no bulk index and prints "7/7 checks passed".
+    """
     try:
         report = run_suite(args.suite, args.L, args.trials, args.seed)
     except ValueError as exc:

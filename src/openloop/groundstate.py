@@ -15,8 +15,9 @@ vector from its extremal components.
 The per-index identities follow the convention of `transfer`: index
 i = 0 is the left wall, 1..L-1 the bulk, L the right wall, and the
 index-i data comes from its tables `pi_point`, `exchange_operator` and
-`reduction`.  `check_qkz`, `check_recursion` and `check_vanishing`
-each return one verdict per index i = 0..L.
+`reduction`, with the recursion factors r_0, p and r_L in the one table
+`recursion_factor`.  `check_qkz`, `check_recursion` and
+`check_vanishing` each return one verdict per index i = 0..L.
 
 Sign bookkeeping follows the anchor constant A_0 = 1, A_L = (-1)^L
 A_{L-1}, so A_L = (-1)^{L(L+1)/2}.  With this choice the component sum
@@ -45,6 +46,7 @@ from .exactla import LaurentPoly, kernel_basis, laurent_fit
 from .linkpat import all_patterns, c_from_zeta, hamiltonian, index_of, word_of
 from .transfer import (
     SpectralPoint,
+    _relation_length,
     assert_generic,
     exchange_operator,
     pi_point,
@@ -59,7 +61,6 @@ __all__ = [
     "GroundstateVector",
     "ReconstructionL3",
     "a_const",
-    "bulk_recursion_factor",
     "check_hamiltonian",
     "check_qkz",
     "check_recursion",
@@ -71,9 +72,8 @@ __all__ = [
     "eval_s",
     "generic_parameters",
     "interpolate_all",
-    "left_recursion_factor",
     "reconstruct_partial_L3",
-    "right_recursion_factor",
+    "recursion_factor",
     "solve",
     "solve_homogeneous",
     "sum_components",
@@ -336,54 +336,40 @@ def check_qkz(pt: SpectralPoint) -> list[bool]:
 # -- size-lowering recursions ------------------------------------------
 
 
-def bulk_recursion_factor(pt: SpectralPoint, i: int) -> Scalar:
-    """Factor p relating the vector at z_{i+1} = q z_i to size L - 2:
-    -(A_L/A_{L-2}) k(z_i,zeta_1)^2 k(z_i,zeta_2)^2 prod_{j != i,i+1}
-    k(z_i,z_j)^4.  The same function of the surviving parameters for
-    every i."""
-    length = pt.length
-    if not 1 <= i <= length - 1:
-        raise ValueError(f"bulk index {i} out of range 1..{length - 1}")
-    zi = pt.z[i - 1]
-    total = -(a_const(length) / a_const(length - 2))
-    total = total * kfun(zi, pt.zeta1) ** 2 * kfun(zi, pt.zeta2) ** 2
-    for j, zj in enumerate(pt.z, start=1):
-        if j not in (i, i + 1):
-            total = total * kfun(zi, zj) ** 4
-    return total
+def recursion_factor(pt: SpectralPoint, i: int) -> Scalar:
+    """Factor of the size-lowering recursion at `reduction(pt, i)`, i = 0..L.
 
-
-def left_recursion_factor(pt: SpectralPoint) -> Scalar:
-    """Factor r_0 at z_1 = q zeta_1:
-    (-1)^{L+1} (A_L/A_{L-1}) k(zeta_1,zeta_2) prod_{i>=2} k(zeta_1,z_i)^2."""
-    length = pt.length
+    Left wall (z_1 = q zeta_1), r_0 =
+    (-1)^{L+1} (A_L/A_{L-1}) k(zeta_1,zeta_2) prod_{j>=2} k(zeta_1,z_j)^2.
+    Bulk (z_{i+1} = q z_i), p = -(A_L/A_{L-2}) k(z_i,zeta_1)^2
+    k(z_i,zeta_2)^2 prod_{j != i,i+1} k(z_i,z_j)^4, the same function of
+    the surviving parameters for every i.  Right wall (z_L = zeta_2 / q),
+    r_L = (-1)^{L+1} s^2 (A_L/A_{L-1}) k(1/(s zeta_2), s zeta_1)
+    prod_{j<=L-1} k(1/(s zeta_2), s z_j)^2, independent of s.  None of
+    them reads the specialised coordinate, so pt may be the generic or
+    the specialised point."""
+    length = _relation_length(pt, i)
+    if 0 < i < length:
+        zi = pt.z[i - 1]
+        total = -(a_const(length) / a_const(length - 2))
+        total = total * kfun(zi, pt.zeta1) ** 2 * kfun(zi, pt.zeta2) ** 2
+        for j, zj in enumerate(pt.z, start=1):
+            if j not in (i, i + 1):
+                total = total * kfun(zi, zj) ** 4
+        return total
     sign = -ONE if (length + 1) % 2 else ONE
-    total = sign * (a_const(length) / a_const(length - 1)) * kfun(pt.zeta1, pt.zeta2)
-    for zj in pt.z[1:]:
-        total = total * kfun(pt.zeta1, zj) ** 2
-    return total
-
-
-def right_recursion_factor(pt: SpectralPoint) -> Scalar:
-    """Factor r_L at z_L = zeta_2 / q:
-    (-1)^{L+1} s^2 (A_L/A_{L-1}) k(1/(s zeta_2), s zeta_1)
-    prod_{i<=L-1} k(1/(s zeta_2), s z_i)^2.  s-independent."""
-    length = pt.length
-    s = pt.s
-    sign = -ONE if (length + 1) % 2 else ONE
-    total = sign * s * s * (a_const(length) / a_const(length - 1))
-    total = total * kfun((s * pt.zeta2).inv(), s * pt.zeta1)
-    for zj in pt.z[:-1]:
-        total = total * kfun((s * pt.zeta2).inv(), s * zj) ** 2
-    return total
-
-
-def _recursion_factor(specialised: SpectralPoint, i: int) -> Scalar:
+    total = sign * (a_const(length) / a_const(length - 1))
     if i == 0:
-        return left_recursion_factor(specialised)
-    if i == specialised.length:
-        return right_recursion_factor(specialised)
-    return bulk_recursion_factor(specialised, i)
+        total = total * kfun(pt.zeta1, pt.zeta2)
+        for zj in pt.z[1:]:
+            total = total * kfun(pt.zeta1, zj) ** 2
+        return total
+    s = pt.s
+    moved = (s * pt.zeta2).inv()
+    total = total * s * s * kfun(moved, s * pt.zeta1)
+    for zj in pt.z[:-1]:
+        total = total * kfun(moved, s * zj) ** 2
+    return total
 
 
 def check_recursion(pt: SpectralPoint) -> list[bool]:
@@ -398,7 +384,7 @@ def check_recursion(pt: SpectralPoint) -> list[bool]:
         specialised, reduced, embed = reduction(pt, i)
         big = solve(specialised, normalization="sum", check_w=False)
         small = solve(reduced, normalization="all_open", check_w=False)
-        factor = _recursion_factor(specialised, i)
+        factor = recursion_factor(specialised, i)
         expected = [ZERO] * len(big.components)
         for word, value in small.as_dict().items():
             expected[index_of(embed(word))] = factor * value

@@ -76,8 +76,6 @@ __all__ = [
     "transfer_matrix",
     "transfer_apply",
     "transfer_matrix_naive",
-    "check_column_sums",
-    "check_commuting",
     "check_interlace",
     "check_T_recursion",
     "NAIVE_CAP",
@@ -490,18 +488,6 @@ def transfer_matrix_naive(pt: SpectralPoint) -> SparseOperator:
 
 
 # -- identity checks ---------------------------------------------------
-
-
-def check_column_sums(pt: SpectralPoint) -> bool:
-    """Every column of T sums to 1 (the all-ones covector is fixed)."""
-    return all(s == ONE for s in transfer_matrix(pt).column_sums())
-
-
-def check_commuting(pt: SpectralPoint, w2: Scalar) -> bool:
-    """[T(w), T(w')] = 0 at equal bulk and boundary parameters."""
-    t1 = transfer_matrix(pt)
-    t2 = transfer_matrix(pt.with_w(w2))
-    return t1 @ t2 == t2 @ t1
 
 
 def check_interlace(pt: SpectralPoint) -> list[bool]:

@@ -1,18 +1,21 @@
 """Named identity suites behind `verify` on the command line.
 
-Each suite runs a family of exact checks and returns (label, ok) pairs,
-one per identity, aggregated over the requested number of random
-trials.  All randomness comes from the given seed, so identical
-configurations print identical reports.  The per-index checks return
-one verdict per index i = 0..L; their rows read index 0 (left wall),
-1..L-1 (bulk) and L (right wall).  Each suite has a smallest L at which
-its identities exist, and `run_suite` rejects anything smaller.
+Each suite yields (label, verdicts) rows, `verdicts` holding one bool
+per instance checked; `run_suite` merges the rows by label across the
+requested number of random trials and reports (label, ok) pairs.  A row
+with no instance at this L (the bulk of a one-site strip, say) is left
+out of the report rather than passed.  All randomness comes from the
+given seed, so identical configurations print identical reports.  The
+per-index checks return one verdict per index i = 0..L; their rows read
+index 0 (left wall), 1..L-1 (bulk) and L (right wall).  Each suite has a
+smallest L at which its identities exist, and `run_suite` rejects
+anything smaller.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable
+from typing import Callable, Iterator
 
 from .baxter import (
     face_weights_R,
@@ -39,8 +42,6 @@ from .transfer import (
     NAIVE_CAP,
     SpectralPoint,
     check_T_recursion,
-    check_column_sums,
-    check_commuting,
     check_interlace,
     reduction,
     transfer_matrix,
@@ -61,13 +62,9 @@ SUITE_NAMES = (
 )
 
 Report = list[tuple[str, bool]]
+Rows = Iterator[tuple[str, list[bool]]]
 
 _S_VALUES = (("1", ONE), ("-1", -ONE), ("i", IMAG), ("-i", -IMAG))
-
-
-def _walls_and_bulk(verdicts: list[bool]) -> tuple[bool, bool, bool]:
-    """(left wall, every bulk index, right wall) of a per-index check."""
-    return verdicts[0], all(verdicts[1:-1]), verdicts[-1]
 
 
 def _point(rng: random.Random, length: int, s: Scalar = ONE) -> SpectralPoint:
@@ -77,129 +74,100 @@ def _point(rng: random.Random, length: int, s: Scalar = ONE) -> SpectralPoint:
     )
 
 
-def suite_algebra(length: int, trials: int, rng: random.Random) -> Report:
+def suite_algebra(length: int, trials: int, rng: random.Random) -> Rows:
     """Generator relations as exact matrix identities (deterministic)."""
     e = [generator_matrix(i, length) for i in range(length + 1)]
-    quad = all(e[i] @ e[i] == e[i] for i in range(length + 1))
-    up = all(e[i] @ e[i + 1] @ e[i] == e[i] for i in range(1, length))
-    down = all(e[i] @ e[i - 1] @ e[i] == e[i] for i in range(1, length))
-    far = all(
-        e[i] @ e[j] == e[j] @ e[i]
-        for i in range(length + 1)
-        for j in range(i + 2, length + 1)
-    )
-    i1, i2 = idempotents(length)
-    dq1 = i1 @ i2 @ i1 == i1
-    dq2 = i2 @ i1 @ i2 == i2
-    return [
-        ("generator squares: e_i^2 = e_i for i = 0..L", quad),
-        ("braid relation: e_i e_{i+1} e_i = e_i for i = 1..L-1", up),
-        ("braid relation: e_i e_{i-1} e_i = e_i for i = 1..L-1", down),
-        ("distant generators commute: |i - j| >= 2", far),
-        ("double quotient: I1 I2 I1 = I1", dq1),
-        ("double quotient: I2 I1 I2 = I2", dq2),
+    bulk = range(1, length)
+    yield "generator squares: e_i^2 = e_i for i = 0..L", [x @ x == x for x in e]
+    yield "braid relation: e_i e_{i+1} e_i = e_i for i = 1..L-1", [
+        e[i] @ e[i + 1] @ e[i] == e[i] for i in bulk
     ]
+    yield "braid relation: e_i e_{i-1} e_i = e_i for i = 1..L-1", [
+        e[i] @ e[i - 1] @ e[i] == e[i] for i in bulk
+    ]
+    yield "distant generators commute: |i - j| >= 2", [
+        e[i] @ e[j] == e[j] @ e[i] for i in range(length + 1) for j in range(i + 2, length + 1)
+    ]
+    i1, i2 = idempotents(length)
+    yield "double quotient: I1 I2 I1 = I1", [i1 @ i2 @ i1 == i1]
+    yield "double quotient: I2 I1 I2 = I2", [i2 @ i1 @ i2 == i2]
 
 
-def suite_local(length: int, trials: int, rng: random.Random) -> Report:
+def suite_local(length: int, trials: int, rng: random.Random) -> Rows:
     """Unitarity, braid exchange, reflection, crossing, tile scalars."""
-    dim = 1 << length
-    ident = SparseOperator.identity(dim)
-    r_unit = k0_unit = kL_unit = True
-    ybe = refl_left = refl_right = True
-    crossing = cancel = collapse = True
+    ident = SparseOperator.identity(1 << length)
+    a = lambda u: bracket(Q / u) / bracket(Q * u)
+    b = lambda u: -bracket(u) / bracket(Q * u)
     for _ in range(trials):
         z, w, zeta = generic_parameters(rng, 3)
-        r_unit &= rcheck(1, z, length) @ rcheck(1, z.inv(), length) == ident
-        k0_unit &= kcheck0(z, zeta, length) @ kcheck0(z.inv(), zeta, length) == ident
-        kL_unit &= kcheckL(z, zeta, length) @ kcheckL(z.inv(), zeta, length) == ident
         r1 = lambda u: rcheck(1, u, length)
         r2 = lambda u: rcheck(2, u, length)
-        ybe &= r1(z) @ r2(z * w) @ r1(w) == r2(w) @ r1(z * w) @ r2(z)
-        k0 = lambda u: kcheck0(u, zeta, length)
-        refl_left &= (
-            k0(z) @ r1(z * w) @ k0(w) @ r1(w / z)
-            == r1(w / z) @ k0(w) @ r1(z * w) @ k0(z)
-        )
-        kL = lambda u: kcheckL(u, zeta, length)
         rL = lambda u: rcheck(length - 1, u, length)
-        refl_right &= (
-            kL(z) @ rL(z * w) @ kL(w) @ rL(w / z)
-            == rL(w / z) @ kL(w) @ rL(z * w) @ kL(z)
-        )
+        k0 = lambda u: kcheck0(u, zeta, length)
+        kL = lambda u: kcheckL(u, zeta, length)
+        yield "bulk unitarity: Rcheck(z) Rcheck(1/z) = Id", [r1(z) @ r1(z.inv()) == ident]
+        yield "left boundary unitarity: Kcheck_0(z) Kcheck_0(1/z) = Id", [
+            k0(z) @ k0(z.inv()) == ident
+        ]
+        yield "right boundary unitarity: Kcheck_L(z) Kcheck_L(1/z) = Id", [
+            kL(z) @ kL(z.inv()) == ident
+        ]
+        yield "braid exchange: R1(z) R2(zw) R1(w) = R2(w) R1(zw) R2(z)", [
+            r1(z) @ r2(z * w) @ r1(w) == r2(w) @ r1(z * w) @ r2(z)
+        ]
+        yield "left reflection: K0 R1 K0 R1 exchange", [
+            k0(z) @ r1(z * w) @ k0(w) @ r1(w / z) == r1(w / z) @ k0(w) @ r1(z * w) @ k0(z)
+        ]
+        yield "right reflection: KL R(L-1) KL R(L-1) exchange", [
+            kL(z) @ rL(z * w) @ kL(w) @ rL(w / z) == rL(w / z) @ kL(w) @ rL(z * w) @ kL(z)
+        ]
         plain = face_weights_R(z, w)
         crossed = face_weights_R(Q * w, z)
-        crossing &= (
-            crossed.id_weight == plain.cup_weight
-            and crossed.cup_weight == plain.id_weight
-        )
-        a = lambda u: bracket(Q / u) / bracket(Q * u)
-        b = lambda u: -bracket(u) / bracket(Q * u)
-        cancel &= (a(Q * z) * a(z) + b(Q * z) * b(z) + a(Q * z) * b(z)).is_zero()
-        collapse &= (
+        yield "crossing swaps tile fillings: R(z, w) vs R(qw, z)", [
+            crossed.id_weight == plain.cup_weight and crossed.cup_weight == plain.id_weight
+        ]
+        yield "two-row filling cancellation: a(qu)a(u) + b(qu)b(u) + a(qu)b(u) = 0", [
+            (a(Q * z) * a(z) + b(Q * z) * b(z) + a(Q * z) * b(z)).is_zero()
+        ]
+        yield "slab collapse factor reduces to one at the cubic root", [
             bracket(Q / (z * w)) * bracket(Q * Q * z / w)
             == bracket(Q * Q * z * w) * bracket(Q * w / z)
-        )
-    return [
-        ("bulk unitarity: Rcheck(z) Rcheck(1/z) = Id", r_unit),
-        ("left boundary unitarity: Kcheck_0(z) Kcheck_0(1/z) = Id", k0_unit),
-        ("right boundary unitarity: Kcheck_L(z) Kcheck_L(1/z) = Id", kL_unit),
-        ("braid exchange: R1(z) R2(zw) R1(w) = R2(w) R1(zw) R2(z)", ybe),
-        ("left reflection: K0 R1 K0 R1 exchange", refl_left),
-        ("right reflection: KL R(L-1) KL R(L-1) exchange", refl_right),
-        ("crossing swaps tile fillings: R(z, w) vs R(qw, z)", crossing),
-        ("two-row filling cancellation: a(qu)a(u) + b(qu)b(u) + a(qu)b(u) = 0", cancel),
-        ("slab collapse factor reduces to one at the cubic root", collapse),
-    ]
+        ]
 
 
-def suite_transfer(length: int, trials: int, rng: random.Random) -> Report:
-    commuting = sums = inter0 = interbulk = interL = True
-    bulk_rec = left_rec = right_rec = True
-    naive = True
+def suite_transfer(length: int, trials: int, rng: random.Random) -> Rows:
     for _ in range(trials):
         pt = _point(rng, length)
-        (w2,) = generic_parameters(
-            rng, 1, avoid=[v.rational_value() for v in (pt.w,)]
-        )
-        commuting &= check_commuting(pt, w2)
-        sums &= check_column_sums(pt)
-        left, bulk, right = _walls_and_bulk(check_interlace(pt))
-        inter0 &= left
-        interbulk &= bulk
-        interL &= right
-        left, bulk, right = _walls_and_bulk(check_T_recursion(pt))
-        left_rec &= left
-        bulk_rec &= bulk
-        right_rec &= right
+        (w2,) = generic_parameters(rng, 1, avoid=[pt.w.rational_value()])
+        tmat = transfer_matrix(pt)
+        other = transfer_matrix(pt.with_w(w2))
+        yield "commuting family: [T(v), T(w)] = 0", [tmat @ other == other @ tmat]
+        yield "stochastic columns: every column of T sums to one", [
+            total == ONE for total in tmat.column_sums()
+        ]
+        inter = check_interlace(pt)
+        yield "left interlacing of T with Kcheck_0", inter[:1]
+        yield "bulk interlacing of T with Rcheck_i, all i", inter[1:-1]
+        yield "right interlacing of T with Kcheck_L", inter[-1:]
+        rec = check_T_recursion(pt)
+        yield "transfer bulk recursion at z_{i+1} = q z_i, unit factor", rec[1:-1]
+        yield "transfer left boundary recursion at z_1 = q zeta_1", rec[:1]
+        yield "transfer right boundary recursion at z_L = zeta_2 / q", rec[-1:]
         if length <= NAIVE_CAP:
-            naive &= transfer_matrix(pt) == transfer_matrix_naive(pt)
-    report = [
-        ("commuting family: [T(v), T(w)] = 0", commuting),
-        ("stochastic columns: every column of T sums to one", sums),
-        ("left interlacing of T with Kcheck_0", inter0),
-        ("bulk interlacing of T with Rcheck_i, all i", interbulk),
-        ("right interlacing of T with Kcheck_L", interL),
-        ("transfer bulk recursion at z_{i+1} = q z_i, unit factor", bulk_rec),
-        ("transfer left boundary recursion at z_1 = q zeta_1", left_rec),
-        ("transfer right boundary recursion at z_L = zeta_2 / q", right_rec),
-    ]
-    if length <= NAIVE_CAP:
-        report.append(("threaded contraction equals naive expansion", naive))
-    return report
+            yield "threaded contraction equals naive expansion", [
+                tmat == transfer_matrix_naive(pt)
+            ]
 
 
-def suite_qkz(length: int, trials: int, rng: random.Random) -> Report:
-    report: Report = []
+def suite_qkz(length: int, trials: int, rng: random.Random) -> Rows:
     for name, s in _S_VALUES:
-        exchange = boundary = True
         for _ in range(trials):
-            left, bulk, right = _walls_and_bulk(check_qkz(_point(rng, length, s)))
-            exchange &= bulk
-            boundary &= left and right
-        report.append((f"exchange relations at every bulk index (s = {name})", exchange))
-        report.append((f"reflection relations at both walls (s = {name})", boundary))
-    return report
+            verdicts = check_qkz(_point(rng, length, s))
+            yield f"exchange relations at every bulk index (s = {name})", verdicts[1:-1]
+            yield (
+                f"reflection relations at both walls (s = {name})",
+                verdicts[:1] + verdicts[-1:],
+            )
 
 
 def _extracted_bulk_factor(pt: SpectralPoint, i: int) -> Scalar:
@@ -212,13 +180,12 @@ def _extracted_bulk_factor(pt: SpectralPoint, i: int) -> Scalar:
     raise NonGenericPointError("reduced vector vanished identically")
 
 
-def suite_recursion(length: int, trials: int, rng: random.Random) -> Report:
-    bulk = left = right = indep = True
+def suite_recursion(length: int, trials: int, rng: random.Random) -> Rows:
     for _ in range(trials):
-        at_left, at_bulk, at_right = _walls_and_bulk(check_recursion(_point(rng, length)))
-        left &= at_left
-        bulk &= at_bulk
-        right &= at_right
+        verdicts = check_recursion(_point(rng, length))
+        yield "eigenvector bulk recursion with factor p, every index", verdicts[1:-1]
+        yield "eigenvector left boundary recursion with factor r_0", verdicts[:1]
+        yield "eigenvector right boundary recursion with factor r_L", verdicts[-1:]
         if length >= 3:
             vals = generic_parameters(rng, length + 1)
             a, rest = vals[0], vals[1:length - 1]
@@ -230,45 +197,36 @@ def suite_recursion(length: int, trials: int, rng: random.Random) -> Report:
             # second of the pair to q a.
             first = SpectralPoint((a, a) + tuple(rest), zeta1, zeta2, w)
             second = SpectralPoint((rest[0], a, a) + tuple(rest[1:]), zeta1, zeta2, w)
-            indep &= _extracted_bulk_factor(first, 1) == _extracted_bulk_factor(second, 2)
-    report = [
-        ("eigenvector bulk recursion with factor p, every index", bulk),
-        ("eigenvector left boundary recursion with factor r_0", left),
-        ("eigenvector right boundary recursion with factor r_L", right),
-    ]
-    if length >= 3:
-        report.append(("extracted bulk factor is index independent", indep))
-    return report
+            yield "extracted bulk factor is index independent", [
+                _extracted_bulk_factor(first, 1) == _extracted_bulk_factor(second, 2)
+            ]
 
 
-def suite_sumrule(length: int, trials: int, rng: random.Random) -> Report:
-    inhom = True
+def suite_sumrule(length: int, trials: int, rng: random.Random) -> Rows:
     for _ in range(trials):
-        inhom &= check_sum_rule(_point(rng, length))
+        yield "component sum equals the four-character product", [
+            check_sum_rule(_point(rng, length))
+        ]
     zeta1, zeta2 = generic_parameters(rng, 2)
     hom = solve_homogeneous(length, zeta1, zeta2)
-    homo = sum_components(hom) == z_product(hom.point)
-    return [
-        ("component sum equals the four-character product", inhom),
-        ("homogeneous component sum equals the confluent product", homo),
+    yield "homogeneous component sum equals the confluent product", [
+        sum_components(hom) == z_product(hom.point)
     ]
 
 
-def suite_degree(length: int, trials: int, rng: random.Random) -> Report:
+def suite_degree(length: int, trials: int, rng: random.Random) -> Rows:
     pt = _point(rng, length)
-    window = True
     try:
         for var in range(1, length + 1):
             interpolate_all(var, pt, rng=rng)
+        window = [True]
     except DegreeBoundError:
-        window = False
-    left, bulk, right = _walls_and_bulk(check_vanishing(pt))
-    return [
-        ("component degree stays inside the Laurent window in each z_i^2", window),
-        ("vanishing at the left wall specializations of z_1", left),
-        ("vanishing at the right wall specializations of z_L", right),
-        ("vanishing without a small link at z_{i+1} = q z_i", bulk),
-    ]
+        window = [False]
+    yield "component degree stays inside the Laurent window in each z_i^2", window
+    verdicts = check_vanishing(pt)
+    yield "vanishing at the left wall specializations of z_1", verdicts[:1]
+    yield "vanishing at the right wall specializations of z_L", verdicts[-1:]
+    yield "vanishing without a small link at z_{i+1} = q z_i", verdicts[1:-1]
 
 
 # Smallest L at which each suite's identities exist: the local braid
@@ -284,7 +242,7 @@ _MIN_LENGTH = {
     "degree": 1,
 }
 
-_SUITES: dict[str, Callable[[int, int, random.Random], Report]] = {
+_SUITES: dict[str, Callable[[int, int, random.Random], Rows]] = {
     "algebra": suite_algebra,
     "local": suite_local,
     "transfer": suite_transfer,
@@ -296,7 +254,11 @@ _SUITES: dict[str, Callable[[int, int, random.Random], Report]] = {
 
 
 def run_suite(name: str, length: int, trials: int, seed: int) -> Report:
-    """Run one named suite (or all of them) and collect (label, ok) rows."""
+    """Run one named suite (or all of them) and collect (label, ok) rows.
+
+    A label's verdicts from every trial are ANDed into one row, in the
+    order labels first appear; a label with no verdict is left out.
+    """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if name != "all" and name not in _SUITES:
@@ -310,4 +272,7 @@ def run_suite(name: str, length: int, trials: int, seed: int) -> Report:
             for label, ok in run_suite(sub, length, trials, seed):
                 report.append((f"{sub}: {label}", ok))
         return report
-    return _SUITES[name](length, trials, random.Random(seed))
+    merged: dict[str, list[bool]] = {}
+    for label, verdicts in _SUITES[name](length, trials, random.Random(seed)):
+        merged.setdefault(label, []).extend(verdicts)
+    return [(label, all(verdicts)) for label, verdicts in merged.items() if verdicts]

@@ -155,6 +155,22 @@ def test_verify_sumrule_at_zero_sites(capsys):
     assert out.splitlines()[-1] == "2/2 checks passed"
 
 
+def test_verify_at_one_site_counts_only_rows_that_ran(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "transfer", "--L", "1", "--trials", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "7/7 checks passed"
+    assert "bulk" not in out
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "gs.json"
+    code, out, err = run_cli(capsys, "solve", "--L", "1", "--z", "2", "--output", str(target))
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {target}")
+    assert not target.exists()
+
+
 def test_length_beyond_solve_cap_is_a_usage_error(capsys):
     zs = ",".join(str(k) for k in range(2, 11))
     code, out, err = run_cli(capsys, "solve", "--L", "9", "--z", zs)

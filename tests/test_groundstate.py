@@ -40,13 +40,7 @@ from openloop import (
     sum_components,
     z_product,
 )
-from openloop.groundstate import (
-    SOLVE_CAP,
-    a_const,
-    bulk_recursion_factor,
-    left_recursion_factor,
-    right_recursion_factor,
-)
+from openloop.groundstate import SOLVE_CAP, a_const, recursion_factor
 
 from helpers import draw_point, rational
 
@@ -229,13 +223,14 @@ def test_boundary_recursions(length):
 
 
 def test_recursion_factors_are_nonzero_scalars():
+    # r_0, p at both bulk indices and r_L, each at its specialisation;
+    # none reads the specialised coordinate, so the generic point agrees.
     pt = draw_point(Random(839), 3)
-    specialised = pt.with_z(2, Q * pt.z[0])
-    assert not bulk_recursion_factor(specialised, 1).is_zero()
-    left = pt.with_z(1, Q * pt.zeta1)
-    assert not left_recursion_factor(left).is_zero()
-    right = pt.with_z(3, pt.zeta2 / Q)
-    assert not right_recursion_factor(right).is_zero()
+    for i in range(4):
+        specialised, _, _ = reduction(pt, i)
+        factor = recursion_factor(specialised, i)
+        assert not factor.is_zero()
+        assert factor == recursion_factor(pt, i)
 
 
 def test_extracted_factor_matches_formula():
@@ -246,7 +241,7 @@ def test_extracted_factor_matches_formula():
     specialised, reduced, _ = reduction(pt, 1)
     big = solve(specialised, normalization="sum", check_w=False)
     small = solve(reduced, normalization="all_open", check_w=False)
-    factor = bulk_recursion_factor(specialised, 1)
+    factor = recursion_factor(specialised, 1)
     assert big["()"] == factor * small[""]
 
 

@@ -16,8 +16,6 @@ from openloop import (
     Scalar,
     SpectralPoint,
     check_T_recursion,
-    check_column_sums,
-    check_commuting,
     check_interlace,
     exchange_operator,
     fourth_roots,
@@ -27,7 +25,7 @@ from openloop import (
     transfer_matrix,
     transfer_matrix_naive,
 )
-from openloop.groundstate import generic_parameters, solve
+from openloop.groundstate import generic_parameters, recursion_factor, solve
 from openloop.transfer import assert_generic
 
 from helpers import draw_point, rational
@@ -84,7 +82,8 @@ def test_naive_cap_guard():
 def test_column_sums_are_one(length):
     rng = Random(200 + length)
     for _ in range(3):
-        assert check_column_sums(draw_point(rng, length))
+        tmat = transfer_matrix(draw_point(rng, length))
+        assert tmat.column_sums() == [ONE] * (1 << length)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])
@@ -93,7 +92,8 @@ def test_transfer_matrices_commute(length):
     for _ in range(3):
         pt = draw_point(rng, length)
         w2 = generic_parameters(rng, 1, avoid=[pt.w.rational_value()])[0]
-        assert check_commuting(pt, w2)
+        tmat, other = transfer_matrix(pt), transfer_matrix(pt.with_w(w2))
+        assert tmat @ other == other @ tmat
 
 
 def test_interlace_all_positions():
@@ -123,7 +123,7 @@ def test_transfer_recursion_boundaries():
 def test_index_tables_reject_out_of_range():
     pt = draw_point(Random(97), 2)
     empty = SpectralPoint(z=(), zeta1=pt.zeta1, zeta2=pt.zeta2, w=pt.w)
-    for table in (pi_point, exchange_operator, reduction):
+    for table in (pi_point, exchange_operator, reduction, recursion_factor):
         for bad in (pt, -1), (pt, 3), (empty, 0):
             with pytest.raises(ValueError):
                 table(*bad)
@@ -151,5 +151,6 @@ def test_transfer_at_four_s_values():
     rng = Random(107)
     for s in fourth_roots():
         pt = draw_point(rng, 2, s=s)
-        assert check_column_sums(pt)
-        assert transfer_matrix(pt) == transfer_matrix_naive(pt)
+        tmat = transfer_matrix(pt)
+        assert tmat.column_sums() == [ONE] * 4
+        assert tmat == transfer_matrix_naive(pt)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from openloop import SUITE_NAMES, run_suite
+from openloop import SUITE_NAMES, run_suite, verify
 
 
 def test_suite_names_are_stable():
@@ -49,3 +49,30 @@ def test_local_suite_needs_three_sites():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nope", 2, 1, seed=0)
+
+
+def test_run_suite_merges_trials_and_drops_empty_rows(monkeypatch):
+    def rows(length, trials, rng):
+        for trial in range(trials):
+            yield "every trial", [True, True]
+            yield "fails in the second trial", [trial == 0]
+            yield "no instance", []
+            yield "first instance in the second trial", [True] * trial
+
+    monkeypatch.setitem(verify._SUITES, "algebra", rows)
+    assert run_suite("algebra", 1, 2, seed=0) == [
+        ("every trial", True),
+        ("fails in the second trial", False),
+        ("first instance in the second trial", True),
+    ]
+
+
+@pytest.mark.parametrize("name, rows", [("algebra", 3), ("transfer", 7), ("qkz", 4), ("degree", 3)])
+def test_one_site_reports_only_rows_that_checked_something(name, rows):
+    # L = 1 has two walls and no bulk index, so the bulk, braid and
+    # distant-generator rows have no instance and are left out.
+    report = run_suite(name, 1, 1, seed=0)
+    assert len(report) == rows
+    assert all(ok for _, ok in report)
+    for label, _ in report:
+        assert not any(word in label for word in ("bulk", "braid", "distant"))
