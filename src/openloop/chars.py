@@ -6,16 +6,23 @@ partition lam = (lam_1 >= ... >= lam_n >= 0) is the Weyl ratio
     chi_lam(x_1..x_n) = det[ x_i^(e_j) - x_i^(-e_j) ]
                       / det[ x_i^(d_j) - x_i^(-d_j) ],
 
-with e_j = lam_j + n - j + 1 and d_j = n - j + 1.  Both determinants
-are evaluated exactly; the ratio is symmetric in the x_i and invariant
-under every inversion x_i -> 1/x_i.
+with e_j = lam_j + n - j + 1 and d_j = n - j + 1.  The ratio is
+symmetric in the x_i and invariant under every inversion x_i -> 1/x_i;
+its denominator vanishes at confluent argument lists (repeated values,
+inverse pairs, or values with x^2 = 1).
 
-At confluent argument lists (repeated values, inverse pairs, or values
-with x^2 = 1) the two determinants vanish; the ratio is then computed
-by substituting x_i -> x_i t^(c_i) with distinct positive exponents
-c_i on the colliding arguments, dividing the two Laurent polynomials
-in t exactly, and evaluating the quotient at t = 1.  No limits and no
-floating point are involved.
+`character_auto` evaluates every argument list, confluent or not, with
+the Koike-Terada determinant, which has no denominator (Koike and
+Terada, J. Algebra 107 (1987); Fulton and Harris, Representation
+Theory, section 24.2):
+
+    chi_lam(x) = det[ h_(lam_i - i + 1) | h_(lam_i - i + j) + h_(lam_i - i - j + 2) ],
+
+over 1 <= i, j <= l(lam), the first column holding h_(lam_i - i + 1)
+alone.  Here h_k is the complete homogeneous polynomial in the 2n
+variables x_1^(+-1)..x_n^(+-1), and h_k = 0 for k < 0.  The Weyl ratio
+stays as `symplectic_character`, an independent oracle that refuses
+confluent arguments.
 
 The groundstate normalisation uses the staircase-halves
 
@@ -30,8 +37,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ConfluentPointError, ConsistencyError
-from .exactfield import ONE, Q, Scalar, kfun
-from .exactla import LaurentPoly, det
+from .exactfield import ONE, Q, ZERO, Scalar, kfun
+from .exactla import det
 
 __all__ = [
     "lambda_partition",
@@ -75,18 +82,13 @@ def _padded(lam: Sequence[int], n: int) -> tuple[int, ...]:
     return (lam + (0,) * n)[:n]
 
 
-def _colliding(xs: Sequence[Scalar]) -> set[int]:
-    """Indices of arguments that make the Weyl denominator vanish: those
-    with x^2 = 1 and both members of any equal or inverse pair."""
+def _collides(xs: Sequence[Scalar]) -> bool:
+    """True when the Weyl denominator vanishes: some x^2 = 1, or some
+    pair of arguments is equal or inverse."""
     n = len(xs)
-    colliding = set()
-    for i in range(n):
-        if xs[i] * xs[i] == ONE:
-            colliding.add(i)
-        for j in range(i + 1, n):
-            if xs[i] == xs[j] or xs[i] * xs[j] == ONE:
-                colliding.update((i, j))
-    return colliding
+    return any(x * x == ONE for x in xs) or any(
+        xs[i] == xs[j] or xs[i] * xs[j] == ONE for i in range(n) for j in range(i + 1, n)
+    )
 
 
 def symplectic_character(lam: Sequence[int], xs: Sequence[Scalar]) -> Scalar:
@@ -98,7 +100,7 @@ def symplectic_character(lam: Sequence[int], xs: Sequence[Scalar]) -> Scalar:
         raise ValueError("character arguments must be nonzero")
     if n == 0:
         return ONE
-    if _colliding(xs):
+    if _collides(xs):
         raise ConfluentPointError(
             "character arguments collide; use character_auto"
         )
@@ -111,47 +113,36 @@ def _exponents(lam: Sequence[int], n: int) -> list[int]:
     return [lam[j] + n - j for j in range(n)]  # j is 0-based: lam_j + n - j + 1 - 1 + 1
 
 
-def _character_substituted(
-    lam: Sequence[int], xs: Sequence[Scalar], colliding: set[int]
-) -> Scalar:
-    """Evaluate the Weyl ratio with t-power substitutions on the colliding args."""
-    n = len(xs)
-    powers = {}
-    nxt = 1
-    for i in sorted(colliding):
-        powers[i] = nxt
-        nxt += 1
-
-    def row(i: int, exps: list[int]) -> list[LaurentPoly]:
-        c = powers.get(i, 0)
-        out = []
-        for e in exps:
-            plus = LaurentPoly.monomial(c * e, xs[i] ** e)
-            minus = LaurentPoly.monomial(-c * e, xs[i] ** (-e))
-            out.append(plus - minus)
-        return out
-
-    num = [row(i, _exponents(lam, n)) for i in range(n)]
-    den = [row(i, _exponents([0] * n, n)) for i in range(n)]
-    dnum = det(num)
-    dden = det(den)
-    if dden.is_zero():
-        raise ConfluentPointError("denominator vanishes identically after substitution")
-    return (dnum / dden).eval_one()
+def _complete_homogeneous(xs: Sequence[Scalar], top: int) -> list[Scalar]:
+    """h_0..h_top in the variables x_1^(+-1)..x_n^(+-1), adding one
+    variable v at a time by h_k += v h_(k-1)."""
+    h = [ONE] + [ZERO] * top
+    for x in xs:
+        for v in (x, x.inv()):
+            for k in range(1, top + 1):
+                h[k] = h[k] + v * h[k - 1]
+    return h
 
 
 def character_auto(lam: Sequence[int], xs: Sequence[Scalar]) -> Scalar:
-    """chi_lam at any nonzero arguments, confluent or not."""
-    n = len(xs)
-    lam = _padded(lam, n)
+    """chi_lam at any nonzero arguments, confluent or not, as the
+    Koike-Terada determinant."""
+    lam = [a for a in _padded(lam, len(xs)) if a]
     if any(x.is_zero() for x in xs):
         raise ValueError("character arguments must be nonzero")
-    if n == 0:
+    if not lam:
         return ONE
-    colliding = _colliding(xs)
-    if colliding:
-        return _character_substituted(lam, xs, colliding)
-    return symplectic_character(lam, xs)
+    ell = len(lam)
+    hs = _complete_homogeneous(xs, lam[0] + ell - 1)
+
+    def h(k: int) -> Scalar:
+        return hs[k] if k >= 0 else ZERO
+
+    # 0-based i, j: entry h_(lam_i - i + j), plus h_(lam_i - i - j) for j > 0.
+    return det([
+        [h(lam[i] - i + j) + (h(lam[i] - i - j) if j else ZERO) for j in range(ell)]
+        for i in range(ell)
+    ])
 
 
 def s_character(ys: Sequence[Scalar]) -> Scalar:

@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated partition, e.g. 1,0,0")
     cha.add_argument("--points", required=True, help="comma-separated arguments")
     cha.add_argument("--confluent", action="store_true",
-                     help="allow colliding arguments via the substitution formula")
+                     help="allow colliding arguments (Koike-Terada determinant)")
     return parser
 
 

@@ -1,12 +1,10 @@
 """Exact linear algebra helpers over the cyclotomic field.
 
 Three pieces of plumbing shared by the character and groundstate
-modules: fraction-free (Bareiss) determinants, reduced row echelon
-kernels, and univariate Laurent polynomials with Scalar coefficients.
-Bareiss' two-step division is exact over any integral domain, so the
-same determinant routine serves both Scalar matrices and matrices of
-Laurent polynomials; the only requirement is that `/` performs exact
-division (LaurentPoly raises if the division leaves a remainder).
+modules: fraction-free (Bareiss) determinants of Scalar matrices,
+reduced row echelon kernels, and univariate Laurent polynomials with
+Scalar coefficients, in which `newton_interpolate` and `laurent_fit`
+return the interpolated groundstate components.
 """
 
 from __future__ import annotations
@@ -78,48 +76,10 @@ class LaurentPoly:
     def scale(self, s: Scalar) -> LaurentPoly:
         return LaurentPoly({e: v * s for e, v in self._c.items()})
 
-    def __truediv__(self, other: LaurentPoly) -> LaurentPoly:
-        """Exact division; raises ValueError when a remainder is left."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero LaurentPoly")
-        if self.is_zero():
-            return LaurentPoly()
-        shift = self.min_exp - other.min_exp
-        a = self._dense()
-        b = other._dense()
-        # Descending-degree long division of the shifted ordinary polys.
-        quot = [ZERO] * (len(a) - len(b) + 1)
-        if len(a) < len(b):
-            raise ValueError("division is not exact")
-        lead = b[-1].inv()
-        rem = list(a)
-        for k in range(len(a) - len(b), -1, -1):
-            c = rem[k + len(b) - 1] * lead
-            quot[k] = c
-            if not c.is_zero():
-                for j, bj in enumerate(b):
-                    rem[k + j] = rem[k + j] - c * bj
-        if any(not r.is_zero() for r in rem):
-            raise ValueError("division is not exact")
-        return LaurentPoly({k + shift: c for k, c in enumerate(quot)})
-
-    def _dense(self) -> list[Scalar]:
-        lo = self.min_exp
-        out = [ZERO] * (self.max_exp - lo + 1)
-        for e, v in self._c.items():
-            out[e - lo] = v
-        return out
-
     def eval_at(self, x: Scalar) -> Scalar:
         total = ZERO
         for e, v in self._c.items():
             total = total + v * x**e
-        return total
-
-    def eval_one(self) -> Scalar:
-        total = ZERO
-        for v in self._c.values():
-            total = total + v
         return total
 
     def __eq__(self, other: object) -> bool:
@@ -134,43 +94,30 @@ class LaurentPoly:
         parts = [f"({v!r})*t^{e}" for e, v in sorted(self._c.items())]
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
-    def size(self) -> int:
-        return sum(_scalar_size(v) for v in self._c.values()) + len(self._c)
 
-
-def _size(x) -> int:
-    return x.size() if isinstance(x, LaurentPoly) else _scalar_size(x)
-
-
-def det(rows: Sequence[Sequence]):
-    """Fraction-free determinant (Bareiss) with size-biased pivoting.
-
-    Entries may be Scalars or LaurentPolys; every interior division is
-    exact by the Sylvester identity.  Returns the same entry type.
-    """
+def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Fraction-free determinant (Bareiss) with size-biased pivoting;
+    every interior division is exact by the Sylvester identity."""
     n = len(rows)
     if n == 0:
         return ONE
-    laurent = isinstance(rows[0][0], LaurentPoly)
-    zero = LaurentPoly() if laurent else ZERO
-    one = LaurentPoly.from_scalar(ONE) if laurent else ONE
     m = [list(r) for r in rows]
     if any(len(r) != n for r in m):
         raise ValueError("determinant needs a square matrix")
     sign = 1
-    prev = one
+    prev = ONE
     for k in range(n - 1):
         cands = [i for i in range(k, n) if not m[i][k].is_zero()]
         if not cands:
-            return zero
-        piv = min(cands, key=lambda i: _size(m[i][k]))
+            return ZERO
+        piv = min(cands, key=lambda i: _scalar_size(m[i][k]))
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = zero
+            m[i][k] = ZERO
         prev = m[k][k]
     result = m[n - 1][n - 1]
     if sign < 0:

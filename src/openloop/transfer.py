@@ -490,11 +490,10 @@ def transfer_matrix_naive(pt: SpectralPoint) -> SparseOperator:
 # -- identity checks ---------------------------------------------------
 
 
-def check_interlace(pt: SpectralPoint) -> list[bool]:
-    """O_i T(pt) = T(pi_i pt) O_i for i = 0..L: the exchange of
-    neighbouring z's in the bulk and the reflections at both walls.
-    T(pt) is built once for all indices."""
-    tmat = transfer_matrix(pt)
+def check_interlace(pt: SpectralPoint, tmat: SparseOperator) -> list[bool]:
+    """O_i T(pt) = T(pi_i pt) O_i for i = 0..L, given tmat = T(pt): the
+    exchange of neighbouring z's in the bulk and the reflections at both
+    walls."""
     verdicts = []
     for i in range(pt.length + 1):
         op = exchange_operator(pt, i)

@@ -145,7 +145,7 @@ def suite_transfer(length: int, trials: int, rng: random.Random) -> Rows:
         yield "stochastic columns: every column of T sums to one", [
             total == ONE for total in tmat.column_sums()
         ]
-        inter = check_interlace(pt)
+        inter = check_interlace(pt, tmat)
         yield "left interlacing of T with Kcheck_0", inter[:1]
         yield "bulk interlacing of T with Rcheck_i, all i", inter[1:-1]
         yield "right interlacing of T with Kcheck_L", inter[-1:]

@@ -13,6 +13,7 @@ from openloop import (
     Q,
     Scalar,
     SpectralPoint,
+    ZETA,
     character_auto,
     lambda_partition,
     s_character,
@@ -20,6 +21,8 @@ from openloop import (
     z_product,
 )
 from openloop.chars import check_char_recursion, mu_partition
+from openloop.exactla import laurent_fit
+from openloop.groundstate import generic_parameters
 
 from helpers import rational
 
@@ -82,8 +85,8 @@ def test_confluent_point_detection_and_limit():
 
 
 def test_confluent_limit_matches_generic_specialisation():
-    # chi at (x, x) is the limit of chi at (x, y) as y -> x; the t-power
-    # substitution path must agree with the vector formula evaluated
+    # chi at (x, x) is the limit of chi at (x, y) as y -> x; the
+    # confluent evaluation must agree with the vector formula evaluated
     # directly.
     x = rational(3)
     value = character_auto((1, 0), [x, x])
@@ -92,6 +95,80 @@ def test_confluent_limit_matches_generic_specialisation():
     # Mixed collision x_i x_j = 1.
     value = character_auto((1, 0), [x, x.inv()])
     assert value == expected
+
+
+# Partitions per rank: staircases, non-staircase shapes and l(lam) = n.
+PARTITIONS = {
+    1: [(0,), (1,), (4,)],
+    2: [(1, 0), (2, 2), (3, 1)],
+    3: [(1, 0, 0), (2, 1, 1), (3, 1, 0), (1, 1, 1)],
+    4: [(1, 1, 0, 0), (3, 2, 0, 0), (2, 2, 1, 1)],
+    5: [(2, 1, 1, 0, 0), (3, 1, 0, 0, 0), (1, 1, 1, 1, 1)],
+    6: [(2, 2, 1, 1, 0, 0), (2, 1, 1, 1, 1, 1)],
+    7: [(3, 2, 2, 1, 1, 0, 0), (1,) * 7],
+}
+
+
+def _weyl_dimension(lam, n):
+    # dim of the sp(2n) irrep: prod over positive roots of <lam + rho, a> / <rho, a>,
+    # with rho = (n, n-1, .., 1).
+    parts = tuple(lam) + (0,) * (n - len(lam))
+    ell = [a + n - i for i, a in enumerate(parts)]
+    rho = [n - i for i in range(n)]
+    dim = Fraction(1)
+    for i in range(n):
+        dim *= Fraction(ell[i], rho[i])
+        for j in range(i + 1, n):
+            dim *= Fraction((ell[i] - ell[j]) * (ell[i] + ell[j]),
+                            (rho[i] - rho[j]) * (rho[i] + rho[j]))
+    assert dim.denominator == 1
+    return dim.numerator
+
+
+def test_koike_terada_matches_weyl_ratio_at_generic_points():
+    rng = Random(31)
+    for n in range(1, 7):
+        for lam in PARTITIONS[n]:
+            xs = generic_parameters(rng, n)
+            assert character_auto(lam, xs) == symplectic_character(lam, xs), (lam, xs)
+
+
+def test_all_ones_and_all_minus_ones_give_the_weyl_dimension():
+    for n in range(1, 8):
+        for lam in PARTITIONS[n] + [lambda_partition(n)]:
+            dim = Scalar.from_rational(_weyl_dimension(lam, n))
+            assert character_auto(lam, [ONE] * n) == dim, lam
+            sign = ONE if sum(lam) % 2 == 0 else -ONE
+            assert character_auto(lam, [-ONE] * n) == sign * dim, lam
+
+
+def _limit_in_first_argument(lam, xs):
+    # chi_lam is a Laurent polynomial in x_1 with support in [-lam_1, lam_1]:
+    # fit it from the Weyl ratio at generic x_1, check a holdout, and
+    # evaluate it at x_1 = xs[0].
+    width = 2 * lam[0] + 1
+    rest = list(xs[1:])
+    avoid = [x.rational_value() for x in rest if x.is_rational()]
+    samples = generic_parameters(Random(5), width + 1, avoid=avoid)
+    values = [symplectic_character(lam, [y] + rest) for y in samples]
+    poly = laurent_fit(samples[:width], values[:width], -lam[0], lam[0])
+    assert poly.eval_at(samples[width]) == values[width]
+    return poly.eval_at(xs[0])
+
+
+def test_mixed_collisions_next_to_generic_arguments():
+    g = generic_parameters(Random(41), 3)
+    x = rational(7, 2)
+    cases = [
+        [x, x.inv(), g[0]],  # inverse pair
+        [ONE, g[0], g[1]],  # x^2 = 1
+        [-ONE, g[0], g[1], g[2]],
+        [ZETA, ZETA, g[0]],  # repeated root of unity
+        [ZETA, g[0], ZETA, g[1]],
+    ]
+    for xs in cases:
+        for lam in [(1,) + (0,) * (len(xs) - 1), (2, 1) + (0,) * (len(xs) - 2), (2,) * len(xs)]:
+            assert character_auto(lam, xs) == _limit_in_first_argument(lam, xs), (lam, xs)
 
 
 def test_s_character_degenerates_to_one():

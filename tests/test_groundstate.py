@@ -38,6 +38,7 @@ from openloop import (
     solve,
     solve_homogeneous,
     sum_components,
+    transfer_matrix,
     z_product,
 )
 from openloop.groundstate import SOLVE_CAP, a_const, recursion_factor
@@ -257,7 +258,11 @@ def test_every_per_index_check_at_one_site(s_index):
     # L = 1 has two walls and no bulk: each check returns the left and
     # the right wall verdict, and none at L = 0.
     pt = draw_point(Random(870 + s_index), 1, s=fourth_roots()[s_index])
-    checks = (check_interlace, check_T_recursion, check_qkz, check_recursion, check_vanishing)
+
+    def interlace(p):
+        return check_interlace(p, transfer_matrix(p))
+
+    checks = (interlace, check_T_recursion, check_qkz, check_recursion, check_vanishing)
     for check in checks:
         assert check(pt) == [True, True], check.__name__
     empty = SpectralPoint(z=(), zeta1=pt.zeta1, zeta2=pt.zeta2, w=pt.w)

@@ -103,7 +103,7 @@ def test_interlace_all_positions():
     for length in (1, 2, 3):
         for s in fourth_roots():
             pt = draw_point(rng, length, s=s)
-            assert check_interlace(pt) == [True] * (length + 1)
+            assert check_interlace(pt, transfer_matrix(pt)) == [True] * (length + 1)
 
 
 @pytest.mark.parametrize("length", [2, 3])
