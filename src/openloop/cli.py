@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .chars import character_auto, symplectic_character, z_product
+from .chars import _collides, character_auto, z_product
 from .errors import ConfluentPointError, OpenLoopError, SingularParameterError
 from .exactfield import IMAG, ONE, Scalar
 from .groundstate import SOLVE_CAP, GroundstateVector, solve, sum_components
@@ -202,10 +202,9 @@ def cmd_character(args) -> int:
     for k, v in enumerate(points, start=1):
         _require_nonzero(f"point {k}", v)
     try:
-        if args.confluent:
-            value = character_auto(lam, points)
-        else:
-            value = symplectic_character(lam, points)
+        value = character_auto(lam, points)
+        if not args.confluent and _collides(points):
+            raise ConfluentPointError("character arguments collide; use character_auto")
     except ConfluentPointError as exc:
         print(f"error: {exc}; re-run with --confluent", file=sys.stderr)
         return 2
@@ -251,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated partition, e.g. 1,0,0")
     cha.add_argument("--points", required=True, help="comma-separated arguments")
     cha.add_argument("--confluent", action="store_true",
-                     help="allow colliding arguments (Koike-Terada determinant)")
+                     help="allow colliding arguments (every input is evaluated by "
+                     "the Koike-Terada determinant)")
     return parser
 
 

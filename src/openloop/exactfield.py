@@ -113,6 +113,13 @@ class Scalar:
         return cls((basis + ((-1, 0, 1, 0), (0, -1, 0, 1)))[k])
 
     @classmethod
+    def from_integers(cls, nums: Sequence[int], den: int) -> Scalar:
+        """(n0 + n1 zeta + n2 zeta^2 + n3 zeta^3) / den for four integers
+        and den > 0, reduced to lowest terms."""
+        n0, n1, n2, n3 = nums
+        return _make(n0, n1, n2, n3, den)
+
+    @classmethod
     def from_strings(cls, parts: Sequence[str]) -> Scalar:
         """Inverse of to_strings: four 'p/d' (or 'p') strings."""
         if len(parts) != 4:
@@ -124,6 +131,11 @@ class Scalar:
     @property
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return tuple(Fraction(n, self._d) for n in self._n)
+
+    def as_integers(self) -> tuple[tuple[int, int, int, int], int]:
+        """The four integer numerators and the positive common denominator,
+        in lowest terms (the inverse of `from_integers`)."""
+        return self._n, self._d
 
     def to_strings(self) -> tuple[str, str, str, str]:
         """Serialize as four 'p/d' strings, denominator always shown."""

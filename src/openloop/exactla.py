@@ -1,19 +1,35 @@
 """Exact linear algebra helpers over the cyclotomic field.
 
-Three pieces of plumbing shared by the character and groundstate
-modules: fraction-free (Bareiss) determinants of Scalar matrices,
-reduced row echelon kernels, and univariate Laurent polynomials with
-Scalar coefficients, in which `newton_interpolate` and `laurent_fit`
-return the interpolated groundstate components.
+The linear algebra shared by the character and groundstate modules:
+fraction-free (Bareiss) determinants of Scalar matrices; the fixed
+vector of a transfer matrix by Dixon's p-adic lifting, certified
+exactly; the reduced row echelon kernel, which decides the dimension
+where no prime has the generic rank and is the oracle the lifting is
+tested against; and univariate Laurent polynomials with Scalar
+coefficients, in which `newton_interpolate` and `laurent_fit` return
+the interpolated groundstate components.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Sequence
 
+from .errors import ConsistencyError, NonGenericPointError
 from .exactfield import ONE, ZERO, Scalar
+from .linkpat import SparseOperator
 
-__all__ = ["LaurentPoly", "det", "kernel_basis", "newton_interpolate", "laurent_fit"]
+__all__ = [
+    "PRIMES",
+    "LaurentPoly",
+    "det",
+    "fixed_vector",
+    "kernel_basis",
+    "newton_interpolate",
+    "laurent_fit",
+]
 
 
 def _scalar_size(x: Scalar) -> int:
@@ -72,9 +88,6 @@ class LaurentPoly:
                 e = e1 + e2
                 c[e] = c.get(e, ZERO) + v1 * v2
         return LaurentPoly(c)
-
-    def scale(self, s: Scalar) -> LaurentPoly:
-        return LaurentPoly({e: v * s for e, v in self._c.items()})
 
     def eval_at(self, x: Scalar) -> Scalar:
         total = ZERO
@@ -164,6 +177,231 @@ def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scal
             v[c] = -m[r][free]
         basis.append(v)
     return basis
+
+
+# -- fixed vector by p-adic lifting -------------------------------------
+
+# Primes p = 1 (mod 12), so that F_p holds the primitive 12th roots of
+# unity and Z[zeta] / p splits into four copies of F_p.  A prime at
+# which T - 1 has the wrong rank is skipped for the next one.
+PRIMES = ((1 << 125) - 415, (1 << 125) - 1291, (1 << 125) - 1483)
+
+# Bits by which the reconstruction bounds stay below Wang's sqrt(m / 2).
+_MARGIN = 16
+
+# The ring in which the lifting runs: Z[zeta] in the basis zeta^0..3, or
+# Z[zeta^2] in the basis 1, zeta^2 when no entry has an odd power of
+# zeta (then the embeddings zeta -> r and -r agree, and two suffice).
+# Each entry: positions of the basis in a Scalar's coefficients, the
+# minimal polynomial x^d + m_{d-1} x^{d-1} + ... + m_0 of the generator
+# as (m_0, .., m_{d-1}), and the exponents e with generator -> r^e for a
+# primitive 12th root of unity r mod p.
+_RINGS = {
+    4: ((0, 1, 2, 3), (1, 0, -1, 0), (1, 5, 7, 11)),
+    2: ((0, 2), (1, -1), (2, 10)),
+}
+
+
+def _eliminate(rows: list[list[int]], p: int):
+    """Gaussian elimination mod p, column by column, pivoting on the first
+    remaining row with a nonzero entry.
+
+    Returns the steps as (pivot row, column, inverse pivot), the
+    multipliers each row was reduced by, one per earlier step, and the
+    reduced rows.  The pivot rows and columns index a nonsingular block,
+    which `_solve` solves with this factorisation."""
+    work = [[a % p for a in row] for row in rows]
+    live = list(range(len(work)))
+    lower: list[list[int]] = [[] for _ in work]
+    steps = []
+    for col in range(len(work[0]) if work else 0):
+        piv = next((i for i in live if work[i][col]), None)
+        if piv is None:
+            continue
+        live.remove(piv)
+        inv = pow(work[piv][col], -1, p)
+        prow = work[piv][col:]
+        for i in live:
+            row = work[i]
+            f = row[col] * inv % p
+            lower[i].append(f)
+            if f:
+                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], prow)]
+        steps.append((piv, col, inv))
+    return steps, lower, work
+
+
+def _solve(factor, rhs: Sequence[int], p: int) -> list[int]:
+    """x with A x = rhs mod p on the pivot block of an `_eliminate`
+    factorisation, indexed by column and zero off the pivot columns."""
+    steps, lower, upper = factor
+    y: list[int] = []
+    for row, _, _ in steps:
+        y.append((rhs[row] - sum(map(mul, lower[row], y))) % p)
+    x = [0] * len(upper[0])
+    for k in range(len(steps) - 1, -1, -1):
+        row, col, inv = steps[k]
+        x[col] = (y[k] - sum(map(mul, upper[row], x))) * inv % p
+    return x
+
+
+@lru_cache(maxsize=None)
+def _embeddings(p: int, d: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The Vandermonde matrix V[k][j] = r_k^j of the d embeddings
+    generator -> r_k of `_RINGS[d]` into F_p, and its inverse mod p."""
+    _, _, exps = _RINGS[d]
+    for g in range(2, p):
+        r = pow(g, (p - 1) // 12, p)
+        if pow(r, 4, p) != 1 and pow(r, 6, p) != 1:  # order exactly 12
+            break
+    vander = [[pow(r, e * j, p) for j in range(d)] for e in exps]
+    factor = _eliminate(vander, p)
+    cols = [_solve(factor, [int(i == k) for i in range(d)], p) for k in range(d)]
+    return vander, [list(row) for row in zip(*cols)]
+
+
+def _regular(c: tuple[int, ...], minpoly: Sequence[int]) -> list[tuple[int, ...]]:
+    """Rows of the integer matrix of multiplication by c in the ring basis:
+    column s holds c times generator^s, reduced by the minimal polynomial."""
+    cols = [list(c)]
+    for _ in range(len(c) - 1):
+        prev = cols[-1]
+        cols.append([(prev[t - 1] if t else 0) - prev[-1] * m for t, m in enumerate(minpoly)])
+    return list(zip(*cols))
+
+
+def _reconstruct(residues: Sequence[int], m: int) -> tuple[list[int], int] | None:
+    """Integers a_q and one den > 0 with a_q / den = residues[q] (mod m),
+    |a_q| and den below Wang's bound sqrt(m / 2) less _MARGIN bits, or
+    None.  Each residue that den does not yet clear refines den by the
+    denominator Wang's half-extended Euclid finds for it."""
+    bound = isqrt(m >> 1) >> _MARGIN
+    den = 1
+    for u in residues:
+        t = den * u % m
+        if t <= bound or m - t <= bound:
+            continue
+        r0, r1, t0, t1 = m, t, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        den *= abs(t1)
+        if den > bound or gcd(r1, t1) != 1:
+            return None
+    nums = [den * u % m for u in residues]
+    nums = [a - m if a > m >> 1 else a for a in nums]
+    if any(abs(a) > bound for a in nums):
+        return None
+    return nums, den
+
+
+def _lift(tmat: SparseOperator, ints: list[list[tuple[int, ...]]], d: int, p: int):
+    """The certified fixed vector of tmat, lifted from the prime p, with
+    its free column at 1; None if T - 1 does not have rank n - 1 mod p."""
+    positions, minpoly, _ = _RINGS[d]
+    vander, vinv = _embeddings(p, d)
+    n = len(ints)
+    a = [[tuple(c[t] for t in positions) for c in row] for row in ints]
+    factor = _eliminate([[sum(map(mul, c, vander[0])) for c in row] for row in a], p)
+    if len(factor[0]) != n - 1:
+        return None
+    (dep,) = set(range(n)).difference(row for row, _, _ in factor[0])
+    (free,) = set(range(n)).difference(col for _, col, _ in factor[0])
+    # Hadamard: every conjugate of det A and of its Cramer numerators is
+    # at most H = prod_i |row i|, with 2^hadamard >= H^2.  The solution's
+    # coefficients are (numerator) / N(det A), both below 2 H^d, and
+    # reconstruction needs m > 2 (2^_MARGIN 2 H^d)^2.
+    hadamard = sum(
+        sum(sum(map(abs, c)) ** 2 for c in row).bit_length()
+        for i, row in enumerate(a)
+        if i != dep
+    )
+    budget = -(-(d * hadamard + 2 * _MARGIN + 3) // (p.bit_length() - 1)) + 1
+    # Solve A x = -(column free) on the other rows and columns, v_free = 1.
+    rhs = [tuple(-c for c in row[free]) for row in a]
+    zero = (0,) * d
+    rhs[dep] = zero
+    a[dep] = [zero] * n
+    for row in a:
+        row[free] = zero
+    factors = [factor]
+    for pw in vander[1:]:
+        factor = _eliminate([[sum(map(mul, c, pw)) for c in row] for row in a], p)
+        if len(factor[0]) != n - 1:
+            return None
+        factors.append(factor)
+    flat = []
+    for row in a:
+        regs = [_regular(c, minpoly) for c in row]
+        flat.extend([x for reg in regs for x in reg[t]] for t in range(d))
+    res = [c for row in rhs for c in row]
+    acc = [0] * (n * d)
+    pk = 1
+    for _ in range(budget):
+        ys = [
+            _solve(f, [sum(map(mul, res[i * d : i * d + d], pw)) % p for i in range(n)], p)
+            for f, pw in zip(factors, vander)
+        ]
+        digit = [sum(map(mul, row, y)) % p for y in zip(*ys) for row in vinv]
+        res = [(r - sum(map(mul, brow, digit))) // p for r, brow in zip(res, flat)]
+        acc = [s + x * pk for s, x in zip(acc, digit)]
+        pk *= p
+        found = _reconstruct(acc, pk)
+        if found is None:
+            continue
+        nums, den = found
+        vec = []
+        for j in range(n):
+            full = [0, 0, 0, 0]
+            for pos, c in zip(positions, nums[j * d : j * d + d]):
+                full[pos] = c
+            vec.append(Scalar.from_integers(full, den))
+        vec[free] = ONE
+        if tmat.apply(vec) == vec:
+            return vec
+    raise ConsistencyError(
+        f"p-adic lifting found no certified fixed vector within {budget} steps"
+    )
+
+
+def fixed_vector(tmat: SparseOperator) -> list[Scalar]:
+    """The fixed vector of T, scaled so that its last nonzero entry is 1.
+
+    Dixon's method: the rows of T - 1 are cleared of denominators, the
+    rank profile is found mod a prime p of PRIMES, the pivot block is
+    factored once in each embedding of Z[zeta] into F_p, and the solution
+    is lifted p-adically with exact residual updates (r - A x) / p until
+    a rational reconstruction over one common denominator satisfies
+    T v == v exactly.  With the rank n - 1 mod p that proves v spans the
+    fixed space.  A prime with any other rank is skipped; when every one
+    is, the exact `kernel_basis` decides, and a fixed space that is not
+    a line raises NonGenericPointError.  The last nonzero entry is the
+    free column of `kernel_basis`'s RREF, so both give the same vector.
+    """
+    n = tmat.dim
+    rows = tmat.to_rows()
+    for i in range(n):
+        rows[i][i] = rows[i][i] - ONE
+    ints = []
+    for row in rows:
+        pairs = [x.as_integers() for x in row]
+        den = lcm(*(d for _, d in pairs))
+        ints.append([tuple(c * (den // d) for c in nums) for nums, d in pairs])
+    d = 4 if any(c[1] or c[3] for row in ints for c in row) else 2
+    for p in PRIMES:
+        vec = _lift(tmat, ints, d, p)
+        if vec is not None:
+            last = next(x for x in reversed(vec) if not x.is_zero())
+            if last != ONE:
+                inv = last.inv()
+                vec = [x * inv for x in vec]
+            return vec
+    basis = kernel_basis(rows, n)
+    if len(basis) != 1:
+        raise NonGenericPointError(
+            f"fixed space of the transfer matrix has dimension {len(basis)}, expected 1"
+        )
+    return basis[0]
 
 
 def newton_interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> LaurentPoly:

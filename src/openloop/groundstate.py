@@ -1,9 +1,10 @@
 """Exact groundstate of the double-row transfer matrix.
 
 The transfer matrix at a generic spectral point fixes a unique ray;
-`solve` computes it by exact null-space elimination and pins the scale
-to closed-form anchor components so that different points share one
-global polynomial normalization.  On top of the solver this module
+`solve` computes it by p-adic lifting (`exactla.fixed_vector`),
+certified by an exact T v == v, and pins the scale to closed-form
+anchor components so that different points share one global
+polynomial normalization.  On top of the solver this module
 carries the full identity apparatus: the extremal closed forms, the
 component sum rule, the exchange and reflection equations satisfied by
 the eigenvector, the size-lowering recursions with their explicit
@@ -42,7 +43,7 @@ from .errors import (
     SingularParameterError,
 )
 from .exactfield import ONE, Q, Scalar, ZERO, bracket, kfun
-from .exactla import LaurentPoly, kernel_basis, laurent_fit
+from .exactla import LaurentPoly, fixed_vector, laurent_fit
 from .linkpat import all_patterns, c_from_zeta, hamiltonian, index_of, word_of
 from .transfer import (
     SpectralPoint,
@@ -89,7 +90,7 @@ class GroundstateVector:
     """Fixed vector of T at one point, with the normalization used.
 
     normalization is one of "all_open", "all_close", "sum" (anchored to
-    the matching closed form) or "raw" (null-space scale as computed).
+    the matching closed form) or "raw" (last nonzero component 1).
     """
 
     point: SpectralPoint
@@ -251,27 +252,24 @@ def solve(
 ) -> GroundstateVector:
     """Exact fixed vector of T(pt).
 
-    Computes the null space of T - Id by fraction-free elimination and
-    requires it to be exactly one-dimensional; with check_w the vector
-    is re-verified against T at an independently shifted auxiliary
-    parameter, which must fix it too.  The scale is then pinned to the
-    first available closed-form anchor (all_open, then all_close, then
-    the component sum), falling back to the raw elimination scale when
-    every anchor vanishes; an explicitly requested anchor that vanishes
-    raises NonGenericPointError instead.
+    T(pt) is built once and its fixed vector found by Dixon's p-adic
+    lifting (`exactla.fixed_vector`): one elimination mod a prime that
+    shows the rank n - 1, exact residual updates, and a rational
+    reconstruction returned only once T(pt) v == v holds exactly, which
+    with that rank proves the fixed space is this one ray.  Where no
+    prime has that rank, the exact elimination decides, and a fixed
+    space that is not one-dimensional raises NonGenericPointError.  With
+    check_w the vector is re-verified against T at an independently
+    shifted auxiliary parameter, which must fix it too.  The scale is
+    then pinned to the first available closed-form anchor (all_open,
+    then all_close, then the component sum), falling back to the raw
+    scale (last nonzero component 1) when every anchor vanishes; an
+    explicitly requested anchor that vanishes raises
+    NonGenericPointError instead.
     """
     if pt.length > SOLVE_CAP:
         raise ValueError(f"refusing exact solve beyond L = SOLVE_CAP = {SOLVE_CAP}")
-    tmat = transfer_matrix(pt)
-    rows = tmat.to_rows()
-    for i in range(tmat.dim):
-        rows[i][i] = rows[i][i] - ONE
-    basis = kernel_basis(rows, tmat.dim)
-    if len(basis) != 1:
-        raise NonGenericPointError(
-            f"fixed space of the transfer matrix has dimension {len(basis)}, expected 1"
-        )
-    vec = basis[0]
+    vec = fixed_vector(transfer_matrix(pt))
     if check_w:
         if transfer_apply(vec, pt.with_w(_second_w(pt))) != vec:
             raise ConventionError(

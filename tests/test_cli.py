@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from openloop import Scalar, closed_form_all_open
+from openloop.chars import symplectic_character
 from openloop.cli import main, parse_scalar
 
 
@@ -118,6 +119,28 @@ def test_character_confluent_flow(capsys):
     )
     assert code == 0
     assert out.strip().splitlines()[-1].endswith("6")
+
+
+def test_character_generic_output_matches_the_weyl_ratio(capsys):
+    # One evaluator (Koike-Terada) behind the command; at generic points
+    # it prints exactly what the Weyl ratio gives.
+    points = "2,1/3,0:1:0:0"
+    code, out, err = run_cli(capsys, "character", "--lambda", "2,1,0", "--points", points)
+    assert code == 0 and err == ""
+    value = symplectic_character([2, 1, 0], [parse_scalar(x) for x in points.split(",")])
+    assert out.splitlines()[0] == "(" + ", ".join(str(c) for c in value.coeffs) + ")"
+    flagged = run_cli(capsys, "character", "--lambda", "2,1,0", "--points", points, "--confluent")
+    assert flagged == (code, out, err)
+
+
+def test_character_colliding_points_need_the_flag(capsys):
+    code, out, err = run_cli(capsys, "character", "--lambda", "1,0", "--points", "2,1/2")
+    assert (code, out) == (2, "")
+    assert err == "error: character arguments collide; use character_auto; re-run with --confluent\n"
+    code, out, err = run_cli(
+        capsys, "character", "--lambda", "1,0", "--points", "2,1/2", "--confluent"
+    )
+    assert code == 0 and err == ""
 
 
 def test_verify_command_deterministic(capsys):

@@ -115,6 +115,15 @@ def test_solve_cap_guard():
         solve(pt)
 
 
+def test_solve_reaches_seven_sites():
+    # SOLVE_CAP = 8 is within reach: a certified L = 7 solve, with the
+    # second-w check, anchored to the all-open closed form.
+    pt = draw_point(Random(46), 7)
+    gs = solve(pt)
+    assert gs.normalization == "all_open"
+    assert sum_components(gs) == z_product(pt)
+
+
 @pytest.mark.parametrize("length", [1, 2, 3])
 def test_solve_matches_both_closed_forms(length):
     rng = Random(600 + length)
