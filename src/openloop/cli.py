@@ -24,7 +24,7 @@ from typing import Sequence
 from .chars import _collides, character_auto, z_product
 from .errors import ConfluentPointError, OpenLoopError, SingularParameterError
 from .exactfield import IMAG, ONE, Scalar
-from .groundstate import SOLVE_CAP, GroundstateVector, solve, sum_components
+from .groundstate import SOLVE_CAP, GroundstateVector, generic_parameters, solve, sum_components
 from .transfer import SpectralPoint
 from .verify import SUITE_NAMES, run_suite
 
@@ -68,16 +68,10 @@ def _require_nonzero(name: str, value: Scalar) -> Scalar:
     return value
 
 
-def _default_w(args) -> Scalar:
+def _default_w(seed: int, fixed: Sequence[Scalar]) -> Scalar:
     """Deterministic small rational clear of every provided parameter."""
-    from .groundstate import generic_parameters
-
-    avoid = []
-    fixed = list(getattr(args, "_zs", [])) + [args._zeta1, args._zeta2]
-    for v in fixed:
-        if v.is_rational():
-            avoid.append(v.rational_value())
-    (w,) = generic_parameters(random.Random(args.seed), 1, avoid=avoid)
+    avoid = [v.rational_value() for v in fixed if v.is_rational()]
+    (w,) = generic_parameters(random.Random(seed), 1, avoid=avoid)
     return w
 
 
@@ -89,12 +83,11 @@ def _build_point(args) -> SpectralPoint:
         raise _CliError(f"--z must provide exactly L = {args.L} values, got {len(zs)}")
     for k, v in enumerate(zs, start=1):
         _require_nonzero(f"z_{k}", v)
-    args._zs = zs
-    args._zeta1 = _require_nonzero("zeta1", parse_scalar(args.zeta1))
-    args._zeta2 = _require_nonzero("zeta2", parse_scalar(args.zeta2))
-    w = parse_scalar(args.w) if args.w else _default_w(args)
+    zeta1 = _require_nonzero("zeta1", parse_scalar(args.zeta1))
+    zeta2 = _require_nonzero("zeta2", parse_scalar(args.zeta2))
+    w = parse_scalar(args.w) if args.w else _default_w(args.seed, zs + [zeta1, zeta2])
     _require_nonzero("w", w)
-    return SpectralPoint(tuple(zs), args._zeta1, args._zeta2, w, _S_CHOICES[args.s])
+    return SpectralPoint(tuple(zs), zeta1, zeta2, w, _S_CHOICES[args.s])
 
 
 def _scalar_json(x: Scalar) -> list[str]:

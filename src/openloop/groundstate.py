@@ -42,13 +42,14 @@ from .errors import (
     NonGenericPointError,
     SingularParameterError,
 )
-from .exactfield import ONE, Q, Scalar, ZERO, bracket, kfun
+from .exactfield import ONE, Scalar, ZERO, kfun
 from .exactla import LaurentPoly, fixed_vector, laurent_fit
 from .linkpat import all_patterns, c_from_zeta, hamiltonian, index_of, word_of
 from .transfer import (
     SpectralPoint,
     _relation_length,
     assert_generic,
+    exchange_coefficients,
     exchange_operator,
     pi_point,
     reduction,
@@ -99,6 +100,8 @@ class GroundstateVector:
 
     def __getitem__(self, key: int | str) -> Scalar:
         if isinstance(key, str):
+            if len(key) != self.point.length:
+                raise ValueError(f"pattern {key!r} does not have L = {self.point.length} sites")
             return self.components[index_of(key)]
         return self.components[key]
 
@@ -288,30 +291,16 @@ def check_sum_rule(pt: SpectralPoint) -> bool:
 # -- qKZ operators on component evaluators -----------------------------
 
 
-def _qkz_multiplier(pt: SpectralPoint, i: int) -> Scalar:
-    length = pt.length
-    if i == 0:
-        den = bracket(Q) * bracket(pt.z[0] * pt.z[0])
-        if den.is_zero():
-            raise SingularParameterError("multiplier pole: z_1^4 = 1")
-        return kfun(pt.z[0].inv(), pt.zeta1) / den
-    if i == length:
-        s = pt.s
-        den = bracket(Q) * bracket(s * s * pt.z[-1] * pt.z[-1])
-        if den.is_zero():
-            raise SingularParameterError("multiplier pole: (s z_L)^4 = 1")
-        return -(kfun(s * pt.z[-1], s * pt.zeta2)) / den
-    zi, zj = pt.z[i - 1], pt.z[i]
-    den = bracket(zi / zj)
-    if den.is_zero():
-        raise SingularParameterError("multiplier pole: z_i = +-z_{i+1}")
-    return bracket(zi / (Q * zj)) / den
-
-
 def eval_a(i: int, f: ComponentEvaluator, pt: SpectralPoint) -> Scalar:
-    """(a_i f)(pt) = g(pi_i pt) f(pi_i pt) + g(pt) f(pt)."""
-    moved = pi_point(pt, i)
-    return _qkz_multiplier(moved, i) * f(moved) + _qkz_multiplier(pt, i) * f(pt)
+    """(a_i f)(pt) = g(pi_i pt) f(pi_i pt) + g(pt) f(pt), where g = -A/B
+    for the (A, B, D) of `exchange_coefficients`."""
+    total = ZERO
+    for p in (pi_point(pt, i), pt):
+        a, b, _ = exchange_coefficients(p, i)
+        if b.is_zero():
+            raise SingularParameterError(f"multiplier pole at i = {i}: B = 0")
+        total = total + (-a / b) * f(p)
+    return total
 
 
 def eval_s(i: int, f: ComponentEvaluator, pt: SpectralPoint) -> Scalar:

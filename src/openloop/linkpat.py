@@ -20,6 +20,13 @@ At the combinatorial point every closed loop carries weight
 carries the boundary weight b = 1, so each generator maps a basis word
 to a single basis word and the matrices have exactly one unit entry
 per column.
+
+This module is the one home of strand reconnection: a frontier state
+maps each live slot to ("P", y), a strand to slot y, or to a wall
+marker.  `new_pair`, `extend`, `connect` and `to_wall` are the only
+reconnection rules; `apply_e` applies one to a `seed`ed word, the
+transfer sweep applies them tile by tile, and both read out with
+`read_word`.
 """
 
 from __future__ import annotations
@@ -28,15 +35,20 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SingularParameterError
-from .exactfield import ONE, ZERO, Scalar, bracket
+from .exactfield import ONE, ZERO, Scalar
 
 __all__ = [
+    "LEFT_WALL",
     "Matching",
+    "RIGHT_WALL",
     "SparseOperator",
     "all_patterns",
     "apply_e",
     "c_from_zeta",
     "closure",
+    "connect",
+    "extend",
+    "freeze",
     "generator_matrix",
     "hamiltonian",
     "idempotents",
@@ -44,13 +56,13 @@ __all__ = [
     "insert_left",
     "insert_link",
     "insert_right",
+    "new_pair",
+    "read_word",
+    "seed",
+    "to_wall",
     "validate_pattern",
     "word_of",
-    "word_from_matching",
 ]
-
-LEFT = "left"
-RIGHT = "right"
 
 
 def validate_pattern(word: str) -> str:
@@ -88,19 +100,6 @@ class Matching:
     left: frozenset[int]
     right: frozenset[int]
 
-    def partner(self, site: int):
-        """The site paired with `site`, or LEFT / RIGHT for boundary strands."""
-        for a, b in self.pairs:
-            if a == site:
-                return b
-            if b == site:
-                return a
-        if site in self.left:
-            return LEFT
-        if site in self.right:
-            return RIGHT
-        raise ValueError(f"site {site} not in 1..{self.length}")
-
 
 def closure(word: str) -> Matching:
     """Match parentheses; leftovers become boundary strands."""
@@ -118,62 +117,91 @@ def closure(word: str) -> Matching:
     return Matching(len(word), frozenset(pairs), frozenset(left), frozenset(stack))
 
 
-def word_from_matching(m: Matching) -> str:
-    symbols = [""] * m.length
+# -- frontier states ----------------------------------------------------
+
+LEFT_WALL = ("L",)
+RIGHT_WALL = ("R",)
+
+
+def new_pair(st: dict, x: int, y: int) -> None:
+    """Join slots x and y by a fresh strand."""
+    st[x] = ("P", y)
+    st[y] = ("P", x)
+
+
+def extend(st: dict, new: int, old: int) -> None:
+    """Move the strand end at slot `old` to slot `new`."""
+    conn = st.pop(old)
+    if conn[0] == "P":
+        new_pair(st, new, conn[1])
+    else:
+        st[new] = conn
+
+
+def connect(st: dict, x: int, y: int) -> None:
+    """Join the strand ends at x and y; both slots leave the frontier."""
+    cx = st.pop(x)
+    cy = st.pop(y)
+    if cx == ("P", y):
+        return  # closed loop, weight 1
+    if cx[0] == "P" and cy[0] == "P":
+        new_pair(st, cx[1], cy[1])
+    elif cx[0] == "P":
+        st[cx[1]] = cy
+    elif cy[0] == "P":
+        st[cy[1]] = cx
+    # both ends on a wall: arc dropped with weight 1
+
+
+def to_wall(st: dict, x: int, wall: tuple) -> None:
+    """Tie the strand end at x into `wall`; slot x leaves the frontier."""
+    conn = st.pop(x)
+    if conn[0] == "P":
+        st[conn[1]] = wall
+
+
+def freeze(st: dict) -> tuple:
+    """Hashable form of a frontier state."""
+    return tuple(sorted(st.items()))
+
+
+def seed(word: str) -> tuple:
+    """Frozen frontier state of a nonempty word, site k in slot k."""
+    m = closure(word)
+    st = dict.fromkeys(m.left, LEFT_WALL) | dict.fromkeys(m.right, RIGHT_WALL)
     for a, b in m.pairs:
-        symbols[a - 1] = "("
-        symbols[b - 1] = ")"
-    for a in m.left:
-        symbols[a - 1] = ")"
-    for a in m.right:
-        symbols[a - 1] = "("
-    if "" in symbols:
-        raise ValueError("matching does not cover every site")
+        new_pair(st, a, b)
+    return freeze(st)
+
+
+def read_word(st: dict, slots: Iterable[int]) -> str:
+    """The word a state reads along `slots`, which hold every strand end."""
+    symbols = []
+    for slot in slots:
+        conn = st[slot]
+        if conn == LEFT_WALL:
+            symbols.append(")")
+        elif conn == RIGHT_WALL:
+            symbols.append("(")
+        else:
+            symbols.append("(" if conn[1] > slot else ")")
     return "".join(symbols)
 
 
 def apply_e(i: int, word: str) -> str:
     """Image basis word of e_i acting on `word` (coefficient is always 1)."""
     length = len(validate_pattern(word))
-    if not 0 <= i <= length:
-        raise ValueError(f"generator index {i} out of range 0..{length}")
-    if i == 0:
-        if word[0] == ")":
-            return word
-        m = closure(word)
-        partner = m.partner(1)
-        chars = list(word)
-        chars[0] = ")"
-        if partner != RIGHT:
-            chars[partner - 1] = ")"
-        return "".join(chars)
-    if i == length:
-        if word[-1] == "(":
-            return word
-        m = closure(word)
-        partner = m.partner(length)
-        chars = list(word)
-        chars[-1] = "("
-        if partner != LEFT:
-            chars[partner - 1] = "("
-        return "".join(chars)
-    m = closure(word)
-    pk = m.partner(i)
-    pl = m.partner(i + 1)
-    if pk == i + 1:
-        return word  # closed loop of weight 1, pattern unchanged
-    pairs = {p for p in m.pairs if i not in p and i + 1 not in p}
-    left = set(m.left) - {i, i + 1}
-    right = set(m.right) - {i, i + 1}
-    pairs.add((i, i + 1))
-    if isinstance(pk, int) and isinstance(pl, int):
-        pairs.add((min(pk, pl), max(pk, pl)))
-    elif isinstance(pk, int):
-        (left if pl == LEFT else right).add(pk)
-    elif isinstance(pl, int):
-        (left if pk == LEFT else right).add(pl)
-    # both on a boundary: the rejoining arc is dropped with weight 1
-    return word_from_matching(Matching(length, frozenset(pairs), frozenset(left), frozenset(right)))
+    if length == 0 or not 0 <= i <= length:
+        raise ValueError(f"generator index {i} out of range 0..{length} (needs L >= 1)")
+    st = dict(seed(word))
+    if i == 0 or i == length:
+        site, wall = (1, LEFT_WALL) if i == 0 else (length, RIGHT_WALL)
+        to_wall(st, site, wall)
+        st[site] = wall
+    else:
+        connect(st, i, i + 1)
+        new_pair(st, i, i + 1)
+    return read_word(st, range(1, length + 1))
 
 
 class SparseOperator:
@@ -192,10 +220,6 @@ class SparseOperator:
     @classmethod
     def identity(cls, dim: int) -> SparseOperator:
         return cls(dim, [{j: ONE} for j in range(dim)])
-
-    @classmethod
-    def zero(cls, dim: int) -> SparseOperator:
-        return cls(dim, [{} for _ in range(dim)])
 
     @classmethod
     def from_column_map(cls, dim: int, image: Callable[[int], int]) -> SparseOperator:

@@ -25,27 +25,25 @@ to the top row, because the auxiliary strand traverses the bottom
 tiles in the opposite direction; by the crossing relation this is the
 same as reading the plain weights at q z_j / w.
 
-All contractions go through one planar frontier sweep, `_sweep`,
-which carries weighted partial states tile by tile and merges those of
-equal connectivity.  `transfer_matrix` seeds it with one basis pattern
-per column; `transfer_apply` seeds it with the whole vector at once, so
-states from different input patterns merge as the bottom row consumes
-their strands; the recursion checks compare seeded columns of T at the
-specialised and at the reduced point.  `transfer_matrix_naive`
-expands the full 2^(2L+2) sum with an explicit edge graph and path
-tracing; it is deliberately independent of the sweep and serves as the
-oracle for it.
+All contractions go through one planar frontier sweep, `_sweep`, which
+carries weighted partial states tile by tile and merges those of equal
+connectivity.  Every reconnection it makes, and its word readout, are
+the frontier-state operations of `linkpat`, the same ones `apply_e`
+uses.  `transfer_matrix` seeds it with one pattern per column and
+`transfer_apply` with the whole vector at once, so states from
+different patterns merge as the bottom row consumes their strands.
+`transfer_matrix_naive` expands the full 2^(2L+2) sum by explicit path
+tracing, independently of the sweep, as its oracle.
 
 The exchange, reflection and recursion relations are indexed by a site
-i = 0..L: i = 0 is the left wall, 1..L-1 the bulk and L the right wall.
-Their index-i data is written once, in three tables that reject any
-other i and L = 0: `pi_point` (the moved point pi_i), `exchange_operator`
-(the Baxterised operator O_i) and `reduction` (the specialised point,
-the reduced point and the pattern embedding of the size-lowering
-recursion).  `check_interlace` and `check_T_recursion` return one
-verdict per index, left wall first; the groundstate counterparts
-(`check_qkz`, `check_recursion`, `check_vanishing`) read the same
-tables.
+i = 0..L: 0 is the left wall, 1..L-1 the bulk and L the right wall.
+Their index-i data is written once, in tables that reject any other i
+and L = 0: `pi_point` (the moved point pi_i), `exchange_coefficients`
+(the (A, B, D) of O_i = (A - B e_i) / D, from the `baxter` triples),
+which `exchange_operator` assembles, and `reduction` (the specialised
+point, the reduced point and the pattern embedding of the size-lowering
+recursion).  `check_interlace`, `check_T_recursion` and their
+groundstate counterparts return one verdict per index, left wall first.
 """
 
 from __future__ import annotations
@@ -54,16 +52,31 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from .baxter import face_weights_K0, face_weights_KL, face_weights_R, kcheck0, kcheckL, rcheck
-from .errors import SingularParameterError
+from .baxter import (
+    baxterised,
+    face_weights_K0,
+    face_weights_KL,
+    face_weights_R,
+    k_coefficients,
+    r_coefficients,
+)
 from .exactfield import ONE, Q, Scalar, ZERO
 from .linkpat import (
+    LEFT_WALL,
+    RIGHT_WALL,
     SparseOperator,
     closure,
+    connect,
+    extend,
+    freeze,
     index_of,
     insert_left,
     insert_link,
     insert_right,
+    new_pair,
+    read_word,
+    seed,
+    to_wall,
     word_of,
 )
 
@@ -71,6 +84,7 @@ __all__ = [
     "SpectralPoint",
     "assert_generic",
     "pi_point",
+    "exchange_coefficients",
     "exchange_operator",
     "reduction",
     "transfer_matrix",
@@ -151,16 +165,21 @@ def pi_point(pt: SpectralPoint, i: int) -> SpectralPoint:
     return pt.swapped(i)
 
 
-def exchange_operator(pt: SpectralPoint, i: int) -> SparseOperator:
-    """The Baxterised operator O_i at pt: Kcheck_0(1/z_1, zeta_1) at the
-    left wall, Rcheck_i(z_i / z_{i+1}) in the bulk, Kcheck_L(s z_L, s zeta_2)
-    at the right wall."""
+def exchange_coefficients(pt: SpectralPoint, i: int) -> tuple[Scalar, Scalar, Scalar]:
+    """(A, B, D) of the Baxterised operator O_i = (A - B e_i) / D at pt:
+    Kcheck_0(1/z_1, zeta_1) at the left wall, Rcheck_i(z_i / z_{i+1}) in
+    the bulk, Kcheck_L(s z_L, s zeta_2) at the right wall."""
     length = _relation_length(pt, i)
     if i == 0:
-        return kcheck0(pt.z[0].inv(), pt.zeta1, length)
+        return k_coefficients(pt.z[0].inv(), pt.zeta1)
     if i == length:
-        return kcheckL(pt.s * pt.z[-1], pt.s * pt.zeta2, length)
-    return rcheck(i, pt.z[i - 1] / pt.z[i], length)
+        return k_coefficients(pt.s * pt.z[-1], pt.s * pt.zeta2)
+    return r_coefficients(pt.z[i - 1] / pt.z[i])
+
+
+def exchange_operator(pt: SpectralPoint, i: int) -> SparseOperator:
+    """The Baxterised operator O_i at pt, from `exchange_coefficients`."""
+    return baxterised(i, exchange_coefficients(pt, i), pt.length)
 
 
 def reduction(
@@ -226,49 +245,6 @@ def _out(j: int) -> int:
     return 200 + j
 
 
-_BL = ("L",)
-_BR = ("R",)
-
-
-def _new_pair(st: dict, x: int, y: int) -> None:
-    st[x] = ("P", y)
-    st[y] = ("P", x)
-
-
-def _extend(st: dict, new: int, old: int) -> None:
-    conn = st.pop(old)
-    if conn[0] == "P":
-        other = conn[1]
-        st[other] = ("P", new)
-        st[new] = ("P", other)
-    else:
-        st[new] = conn
-
-
-def _connect(st: dict, x: int, y: int) -> None:
-    cx = st.pop(x)
-    cy = st.pop(y)
-    if cx == ("P", y):
-        return  # closed loop, weight 1
-    if cx[0] == "P" and cy[0] == "P":
-        _new_pair(st, cx[1], cy[1])
-    elif cx[0] == "P":
-        st[cx[1]] = cy
-    elif cy[0] == "P":
-        st[cy[1]] = cx
-    # both ends on a wall: arc dropped with weight 1
-
-
-def _to_wall(st: dict, x: int, wall: tuple) -> None:
-    conn = st.pop(x)
-    if conn[0] == "P":
-        st[conn[1]] = wall
-
-
-def _freeze(st: dict) -> tuple:
-    return tuple(sorted(st.items()))
-
-
 def _branch(states: dict, mutate, weights: tuple[Scalar, Scalar]) -> dict:
     """Apply a two-filling tile to every partial state."""
     out: dict = {}
@@ -278,7 +254,7 @@ def _branch(states: dict, mutate, weights: tuple[Scalar, Scalar]) -> dict:
                 continue
             st = dict(key)
             mutate(st, choice)
-            k = _freeze(st)
+            k = freeze(st)
             acc = out.get(k)
             out[k] = amp * wgt if acc is None else acc + amp * wgt
     return {k: v for k, v in out.items() if not v.is_zero()}
@@ -286,18 +262,11 @@ def _branch(states: dict, mutate, weights: tuple[Scalar, Scalar]) -> dict:
 
 def _seed(word: str) -> tuple:
     """Frozen frontier state of one input pattern, before any tile."""
+    if word:
+        return seed(word)
     init: dict = {}
-    if not word:
-        _new_pair(init, _K0B, _AUX)
-    else:
-        m = closure(word)
-        for a, b in m.pairs:
-            _new_pair(init, a, b)
-        for a in m.left:
-            init[a] = _BL
-        for a in m.right:
-            init[a] = _BR
-    return _freeze(init)
+    new_pair(init, _K0B, _AUX)
+    return freeze(init)
 
 
 def _sweep(states: dict, length: int, weights) -> dict[int, Scalar]:
@@ -313,23 +282,23 @@ def _sweep(states: dict, length: int, weights) -> dict[int, Scalar]:
         def bottom_tile(st: dict, choice: int, j=j) -> None:
             if choice == 0:  # filling A: (S,W), (N,E)
                 if j == 1:
-                    _extend(st, _K0B, j)
+                    extend(st, _K0B, j)
                 else:
-                    _connect(st, j, _AUX)
-                _new_pair(st, _mid(j), _AUX)
+                    connect(st, j, _AUX)
+                new_pair(st, _mid(j), _AUX)
             else:  # filling B: (S,E), (N,W)
                 if j == 1:
-                    _new_pair(st, _mid(j), _K0B)
+                    new_pair(st, _mid(j), _K0B)
                 else:
-                    _extend(st, _mid(j), _AUX)
-                _extend(st, _AUX, j)
+                    extend(st, _mid(j), _AUX)
+                extend(st, _AUX, j)
 
         states = _branch(states, bottom_tile, bottom[j - 1])
 
     def right_wall(st: dict, choice: int) -> None:
         if choice == 1:
-            _to_wall(st, _AUX, _BR)
-            st[_AUX] = _BR
+            to_wall(st, _AUX, RIGHT_WALL)
+            st[_AUX] = RIGHT_WALL
 
     states = _branch(states, right_wall, kL)
 
@@ -337,36 +306,27 @@ def _sweep(states: dict, length: int, weights) -> dict[int, Scalar]:
 
         def top_tile(st: dict, choice: int, j=j) -> None:
             if choice == 0:  # filling A: (S,W), (N,E)
-                _extend(st, _out(j), _AUX)
-                _extend(st, _AUX, _mid(j))
+                extend(st, _out(j), _AUX)
+                extend(st, _AUX, _mid(j))
             else:  # filling B: (S,E), (N,W)
-                _connect(st, _mid(j), _AUX)
-                _new_pair(st, _out(j), _AUX)
+                connect(st, _mid(j), _AUX)
+                new_pair(st, _out(j), _AUX)
 
         states = _branch(states, top_tile, top[j - 1])
 
     def left_wall(st: dict, choice: int) -> None:
         if choice == 0:
-            _connect(st, _K0B, _AUX)
+            connect(st, _K0B, _AUX)
         else:
-            _to_wall(st, _K0B, _BL)
-            _to_wall(st, _AUX, _BL)
+            to_wall(st, _K0B, LEFT_WALL)
+            to_wall(st, _AUX, LEFT_WALL)
 
     states = _branch(states, left_wall, k0)
 
+    slots = [_out(j) for j in range(1, length + 1)]
     column: dict[int, Scalar] = {}
     for key, amp in states.items():
-        st = dict(key)
-        symbols = []
-        for j in range(1, length + 1):
-            conn = st[_out(j)]
-            if conn == _BL:
-                symbols.append(")")
-            elif conn == _BR:
-                symbols.append("(")
-            else:
-                symbols.append("(" if conn[1] > _out(j) else ")")
-        idx = index_of("".join(symbols))
+        idx = index_of(read_word(dict(key), slots))
         acc = column.get(idx)
         column[idx] = amp if acc is None else acc + amp
     return {r: v for r, v in column.items() if not v.is_zero()}

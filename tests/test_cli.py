@@ -10,6 +10,7 @@ import pytest
 from openloop import Scalar, closed_form_all_open
 from openloop.chars import symplectic_character
 from openloop.cli import main, parse_scalar
+from openloop.verify import SUITE_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +170,14 @@ def test_verify_at_zero_sites_is_a_usage_error(capsys, suite):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--L", "0", "--trials", "1")
     assert code == 1
     assert err.splitlines() == [f"error: {suite} suite needs L >= 1, got L = 0"]
+    assert out == ""
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_verify_beyond_solve_cap_is_a_usage_error(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--L", "9", "--trials", "1")
+    assert code == 1
+    assert err.splitlines() == ["error: suites run up to L = SOLVE_CAP = 8, got L = 9"]
     assert out == ""
 
 

@@ -190,6 +190,16 @@ def test_groundstate_vector_accessors():
     assert gs.words() == ["((", "()", ")(", "))"]
     assert gs["()"] == gs[1]
     assert gs.as_dict() == {w: gs[w] for w in gs.words()}
+    # A word of another length names no component, even where index_of
+    # would land inside the vector.
+    for word in ("", ")", "(((", "()()"):
+        with pytest.raises(ValueError, match="L = 2"):
+            gs[word]
+
+
+def test_hamiltonian_needs_a_site():
+    with pytest.raises(ValueError, match="L >= 1"):
+        check_hamiltonian(0, rational(2), rational(3))
 
 
 @pytest.mark.parametrize("s_index", [0, 1, 2, 3])

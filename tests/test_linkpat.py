@@ -26,7 +26,7 @@ from openloop import (
     insert_right,
     word_of,
 )
-from openloop.linkpat import SparseOperator, validate_pattern, word_from_matching
+from openloop.linkpat import SparseOperator, read_word, seed, validate_pattern
 
 
 def test_word_index_bijection():
@@ -65,7 +65,7 @@ def test_closure_examples():
 
 def test_closure_roundtrip():
     for word in all_patterns(6):
-        assert word_from_matching(closure(word)) == word
+        assert read_word(dict(seed(word)), range(1, 7)) == word
 
 
 def test_apply_e_examples():
@@ -87,6 +87,15 @@ def test_apply_e_creates_the_small_link():
             assert (i, i + 1) in image.pairs
         assert apply_e(0, word)[0] == ")"
         assert apply_e(5, word)[-1] == "("
+
+
+def test_generators_need_a_site():
+    with pytest.raises(ValueError, match="L >= 1"):
+        apply_e(0, "")
+    with pytest.raises(ValueError, match="L >= 1"):
+        generator_matrix(0, 0)
+    with pytest.raises(ValueError, match="L >= 1"):
+        hamiltonian(0, ONE, ONE)
 
 
 def test_generator_matrices_are_unit_subpermutations():
