@@ -181,41 +181,25 @@ def closed_form_all_open(pt: SpectralPoint) -> Scalar:
 
 
 def closed_form_all_close(pt: SpectralPoint) -> Scalar:
-    """Component of the pattern with every site closing to the left.
-
-    Product of k(1/(s z_i), s z_j) over 1 <= i < j <= L+1 with
-    z_{L+1} = zeta_2, times A_L (s^2)^L
-    chi_{lambda(L+1)}(s^2 zeta_1^2, s^2 z^2) chi_{lambda(L)}(s^2 z^2).
-    The value is independent of which fourth root of unity s is.
-    """
-    length = pt.length
-    s = pt.s
-    s2 = s * s
-    zs = [s * x for x in pt.z] + [s * pt.zeta2]
-    total = a_const(length) * s2**length
-    for i in range(length + 1):
-        for j in range(i + 1, length + 1):
-            total = total * kfun(zs[i].inv(), zs[j])
-    sq = [s2 * x * x for x in pt.z]
-    total = total * character_auto(
-        lambda_partition(length + 1), [s2 * pt.zeta1 * pt.zeta1] + sq
-    )
-    total = total * character_auto(lambda_partition(length), sq)
-    return total
+    """Component of the pattern with every site closing to the left:
+    (s^2)^L times the all-open closed form of the reflected strip,
+    whatever fourth root of unity s is."""
+    return (pt.s * pt.s) ** pt.length * closed_form_all_open(pt.reflected())
 
 
-def _second_w(pt: SpectralPoint) -> Scalar:
-    for delta in (2, 3, 5, 7, 11):
-        cand = pt.w + Scalar.from_rational(Fraction(delta))
-        if cand.is_zero() or cand == ONE or cand == -ONE or cand == pt.w:
+def _generic_w(pt: SpectralPoint, candidates: Iterable[Scalar]) -> SpectralPoint:
+    """pt moved to the first candidate w, other than 0 and +-1, at which
+    no tile weight has a pole."""
+    for cand in candidates:
+        if cand.is_zero() or cand == ONE or cand == -ONE:
             continue
         trial = pt.with_w(cand)
         try:
             assert_generic(trial)
         except SingularParameterError:
             continue
-        return cand
-    raise NonGenericPointError("no generic second auxiliary parameter found")
+        return trial
+    raise NonGenericPointError("no generic auxiliary parameter found")
 
 
 def _anchor_target(pt: SpectralPoint, name: str, vec: Sequence[Scalar]):
@@ -274,7 +258,8 @@ def solve(
         raise ValueError(f"refusing exact solve beyond L = SOLVE_CAP = {SOLVE_CAP}")
     vec = fixed_vector(transfer_matrix(pt))
     if check_w:
-        if transfer_apply(vec, pt.with_w(_second_w(pt))) != vec:
+        second = _generic_w(pt, [pt.w + Scalar.from_rational(d) for d in (2, 3, 5, 7, 11)])
+        if transfer_apply(vec, second) != vec:
             raise ConventionError(
                 "fixed vector is not independent of the auxiliary parameter"
             )
@@ -331,12 +316,12 @@ def recursion_factor(pt: SpectralPoint, i: int) -> Scalar:
     Bulk (z_{i+1} = q z_i), p = -(A_L/A_{L-2}) k(z_i,zeta_1)^2
     k(z_i,zeta_2)^2 prod_{j != i,i+1} k(z_i,z_j)^4, the same function of
     the surviving parameters for every i.  Right wall (z_L = zeta_2 / q),
-    r_L = (-1)^{L+1} s^2 (A_L/A_{L-1}) k(1/(s zeta_2), s zeta_1)
-    prod_{j<=L-1} k(1/(s zeta_2), s z_j)^2, independent of s.  None of
-    them reads the specialised coordinate, so pt may be the generic or
-    the specialised point."""
+    r_L = s^2 r_0 of `pt.reflected()`.  None of them reads the specialised
+    coordinate, so pt may be the generic or the specialised point."""
     length = _relation_length(pt, i)
-    if 0 < i < length:
+    if i == length:
+        return pt.s * pt.s * recursion_factor(pt.reflected(), 0)
+    if i > 0:
         zi = pt.z[i - 1]
         total = -(a_const(length) / a_const(length - 2))
         total = total * kfun(zi, pt.zeta1) ** 2 * kfun(zi, pt.zeta2) ** 2
@@ -345,17 +330,9 @@ def recursion_factor(pt: SpectralPoint, i: int) -> Scalar:
                 total = total * kfun(zi, zj) ** 4
         return total
     sign = -ONE if (length + 1) % 2 else ONE
-    total = sign * (a_const(length) / a_const(length - 1))
-    if i == 0:
-        total = total * kfun(pt.zeta1, pt.zeta2)
-        for zj in pt.z[1:]:
-            total = total * kfun(pt.zeta1, zj) ** 2
-        return total
-    s = pt.s
-    moved = (s * pt.zeta2).inv()
-    total = total * s * s * kfun(moved, s * pt.zeta1)
-    for zj in pt.z[:-1]:
-        total = total * kfun(moved, s * zj) ** 2
+    total = sign * (a_const(length) / a_const(length - 1)) * kfun(pt.zeta1, pt.zeta2)
+    for zj in pt.z[1:]:
+        total = total * kfun(pt.zeta1, zj) ** 2
     return total
 
 
@@ -408,18 +385,6 @@ def check_vanishing(pt: SpectralPoint) -> list[bool]:
 # -- homogeneous point --------------------------------------------------
 
 
-def _generic_w(build) -> SpectralPoint:
-    for num, den in ((2, 1), (3, 1), (5, 2), (7, 2), (7, 3), (9, 4)):
-        cand = Scalar.from_rational(Fraction(num, den))
-        pt = build(cand)
-        try:
-            assert_generic(pt)
-        except SingularParameterError:
-            continue
-        return pt
-    raise NonGenericPointError("no generic auxiliary parameter found")
-
-
 def solve_homogeneous(length: int, zeta1: Scalar, zeta2: Scalar) -> GroundstateVector:
     """Groundstate at z_i = 1, anchored to the all-open closed form.
 
@@ -427,7 +392,8 @@ def solve_homogeneous(length: int, zeta1: Scalar, zeta2: Scalar) -> GroundstateV
     fixed space or a vanishing all-open anchor raises
     NonGenericPointError, as in `solve`.
     """
-    pt = _generic_w(lambda w: SpectralPoint((ONE,) * length, zeta1, zeta2, w))
+    ws = [Scalar.from_rational(Fraction(f)) for f in ("2", "3", "5/2", "7/2", "7/3", "9/4")]
+    pt = _generic_w(SpectralPoint((ONE,) * length, zeta1, zeta2, ONE), ws)
     return solve(pt, normalization="all_open")
 
 

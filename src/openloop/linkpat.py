@@ -23,10 +23,11 @@ per column.
 
 This module is the one home of strand reconnection: a frontier state
 maps each live slot to ("P", y), a strand to slot y, or to a wall
-marker.  `new_pair`, `extend`, `connect` and `to_wall` are the only
-reconnection rules; `apply_e` applies one to a `seed`ed word, the
-transfer sweep applies them tile by tile, and both read out with
-`read_word`.
+marker.  `new_pair`, `swap`, `connect` and `to_wall` are the only
+reconnection rules, and e is `cup_cap` (two strand ends) or `wall_cap`
+(one end and a wall).  `apply_e` applies one e to a `seed`ed word, the
+transfer sweep applies a crossing or an e per tile, and both read out
+with `read_word`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
     "c_from_zeta",
     "closure",
     "connect",
-    "extend",
+    "cup_cap",
     "freeze",
     "generator_matrix",
     "hamiltonian",
@@ -59,8 +60,10 @@ __all__ = [
     "new_pair",
     "read_word",
     "seed",
+    "swap",
     "to_wall",
     "validate_pattern",
+    "wall_cap",
     "word_of",
 ]
 
@@ -129,13 +132,18 @@ def new_pair(st: dict, x: int, y: int) -> None:
     st[y] = ("P", x)
 
 
-def extend(st: dict, new: int, old: int) -> None:
-    """Move the strand end at slot `old` to slot `new`."""
-    conn = st.pop(old)
-    if conn[0] == "P":
-        new_pair(st, new, conn[1])
-    else:
-        st[new] = conn
+def swap(st: dict, x: int, y: int) -> None:
+    """Cross the strand ends at slots x and y: each moves to the other slot."""
+    cx = st[x]
+    cy = st[y]
+    if cx == ("P", y):
+        return  # the two ends of one strand
+    st[x] = cy
+    st[y] = cx
+    if cy[0] == "P":
+        st[cy[1]] = ("P", x)
+    if cx[0] == "P":
+        st[cx[1]] = ("P", y)
 
 
 def connect(st: dict, x: int, y: int) -> None:
@@ -160,18 +168,37 @@ def to_wall(st: dict, x: int, wall: tuple) -> None:
         st[conn[1]] = wall
 
 
+def cup_cap(st: dict, x: int, y: int) -> None:
+    """e on slots x, y: join the strand ends there, then a fresh x-y strand."""
+    connect(st, x, y)
+    new_pair(st, x, y)
+
+
+def wall_cap(st: dict, x: int, wall: tuple) -> None:
+    """e on slot x and `wall`: tie its strand end into the wall, then a
+    fresh strand from the wall to x."""
+    to_wall(st, x, wall)
+    st[x] = wall
+
+
 def freeze(st: dict) -> tuple:
     """Hashable form of a frontier state."""
     return tuple(sorted(st.items()))
 
 
-def seed(word: str) -> tuple:
-    """Frozen frontier state of a nonempty word, site k in slot k."""
-    m = closure(word)
-    st = dict.fromkeys(m.left, LEFT_WALL) | dict.fromkeys(m.right, RIGHT_WALL)
-    for a, b in m.pairs:
-        new_pair(st, a, b)
-    return freeze(st)
+def seed(word: str) -> dict:
+    """Frontier state of a word, site k in slot k."""
+    st: dict = {}
+    stack: list[int] = []
+    for pos, ch in enumerate(validate_pattern(word), start=1):
+        if ch == "(":
+            stack.append(pos)
+        elif stack:
+            new_pair(st, stack.pop(), pos)
+        else:
+            st[pos] = LEFT_WALL
+    st.update(dict.fromkeys(stack, RIGHT_WALL))
+    return st
 
 
 def read_word(st: dict, slots: Iterable[int]) -> str:
@@ -193,14 +220,13 @@ def apply_e(i: int, word: str) -> str:
     length = len(validate_pattern(word))
     if length == 0 or not 0 <= i <= length:
         raise ValueError(f"generator index {i} out of range 0..{length} (needs L >= 1)")
-    st = dict(seed(word))
-    if i == 0 or i == length:
-        site, wall = (1, LEFT_WALL) if i == 0 else (length, RIGHT_WALL)
-        to_wall(st, site, wall)
-        st[site] = wall
+    st = seed(word)
+    if i == 0:
+        wall_cap(st, 1, LEFT_WALL)
+    elif i == length:
+        wall_cap(st, length, RIGHT_WALL)
     else:
-        connect(st, i, i + 1)
-        new_pair(st, i, i + 1)
+        cup_cap(st, i, i + 1)
     return read_word(st, range(1, length + 1))
 
 

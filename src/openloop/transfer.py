@@ -1,38 +1,28 @@
 """Inhomogeneous double-row transfer matrix on the open strip.
 
-The transfer matrix T_L(w; z_1..z_L; zeta_1, zeta_2) is a slab of
-2L + 2 binary tiles glued onto a link pattern: an auxiliary strand
-enters at the left wall, crosses the L bulk strands (bottom row of R
-tiles), reflects off the right wall (K tile), crosses back (top row)
-and closes at the left wall (second K tile).  Every tile independently
-takes one of two planar fillings, so a matrix element is a sum over
-2^(2L+2) filled diagrams, each reduced to a basis pattern.  At the
-combinatorial point all loop and boundary closures carry weight 1, so
-a diagram's weight is just the product of its tile weights.
+The transfer matrix T_L(w; z_1..z_L; zeta_1, zeta_2) is a product of
+2L + 2 Baxterised tiles glued onto a link pattern: an auxiliary strand
+leaves the left wall, passes the L sites (bottom row of R tiles),
+reflects off the right wall (K_L tile), passes them back (top row) and
+closes at the left wall (K_0 tile).  Each tile is id_weight * 1 +
+cup_weight * e on the auxiliary strand and one site or wall, where 1
+crosses the two strands (at a wall it does nothing) and e is the
+`linkpat` e that `apply_e` uses.  At the combinatorial point every loop
+and boundary closure carries weight 1.  Tile weights (fixed once and
+singled out among all argument conventions by the identity suite and
+the exact L = 1, 2 groundstates), in the order the strand meets them:
 
-Tile arguments (fixed here once and verified by the identity suite:
-commuting family, column sums, interlacing, recursions and the exact
-L = 1, 2 groundstate benchmarks, which single out this assignment
-among all argument and filling conventions):
+    bottom row, site j = 1..L:   face_weights_R(w, z_j),
+    right wall:                  face_weights_KL(w, zeta_2),
+    top row, site j = L..1:      face_weights_R(z_j w, 1),
+    left wall:                   face_weights_K0(1 / w, zeta_1).
 
-    bottom row, site j:   R weights at u = w / z_j, fillings crossed,
-    top row, site j:      R weights at u = z_j * w,
-    left wall:            K_0 weights at (1 / w, zeta_1),
-    right wall:           K_L weights at (w, zeta_2).
-
-"Fillings crossed" means the two arc fillings trade weights relative
-to the top row, because the auxiliary strand traverses the bottom
-tiles in the opposite direction; by the crossing relation this is the
-same as reading the plain weights at q z_j / w.
-
-All contractions go through one planar frontier sweep, `_sweep`, which
-carries weighted partial states tile by tile and merges those of equal
-connectivity.  Every reconnection it makes, and its word readout, are
-the frontier-state operations of `linkpat`, the same ones `apply_e`
-uses.  `transfer_matrix` seeds it with one pattern per column and
-`transfer_apply` with the whole vector at once, so states from
-different patterns merge as the bottom row consumes their strands.
-`transfer_matrix_naive` expands the full 2^(2L+2) sum by explicit path
+All contractions go through one frontier sweep, `_sweep`, which
+applies the tiles in that order to weighted partial states, site j's
+strand end staying in slot j, and merges states of equal connectivity.
+`transfer_matrix` seeds it with one pattern per column and
+`transfer_apply` with the whole vector at once.  `transfer_matrix_naive`
+expands the full 2^(2L+2) sum of planar fillings by explicit path
 tracing, independently of the sweep, as its oracle.
 
 The exchange, reflection and recursion relations are indexed by a site
@@ -67,7 +57,7 @@ from .linkpat import (
     SparseOperator,
     closure,
     connect,
-    extend,
+    cup_cap,
     freeze,
     index_of,
     insert_left,
@@ -76,7 +66,8 @@ from .linkpat import (
     new_pair,
     read_word,
     seed,
-    to_wall,
+    swap,
+    wall_cap,
     word_of,
 )
 
@@ -136,6 +127,12 @@ class SpectralPoint:
         zs = list(self.z)
         zs[i - 1], zs[i] = zs[i], zs[i - 1]
         return replace(self, z=tuple(zs))
+
+    def reflected(self) -> SpectralPoint:
+        """The strip read from the right wall: z_k -> 1/(s z_{L+1-k}),
+        zeta_1 -> 1/(s zeta_2), zeta_2 -> s zeta_1."""
+        zs = tuple((self.s * x).inv() for x in reversed(self.z))
+        return replace(self, z=zs, zeta1=(self.s * self.zeta2).inv(), zeta2=self.s * self.zeta1)
 
     def without_sites(self, sites: Iterable[int]) -> SpectralPoint:
         drop = set(sites)
@@ -206,24 +203,17 @@ def reduction(
     return specialised, specialised.without_sites((i, i + 1)), partial(insert_link, i)
 
 
-def _tile_weights(pt: SpectralPoint):
-    """Per-tile (filling A, filling B) weights for the slab at pt.
-
-    Filling A of a bulk tile pairs (bottom, left) and (top, right)
-    edges; filling B pairs (bottom, right) and (top, left).  For the
-    wall tiles the first weight is the straight (U-turn) filling and
-    the second the turn-back into the wall.
-    """
-    bottom = []
-    top = []
-    for zj in pt.z:
-        fb = face_weights_R(pt.w, zj)
-        bottom.append((fb.cup_weight, fb.id_weight))
-        ft = face_weights_R(zj * pt.w, ONE)
-        top.append((ft.id_weight, ft.cup_weight))
-    k0 = face_weights_K0(pt.w.inv(), pt.zeta1)
-    kL = face_weights_KL(pt.w, pt.zeta2)
-    return bottom, top, (k0.id_weight, k0.cup_weight), (kL.id_weight, kL.cup_weight)
+def _tile_weights(pt: SpectralPoint) -> list[tuple]:
+    """(site or wall, FaceWeights) of every tile, in the order the
+    auxiliary strand meets them: the bottom row left to right, the right
+    wall, the top row right to left, the left wall."""
+    sites = range(1, pt.length + 1)
+    return (
+        [(j, face_weights_R(pt.w, pt.z[j - 1])) for j in sites]
+        + [(RIGHT_WALL, face_weights_KL(pt.w, pt.zeta2))]
+        + [(j, face_weights_R(pt.z[j - 1] * pt.w, ONE)) for j in reversed(sites)]
+        + [(LEFT_WALL, face_weights_K0(pt.w.inv(), pt.zeta1))]
+    )
 
 
 def assert_generic(pt: SpectralPoint) -> None:
@@ -231,124 +221,81 @@ def assert_generic(pt: SpectralPoint) -> None:
     _tile_weights(pt)
 
 
-# Frontier slots.  Bulk input strands use their site number 1..L;
-# the other live edges get reserved ids.
+# Frontier slots.  Site j's strand end stays in slot j for the whole
+# sweep; the auxiliary strand runs from _K0B (its start at the left
+# wall) to the moving end _AUX.
 _K0B = -1
 _AUX = -2
 
 
-def _mid(j: int) -> int:
-    return 100 + j
-
-
-def _out(j: int) -> int:
-    return 200 + j
-
-
-def _branch(states: dict, mutate, weights: tuple[Scalar, Scalar]) -> dict:
-    """Apply a two-filling tile to every partial state."""
+def _branch(states: dict, slot, fw) -> dict:
+    """Apply one tile, id_weight * 1 + cup_weight * e, to every partial
+    state: at a site the identity crosses its strand with the auxiliary
+    one, at a wall it leaves the state alone."""
+    site = isinstance(slot, int)
     out: dict = {}
     for key, amp in states.items():
-        for choice, wgt in zip((0, 1), weights):
+        for is_e, wgt in enumerate((fw.id_weight, fw.cup_weight)):
             if wgt.is_zero():
                 continue
-            st = dict(key)
-            mutate(st, choice)
-            k = freeze(st)
+            if site:
+                st = dict(key)
+                (cup_cap if is_e else swap)(st, slot, _AUX)
+                k = freeze(st)
+            elif is_e:
+                st = dict(key)
+                wall_cap(st, _AUX, slot)
+                k = freeze(st)
+            else:
+                k = key
             acc = out.get(k)
             out[k] = amp * wgt if acc is None else acc + amp * wgt
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def _seed(word: str) -> tuple:
-    """Frozen frontier state of one input pattern, before any tile."""
-    if word:
-        return seed(word)
-    init: dict = {}
-    new_pair(init, _K0B, _AUX)
-    return freeze(init)
+    """Frozen frontier state of one input pattern plus the auxiliary strand."""
+    st = seed(word)
+    new_pair(st, _K0B, _AUX)
+    return freeze(st)
 
 
-def _sweep(states: dict, length: int, weights) -> dict[int, Scalar]:
-    """Carry seeded frontier states through the slab; {row: amplitude}.
+def _sweep(states: dict, length: int, tiles) -> dict[int, Scalar]:
+    """Carry seeded frontier states through the tiles; {row: amplitude}.
 
-    The bottom row consumes every input slot, so states seeded from
-    different patterns merge as soon as their connectivities agree.
+    States seeded from different patterns merge as soon as their
+    connectivities agree.  After the last tile the auxiliary strand
+    closes on itself and the sites read the row.
     """
-    bottom, top, k0, kL = weights
-
-    for j in range(1, length + 1):
-
-        def bottom_tile(st: dict, choice: int, j=j) -> None:
-            if choice == 0:  # filling A: (S,W), (N,E)
-                if j == 1:
-                    extend(st, _K0B, j)
-                else:
-                    connect(st, j, _AUX)
-                new_pair(st, _mid(j), _AUX)
-            else:  # filling B: (S,E), (N,W)
-                if j == 1:
-                    new_pair(st, _mid(j), _K0B)
-                else:
-                    extend(st, _mid(j), _AUX)
-                extend(st, _AUX, j)
-
-        states = _branch(states, bottom_tile, bottom[j - 1])
-
-    def right_wall(st: dict, choice: int) -> None:
-        if choice == 1:
-            to_wall(st, _AUX, RIGHT_WALL)
-            st[_AUX] = RIGHT_WALL
-
-    states = _branch(states, right_wall, kL)
-
-    for j in range(length, 0, -1):
-
-        def top_tile(st: dict, choice: int, j=j) -> None:
-            if choice == 0:  # filling A: (S,W), (N,E)
-                extend(st, _out(j), _AUX)
-                extend(st, _AUX, _mid(j))
-            else:  # filling B: (S,E), (N,W)
-                connect(st, _mid(j), _AUX)
-                new_pair(st, _out(j), _AUX)
-
-        states = _branch(states, top_tile, top[j - 1])
-
-    def left_wall(st: dict, choice: int) -> None:
-        if choice == 0:
-            connect(st, _K0B, _AUX)
-        else:
-            to_wall(st, _K0B, LEFT_WALL)
-            to_wall(st, _AUX, LEFT_WALL)
-
-    states = _branch(states, left_wall, k0)
-
-    slots = [_out(j) for j in range(1, length + 1)]
+    for slot, fw in tiles:
+        states = _branch(states, slot, fw)
     column: dict[int, Scalar] = {}
     for key, amp in states.items():
-        idx = index_of(read_word(dict(key), slots))
+        st = dict(key)
+        connect(st, _K0B, _AUX)
+        idx = index_of(read_word(st, range(1, length + 1)))
         acc = column.get(idx)
         column[idx] = amp if acc is None else acc + amp
     return {r: v for r, v in column.items() if not v.is_zero()}
 
 
-def _column(word: str, weights) -> dict[int, Scalar]:
+def _column(word: str, tiles) -> dict[int, Scalar]:
     """One column of T: the sweep of a single seeded pattern."""
-    return _sweep({_seed(word): ONE}, len(word), weights)
+    return _sweep({_seed(word): ONE}, len(word), tiles)
 
 
 def transfer_matrix(pt: SpectralPoint) -> SparseOperator:
     """T at pt as a 2^L by 2^L operator (one frontier sweep per column)."""
-    weights = _tile_weights(pt)
+    tiles = _tile_weights(pt)
     length = pt.length
-    cols = [_column(word_of(idx, length), weights) for idx in range(1 << length)]
+    cols = [_column(word_of(idx, length), tiles) for idx in range(1 << length)]
     return SparseOperator(1 << length, cols)
 
 
 def transfer_apply(vec: Sequence[Scalar], pt: SpectralPoint) -> list[Scalar]:
     """T(pt) applied to a coefficient vector in the pattern basis, in one
     sweep seeded with every nonzero component."""
-    weights = _tile_weights(pt)
+    tiles = _tile_weights(pt)
     length = pt.length
     if len(vec) != 1 << length:
         raise ValueError("vector length mismatch")
@@ -356,7 +303,7 @@ def transfer_apply(vec: Sequence[Scalar], pt: SpectralPoint) -> list[Scalar]:
         _seed(word_of(idx, length)): x for idx, x in enumerate(vec) if not x.is_zero()
     }
     out = [ZERO] * (1 << length)
-    for r, v in _sweep(seeded, length, weights).items():
+    for r, v in _sweep(seeded, length, tiles).items():
         out[r] = v
     return out
 
@@ -364,10 +311,20 @@ def transfer_apply(vec: Sequence[Scalar], pt: SpectralPoint) -> list[Scalar]:
 # -- naive oracle ------------------------------------------------------
 
 
-def _naive_column(word: str, weights) -> dict[int, Scalar]:
-    """Sum over all 2^(2L+2) filled slabs with explicit path tracing."""
-    bottom, top, k0, kL = weights
+def _naive_column(word: str, tiles) -> dict[int, Scalar]:
+    """Sum over all 2^(2L+2) filled slabs with explicit path tracing.
+
+    Filling A of a bulk tile pairs its (bottom, left) and (top, right)
+    edges, filling B its (bottom, right) and (top, left).  The top row's
+    crossing is filling A, but the auxiliary strand runs through the
+    bottom row the other way, so there the fillings are crossed: the
+    crossing is filling B.  A wall tile's crossing is the straight
+    filling (the auxiliary strand makes a U-turn) and its e the turn-back
+    of both edges into the wall.
+    """
     length = len(word)
+    fws = [fw for _, fw in tiles]
+    bottom, kL, top, k0 = fws[:length], fws[length], fws[2 * length : length : -1], fws[-1]
     m = closure(word)
     base_edges: list[tuple] = []
     for a, b in m.pairs:
@@ -384,30 +341,31 @@ def _naive_column(word: str, weights) -> dict[int, Scalar]:
         edges = list(base_edges)
         bit = 0
 
-        def filled(choice_weights):
+        def crossing(fw) -> bool:
+            """Whether this slab fills the next tile with its crossing."""
             nonlocal weight, bit
             c = (mask >> bit) & 1
             bit += 1
-            weight = weight * choice_weights[c]
-            return c
+            weight = weight * (fw.cup_weight if c else fw.id_weight)
+            return not c
 
         for j in range(1, length + 1):
             s, wv, n, e = ("in", j), ("bh", j - 1), ("mid", j), ("bh", j)
-            if filled(bottom[j - 1]) == 0:
-                edges += [(s, wv), (n, e)]
-            else:
+            if crossing(bottom[j - 1]):
                 edges += [(s, e), (n, wv)]
-        if filled(kL) == 0:
+            else:
+                edges += [(s, wv), (n, e)]
+        if crossing(kL):
             edges.append((("bh", length), ("th", length)))
         else:
             edges += [(("bh", length), "R"), (("th", length), "R")]
         for j in range(1, length + 1):
             s, wv, n, e = ("mid", j), ("th", j - 1), ("out", j), ("th", j)
-            if filled(top[j - 1]) == 0:
+            if crossing(top[j - 1]):
                 edges += [(s, wv), (n, e)]
             else:
                 edges += [(s, e), (n, wv)]
-        if filled(k0) == 0:
+        if crossing(k0):
             edges.append((("bh", 0), ("th", 0)))
         else:
             edges += [(("bh", 0), "L"), (("th", 0), "L")]
@@ -441,9 +399,9 @@ def _naive_column(word: str, weights) -> dict[int, Scalar]:
 def transfer_matrix_naive(pt: SpectralPoint) -> SparseOperator:
     if pt.length > NAIVE_CAP:
         raise ValueError(f"naive expansion refused for L > NAIVE_CAP = {NAIVE_CAP}")
-    weights = _tile_weights(pt)
+    tiles = _tile_weights(pt)
     length = pt.length
-    cols = [_naive_column(word_of(idx, length), weights) for idx in range(1 << length)]
+    cols = [_naive_column(word_of(idx, length), tiles) for idx in range(1 << length)]
     return SparseOperator(1 << length, cols)
 
 
@@ -463,16 +421,16 @@ def check_interlace(pt: SpectralPoint, tmat: SparseOperator) -> list[bool]:
 
 def _check_embedding(pt: SpectralPoint, reduced: SpectralPoint, embed) -> bool:
     """T(pt) o embed = embed o T(reduced), compared one basis column at a time."""
-    wts_big = _tile_weights(pt)
-    wts_small = _tile_weights(reduced)
+    tiles_big = _tile_weights(pt)
+    tiles_small = _tile_weights(reduced)
     small_length = reduced.length
     for idx in range(1 << small_length):
         small = word_of(idx, small_length)
         rhs = {
             index_of(embed(word_of(r, small_length))): v
-            for r, v in _column(small, wts_small).items()
+            for r, v in _column(small, tiles_small).items()
         }
-        if _column(embed(small), wts_big) != rhs:
+        if _column(embed(small), tiles_big) != rhs:
             return False
     return True
 

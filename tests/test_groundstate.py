@@ -136,6 +136,19 @@ def test_solve_matches_both_closed_forms(length):
     assert gs[")" * length] == closed_form_all_close(pt)
 
 
+@pytest.mark.parametrize("s", [ONE, IMAG])
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_all_close_is_the_reflected_all_open(length, s):
+    # Read from the right wall, every pattern is reversed with its
+    # parentheses swapped, and the vector picks up (s^2)^L.
+    pt = draw_point(Random(640 + length), length, s=s)
+    close = solve(pt, normalization="all_close")
+    mirror = solve(pt.reflected(), normalization="all_open")
+    flip = str.maketrans("()", ")(")
+    for word, value in close.as_dict().items():
+        assert value == (s * s) ** length * mirror[word[::-1].translate(flip)]
+
+
 def test_level_one_explicit_components():
     # psi_( = A_1 k(z_1, zeta_1), psi_) = A_1 s^2 k(1/(s z_1), s zeta_2).
     rng = Random(607)

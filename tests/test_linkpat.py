@@ -26,7 +26,16 @@ from openloop import (
     insert_right,
     word_of,
 )
-from openloop.linkpat import SparseOperator, read_word, seed, validate_pattern
+from openloop.linkpat import (
+    LEFT_WALL,
+    RIGHT_WALL,
+    SparseOperator,
+    new_pair,
+    read_word,
+    seed,
+    swap,
+    validate_pattern,
+)
 
 
 def test_word_index_bijection():
@@ -65,7 +74,31 @@ def test_closure_examples():
 
 def test_closure_roundtrip():
     for word in all_patterns(6):
-        assert read_word(dict(seed(word)), range(1, 7)) == word
+        assert read_word(seed(word), range(1, 7)) == word
+
+
+def test_swap_crosses_two_strand_ends():
+    # Crossing twice restores every state, auxiliary strand included.
+    for word in all_patterns(4):
+        st = seed(word)
+        new_pair(st, -1, -2)
+        before = dict(st)
+        for j in range(1, 5):
+            swap(st, j, -2)
+            assert st[j] == ("P", -1) and st[-1] == ("P", j)
+            swap(st, j, -2)
+            assert st == before
+    # Crossing the two ends of one strand changes nothing.
+    st = seed("()")
+    swap(st, 1, 2)
+    assert st == seed("()")
+    # A wall end moves with its slot, and the partner follows the other.
+    st = seed(")()")
+    swap(st, 1, 2)
+    assert st == {1: ("P", 3), 3: ("P", 1), 2: LEFT_WALL}
+    st = seed(")(")
+    swap(st, 1, 2)
+    assert st == {1: RIGHT_WALL, 2: LEFT_WALL}
 
 
 def test_apply_e_examples():
