@@ -24,14 +24,14 @@ from typing import Sequence
 
 from .chars import _collides, character_auto, z_product
 from .errors import ConfluentPointError, OpenLoopError, SingularParameterError
-from .exactfield import IMAG, ONE, Scalar
+from .exactfield import Scalar
 from .groundstate import SOLVE_CAP, GroundstateVector, generic_parameters, solve, sum_components
 from .transfer import SpectralPoint
-from .verify import SUITE_NAMES, run_suite
+from .verify import _S_VALUES, SUITE_NAMES, run_suite
 
 SCHEMA_VERSION = "1"
 
-_S_CHOICES = {"1": ONE, "-1": -ONE, "i": IMAG, "-i": -IMAG}
+_S_CHOICES = dict(_S_VALUES)
 
 
 class _CliError(Exception):

@@ -13,7 +13,6 @@ __all__ = [
     "SingularParameterError",
     "NonGenericPointError",
     "ConfluentPointError",
-    "ConventionError",
     "DegreeBoundError",
     "ConsistencyError",
 ]
@@ -35,13 +34,10 @@ class ConfluentPointError(OpenLoopError):
     """Character arguments collide; the confluent evaluator is needed."""
 
 
-class ConventionError(OpenLoopError):
-    """An internal cross-check failed (e.g. w-independence of the kernel)."""
-
-
 class DegreeBoundError(OpenLoopError):
     """Interpolation data is inconsistent with the promised degree bound."""
 
 
 class ConsistencyError(OpenLoopError):
-    """Two independent computation routes disagreed."""
+    """A cross-check failed: two independent computation routes disagreed,
+    or the fixed vector depends on the auxiliary parameter w."""

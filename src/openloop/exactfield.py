@@ -31,7 +31,6 @@ from math import gcd, lcm
 from typing import Sequence, Union
 
 __all__ = [
-    "Rational",
     "Scalar",
     "ZERO",
     "ONE",
@@ -42,10 +41,6 @@ __all__ = [
     "bracket",
     "kfun",
 ]
-
-# Rational coefficients are plain stdlib fractions: they already keep
-# numerator and denominator coprime with the denominator positive.
-Rational = Fraction
 
 _RationalLike = Union[int, Fraction]
 _ScalarLike = Union["Scalar", int, Fraction]
@@ -119,13 +114,6 @@ class Scalar:
         n0, n1, n2, n3 = nums
         return _make(n0, n1, n2, n3, den)
 
-    @classmethod
-    def from_strings(cls, parts: Sequence[str]) -> Scalar:
-        """Inverse of to_strings: four 'p/d' (or 'p') strings."""
-        if len(parts) != 4:
-            raise ValueError("Scalar needs exactly 4 coefficient strings")
-        return cls(tuple(Fraction(p.strip()) for p in parts))
-
     # -- views --------------------------------------------------------
 
     @property
@@ -136,10 +124,6 @@ class Scalar:
         """The four integer numerators and the positive common denominator,
         in lowest terms (the inverse of `from_integers`)."""
         return self._n, self._d
-
-    def to_strings(self) -> tuple[str, str, str, str]:
-        """Serialize as four 'p/d' strings, denominator always shown."""
-        return tuple(f"{c.numerator}/{c.denominator}" for c in self.coeffs)
 
     def is_zero(self) -> bool:
         return self._n == (0, 0, 0, 0)

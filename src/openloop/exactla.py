@@ -1,13 +1,15 @@
 """Exact linear algebra helpers over the cyclotomic field.
 
 The linear algebra shared by the character and groundstate modules:
-fraction-free (Bareiss) determinants of Scalar matrices; the fixed
-vector of a transfer matrix by Dixon's p-adic lifting, certified
-exactly; the reduced row echelon kernel, which decides the dimension
-where no prime has the generic rank and is the oracle the lifting is
-tested against; and univariate Laurent polynomials with Scalar
-coefficients, in which `newton_interpolate` and `laurent_fit` return
-the interpolated groundstate components.
+
+- one Gauss-Jordan pass over Q(zeta12), behind `det` and the reduced
+  row echelon `kernel_basis`, which decides the dimension where no
+  prime has the generic rank and is the oracle the lifting is tested
+  against;
+- one Gaussian elimination mod p, behind Dixon's p-adic lifting of the
+  fixed vector of a transfer matrix, certified exactly;
+- the Laurent fits `newton_interpolate` and `laurent_fit`, which return
+  the interpolated groundstate components as `LaurentPoly` results.
 """
 
 from __future__ import annotations
@@ -37,26 +39,16 @@ def _scalar_size(x: Scalar) -> int:
 
 
 class LaurentPoly:
-    """Laurent polynomial in one variable over Q(zeta12)."""
+    """Laurent polynomial in one variable over Q(zeta12), as a fitted
+    result: coefficients by exponent, read and evaluated, never combined."""
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: dict[int, Scalar] | None = None):
         self._c = {e: c for e, c in (coeffs or {}).items() if not c.is_zero()}
 
-    @classmethod
-    def from_scalar(cls, s: Scalar) -> LaurentPoly:
-        return cls({0: s})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: Scalar = ONE) -> LaurentPoly:
-        return cls({exp: coeff})
-
     def is_zero(self) -> bool:
         return not self._c
-
-    def support(self) -> list[int]:
-        return sorted(self._c)
 
     @property
     def min_exp(self) -> int:
@@ -69,26 +61,6 @@ class LaurentPoly:
     def coeff(self, exp: int) -> Scalar:
         return self._c.get(exp, ZERO)
 
-    def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, ZERO) + v
-        return LaurentPoly(c)
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly({e: -v for e, v in self._c.items()})
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + (-other)
-
-    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        c: dict[int, Scalar] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                c[e] = c.get(e, ZERO) + v1 * v2
-        return LaurentPoly(c)
-
     def eval_at(self, x: Scalar) -> Scalar:
         total = ZERO
         for e, v in self._c.items():
@@ -98,9 +70,6 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self._c == other._c
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "LaurentPoly(0)"
@@ -108,53 +77,29 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
 
-def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Fraction-free determinant (Bareiss) with size-biased pivoting;
-    every interior division is exact by the Sylvester identity."""
-    n = len(rows)
-    if n == 0:
-        return ONE
-    m = [list(r) for r in rows]
-    if any(len(r) != n for r in m):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        cands = [i for i in range(k, n) if not m[i][k].is_zero()]
-        if not cands:
-            return ZERO
-        piv = min(cands, key=lambda i: _scalar_size(m[i][k]))
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = ZERO
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    if sign < 0:
-        result = -result
-    return result
-
-
-def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
-    """Basis of the right kernel of a Scalar matrix, via exact RREF.
+def _gauss_jordan(rows: Sequence[Sequence[Scalar]], ncols: int):
+    """Gauss-Jordan elimination of a Scalar matrix over Q(zeta12).
 
     Pivots are chosen smallest-first (by coefficient bit size) to tame
-    intermediate growth.  The returned vectors have a 1 in their free
-    column and are otherwise supported on pivot columns.
+    intermediate growth, and the pass stops once every row has a pivot.
+    Returns the reduced rows, the (row, column) pivots, and the product
+    of the pivots, each taken before its row is scaled to 1 and negated
+    at every row swap: the determinant of a square matrix of full rank.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    rank = 0
+    pivots: list[tuple[int, int]] = []
+    factor = ONE
     for col in range(ncols):
+        rank = len(pivots)
         cands = [i for i in range(rank, nrows) if not m[i][col].is_zero()]
         if not cands:
             continue
         piv = min(cands, key=lambda i: _scalar_size(m[i][col]))
-        m[rank], m[piv] = m[piv], m[rank]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            factor = -factor
+        factor = factor * m[rank][col]
         inv = m[rank][col].inv()
         m[rank] = [v * inv for v in m[rank]]
         for i in range(nrows):
@@ -163,9 +108,29 @@ def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scal
                 row_i, row_p = m[i], m[rank]
                 m[i] = [a - f * b for a, b in zip(row_i, row_p)]
         pivots.append((rank, col))
-        rank += 1
-        if rank == nrows:
+        if rank + 1 == nrows:
             break
+    return m, pivots, factor
+
+
+def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Determinant of a square Scalar matrix: the pivot product of one
+    `_gauss_jordan` pass, or zero when some column has no pivot."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant needs a square matrix")
+    _, pivots, factor = _gauss_jordan(rows, n)
+    return factor if len(pivots) == n else ZERO
+
+
+def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
+    """Basis of the right kernel of a Scalar matrix, read off the reduced
+    rows of one `_gauss_jordan` pass.
+
+    The returned vectors have a 1 in their free column and are otherwise
+    supported on pivot columns.
+    """
+    m, pivots, _ = _gauss_jordan(rows, ncols)
     pivot_cols = {c for _, c in pivots}
     basis = []
     for free in range(ncols):
@@ -413,12 +378,13 @@ def newton_interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> LaurentPol
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = LaurentPoly.from_scalar(coef[n - 1])
-    x = LaurentPoly.monomial(1)
+    # Horner on the Newton form: poly <- poly * (t - xs[k]) + coef[k],
+    # with poly[e] the coefficient of t^e.
+    poly = [coef[n - 1]]
     for k in range(n - 2, -1, -1):
-        shifted = x - LaurentPoly.from_scalar(xs[k])
-        poly = poly * shifted + LaurentPoly.from_scalar(coef[k])
-    return poly
+        x = xs[k]
+        poly = [coef[k] - x * poly[0]] + [a - x * b for a, b in zip(poly, poly[1:] + [ZERO])]
+    return LaurentPoly(dict(enumerate(poly)))
 
 
 def laurent_fit(
@@ -434,4 +400,4 @@ def laurent_fit(
         raise ValueError(f"need exactly {width} samples for this exponent window")
     lifted = [y * x ** (-min_exp) for x, y in zip(xs, ys)]
     poly = newton_interpolate(xs, lifted)
-    return LaurentPoly({e + min_exp: poly.coeff(e) for e in poly.support()})
+    return LaurentPoly({e + min_exp: c for e, c in poly._c.items()})

@@ -37,7 +37,6 @@ from typing import Callable, Iterable, Sequence
 from .chars import character_auto, lambda_partition, z_product
 from .errors import (
     ConsistencyError,
-    ConventionError,
     DegreeBoundError,
     NonGenericPointError,
     SingularParameterError,
@@ -247,12 +246,12 @@ def solve(
     prime has that rank, the exact elimination decides, and a fixed
     space that is not one-dimensional raises NonGenericPointError.  With
     check_w the vector is re-verified against T at an independently
-    shifted auxiliary parameter, which must fix it too.  The scale is
-    then pinned to the first available closed-form anchor (all_open,
-    then all_close, then the component sum), falling back to the raw
-    scale (last nonzero component 1) when every anchor vanishes; an
-    explicitly requested anchor that vanishes raises
-    NonGenericPointError instead.
+    shifted auxiliary parameter, which must fix it too, or
+    ConsistencyError is raised.  The scale is then pinned to the first
+    available closed-form anchor (all_open, then all_close, then the
+    component sum), falling back to the raw scale (last nonzero
+    component 1) when every anchor vanishes; an explicitly requested
+    anchor that vanishes raises NonGenericPointError instead.
     """
     if pt.length > SOLVE_CAP:
         raise ValueError(f"refusing exact solve beyond L = SOLVE_CAP = {SOLVE_CAP}")
@@ -260,7 +259,7 @@ def solve(
     if check_w:
         second = _generic_w(pt, [pt.w + Scalar.from_rational(d) for d in (2, 3, 5, 7, 11)])
         if transfer_apply(vec, second) != vec:
-            raise ConventionError(
+            raise ConsistencyError(
                 "fixed vector is not independent of the auxiliary parameter"
             )
     name, comps = _normalize(pt, vec, normalization)
@@ -411,7 +410,6 @@ def check_hamiltonian(length: int, zeta1: Scalar, zeta2: Scalar) -> bool:
 def interpolate_all(
     var_index: int,
     pt: SpectralPoint,
-    sample_count: int | None = None,
     rng: random.Random | None = None,
 ) -> dict[str, LaurentPoly]:
     """Every component as an exact Laurent polynomial in z_{var_index}^2.
@@ -419,7 +417,7 @@ def interpolate_all(
     The top degree of any component in each z_i^2 is 2L - 1 and the
     Weyl-orbit structure allows the mirrored negative exponents, so the
     support window is [-(2L-1), 2L-1]: 4L - 1 samples determine the
-    polynomial and every further sample is holdout verification.
+    polynomial and two more are holdout verification.
     Raises DegreeBoundError if a holdout sample disagrees with a fit,
     i.e. if some true degree exceeds the window.  One solve per sample
     covers all 2^L components at once.
@@ -428,15 +426,11 @@ def interpolate_all(
     if not 1 <= var_index <= length:
         raise ValueError(f"variable index {var_index} out of range 1..{length}")
     width = 4 * length - 1
-    if sample_count is None:
-        sample_count = width + 2
-    if sample_count < width:
-        raise ValueError(f"need at least {width} samples for the degree window")
     rng = rng if rng is not None else random.Random(23)
     avoid: list[Fraction] = []
     xs: list[Scalar] = []
     cols: list[tuple[Scalar, ...]] = []
-    while len(xs) < sample_count:
+    while len(xs) < width + 2:
         (cand,) = generic_parameters(rng, 1, avoid=avoid)
         avoid.append(cand.rational_value())
         try:

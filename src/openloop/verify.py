@@ -46,17 +46,6 @@ from .transfer import (
 
 __all__ = ["SUITE_NAMES", "run_suite"]
 
-SUITE_NAMES = (
-    "algebra",
-    "local",
-    "transfer",
-    "qkz",
-    "recursion",
-    "sumrule",
-    "degree",
-    "all",
-)
-
 Report = list[tuple[str, bool]]
 Rows = Iterator[tuple[str, list[bool]]]
 
@@ -224,28 +213,20 @@ def suite_degree(length: int, trials: int, rng: random.Random) -> Rows:
     yield "vanishing without a small link at z_{i+1} = q z_i", verdicts[1:-1]
 
 
-# Smallest L at which each suite's identities exist: the local braid
-# exchange needs three sites, the recursion suite a bulk pair, and the
-# wall and bulk relations at least one site; the sum rule holds at L = 0.
-_MIN_LENGTH = {
-    "algebra": 1,
-    "local": 3,
-    "transfer": 1,
-    "qkz": 1,
-    "recursion": 2,
-    "sumrule": 0,
-    "degree": 1,
+# Each suite with the smallest L at which its identities exist: the local
+# braid exchange needs three sites, the recursion suite a bulk pair, and
+# the wall and bulk relations at least one site; the sum rule holds at L = 0.
+_SUITES: dict[str, tuple[Callable[[int, int, random.Random], Rows], int]] = {
+    "algebra": (suite_algebra, 1),
+    "local": (suite_local, 3),
+    "transfer": (suite_transfer, 1),
+    "qkz": (suite_qkz, 1),
+    "recursion": (suite_recursion, 2),
+    "sumrule": (suite_sumrule, 0),
+    "degree": (suite_degree, 1),
 }
 
-_SUITES: dict[str, Callable[[int, int, random.Random], Rows]] = {
-    "algebra": suite_algebra,
-    "local": suite_local,
-    "transfer": suite_transfer,
-    "qkz": suite_qkz,
-    "recursion": suite_recursion,
-    "sumrule": suite_sumrule,
-    "degree": suite_degree,
-}
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str, length: int, trials: int, seed: int) -> Report:
@@ -258,18 +239,18 @@ def run_suite(name: str, length: int, trials: int, seed: int) -> Report:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; options: {', '.join(SUITE_NAMES)}")
-    needed = max(_MIN_LENGTH.values()) if name == "all" else _MIN_LENGTH[name]
+    needed = max(n for _, n in _SUITES.values()) if name == "all" else _SUITES[name][1]
     if length < needed:
         raise ValueError(f"{name} suite needs L >= {needed}, got L = {length}")
     if length > SOLVE_CAP:
         raise ValueError(f"suites run up to L = SOLVE_CAP = {SOLVE_CAP}, got L = {length}")
     if name == "all":
         report: Report = []
-        for sub in SUITE_NAMES[:-1]:
+        for sub in _SUITES:
             for label, ok in run_suite(sub, length, trials, seed):
                 report.append((f"{sub}: {label}", ok))
         return report
     merged: dict[str, list[bool]] = {}
-    for label, verdicts in _SUITES[name](length, trials, random.Random(seed)):
+    for label, verdicts in _SUITES[name][0](length, trials, random.Random(seed)):
         merged.setdefault(label, []).extend(verdicts)
     return [(label, all(verdicts)) for label, verdicts in merged.items() if verdicts]

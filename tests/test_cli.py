@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from openloop import Scalar, closed_form_all_open
+from openloop import ConsistencyError, Scalar, SpectralPoint, closed_form_all_open, groundstate
 from openloop.chars import symplectic_character
 from openloop.cli import main, parse_scalar
 from openloop.verify import SUITE_NAMES
@@ -89,6 +89,17 @@ def test_degenerate_w_exits_two(capsys):
     code, out, err = run_cli(capsys, "solve", "--L", "1", "--z", "2", "--w", "1")
     assert code == 2
     assert "dimension" in err
+
+
+def test_w_dependent_fixed_vector_exits_two(capsys, monkeypatch):
+    # A second T(w) that does not fix the vector fails the cross-check.
+    monkeypatch.setattr(groundstate, "transfer_apply", lambda vec, pt: [x + x for x in vec])
+    code, out, err = run_cli(capsys, "solve", "--L", "1", "--z", "2", "--w", "5/2")
+    assert code == 2
+    assert err == "error: fixed vector is not independent of the auxiliary parameter\n"
+    two, three, five = (Scalar.from_rational(k) for k in (2, 3, 5))
+    with pytest.raises(ConsistencyError):
+        groundstate.solve(SpectralPoint((two,), two, three, five))
 
 
 def test_boundary_pole_exits_three(capsys):

@@ -86,13 +86,6 @@ def test_ring_operations_match_coefficientwise_fractions():
     assert (x - x).is_zero() and x - x == ZERO and hash(x - x) == hash(ZERO)
 
 
-def test_string_roundtrip():
-    x = ZETA**5 + Scalar.from_rational(Fraction(-3, 7))
-    parts = x.to_strings()
-    assert all(isinstance(p, str) for p in parts)
-    assert Scalar.from_strings(parts) == x
-
-
 def test_hash_consistency():
     a = Scalar((1, 0, 2, 0))
     b = Scalar((Fraction(1), Fraction(0), Fraction(2), Fraction(0)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -60,6 +61,44 @@ def test_det_multiplicative():
         for i in range(n)
     ]
     assert det(ab) == det(a) * det(b)
+
+
+def _leibniz(m) -> Scalar:
+    n = len(m)
+    total = ZERO
+    for perm in permutations(range(n)):
+        term = ONE
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_det_matches_the_leibniz_expansion(n):
+    rng = Random(40 + n)
+    for _ in range(3):
+        m = [
+            [ZERO if rng.random() < 0.3 else _rand_scalar(rng) for _ in range(n)]
+            for _ in range(n)
+        ]
+        col = rng.randrange(n)
+        variants = {
+            "random": m,
+            "repeated row": m[:-1] + [m[0]],
+            "zero column": [[ZERO if j == col else x for j, x in enumerate(r)] for r in m],
+        }
+        for name, rows in variants.items():
+            # Shuffled, then rows with a zero first entry on top, so that
+            # the first pivot comes from a swapped row.
+            rows = rng.sample(rows, n)
+            rows.sort(key=lambda r: not r[0].is_zero())
+            value = det(rows)
+            assert value == _leibniz(rows), name
+            # det and kernel_basis share one elimination: singular exactly
+            # when the kernel is nontrivial.
+            assert value.is_zero() == bool(kernel_basis(rows, n)), name
 
 
 def test_kernel_of_full_rank_matrix_is_empty():
@@ -185,15 +224,15 @@ def test_fixed_vector_scales_its_last_nonzero_entry_to_one():
     assert fixed_vector(tmat) == [p.inv(), ONE] == _kernel_oracle(tmat)
 
 
-def test_laurent_poly_arithmetic():
-    t = LaurentPoly.monomial(1)
-    p = t * t - LaurentPoly.from_scalar(ONE)
-    assert p.support() == [0, 2]
-    assert p.coeff(0) == -ONE and p.coeff(2) == ONE
-    assert p.eval_at(Scalar.from_rational(3)) == Scalar.from_rational(8)
-    assert p.eval_at(ONE).is_zero()
-    assert (p - p).is_zero()
-    assert p.min_exp == 0 and p.max_exp == 2
+def test_laurent_poly_accessors():
+    p = LaurentPoly({-1: ZETA, 0: ZERO, 2: -ONE})
+    assert p.coeff(-1) == ZETA and p.coeff(2) == -ONE
+    assert p.coeff(0) == ZERO and p.coeff(1) == ZERO
+    three = Scalar.from_rational(3)
+    assert p.eval_at(three) == ZETA / three - three * three
+    assert p.min_exp == -1 and p.max_exp == 2
+    assert not p.is_zero() and p == LaurentPoly({-1: ZETA, 2: -ONE})
+    assert LaurentPoly({0: ZERO}).is_zero()
 
 
 def test_newton_interpolation_recovers_polynomial():
@@ -211,6 +250,16 @@ def test_laurent_fit_with_negative_exponents():
     fitted = laurent_fit(xs, ys, -2, 1)
     assert fitted == target
     holdout = Scalar.from_rational(Fraction(11, 3))
+    assert fitted.eval_at(holdout) == target.eval_at(holdout)
+
+
+def test_laurent_fit_at_field_valued_points():
+    target = LaurentPoly({-1: ONE + ZETA, 0: IMAG, 2: Scalar.from_rational(Fraction(-3, 5))})
+    xs = [ZETA + Scalar.from_rational(k) for k in (1, 2, 3, 4)]
+    ys = [target.eval_at(x) for x in xs]
+    fitted = laurent_fit(xs, ys, -1, 2)
+    assert fitted == target
+    holdout = ZETA * 2 - IMAG
     assert fitted.eval_at(holdout) == target.eval_at(holdout)
 
 

@@ -59,7 +59,7 @@ def test_run_suite_merges_trials_and_drops_empty_rows(monkeypatch):
             yield "no instance", []
             yield "first instance in the second trial", [True] * trial
 
-    monkeypatch.setitem(verify._SUITES, "algebra", rows)
+    monkeypatch.setitem(verify._SUITES, "algebra", (rows, 1))
     assert run_suite("algebra", 1, 2, seed=0) == [
         ("every trial", True),
         ("fails in the second trial", False),
