@@ -141,28 +141,26 @@ def _emit(text: str, path: str | None) -> None:
         raise _CliError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def cmd_solve(args) -> int:
-    pt = _build_point(args)
-    gs = solve(pt)
-    out = _groundstate_csv(gs) if args.format == "csv" else _groundstate_json(gs)
-    _emit(out, args.output)
-    total = sum_components(gs)
-    product = z_product(pt)
+def _print_sum_rule(gs: GroundstateVector) -> bool:
+    """Print the component sum and the character product; whether they agree."""
+    total, product = sum_components(gs), z_product(gs.point)
     print(f"component sum      = {fmt_scalar(total)}")
     print(f"character product  = {fmt_scalar(product)}")
+    return total == product
+
+
+def cmd_solve(args) -> int:
+    gs = solve(_build_point(args))
+    out = _groundstate_csv(gs) if args.format == "csv" else _groundstate_json(gs)
+    _emit(out, args.output)
+    _print_sum_rule(gs)
     if gs.normalization == "raw":
         print("warning: every closed-form anchor vanished; raw normalization")
     return 0
 
 
 def cmd_sumrule(args) -> int:
-    pt = _build_point(args)
-    gs = solve(pt)
-    total = sum_components(gs)
-    product = z_product(pt)
-    print(f"component sum      = {fmt_scalar(total)}")
-    print(f"character product  = {fmt_scalar(product)}")
-    if total != product:
+    if not _print_sum_rule(solve(_build_point(args))):
         print("sum rule FAILED")
         return 1
     print("sum rule holds")
@@ -198,7 +196,7 @@ def cmd_character(args) -> int:
     try:
         value = character_auto(lam, points)
         if not args.confluent and _collides(points):
-            raise ConfluentPointError("character arguments collide; use character_auto")
+            raise ConfluentPointError("character arguments collide")
     except ConfluentPointError as exc:
         print(f"error: {exc}; re-run with --confluent", file=sys.stderr)
         return 2

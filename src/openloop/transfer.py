@@ -18,12 +18,12 @@ the exact L = 1, 2 groundstates), in the order the strand meets them:
     left wall:                   face_weights_K0(1 / w, zeta_1).
 
 All contractions go through one frontier sweep, `_sweep`, which
-applies the tiles in that order to weighted partial states, site j's
-strand end staying in slot j, and merges states of equal connectivity.
-`transfer_matrix` seeds it with one pattern per column and
-`transfer_apply` with the whole vector at once.  `transfer_matrix_naive`
-expands the full 2^(2L+2) sum of planar fillings by explicit path
-tracing, independently of the sweep, as its oracle.
+applies the tiles in that order to a batch of sparse vectors: each
+partial state (site j's strand end in slot j) carries one amplitude per
+vector, and states of equal connectivity merge across patterns and
+vectors.  `transfer_matrix` sweeps the basis, `transfer_apply` one
+vector.  `transfer_matrix_naive` expands the 2^(2L+2) planar fillings
+by explicit path tracing, independently of the sweep, as its oracle.
 
 The exchange, reflection and recursion relations are indexed by a site
 i = 0..L: 0 is the left wall, 1..L-1 the bulk and L the right wall.
@@ -55,6 +55,7 @@ from .linkpat import (
     LEFT_WALL,
     RIGHT_WALL,
     SparseOperator,
+    all_patterns,
     closure,
     connect,
     cup_cap,
@@ -230,11 +231,11 @@ _AUX = -2
 
 def _branch(states: dict, slot, fw) -> dict:
     """Apply one tile, id_weight * 1 + cup_weight * e, to every partial
-    state: at a site the identity crosses its strand with the auxiliary
-    one, at a wall it leaves the state alone."""
+    state's {column: amplitude}: at a site the identity crosses its
+    strand with the auxiliary one, at a wall it leaves the state alone."""
     site = isinstance(slot, int)
     out: dict = {}
-    for key, amp in states.items():
+    for key, amps in states.items():
         for is_e, wgt in enumerate((fw.id_weight, fw.cup_weight)):
             if wgt.is_zero():
                 continue
@@ -248,62 +249,59 @@ def _branch(states: dict, slot, fw) -> dict:
                 k = freeze(st)
             else:
                 k = key
-            acc = out.get(k)
-            out[k] = amp * wgt if acc is None else acc + amp * wgt
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            acc = out.setdefault(k, {})
+            for col, amp in amps.items():
+                prev = acc.get(col)
+                acc[col] = amp * wgt if prev is None else prev + amp * wgt
+    return {k: kept for k, amps in out.items() if (kept := _nonzero(amps))}
 
 
-def _seed(word: str) -> tuple:
-    """Frozen frontier state of one input pattern plus the auxiliary strand."""
-    st = seed(word)
-    new_pair(st, _K0B, _AUX)
-    return freeze(st)
+def _nonzero(amps: dict) -> dict:
+    return {k: v for k, v in amps.items() if not v.is_zero()}
 
 
-def _sweep(states: dict, length: int, tiles) -> dict[int, Scalar]:
-    """Carry seeded frontier states through the tiles; {row: amplitude}.
+def _sweep(pt: SpectralPoint, vectors: Sequence[dict[str, Scalar]]) -> list[dict[int, Scalar]]:
+    """T(pt) applied to each sparse vector {pattern: coefficient}, as one
+    sparse column {row: coefficient} per vector, in a single pass.
 
-    States seeded from different patterns merge as soon as their
-    connectivities agree.  After the last tile the auxiliary strand
-    closes on itself and the sites read the row.
+    Each frontier state carries one amplitude per vector, so states of
+    equal connectivity merge across patterns and vectors alike.  After
+    the last tile the auxiliary strand closes on itself and the sites
+    read the row.
     """
-    for slot, fw in tiles:
+    states: dict = {}
+    for col, vec in enumerate(vectors):
+        for word, x in vec.items():
+            st = seed(word)
+            new_pair(st, _K0B, _AUX)
+            states.setdefault(freeze(st), {})[col] = x
+    for slot, fw in _tile_weights(pt):
         states = _branch(states, slot, fw)
-    column: dict[int, Scalar] = {}
-    for key, amp in states.items():
+    columns: list[dict[int, Scalar]] = [{} for _ in vectors]
+    for key, amps in states.items():
         st = dict(key)
         connect(st, _K0B, _AUX)
-        idx = index_of(read_word(st, range(1, length + 1)))
-        acc = column.get(idx)
-        column[idx] = amp if acc is None else acc + amp
-    return {r: v for r, v in column.items() if not v.is_zero()}
-
-
-def _column(word: str, tiles) -> dict[int, Scalar]:
-    """One column of T: the sweep of a single seeded pattern."""
-    return _sweep({_seed(word): ONE}, len(word), tiles)
+        row = index_of(read_word(st, range(1, pt.length + 1)))
+        for col, amp in amps.items():
+            prev = columns[col].get(row)
+            columns[col][row] = amp if prev is None else prev + amp
+    return [_nonzero(column) for column in columns]
 
 
 def transfer_matrix(pt: SpectralPoint) -> SparseOperator:
-    """T at pt as a 2^L by 2^L operator (one frontier sweep per column)."""
-    tiles = _tile_weights(pt)
-    length = pt.length
-    cols = [_column(word_of(idx, length), tiles) for idx in range(1 << length)]
-    return SparseOperator(1 << length, cols)
+    """T at pt as a 2^L by 2^L operator: one sweep of every basis pattern."""
+    basis = [{word: ONE} for word in all_patterns(pt.length)]
+    return SparseOperator(1 << pt.length, _sweep(pt, basis))
 
 
 def transfer_apply(vec: Sequence[Scalar], pt: SpectralPoint) -> list[Scalar]:
     """T(pt) applied to a coefficient vector in the pattern basis, in one
     sweep seeded with every nonzero component."""
-    tiles = _tile_weights(pt)
-    length = pt.length
-    if len(vec) != 1 << length:
+    if len(vec) != 1 << pt.length:
         raise ValueError("vector length mismatch")
-    seeded = {
-        _seed(word_of(idx, length)): x for idx, x in enumerate(vec) if not x.is_zero()
-    }
-    out = [ZERO] * (1 << length)
-    for r, v in _sweep(seeded, length, tiles).items():
+    seeded = {word_of(idx, pt.length): x for idx, x in enumerate(vec) if not x.is_zero()}
+    out = [ZERO] * len(vec)
+    for r, v in _sweep(pt, [seeded])[0].items():
         out[r] = v
     return out
 
@@ -420,19 +418,12 @@ def check_interlace(pt: SpectralPoint, tmat: SparseOperator) -> list[bool]:
 
 
 def _check_embedding(pt: SpectralPoint, reduced: SpectralPoint, embed) -> bool:
-    """T(pt) o embed = embed o T(reduced), compared one basis column at a time."""
-    tiles_big = _tile_weights(pt)
-    tiles_small = _tile_weights(reduced)
-    small_length = reduced.length
-    for idx in range(1 << small_length):
-        small = word_of(idx, small_length)
-        rhs = {
-            index_of(embed(word_of(r, small_length))): v
-            for r, v in _column(small, tiles_small).items()
-        }
-        if _column(embed(small), tiles_big) != rhs:
-            return False
-    return True
+    """T(pt) o embed = embed o T(reduced): one sweep of the embedded basis
+    at pt against one sweep of the whole basis at the reduced point."""
+    basis = list(all_patterns(reduced.length))
+    lhs = _sweep(pt, [{embed(word): ONE} for word in basis])
+    rhs = _sweep(reduced, [{word: ONE} for word in basis])
+    return lhs == [{index_of(embed(basis[r])): v for r, v in col.items()} for col in rhs]
 
 
 def check_T_recursion(pt: SpectralPoint) -> list[bool]:

@@ -148,7 +148,7 @@ def test_character_generic_output_matches_the_weyl_ratio(capsys):
 def test_character_colliding_points_need_the_flag(capsys):
     code, out, err = run_cli(capsys, "character", "--lambda", "1,0", "--points", "2,1/2")
     assert (code, out) == (2, "")
-    assert err == "error: character arguments collide; use character_auto; re-run with --confluent\n"
+    assert err == "error: character arguments collide; re-run with --confluent\n"
     code, out, err = run_cli(
         capsys, "character", "--lambda", "1,0", "--points", "2,1/2", "--confluent"
     )

@@ -12,6 +12,8 @@ from openloop import (
     ONE,
     Q,
     IMAG,
+    ZERO,
+    ZETA,
     NonGenericPointError,
     Scalar,
     SpectralPoint,
@@ -26,7 +28,7 @@ from openloop import (
     transfer_matrix_naive,
 )
 from openloop.groundstate import generic_parameters, recursion_factor, solve
-from openloop.transfer import assert_generic
+from openloop.transfer import _check_embedding, assert_generic
 
 from helpers import draw_point, rational
 
@@ -52,22 +54,30 @@ def test_spectral_point_surgery():
 
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 4])
 def test_threaded_matches_naive(length):
+    # Also at s = i and at a field-valued zeta_1 = 2 + zeta.
     rng = Random(100 + length)
     pt = draw_point(rng, length)
-    assert transfer_matrix(pt) == transfer_matrix_naive(pt)
+    for variant in (pt, replace(pt, s=IMAG), replace(pt, zeta1=rational(2) + ZETA)):
+        assert transfer_matrix(variant) == transfer_matrix_naive(variant)
 
 
 def test_seeded_apply_matches_matrix_apply():
-    # One sweep seeded with the whole vector equals the column-by-column
-    # matrix, and the naive oracle where it is affordable.  Zero entries
-    # exercise the skipped seeds.
+    # One sweep seeded with the whole vector equals the matrix built by
+    # the sweep of the whole basis, and the naive oracle where it is
+    # affordable.  Zero entries exercise the skipped seeds: the zero
+    # vector skips every seed, and a one-hot vector reads one column.
     for length in range(6):
         pt = draw_point(Random(71 + length), length)
-        vec = [Scalar.from_rational(k % 3 - 1 + k % 5) for k in range(1 << length)]
-        applied = transfer_apply(vec, pt)
-        assert applied == transfer_matrix(pt).apply(vec)
-        if length <= NAIVE_CAP:
-            assert applied == transfer_matrix_naive(pt).apply(vec)
+        dim = 1 << length
+        tmat = transfer_matrix(pt)
+        naive = transfer_matrix_naive(pt) if length <= NAIVE_CAP else tmat
+        for vec in (
+            [Scalar.from_rational(k % 3 - 1 + k % 5) for k in range(dim)],
+            [ZERO] * dim,
+            [ONE if k == dim // 2 else ZERO for k in range(dim)],
+        ):
+            applied = transfer_apply(vec, pt)
+            assert applied == tmat.apply(vec) == naive.apply(vec)
     with pytest.raises(ValueError):
         transfer_apply(vec + [ONE], pt)
 
@@ -118,6 +128,10 @@ def test_transfer_recursion_boundaries():
     pt = draw_point(rng, 3)
     left, *_, right = check_T_recursion(pt)
     assert left and right
+    # Unspecialised, the two sweeps differ: the comparison can fail.
+    for i in (0, 1, 3):
+        _, reduced, embed = reduction(pt, i)
+        assert not _check_embedding(pt, reduced, embed)
 
 
 def test_index_tables_reject_out_of_range():
