@@ -17,13 +17,18 @@ the exact L = 1, 2 groundstates), in the order the strand meets them:
     top row, site j = L..1:      face_weights_R(z_j w, 1),
     left wall:                   face_weights_K0(1 / w, zeta_1).
 
-All contractions go through one frontier sweep, `_sweep`, which
-applies the tiles in that order to a batch of sparse vectors: each
-partial state (site j's strand end in slot j) carries one amplitude per
-vector, and states of equal connectivity merge across patterns and
-vectors.  `transfer_matrix` sweeps the basis, `transfer_apply` one
-vector.  `transfer_matrix_naive` expands the 2^(2L+2) planar fillings
-by explicit path tracing, independently of the sweep, as its oracle.
+No tile reads s, so T does not depend on it: s enters only through
+`pi_point` and `exchange_coefficients`.  All contractions go through
+one frontier sweep, `_sweep`, which applies the tiles in that order to
+a batch of sparse vectors: each partial state (site j's strand end in
+slot j) carries one amplitude per vector, and states of equal
+connectivity merge across patterns and vectors.  Amplitudes are Z[zeta]
+numerators; each tile's two weights share one integer denominator,
+kept outside the sweep, so a tile product takes no gcd and each entry
+of the result takes one.  `transfer_matrix` sweeps the basis,
+`transfer_apply` one vector.  `transfer_matrix_naive` expands the
+2^(2L+2) planar fillings by explicit path tracing, independently of
+the sweep, as its oracle.
 
 The exchange, reflection and recursion relations are indexed by a site
 i = 0..L: 0 is the left wall, 1..L-1 the bulk and L the right wall.
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .baxter import (
@@ -229,16 +235,15 @@ _K0B = -1
 _AUX = -2
 
 
-def _branch(states: dict, slot, fw) -> dict:
+def _branch(states: dict, slot, weights) -> dict:
     """Apply one tile, id_weight * 1 + cup_weight * e, to every partial
-    state's {column: amplitude}: at a site the identity crosses its
-    strand with the auxiliary one, at a wall it leaves the state alone."""
+    state's {column: amplitude}: at a site the 1 crosses its strand with
+    the auxiliary one, at a wall it does nothing.  Amplitudes and nonzero
+    (is_e, weight) pairs are Z[zeta] numerators: 4-tuples of ints."""
     site = isinstance(slot, int)
     out: dict = {}
     for key, amps in states.items():
-        for is_e, wgt in enumerate((fw.id_weight, fw.cup_weight)):
-            if wgt.is_zero():
-                continue
+        for is_e, (b0, b1, b2, b3) in weights:
             if site:
                 st = dict(key)
                 (cup_cap if is_e else swap)(st, slot, _AUX)
@@ -250,42 +255,65 @@ def _branch(states: dict, slot, fw) -> dict:
             else:
                 k = key
             acc = out.setdefault(k, {})
-            for col, amp in amps.items():
+            for col, (a0, a1, a2, a3) in amps.items():
+                # The product of Scalar.__mul__, reduced by zeta^4 = zeta^2 - 1.
+                t4 = a1 * b3 + a2 * b2 + a3 * b1
+                t5 = a2 * b3 + a3 * b2
+                p0 = a0 * b0 - t4 - a3 * b3
+                p1 = a0 * b1 + a1 * b0 - t5
+                p2 = a0 * b2 + a1 * b1 + a2 * b0 + t4
+                p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
+                # Z[zeta] has no zero divisors: only a sum can cancel.
                 prev = acc.get(col)
-                acc[col] = amp * wgt if prev is None else prev + amp * wgt
-    return {k: kept for k, amps in out.items() if (kept := _nonzero(amps))}
+                if prev is None:
+                    acc[col] = (p0, p1, p2, p3)
+                elif any(q := (prev[0] + p0, prev[1] + p1, prev[2] + p2, prev[3] + p3)):
+                    acc[col] = q
+                else:
+                    del acc[col]
+    return out
 
 
-def _nonzero(amps: dict) -> dict:
-    return {k: v for k, v in amps.items() if not v.is_zero()}
+def _cleared(xs: Iterable[Scalar]) -> tuple[list[tuple[int, ...]], int]:
+    """The numerators of xs over their one positive lcm denominator."""
+    parts = [x.as_integers() for x in xs]
+    d = lcm(*(den for _, den in parts))
+    return [tuple(n * (d // den) for n in nums) for nums, den in parts], d
 
 
 def _sweep(pt: SpectralPoint, vectors: Sequence[dict[str, Scalar]]) -> list[dict[int, Scalar]]:
     """T(pt) applied to each sparse vector {pattern: coefficient}, as one
     sparse column {row: coefficient} per vector, in a single pass.
 
-    Each frontier state carries one amplitude per vector, so states of
-    equal connectivity merge across patterns and vectors alike.  After
-    the last tile the auxiliary strand closes on itself and the sites
-    read the row.
+    Vector v enters over its lcm denominator D_v and tile t multiplies
+    by numerators over its own d_t, so a final amplitude n stands for
+    n / (c D_v), c = prod d_t.  The auxiliary strand then closes on
+    itself, the sites read the row, and each nonzero entry takes a gcd.
     """
     states: dict = {}
-    for col, vec in enumerate(vectors):
-        for word, x in vec.items():
+    cleared = [_cleared(vec.values()) for vec in vectors]
+    for col, (vec, (nums, _)) in enumerate(zip(vectors, cleared)):
+        for word, n in zip(vec, nums):
             st = seed(word)
             new_pair(st, _K0B, _AUX)
-            states.setdefault(freeze(st), {})[col] = x
+            states.setdefault(freeze(st), {})[col] = n
+    c = 1
     for slot, fw in _tile_weights(pt):
-        states = _branch(states, slot, fw)
-    columns: list[dict[int, Scalar]] = [{} for _ in vectors]
+        nums, d = _cleared((fw.id_weight, fw.cup_weight))
+        c *= d
+        states = _branch(states, slot, [(is_e, n) for is_e, n in enumerate(nums) if any(n)])
+    sums: list[dict] = [{} for _ in vectors]
     for key, amps in states.items():
         st = dict(key)
         connect(st, _K0B, _AUX)
         row = index_of(read_word(st, range(1, pt.length + 1)))
-        for col, amp in amps.items():
-            prev = columns[col].get(row)
-            columns[col][row] = amp if prev is None else prev + amp
-    return [_nonzero(column) for column in columns]
+        for col, n in amps.items():
+            prev = sums[col].get(row)
+            sums[col][row] = n if prev is None else tuple(a + b for a, b in zip(prev, n))
+    return [
+        {r: Scalar.from_integers(n, c * dv) for r, n in col.items() if any(n)}
+        for col, (_, dv) in zip(sums, cleared)
+    ]
 
 
 def transfer_matrix(pt: SpectralPoint) -> SparseOperator:
@@ -300,10 +328,8 @@ def transfer_apply(vec: Sequence[Scalar], pt: SpectralPoint) -> list[Scalar]:
     if len(vec) != 1 << pt.length:
         raise ValueError("vector length mismatch")
     seeded = {word_of(idx, pt.length): x for idx, x in enumerate(vec) if not x.is_zero()}
-    out = [ZERO] * len(vec)
-    for r, v in _sweep(pt, [seeded])[0].items():
-        out[r] = v
-    return out
+    col = _sweep(pt, [seeded])[0]
+    return [col.get(r, ZERO) for r in range(len(vec))]
 
 
 # -- naive oracle ------------------------------------------------------

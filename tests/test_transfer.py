@@ -28,7 +28,7 @@ from openloop import (
     transfer_matrix_naive,
 )
 from openloop.groundstate import generic_parameters, recursion_factor, solve
-from openloop.transfer import _check_embedding, assert_generic
+from openloop.transfer import _check_embedding, _sweep, _tile_weights, assert_generic
 
 from helpers import draw_point, rational
 
@@ -54,7 +54,8 @@ def test_spectral_point_surgery():
 
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 4])
 def test_threaded_matches_naive(length):
-    # Also at s = i and at a field-valued zeta_1 = 2 + zeta.
+    # Also at a field-valued zeta_1 = 2 + zeta.  T does not depend on s,
+    # so the s = i variant checks the same T as pt itself.
     rng = Random(100 + length)
     pt = draw_point(rng, length)
     for variant in (pt, replace(pt, s=IMAG), replace(pt, zeta1=rational(2) + ZETA)):
@@ -66,7 +67,9 @@ def test_seeded_apply_matches_matrix_apply():
     # the sweep of the whole basis, and the naive oracle where it is
     # affordable.  Zero entries exercise the skipped seeds: the zero
     # vector skips every seed, and a one-hot vector reads one column.
-    for length in range(6):
+    # Entries (k+1)/7 + zeta/(k+2) differ in denominator and carry an odd
+    # power of zeta, so the integral sweep clears them to one denominator.
+    for length in range(7):
         pt = draw_point(Random(71 + length), length)
         dim = 1 << length
         tmat = transfer_matrix(pt)
@@ -75,11 +78,40 @@ def test_seeded_apply_matches_matrix_apply():
             [Scalar.from_rational(k % 3 - 1 + k % 5) for k in range(dim)],
             [ZERO] * dim,
             [ONE if k == dim // 2 else ZERO for k in range(dim)],
+            [rational(k + 1, 7) + ZETA / (k + 2) for k in range(dim)],
         ):
             applied = transfer_apply(vec, pt)
             assert applied == tmat.apply(vec) == naive.apply(vec)
     with pytest.raises(ValueError):
         transfer_apply(vec + [ONE], pt)
+
+
+def test_sweep_batch_with_different_denominators():
+    # Each vector of a batch keeps its own denominator through the sweep.
+    pt = draw_point(Random(127), 3)
+    u = {"()(": rational(1, 3), ")((": rational(2) + ZETA}
+    v = {"()(": ZETA / 5 - rational(1, 7), "(((": rational(3, 11)}
+    assert _sweep(pt, [u, v]) == _sweep(pt, [u]) + _sweep(pt, [v])
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_zero_tile_weight_matches_naive(length):
+    # w = z_1 zeroes the cup weight of the first bottom-row tile.
+    pt = draw_point(Random(131 + length), length)
+    pt = pt.with_w(pt.z[0])
+    assert _tile_weights(pt)[0][1].cup_weight.is_zero()
+    tmat = transfer_matrix(pt)
+    assert tmat == transfer_matrix_naive(pt)
+    assert tmat.column_sums() == [ONE] * (1 << length)
+
+
+def test_transfer_matrix_does_not_depend_on_s():
+    # No tile reads s; it enters only pi_point and exchange_coefficients.
+    for length in range(6):
+        pt = draw_point(Random(137 + length), length)
+        tmat = transfer_matrix(pt)
+        for s in fourth_roots()[1:]:
+            assert transfer_matrix(replace(pt, s=s)) == tmat
 
 
 def test_naive_cap_guard():
