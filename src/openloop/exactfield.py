@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "Scalar",
@@ -40,6 +40,7 @@ __all__ = [
     "fourth_roots",
     "bracket",
     "kfun",
+    "cleared",
 ]
 
 _RationalLike = Union[int, Fraction]
@@ -291,3 +292,10 @@ def kfun(z: Scalar, zeta: Scalar) -> Scalar:
     in both arguments and symmetric under zeta -> 1/zeta.
     """
     return bracket(z / (Q * zeta)) * bracket(z * zeta / Q)
+
+
+def cleared(xs: Iterable[Scalar]) -> tuple[list[tuple[int, int, int, int]], int]:
+    """The numerators of xs over their one positive lcm denominator."""
+    parts = [x.as_integers() for x in xs]
+    d = lcm(*(den for _, den in parts))
+    return [tuple(n * (d // den) for n in nums) for nums, den in parts], d

@@ -22,13 +22,14 @@ No tile reads s, so T does not depend on it: s enters only through
 one frontier sweep, `_sweep`, which applies the tiles in that order to
 a batch of sparse vectors: each partial state (site j's strand end in
 slot j) carries one amplitude per vector, and states of equal
-connectivity merge across patterns and vectors.  Amplitudes are Z[zeta]
-numerators; each tile's two weights share one integer denominator,
-kept outside the sweep, so a tile product takes no gcd and each entry
-of the result takes one.  `transfer_matrix` sweeps the basis,
-`transfer_apply` one vector.  `transfer_matrix_naive` expands the
-2^(2L+2) planar fillings by explicit path tracing, independently of
-the sweep, as its oracle.
+connectivity merge across patterns and vectors.  Where each state goes
+depends only on L, so `_plan` finds it once per L and a sweep only does
+arithmetic.  Amplitudes are Z[zeta] numerators; each tile's two weights
+share one integer denominator, kept outside the sweep, so a tile
+product takes no gcd and each entry of the result takes one.
+`transfer_matrix` sweeps the basis, `transfer_apply` one vector.
+`transfer_matrix_naive` expands the 2^(2L+2) planar fillings by
+explicit path tracing, independently of the sweep, as its oracle.
 
 The exchange, reflection and recursion relations are indexed by a site
 i = 0..L: 0 is the left wall, 1..L-1 the bulk and L the right wall.
@@ -44,8 +45,7 @@ groundstate counterparts return one verdict per index, left wall first.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
-from math import lcm
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 from .baxter import (
@@ -56,7 +56,7 @@ from .baxter import (
     k_coefficients,
     r_coefficients,
 )
-from .exactfield import ONE, Q, Scalar, ZERO
+from .exactfield import ONE, Q, Scalar, ZERO, cleared
 from .linkpat import (
     LEFT_WALL,
     RIGHT_WALL,
@@ -210,17 +210,23 @@ def reduction(
     return specialised, specialised.without_sites((i, i + 1)), partial(insert_link, i)
 
 
+def _slots(length: int) -> list:
+    """Site or wall of every tile, in the order the auxiliary strand meets
+    them: the bottom row left to right, the right wall, the top row right
+    to left, the left wall."""
+    sites = list(range(1, length + 1))
+    return sites + [RIGHT_WALL] + sites[::-1] + [LEFT_WALL]
+
+
 def _tile_weights(pt: SpectralPoint) -> list[tuple]:
-    """(site or wall, FaceWeights) of every tile, in the order the
-    auxiliary strand meets them: the bottom row left to right, the right
-    wall, the top row right to left, the left wall."""
-    sites = range(1, pt.length + 1)
-    return (
-        [(j, face_weights_R(pt.w, pt.z[j - 1])) for j in sites]
-        + [(RIGHT_WALL, face_weights_KL(pt.w, pt.zeta2))]
-        + [(j, face_weights_R(pt.z[j - 1] * pt.w, ONE)) for j in reversed(sites)]
-        + [(LEFT_WALL, face_weights_K0(pt.w.inv(), pt.zeta1))]
+    """(site or wall, FaceWeights) of every tile, in `_slots` order."""
+    weights = (
+        [face_weights_R(pt.w, z) for z in pt.z]
+        + [face_weights_KL(pt.w, pt.zeta2)]
+        + [face_weights_R(z * pt.w, ONE) for z in reversed(pt.z)]
+        + [face_weights_K0(pt.w.inv(), pt.zeta1)]
     )
+    return list(zip(_slots(pt.length), weights))
 
 
 def assert_generic(pt: SpectralPoint) -> None:
@@ -235,26 +241,53 @@ _K0B = -1
 _AUX = -2
 
 
-def _branch(states: dict, slot, weights) -> dict:
+@lru_cache(maxsize=None)
+def _plan(length: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]:
+    """Where the sweep at L = length takes each state; no weight enters.
+    Layer 0 holds the 2^L seeded patterns in `index_of` order.  Entry i
+    of each tile is the (crossing, e) pair of next-layer indices of state
+    i: at a site the crossing swaps its strand with the auxiliary one, at
+    a wall it does nothing.  Last, the row each final state reads once
+    the auxiliary strand closes."""
+    layer = []
+    for word in all_patterns(length):
+        st = seed(word)
+        new_pair(st, _K0B, _AUX)
+        layer.append(freeze(st))
+    tiles = []
+    for slot in _slots(length):
+        index: dict = {}
+        succ = []
+        for key in layer:
+            pair = []
+            for is_e in (False, True):
+                st = dict(key)
+                if isinstance(slot, int):
+                    (cup_cap if is_e else swap)(st, slot, _AUX)
+                elif is_e:
+                    wall_cap(st, _AUX, slot)
+                pair.append(index.setdefault(freeze(st), len(index)))
+            succ.append(tuple(pair))
+        tiles.append(tuple(succ))
+        layer = list(index)
+    rows = []
+    for key in layer:
+        st = dict(key)
+        connect(st, _K0B, _AUX)
+        rows.append(index_of(read_word(st, range(1, length + 1))))
+    return tuple(tiles), tuple(rows)
+
+
+def _branch(states: dict, succ: Sequence[tuple[int, int]], weights) -> dict:
     """Apply one tile, id_weight * 1 + cup_weight * e, to every partial
-    state's {column: amplitude}: at a site the 1 crosses its strand with
-    the auxiliary one, at a wall it does nothing.  Amplitudes and nonzero
-    (is_e, weight) pairs are Z[zeta] numerators: 4-tuples of ints."""
-    site = isinstance(slot, int)
+    state's {column: amplitude}, moving state i to succ[i][is_e] of the
+    `_plan`.  Amplitudes and nonzero (is_e, weight) pairs are Z[zeta]
+    numerators: 4-tuples of ints."""
     out: dict = {}
-    for key, amps in states.items():
+    for i, amps in states.items():
+        targets = succ[i]
         for is_e, (b0, b1, b2, b3) in weights:
-            if site:
-                st = dict(key)
-                (cup_cap if is_e else swap)(st, slot, _AUX)
-                k = freeze(st)
-            elif is_e:
-                st = dict(key)
-                wall_cap(st, _AUX, slot)
-                k = freeze(st)
-            else:
-                k = key
-            acc = out.setdefault(k, {})
+            acc = out.setdefault(targets[is_e], {})
             for col, (a0, a1, a2, a3) in amps.items():
                 # The product of Scalar.__mul__, reduced by zeta^4 = zeta^2 - 1.
                 t4 = a1 * b3 + a2 * b2 + a3 * b1
@@ -274,45 +307,34 @@ def _branch(states: dict, slot, weights) -> dict:
     return out
 
 
-def _cleared(xs: Iterable[Scalar]) -> tuple[list[tuple[int, ...]], int]:
-    """The numerators of xs over their one positive lcm denominator."""
-    parts = [x.as_integers() for x in xs]
-    d = lcm(*(den for _, den in parts))
-    return [tuple(n * (d // den) for n in nums) for nums, den in parts], d
-
-
 def _sweep(pt: SpectralPoint, vectors: Sequence[dict[str, Scalar]]) -> list[dict[int, Scalar]]:
     """T(pt) applied to each sparse vector {pattern: coefficient}, as one
-    sparse column {row: coefficient} per vector, in a single pass.
+    sparse column {row: coefficient} per vector, in a single pass that
+    follows the `_plan` of L and only does the arithmetic.
 
     Vector v enters over its lcm denominator D_v and tile t multiplies
     by numerators over its own d_t, so a final amplitude n stands for
-    n / (c D_v), c = prod d_t.  The auxiliary strand then closes on
-    itself, the sites read the row, and each nonzero entry takes a gcd.
+    n / (c D_v), c = prod d_t.  Each nonzero entry then takes a gcd.
     """
+    tiles, rows = _plan(pt.length)
     states: dict = {}
-    cleared = [_cleared(vec.values()) for vec in vectors]
-    for col, (vec, (nums, _)) in enumerate(zip(vectors, cleared)):
+    entering = [cleared(vec.values()) for vec in vectors]
+    for col, (vec, (nums, _)) in enumerate(zip(vectors, entering)):
         for word, n in zip(vec, nums):
-            st = seed(word)
-            new_pair(st, _K0B, _AUX)
-            states.setdefault(freeze(st), {})[col] = n
+            states.setdefault(index_of(word), {})[col] = n
     c = 1
-    for slot, fw in _tile_weights(pt):
-        nums, d = _cleared((fw.id_weight, fw.cup_weight))
+    for succ, (_, fw) in zip(tiles, _tile_weights(pt)):
+        nums, d = cleared((fw.id_weight, fw.cup_weight))
         c *= d
-        states = _branch(states, slot, [(is_e, n) for is_e, n in enumerate(nums) if any(n)])
+        states = _branch(states, succ, [(is_e, n) for is_e, n in enumerate(nums) if any(n)])
     sums: list[dict] = [{} for _ in vectors]
-    for key, amps in states.items():
-        st = dict(key)
-        connect(st, _K0B, _AUX)
-        row = index_of(read_word(st, range(1, pt.length + 1)))
+    for i, amps in states.items():
         for col, n in amps.items():
-            prev = sums[col].get(row)
-            sums[col][row] = n if prev is None else tuple(a + b for a, b in zip(prev, n))
+            prev = sums[col].get(rows[i])
+            sums[col][rows[i]] = n if prev is None else tuple(a + b for a, b in zip(prev, n))
     return [
         {r: Scalar.from_integers(n, c * dv) for r, n in col.items() if any(n)}
-        for col, (_, dv) in zip(sums, cleared)
+        for col, (_, dv) in zip(sums, entering)
     ]
 
 

@@ -22,6 +22,7 @@ from openloop import (
     transfer_matrix,
 )
 from openloop import exactla
+from openloop.exactfield import cleared
 from openloop.exactla import (
     PRIMES,
     LaurentPoly,
@@ -175,6 +176,50 @@ def test_fixed_vector_matches_the_exact_kernel_at_specialisations(length):
         specialised, _, _ = reduction(pt, i)
         tmat = transfer_matrix(specialised)
         assert fixed_vector(tmat) == _kernel_oracle(tmat), i
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_integer_certificate_is_t_v_equals_v(odd):
+    # `_lift` certifies with the rows of T - 1, each cleared to its own
+    # denominator, against the numerators of v over one denominator.  A
+    # rational point keeps T in Q(zeta^2) (d = 2); zeta_1 = 2 + zeta puts
+    # odd powers of zeta into T (d = 4).
+    pt = draw_point(Random(740), 4)
+    if odd:
+        pt = replace(pt, zeta1=rational(2) + ZETA)
+    tmat = transfer_matrix(pt)
+    assert _has_odd_powers(tmat) == odd
+    ints = [
+        cleared(x - ONE if i == j else x for j, x in enumerate(row))[0]
+        for i, row in enumerate(tmat.to_rows())
+    ]
+    vec = fixed_vector(tmat)
+    nums, den = cleared(vec)
+    assert tmat.apply(vec) == vec and exactla._annihilates(ints, nums)
+    # Each copy with one entry moved by 1 or by zeta is no fixed vector,
+    # and the integer check says so exactly when T v == v fails.
+    for j in range(tmat.dim):
+        for step in ((1, 0, 0, 0), (0, 1, 0, 0)):
+            moved = list(nums)
+            moved[j] = tuple(a + den * b for a, b in zip(nums[j], step))
+            scalars = [Scalar.from_integers(n, den) for n in moved]
+            assert tmat.apply(scalars) != scalars
+            assert not exactla._annihilates(ints, moved), (j, step)
+
+
+def test_integer_certificate_multiplies_as_scalars_do():
+    # Row (a, -1) maps (b, a b) to zero for all powers a, b of zeta, the
+    # Scalar product taking zeta^4 = zeta^2 - 1, and maps no copy with
+    # a b moved by a power of zeta to zero.
+    units = [tuple(int(k == t) for t in range(4)) for k in range(4)]
+    minus_one = (-1, 0, 0, 0)
+    for a in units:
+        for b in units:
+            ab, _ = (Scalar.from_integers(a, 1) * Scalar.from_integers(b, 1)).as_integers()
+            assert exactla._annihilates([[a, minus_one]], [b, ab])
+            for u in units:
+                moved = tuple(x + y for x, y in zip(ab, u))
+                assert not exactla._annihilates([[a, minus_one]], [b, moved])
 
 
 def test_fixed_vector_skips_a_prime_dividing_a_pivot(monkeypatch):

@@ -28,7 +28,7 @@ from openloop import (
     transfer_matrix_naive,
 )
 from openloop.groundstate import generic_parameters, recursion_factor, solve
-from openloop.transfer import _check_embedding, _sweep, _tile_weights, assert_generic
+from openloop.transfer import _check_embedding, _plan, _sweep, _tile_weights, assert_generic
 
 from helpers import draw_point, rational
 
@@ -66,9 +66,10 @@ def test_seeded_apply_matches_matrix_apply():
     # One sweep seeded with the whole vector equals the matrix built by
     # the sweep of the whole basis, and the naive oracle where it is
     # affordable.  Zero entries exercise the skipped seeds: the zero
-    # vector skips every seed, and a one-hot vector reads one column.
-    # Entries (k+1)/7 + zeta/(k+2) differ in denominator and carry an odd
-    # power of zeta, so the integral sweep clears them to one denominator.
+    # vector skips every seed, and the k-th basis vector alone reads
+    # column k, so each seed lands on its pattern's plan index.  Entries
+    # (k+1)/7 + zeta/(k+2) differ in denominator and carry an odd power
+    # of zeta, so the integral sweep clears them to one denominator.
     for length in range(7):
         pt = draw_point(Random(71 + length), length)
         dim = 1 << length
@@ -77,13 +78,33 @@ def test_seeded_apply_matches_matrix_apply():
         for vec in (
             [Scalar.from_rational(k % 3 - 1 + k % 5) for k in range(dim)],
             [ZERO] * dim,
-            [ONE if k == dim // 2 else ZERO for k in range(dim)],
+            *([ONE if k == j else ZERO for k in range(dim)] for j in range(dim)),
             [rational(k + 1, 7) + ZETA / (k + 2) for k in range(dim)],
         ):
             applied = transfer_apply(vec, pt)
             assert applied == tmat.apply(vec) == naive.apply(vec)
     with pytest.raises(ValueError):
         transfer_apply(vec + [ONE], pt)
+
+
+@pytest.mark.parametrize("length", range(7))
+def test_plan_holds_no_weights(length):
+    # The plan cached while building T at one point serves another point
+    # of the same L, in either order.  The second point has zeta_1 =
+    # 2 + zeta, so its weights carry odd powers of zeta.
+    rng = Random(157 + length)
+    pts = [draw_point(rng, length), replace(draw_point(rng, length), zeta1=rational(2) + ZETA)]
+    if length <= NAIVE_CAP:
+        refs = [transfer_matrix_naive(pt) for pt in pts]
+    else:
+        refs = []
+        for pt in pts:
+            _plan.cache_clear()
+            refs.append(transfer_matrix(pt))
+    for order in ((0, 1), (1, 0)):
+        _plan.cache_clear()
+        for k in order:
+            assert transfer_matrix(pts[k]) == refs[k], (order, k)
 
 
 def test_sweep_batch_with_different_denominators():
