@@ -26,23 +26,19 @@ confluent arguments.
 
 The groundstate normalisation uses the staircase-halves
 
-    lambda(L)_j = floor((L - j) / 2),     mu(L)_j = 2L + 1 - 2j,
-
-which satisfy mu(L) = lambda(L) + 2 lambda(L+1) + lambda(L+2) and
-|mu(L)| = L^2.
+    lambda(L)_j = floor((L - j) / 2).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ConfluentPointError, ConsistencyError
+from .errors import ConfluentPointError
 from .exactfield import ONE, Q, ZERO, Scalar, kfun
 from .exactla import det
 
 __all__ = [
     "lambda_partition",
-    "mu_partition",
     "symplectic_character",
     "character_auto",
     "s_character",
@@ -56,19 +52,6 @@ def lambda_partition(length: int) -> tuple[int, ...]:
     if length < 0:
         raise ValueError("partition size must be nonnegative")
     return tuple((length - j) // 2 for j in range(1, length + 1))
-
-
-def mu_partition(length: int) -> tuple[int, ...]:
-    """Odd staircase mu(L)_j = 2L + 1 - 2j, with its defining identities."""
-    mu = tuple(2 * length + 1 - 2 * j for j in range(1, length + 1))
-    lam0 = lambda_partition(length)
-    lam1 = lambda_partition(length + 1)[:length]
-    lam2 = lambda_partition(length + 2)[:length]
-    if any(m != a + 2 * b + c for m, a, b, c in zip(mu, lam0, lam1, lam2)):
-        raise ConsistencyError("mu(L) != lambda(L) + 2 lambda(L+1) + lambda(L+2)")
-    if sum(mu) != length * length:
-        raise ConsistencyError("|mu(L)| != L^2")
-    return mu
 
 
 def _padded(lam: Sequence[int], n: int) -> tuple[int, ...]:

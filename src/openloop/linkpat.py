@@ -33,6 +33,7 @@ with `read_word`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SingularParameterError
@@ -264,17 +265,53 @@ class SparseOperator:
         return out
 
     def compose(self, other: SparseOperator) -> SparseOperator:
-        """Matrix product self @ other."""
+        """Matrix product self @ other, in Z[zeta] numerators.
+
+        self is cleared to one lcm denominator da and each column of other
+        to its own db, so the multiply-adds take no gcd.  An entry whose sum
+        cancels is dropped, and each other entry n becomes n / (da db) with
+        one gcd.
+        """
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
+        # Each entry as (numerators, denominator), rescaled to the lcm only
+        # when the denominators differ (never for unit entries).
+        left = [[(r, v.as_integers()) for r, v in col.items()] for col in self.cols]
+        dens = {den for col in left for _, (_, den) in col}
+        da = lcm(*dens)
+        if len(dens) > 1:
+            left = [
+                [(r, (nums if den == da else tuple(n * (da // den) for n in nums), da))
+                 for r, (nums, den) in col]
+                for col in left
+            ]
         cols: list[dict[int, Scalar]] = []
         for col in other.cols:
-            acc: dict[int, Scalar] = {}
-            for k, w in col.items():
-                for r, v in self.cols[k].items():
-                    acc[r] = acc.get(r, ZERO) + v * w
-            cols.append(acc)
-        return SparseOperator(self.dim, cols)
+            right = [(k, w.as_integers()) for k, w in col.items()]
+            db = lcm(*[den for _, (_, den) in right])
+            acc: dict[int, tuple[int, int, int, int]] = {}
+            for k, (nums, den) in right:
+                b0, b1, b2, b3 = nums if den == db else (n * (db // den) for n in nums)
+                for r, ((a0, a1, a2, a3), _) in left[k]:
+                    # The product of Scalar.__mul__, reduced by zeta^4 = zeta^2 - 1.
+                    t4 = a1 * b3 + a2 * b2 + a3 * b1
+                    t5 = a2 * b3 + a3 * b2
+                    p0 = a0 * b0 - t4 - a3 * b3
+                    p1 = a0 * b1 + a1 * b0 - t5
+                    p2 = a0 * b2 + a1 * b1 + a2 * b0 + t4
+                    p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
+                    prev = acc.get(r)
+                    if prev is None:
+                        acc[r] = (p0, p1, p2, p3)
+                    else:
+                        acc[r] = (prev[0] + p0, prev[1] + p1, prev[2] + p2, prev[3] + p3)
+            d = da * db
+            cols.append({r: Scalar.from_integers(n, d) for r, n in acc.items() if any(n)})
+        # Every entry is nonzero, so skip the constructor's filter.
+        product = object.__new__(SparseOperator)
+        product.dim = self.dim
+        product.cols = cols
+        return product
 
     def __matmul__(self, other: SparseOperator) -> SparseOperator:
         return self.compose(other)

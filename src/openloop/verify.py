@@ -18,7 +18,7 @@ import random
 from typing import Callable, Iterator
 
 from .baxter import face_weights_R, kcheck0, kcheckL, rcheck
-from .chars import z_product
+from .chars import check_char_recursion, z_product
 from .errors import DegreeBoundError, NonGenericPointError
 from .exactfield import IMAG, ONE, Q, Scalar, bracket
 from .groundstate import (
@@ -196,6 +196,13 @@ def suite_sumrule(length: int, trials: int, rng: random.Random) -> Rows:
     yield "homogeneous component sum equals the confluent product", [
         sum_components(hom) == z_product(hom.point)
     ]
+    # Drawn last, so the rows above see the same points at every seed.
+    for _ in range(trials):
+        zs = generic_parameters(rng, length)
+        yield "staircase character recursion at z_{j+1} = q z_j, j = 1..L-1", [
+            check_char_recursion(zs[:j] + [Q * zs[j - 1]] + zs[j + 1:], j)
+            for j in range(1, length)
+        ]
 
 
 def suite_degree(length: int, trials: int, rng: random.Random) -> Rows:

@@ -20,7 +20,7 @@ from openloop import (
     symplectic_character,
     z_product,
 )
-from openloop.chars import check_char_recursion, mu_partition
+from openloop.chars import check_char_recursion
 from openloop.exactla import laurent_fit
 from openloop.groundstate import generic_parameters
 
@@ -38,7 +38,16 @@ def test_staircase_partitions():
         lam = lambda_partition(n)
         assert all(a >= b for a, b in zip(lam, lam[1:]))
         assert lam[-1] == 0
-    assert mu_partition(3) == (5, 3, 1)
+
+
+def test_odd_staircase_identities():
+    # mu(L)_j = 2L + 1 - 2j is lambda(L) + 2 lambda(L+1) + lambda(L+2),
+    # and |mu(L)| = L^2.
+    for n in range(9):
+        mu = tuple(2 * n + 1 - 2 * j for j in range(1, n + 1))
+        lam0, lam1, lam2 = (lambda_partition(n + k)[:n] for k in range(3))
+        assert mu == tuple(a + 2 * b + c for a, b, c in zip(lam0, lam1, lam2))
+        assert sum(mu) == n * n
 
 
 def test_empty_and_trivial_characters():

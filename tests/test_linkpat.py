@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from random import Random
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from openloop import (
     ONE,
     Q,
+    ZERO,
     Scalar,
     SingularParameterError,
     all_patterns,
@@ -24,8 +26,10 @@ from openloop import (
     insert_left,
     insert_link,
     insert_right,
+    transfer_matrix_naive,
     word_of,
 )
+from openloop.groundstate import generic_parameters
 from openloop.linkpat import (
     LEFT_WALL,
     RIGHT_WALL,
@@ -36,6 +40,8 @@ from openloop.linkpat import (
     swap,
     validate_pattern,
 )
+
+from helpers import draw_point
 
 
 def test_word_index_bijection():
@@ -200,6 +206,88 @@ def test_sparse_operator_algebra():
     assert swap.entry(1, 0) == ONE and swap.entry(0, 0).is_zero()
     vec = [Scalar.from_rational(k) for k in range(dim)]
     assert swap.apply(vec) == [vec[1], vec[0], vec[3], vec[2]]
+
+
+def _scalar_product(a: SparseOperator, b: SparseOperator) -> SparseOperator:
+    """Reference a @ b in Scalar arithmetic: a gcd per product and per sum."""
+    cols = []
+    for col in b.cols:
+        acc: dict[int, Scalar] = {}
+        for k, w in col.items():
+            for r, v in a.cols[k].items():
+                acc[r] = acc.get(r, ZERO) + v * w
+        cols.append(acc)
+    return SparseOperator(a.dim, cols)
+
+
+def _random_operator(rng: Random, dim: int) -> SparseOperator:
+    """Field-valued entries with signs, a denominator per column times
+    1, 4 or 7 per entry, and about one empty column in five."""
+    cols = []
+    for _ in range(dim):
+        col = {}
+        if rng.random() >= 0.2:
+            den = rng.choice((1, 2, 3, 6, 35))
+            for r in rng.sample(range(dim), rng.randint(1, dim)):
+                col[r] = Scalar(
+                    [Fraction(rng.randint(-9, 9), den * rng.choice((1, 4, 7))) for _ in range(4)]
+                )
+        cols.append(col)
+    return SparseOperator(dim, cols)
+
+
+def test_compose_matches_scalar_product():
+    rng = Random(14)
+    drawn = []
+    for dim in (1, 2, 4, 8):
+        for _ in range(6):
+            a, b = _random_operator(rng, dim), _random_operator(rng, dim)
+            assert a @ b == _scalar_product(a, b)
+            assert b @ a == _scalar_product(b, a)
+            drawn += [a, b]
+    # The draws reach every case of the integer path.
+    entries = [v for op in drawn for col in op.cols for v in col.values()]
+    assert any(v.coeffs[1] and v.coeffs[3] for v in entries)
+    assert any(c < 0 for v in entries for c in v.coeffs)
+    dens = [[{v.as_integers()[1] for v in col.values()} for col in op.cols] for op in drawn]
+    assert any(len(col) > 1 for op in dens for col in op)
+    assert any(len({lcm(*col) for col in op if col}) > 1 for op in dens)
+    assert any(not col for op in drawn for col in op.cols)
+
+
+def test_compose_with_zero_and_unit_operators():
+    rng = Random(15)
+    dim = 8
+    zero = SparseOperator(dim, [{}] * dim)
+    a = _random_operator(rng, dim)
+    assert (zero @ a).is_zero() and (a @ zero).is_zero() and (zero @ zero).is_zero()
+    assert (zero @ a).cols == [{}] * dim
+    ident = SparseOperator.identity(dim)
+    assert ident @ a == a and a @ ident == a
+    for i, j in product(range(4), repeat=2):
+        e, f = generator_matrix(i, 3), generator_matrix(j, 3)
+        assert e @ f == _scalar_product(e, f)
+
+
+def test_compose_drops_a_cancelled_entry():
+    # Row 0 of column 0 is x y - y x = 0; row 1 is y.
+    x = Scalar([Fraction(1, 2), Fraction(1, 2), 0, 0])
+    y = Scalar([0, 0, 0, Fraction(1, 3)])
+    a = SparseOperator(2, [{0: x, 1: ONE}, {0: y}])
+    b = SparseOperator(2, [{0: y, 1: -x}, {}])
+    prod = a @ b
+    assert prod.cols == [{1: y}, {}]
+    assert prod == _scalar_product(a, b)
+
+
+def test_naive_transfer_matrices_commute():
+    rng = Random(16)
+    pt = draw_point(rng, 3)
+    (w2,) = generic_parameters(rng, 1, avoid=[pt.w.rational_value()])
+    tmat = transfer_matrix_naive(pt)
+    other = transfer_matrix_naive(pt.with_w(w2))
+    assert tmat != other
+    assert tmat @ other == other @ tmat == _scalar_product(tmat, other)
 
 
 def test_c_from_zeta_values():

@@ -76,3 +76,10 @@ def test_one_site_reports_only_rows_that_checked_something(name, rows):
     assert all(ok for _, ok in report)
     for label, _ in report:
         assert not any(word in label for word in ("bulk", "braid", "distant"))
+
+
+def test_sumrule_checks_the_character_recursion_from_two_sites():
+    label = "staircase character recursion at z_{j+1} = q z_j, j = 1..L-1"
+    assert (label, True) in run_suite("sumrule", 3, 2, seed=4)
+    assert (label, True) in run_suite("sumrule", 2, 1, seed=0)
+    assert label not in dict(run_suite("sumrule", 1, 1, seed=4))
