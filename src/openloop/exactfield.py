@@ -22,13 +22,19 @@ coefficient vectors coincides with equality in the field.  There is no
 floating point anywhere: the four coefficients are kept as integer
 numerators over one positive common denominator in lowest terms, and
 `Scalar.coeffs` hands them out as `fractions.Fraction` values.
+
+Bulk contractions skip the per-product gcd and run on those Z[zeta]
+numerators, plain 4-tuples of ints: `cleared` puts a batch of Scalars
+over one denominator, and `addmul` is the one home of the Z[zeta]
+product outside `Scalar.__mul__`, behind the transfer sweep, the
+`SparseOperator` products and the fixed-vector certificate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Collection, Iterable, Sequence, Union
 
 __all__ = [
     "Scalar",
@@ -41,6 +47,7 @@ __all__ = [
     "bracket",
     "kfun",
     "cleared",
+    "addmul",
 ]
 
 _RationalLike = Union[int, Fraction]
@@ -294,8 +301,32 @@ def kfun(z: Scalar, zeta: Scalar) -> Scalar:
     return bracket(z / (Q * zeta)) * bracket(z * zeta / Q)
 
 
-def cleared(xs: Iterable[Scalar]) -> tuple[list[tuple[int, int, int, int]], int]:
-    """The numerators of xs over their one positive lcm denominator."""
-    parts = [x.as_integers() for x in xs]
-    d = lcm(*(den for _, den in parts))
-    return [tuple(n * (d // den) for n in nums) for nums, den in parts], d
+def cleared(xs: Collection[Scalar]) -> tuple[list[tuple[int, int, int, int]], int]:
+    """The numerators of xs over their one positive lcm denominator; an
+    entry already over the lcm keeps its numerators as they are."""
+    d = lcm(*{x._d for x in xs})
+    return [x._n if x._d == d else tuple(n * (d // x._d) for n in x._n) for x in xs], d
+
+
+def addmul(acc: dict, b: tuple[int, int, int, int], items: Iterable[tuple]) -> None:
+    """acc[k] += a * b for every (k, a) in items, on Z[zeta] numerators.
+
+    The product is that of `Scalar.__mul__`, without its gcd.  Z[zeta] has
+    no zero divisors, so with a and b nonzero only a sum can cancel, and
+    an entry that does is deleted rather than stored as zero.
+    """
+    b0, b1, b2, b3 = b
+    for k, (a0, a1, a2, a3) in items:
+        t4 = a1 * b3 + a2 * b2 + a3 * b1
+        t5 = a2 * b3 + a3 * b2
+        p0 = a0 * b0 - t4 - a3 * b3
+        p1 = a0 * b1 + a1 * b0 - t5
+        p2 = a0 * b2 + a1 * b1 + a2 * b0 + t4
+        p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
+        prev = acc.get(k)
+        if prev is None:
+            acc[k] = (p0, p1, p2, p3)
+        elif (q := (prev[0] + p0, prev[1] + p1, prev[2] + p2, prev[3] + p3)) != (0, 0, 0, 0):
+            acc[k] = q
+        else:
+            del acc[k]

@@ -7,7 +7,8 @@ The linear algebra shared by the character and groundstate modules:
   prime has the generic rank and is the oracle the lifting is tested
   against;
 - one Gaussian elimination mod p, behind Dixon's p-adic lifting of the
-  fixed vector of a transfer matrix, certified exactly;
+  fixed vector of a transfer matrix, certified exactly as T v == v by
+  `SparseOperator.apply` in Z[zeta] integers;
 - the Laurent fits `newton_interpolate` and `laurent_fit`, which return
   the interpolated groundstate components as `LaurentPoly` results.
 """
@@ -260,30 +261,11 @@ def _reconstruct(residues: Sequence[int], m: int) -> tuple[list[int], int] | Non
     return nums, den
 
 
-def _annihilates(ints: list[list[tuple[int, ...]]], nums: Sequence[tuple[int, ...]]) -> bool:
-    """Whether every row of ints maps the Z[zeta] numerators nums to zero.
-    With ints the rows of T - 1, each cleared to its own denominator, and
-    nums those of v over one denominator, this is exactly T v == v."""
-    for row in ints:
-        s0 = s1 = s2 = s3 = 0
-        for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(row, nums):
-            # The product of Scalar.__mul__, reduced by zeta^4 = zeta^2 - 1.
-            t4 = a1 * b3 + a2 * b2 + a3 * b1
-            t5 = a2 * b3 + a3 * b2
-            s0 += a0 * b0 - t4 - a3 * b3
-            s1 += a0 * b1 + a1 * b0 - t5
-            s2 += a0 * b2 + a1 * b1 + a2 * b0 + t4
-            s3 += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
-        if s0 or s1 or s2 or s3:
-            return False
-    return True
-
-
-def _lift(ints: list[list[tuple[int, ...]]], d: int, p: int):
-    """The certified fixed vector of T, lifted from the prime p, with its
-    free column at 1; None if T - 1 does not have rank n - 1 mod p.  The
-    rows ints of T - 1 certify a reconstruction in integers
-    (`_annihilates`); only a certified vector becomes Scalars."""
+def _lift(tmat: SparseOperator, ints: list[list[tuple[int, ...]]], d: int, p: int):
+    """The certified fixed vector of T = tmat, lifted from the prime p with
+    the cleared rows ints of T - 1, with its free column at 1; None if
+    T - 1 does not have rank n - 1 mod p.  A reconstruction is returned
+    only if tmat.apply(v) == v, computed in Z[zeta] integers."""
     positions, minpoly, _ = _RINGS[d]
     vander, vinv = _embeddings(p, d)
     n = len(ints)
@@ -336,12 +318,13 @@ def _lift(ints: list[list[tuple[int, ...]]], d: int, p: int):
         if found is None:
             continue
         nums, den = found
-        vec = [[0, 0, 0, 0] for _ in range(n)]
+        full = [[0, 0, 0, 0] for _ in range(n)]
         for k, c in enumerate(nums):
-            vec[k // d][positions[k % d]] = c
-        vec[free] = [den, 0, 0, 0]
-        if _annihilates(ints, vec):
-            return [Scalar.from_integers(full, den) for full in vec]
+            full[k // d][positions[k % d]] = c
+        full[free] = [den, 0, 0, 0]
+        vec = [Scalar.from_integers(c, den) for c in full]
+        if tmat.apply(vec) == vec:
+            return vec
     raise ConsistencyError(
         f"p-adic lifting found no certified fixed vector within {budget} steps"
     )
@@ -355,13 +338,13 @@ def fixed_vector(tmat: SparseOperator) -> list[Scalar]:
     factored once in each embedding of Z[zeta] into F_p, and the solution
     is lifted p-adically with exact residual updates (r - A x) / p until
     a rational reconstruction over one common denominator satisfies
-    T v == v exactly, checked in integers: the cleared rows of T - 1
-    map the numerators of v to zero.  With the rank n - 1 mod p that
-    proves v spans the fixed space.  A prime with any other rank is
-    skipped; when every one is, the exact `kernel_basis` decides, and a
-    fixed space that is not a line raises NonGenericPointError.  The last
-    nonzero entry is the free column of `kernel_basis`'s RREF, so both
-    give the same vector.
+    tmat.apply(v) == v, which `SparseOperator.apply` computes in Z[zeta]
+    integers.  A wrong reconstruction costs one more lifting step, never
+    a wrong vector.  With the rank n - 1 mod p that proves v spans the
+    fixed space.  A prime with any other rank is skipped; when every one
+    is, the exact `kernel_basis` decides, and a fixed space that is not a
+    line raises NonGenericPointError.  The last nonzero entry is the free
+    column of `kernel_basis`'s RREF, so both give the same vector.
     """
     n = tmat.dim
     rows = tmat.to_rows()
@@ -370,7 +353,7 @@ def fixed_vector(tmat: SparseOperator) -> list[Scalar]:
     ints = [cleared(row)[0] for row in rows]
     d = 4 if any(c[1] or c[3] for row in ints for c in row) else 2
     for p in PRIMES:
-        vec = _lift(ints, d, p)
+        vec = _lift(tmat, ints, d, p)
         if vec is not None:
             last = next(x for x in reversed(vec) if not x.is_zero())
             if last != ONE:

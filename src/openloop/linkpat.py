@@ -33,11 +33,10 @@ with `read_word`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SingularParameterError
-from .exactfield import ONE, ZERO, Scalar
+from .exactfield import ONE, ZERO, Scalar, addmul, cleared
 
 __all__ = [
     "LEFT_WALL",
@@ -231,6 +230,15 @@ def apply_e(i: int, word: str) -> str:
     return read_word(st, range(1, length + 1))
 
 
+def _cleared_columns(cols: Sequence[dict[int, Scalar]]) -> tuple[list[list[tuple]], int]:
+    """Sparse columns {index: Scalar} as lists of (index, numerators), all
+    over one `cleared` denominator, which is returned with them."""
+    nums, d = cleared([v for col in cols for v in col.values()])
+    flat = iter(nums)
+    # zip stops at the end of col before it draws from flat.
+    return [list(zip(col, flat)) for col in cols], d
+
+
 class SparseOperator:
     """Column-sparse linear operator on the 2^L pattern basis."""
 
@@ -252,65 +260,38 @@ class SparseOperator:
     def from_column_map(cls, dim: int, image: Callable[[int], int]) -> SparseOperator:
         return cls(dim, [{image(j): ONE} for j in range(dim)])
 
-    def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
-        if len(vec) != self.dim:
-            raise ValueError("vector length mismatch")
-        out = [ZERO] * self.dim
-        for j, col in enumerate(self.cols):
-            x = vec[j]
-            if x.is_zero():
-                continue
-            for r, v in col.items():
-                out[r] = out[r] + v * x
+    def _times(self, cols: Sequence[dict[int, Scalar]]) -> list[dict[int, Scalar]]:
+        """self applied to each sparse column {index: Scalar}, in Z[zeta]
+        numerators: self and the columns are each cleared to one
+        denominator, da and db, `addmul` takes one contraction per column
+        entry with no gcd, and each surviving entry n becomes n / (da db)."""
+        left, da = _cleared_columns(self.cols)
+        right, db = _cleared_columns(cols)
+        d = da * db
+        out = []
+        for col in right:
+            acc: dict[int, tuple[int, int, int, int]] = {}
+            for k, b in col:
+                addmul(acc, b, left[k])
+            out.append({r: Scalar.from_integers(n, d) for r, n in acc.items()})
         return out
 
-    def compose(self, other: SparseOperator) -> SparseOperator:
-        """Matrix product self @ other, in Z[zeta] numerators.
+    def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
+        """self times the vector, through `_times`; exact, so it also
+        certifies a fixed vector as T v == v."""
+        if len(vec) != self.dim:
+            raise ValueError("vector length mismatch")
+        (col,) = self._times([{j: x for j, x in enumerate(vec) if not x.is_zero()}])
+        return [col.get(r, ZERO) for r in range(self.dim)]
 
-        self is cleared to one lcm denominator da and each column of other
-        to its own db, so the multiply-adds take no gcd.  An entry whose sum
-        cancels is dropped, and each other entry n becomes n / (da db) with
-        one gcd.
-        """
+    def compose(self, other: SparseOperator) -> SparseOperator:
+        """Matrix product self @ other: `_times` of the columns of other."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        # Each entry as (numerators, denominator), rescaled to the lcm only
-        # when the denominators differ (never for unit entries).
-        left = [[(r, v.as_integers()) for r, v in col.items()] for col in self.cols]
-        dens = {den for col in left for _, (_, den) in col}
-        da = lcm(*dens)
-        if len(dens) > 1:
-            left = [
-                [(r, (nums if den == da else tuple(n * (da // den) for n in nums), da))
-                 for r, (nums, den) in col]
-                for col in left
-            ]
-        cols: list[dict[int, Scalar]] = []
-        for col in other.cols:
-            right = [(k, w.as_integers()) for k, w in col.items()]
-            db = lcm(*[den for _, (_, den) in right])
-            acc: dict[int, tuple[int, int, int, int]] = {}
-            for k, (nums, den) in right:
-                b0, b1, b2, b3 = nums if den == db else (n * (db // den) for n in nums)
-                for r, ((a0, a1, a2, a3), _) in left[k]:
-                    # The product of Scalar.__mul__, reduced by zeta^4 = zeta^2 - 1.
-                    t4 = a1 * b3 + a2 * b2 + a3 * b1
-                    t5 = a2 * b3 + a3 * b2
-                    p0 = a0 * b0 - t4 - a3 * b3
-                    p1 = a0 * b1 + a1 * b0 - t5
-                    p2 = a0 * b2 + a1 * b1 + a2 * b0 + t4
-                    p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
-                    prev = acc.get(r)
-                    if prev is None:
-                        acc[r] = (p0, p1, p2, p3)
-                    else:
-                        acc[r] = (prev[0] + p0, prev[1] + p1, prev[2] + p2, prev[3] + p3)
-            d = da * db
-            cols.append({r: Scalar.from_integers(n, d) for r, n in acc.items() if any(n)})
         # Every entry is nonzero, so skip the constructor's filter.
         product = object.__new__(SparseOperator)
         product.dim = self.dim
-        product.cols = cols
+        product.cols = self._times(other.cols)
         return product
 
     def __matmul__(self, other: SparseOperator) -> SparseOperator:

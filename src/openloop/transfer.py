@@ -24,10 +24,11 @@ a batch of sparse vectors: each partial state (site j's strand end in
 slot j) carries one amplitude per vector, and states of equal
 connectivity merge across patterns and vectors.  Where each state goes
 depends only on L, so `_plan` finds it once per L and a sweep only does
-arithmetic.  Amplitudes are Z[zeta] numerators; each tile's two weights
-share one integer denominator, kept outside the sweep, so a tile
-product takes no gcd and each entry of the result takes one.
-`transfer_matrix` sweeps the basis, `transfer_apply` one vector.
+arithmetic.  Vectors are keyed by basis index, amplitudes are Z[zeta]
+numerators, and each tile's two weights share one integer denominator,
+kept outside the sweep, so a tile step is an `exactfield.addmul` with no
+gcd and each entry of the result takes one.  `transfer_matrix` sweeps
+the basis, `transfer_apply` one vector.
 `transfer_matrix_naive` expands the 2^(2L+2) planar fillings by
 explicit path tracing, independently of the sweep, as its oracle.
 
@@ -56,7 +57,7 @@ from .baxter import (
     k_coefficients,
     r_coefficients,
 )
-from .exactfield import ONE, Q, Scalar, ZERO, cleared
+from .exactfield import ONE, Q, Scalar, ZERO, addmul, cleared
 from .linkpat import (
     LEFT_WALL,
     RIGHT_WALL,
@@ -278,55 +279,35 @@ def _plan(length: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[i
     return tuple(tiles), tuple(rows)
 
 
-def _branch(states: dict, succ: Sequence[tuple[int, int]], weights) -> dict:
-    """Apply one tile, id_weight * 1 + cup_weight * e, to every partial
-    state's {column: amplitude}, moving state i to succ[i][is_e] of the
-    `_plan`.  Amplitudes and nonzero (is_e, weight) pairs are Z[zeta]
-    numerators: 4-tuples of ints."""
-    out: dict = {}
-    for i, amps in states.items():
-        targets = succ[i]
-        for is_e, (b0, b1, b2, b3) in weights:
-            acc = out.setdefault(targets[is_e], {})
-            for col, (a0, a1, a2, a3) in amps.items():
-                # The product of Scalar.__mul__, reduced by zeta^4 = zeta^2 - 1.
-                t4 = a1 * b3 + a2 * b2 + a3 * b1
-                t5 = a2 * b3 + a3 * b2
-                p0 = a0 * b0 - t4 - a3 * b3
-                p1 = a0 * b1 + a1 * b0 - t5
-                p2 = a0 * b2 + a1 * b1 + a2 * b0 + t4
-                p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
-                # Z[zeta] has no zero divisors: only a sum can cancel.
-                prev = acc.get(col)
-                if prev is None:
-                    acc[col] = (p0, p1, p2, p3)
-                elif any(q := (prev[0] + p0, prev[1] + p1, prev[2] + p2, prev[3] + p3)):
-                    acc[col] = q
-                else:
-                    del acc[col]
-    return out
-
-
-def _sweep(pt: SpectralPoint, vectors: Sequence[dict[str, Scalar]]) -> list[dict[int, Scalar]]:
-    """T(pt) applied to each sparse vector {pattern: coefficient}, as one
-    sparse column {row: coefficient} per vector, in a single pass that
+def _sweep(pt: SpectralPoint, vectors: Sequence[dict[int, Scalar]]) -> list[dict[int, Scalar]]:
+    """T(pt) applied to each sparse vector {basis index: coefficient}, as
+    one sparse column {row: coefficient} per vector, in a single pass that
     follows the `_plan` of L and only does the arithmetic.
 
-    Vector v enters over its lcm denominator D_v and tile t multiplies
-    by numerators over its own d_t, so a final amplitude n stands for
-    n / (c D_v), c = prod d_t.  Each nonzero entry then takes a gcd.
+    Layer 0 of the plan is the basis in index order, so vector entries
+    seed it directly.  Each partial state carries one Z[zeta] numerator
+    per vector, and each tile step is one `addmul` per (state, nonzero
+    weight), sending state i to succ[i][is_e].  Vector v enters over its
+    lcm denominator D_v and tile t multiplies by numerators over its own
+    d_t, so a final amplitude n stands for n / (c D_v), c = prod d_t.
+    Each nonzero entry then takes a gcd.
     """
     tiles, rows = _plan(pt.length)
     states: dict = {}
     entering = [cleared(vec.values()) for vec in vectors]
     for col, (vec, (nums, _)) in enumerate(zip(vectors, entering)):
-        for word, n in zip(vec, nums):
-            states.setdefault(index_of(word), {})[col] = n
+        for j, n in zip(vec, nums):
+            states.setdefault(j, {})[col] = n
     c = 1
     for succ, (_, fw) in zip(tiles, _tile_weights(pt)):
         nums, d = cleared((fw.id_weight, fw.cup_weight))
         c *= d
-        states = _branch(states, succ, [(is_e, n) for is_e, n in enumerate(nums) if any(n)])
+        weights = [(is_e, n) for is_e, n in enumerate(nums) if any(n)]
+        out: dict = {}
+        for i, amps in states.items():
+            for is_e, b in weights:
+                addmul(out.setdefault(succ[i][is_e], {}), b, amps.items())
+        states = out
     sums: list[dict] = [{} for _ in vectors]
     for i, amps in states.items():
         for col, n in amps.items():
@@ -339,9 +320,8 @@ def _sweep(pt: SpectralPoint, vectors: Sequence[dict[str, Scalar]]) -> list[dict
 
 
 def transfer_matrix(pt: SpectralPoint) -> SparseOperator:
-    """T at pt as a 2^L by 2^L operator: one sweep of every basis pattern."""
-    basis = [{word: ONE} for word in all_patterns(pt.length)]
-    return SparseOperator(1 << pt.length, _sweep(pt, basis))
+    """T at pt as a 2^L by 2^L operator: one sweep of every basis vector."""
+    return SparseOperator(1 << pt.length, _sweep(pt, [{j: ONE} for j in range(1 << pt.length)]))
 
 
 def transfer_apply(vec: Sequence[Scalar], pt: SpectralPoint) -> list[Scalar]:
@@ -349,8 +329,7 @@ def transfer_apply(vec: Sequence[Scalar], pt: SpectralPoint) -> list[Scalar]:
     sweep seeded with every nonzero component."""
     if len(vec) != 1 << pt.length:
         raise ValueError("vector length mismatch")
-    seeded = {word_of(idx, pt.length): x for idx, x in enumerate(vec) if not x.is_zero()}
-    col = _sweep(pt, [seeded])[0]
+    col = _sweep(pt, [{j: x for j, x in enumerate(vec) if not x.is_zero()}])[0]
     return [col.get(r, ZERO) for r in range(len(vec))]
 
 
@@ -468,10 +447,10 @@ def check_interlace(pt: SpectralPoint, tmat: SparseOperator) -> list[bool]:
 def _check_embedding(pt: SpectralPoint, reduced: SpectralPoint, embed) -> bool:
     """T(pt) o embed = embed o T(reduced): one sweep of the embedded basis
     at pt against one sweep of the whole basis at the reduced point."""
-    basis = list(all_patterns(reduced.length))
-    lhs = _sweep(pt, [{embed(word): ONE} for word in basis])
-    rhs = _sweep(reduced, [{word: ONE} for word in basis])
-    return lhs == [{index_of(embed(basis[r])): v for r, v in col.items()} for col in rhs]
+    embedded = [index_of(embed(word)) for word in all_patterns(reduced.length)]
+    lhs = _sweep(pt, [{j: ONE} for j in embedded])
+    rhs = _sweep(reduced, [{j: ONE} for j in range(len(embedded))])
+    return lhs == [{embedded[r]: v for r, v in col.items()} for col in rhs]
 
 
 def check_T_recursion(pt: SpectralPoint) -> list[bool]:

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from openloop import IMAG, ONE, Q, ZERO, ZETA, Scalar, bracket, fourth_roots, kfun
+from openloop.exactfield import addmul, cleared
 
 
 def test_defining_relation():
@@ -84,6 +85,60 @@ def test_ring_operations_match_coefficientwise_fractions():
         back = (x + y) - y
         assert back == x and hash(back) == hash(x)
     assert (x - x).is_zero() and x - x == ZERO and hash(x - x) == hash(ZERO)
+
+
+def _accumulated(acc: dict, b, items) -> dict:
+    """addmul on a copy of acc, read back as Scalars over denominator 1."""
+    acc = dict(acc)
+    addmul(acc, b, items)
+    return {k: Scalar.from_integers(n, 1) for k, n in acc.items()}
+
+
+def test_addmul_multiplies_units_as_scalars_do():
+    # All 16 products zeta^j zeta^k, j, k = 0..3, reduced by zeta^4 = zeta^2 - 1.
+    units = [tuple(int(k == t) for t in range(4)) for k in range(4)]
+    for a in units:
+        for b in units:
+            ab = Scalar.from_integers(a, 1) * Scalar.from_integers(b, 1)
+            assert _accumulated({}, b, [("k", a)]) == {"k": ab}
+            # Added onto a unit already stored under the key; zeta^3 zeta^3
+            # onto 1 cancels and removes the key.
+            for u in units:
+                total = Scalar.from_integers(u, 1) + ab
+                assert _accumulated({"k": u}, b, [("k", a)]) == ({"k": total} if total else {})
+
+
+def test_addmul_matches_scalar_arithmetic_on_random_numerators():
+    rng = Random(21)
+    for _ in range(200):
+        b = tuple(rng.randint(-50, 50) for _ in range(4))
+        if not any(b):
+            continue
+        acc = {k: tuple(rng.randint(-50, 50) for _ in range(4)) for k in rng.sample(range(6), 3)}
+        acc = {k: n for k, n in acc.items() if any(n)}
+        items = [(k, tuple(rng.randint(-50, 50) for _ in range(4))) for k in range(6)]
+        items = [(k, a) for k, a in items if any(a)]
+        expected = {k: Scalar.from_integers(n, 1) for k, n in acc.items()}
+        bs = Scalar.from_integers(b, 1)
+        for k, a in items:
+            expected[k] = expected.get(k, ZERO) + Scalar.from_integers(a, 1) * bs
+        assert _accumulated(acc, b, items) == {k: v for k, v in expected.items() if v}
+
+
+def test_addmul_removes_a_cancelled_sum():
+    # (1 + zeta) zeta^2 cancels the stored -(zeta^2 + zeta^3); key 1 is new.
+    acc = {0: (0, 0, -1, -1), 2: (5, 0, 0, 0)}
+    addmul(acc, (0, 0, 1, 0), [(0, (1, 1, 0, 0)), (1, (0, 0, 0, 1))])
+    assert acc == {2: (5, 0, 0, 0), 1: (0, -1, 0, 1)}
+    assert 0 not in acc
+
+
+def test_cleared_keeps_numerators_already_over_the_lcm():
+    x, y = Scalar([Fraction(1, 6), 0, Fraction(1, 3), 0]), Scalar([Fraction(5, 2), 1, 0, 0])
+    (nx, ny), d = cleared([x, y])
+    assert d == 6 and nx is x.as_integers()[0] and ny == (15, 6, 0, 0)
+    assert [Scalar.from_integers(n, d) for n in (nx, ny)] == [x, y]
+    assert cleared([]) == ([], 1)
 
 
 def test_hash_consistency():

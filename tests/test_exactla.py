@@ -22,7 +22,6 @@ from openloop import (
     transfer_matrix,
 )
 from openloop import exactla
-from openloop.exactfield import cleared
 from openloop.exactla import (
     PRIMES,
     LaurentPoly,
@@ -178,48 +177,66 @@ def test_fixed_vector_matches_the_exact_kernel_at_specialisations(length):
         assert fixed_vector(tmat) == _kernel_oracle(tmat), i
 
 
+def _scalar_apply(tmat: SparseOperator, vec: list[Scalar]) -> list[Scalar]:
+    """Reference T v in Scalar arithmetic, independent of `SparseOperator.apply`."""
+    return [sum((v * x for v, x in zip(row, vec)), ZERO) for row in tmat.to_rows()]
+
+
 @pytest.mark.parametrize("odd", [False, True])
 def test_integer_certificate_is_t_v_equals_v(odd):
-    # `_lift` certifies with the rows of T - 1, each cleared to its own
-    # denominator, against the numerators of v over one denominator.  A
-    # rational point keeps T in Q(zeta^2) (d = 2); zeta_1 = 2 + zeta puts
-    # odd powers of zeta into T (d = 4).
+    # `_lift` accepts a reconstruction v only if tmat.apply(v) == v, which
+    # runs in Z[zeta] integers.  A rational point keeps T in Q(zeta^2)
+    # (d = 2); zeta_1 = 2 + zeta puts odd powers of zeta into T (d = 4).
     pt = draw_point(Random(740), 4)
     if odd:
         pt = replace(pt, zeta1=rational(2) + ZETA)
     tmat = transfer_matrix(pt)
     assert _has_odd_powers(tmat) == odd
-    ints = [
-        cleared(x - ONE if i == j else x for j, x in enumerate(row))[0]
-        for i, row in enumerate(tmat.to_rows())
-    ]
     vec = fixed_vector(tmat)
-    nums, den = cleared(vec)
-    assert tmat.apply(vec) == vec and exactla._annihilates(ints, nums)
+    assert tmat.apply(vec) == vec == _scalar_apply(tmat, vec)
     # Each copy with one entry moved by 1 or by zeta is no fixed vector,
-    # and the integer check says so exactly when T v == v fails.
+    # by the certificate and by the Scalar reference alike.
     for j in range(tmat.dim):
-        for step in ((1, 0, 0, 0), (0, 1, 0, 0)):
-            moved = list(nums)
-            moved[j] = tuple(a + den * b for a, b in zip(nums[j], step))
-            scalars = [Scalar.from_integers(n, den) for n in moved]
-            assert tmat.apply(scalars) != scalars
-            assert not exactla._annihilates(ints, moved), (j, step)
+        for step in (ONE, ZETA):
+            moved = list(vec)
+            moved[j] = moved[j] + step
+            assert tmat.apply(moved) != moved, (j, step)
+            assert _scalar_apply(tmat, moved) != moved, (j, step)
 
 
 def test_integer_certificate_multiplies_as_scalars_do():
-    # Row (a, -1) maps (b, a b) to zero for all powers a, b of zeta, the
-    # Scalar product taking zeta^4 = zeta^2 - 1, and maps no copy with
-    # a b moved by a power of zeta to zero.
-    units = [tuple(int(k == t) for t in range(4)) for k in range(4)]
-    minus_one = (-1, 0, 0, 0)
+    # T = [[1, 0], [a, 0]] fixes (b, a b) for all powers a, b of zeta, the
+    # Scalar product taking zeta^4 = zeta^2 - 1, and fixes no copy with
+    # a b moved by a power of zeta.
+    units = [ZETA**k for k in range(4)]
     for a in units:
+        tmat = SparseOperator(2, [{0: ONE, 1: a}, {}])
         for b in units:
-            ab, _ = (Scalar.from_integers(a, 1) * Scalar.from_integers(b, 1)).as_integers()
-            assert exactla._annihilates([[a, minus_one]], [b, ab])
+            assert tmat.apply([b, a * b]) == [b, a * b]
             for u in units:
-                moved = tuple(x + y for x, y in zip(ab, u))
-                assert not exactla._annihilates([[a, minus_one]], [b, moved])
+                assert tmat.apply([b, a * b + u]) != [b, a * b + u]
+
+
+def test_certificate_rejects_a_wrong_reconstruction(monkeypatch):
+    # The first reconstruction has one numerator off by 1 (in entry 0, not
+    # the free last entry), so T v == v fails and the lifting asks for one
+    # more step instead of returning a wrong vector.
+    tmat = transfer_matrix(draw_point(Random(760), 3))
+    found = []
+    reconstruct = exactla._reconstruct
+
+    def off_by_one_once(residues, m):
+        result = reconstruct(residues, m)
+        found.append(result)
+        if result is not None and sum(r is not None for r in found) == 1:
+            nums, den = result
+            return [nums[0] + 1, *nums[1:]], den
+        return result
+
+    monkeypatch.setattr(exactla, "_reconstruct", off_by_one_once)
+    assert fixed_vector(tmat) == _kernel_oracle(tmat)
+    first = next(k for k, r in enumerate(found) if r is not None)
+    assert len(found) == first + 2 and found[-1] is not None
 
 
 def test_fixed_vector_skips_a_prime_dividing_a_pivot(monkeypatch):

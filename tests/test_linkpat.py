@@ -220,6 +220,12 @@ def _scalar_product(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return SparseOperator(a.dim, cols)
 
 
+def _scalar_apply(a: SparseOperator, vec: list[Scalar]) -> list[Scalar]:
+    """Reference a.apply(vec) in Scalar arithmetic, as a dense dot product."""
+    rows = a.to_rows()
+    return [sum((v * x for v, x in zip(row, vec)), ZERO) for row in rows]
+
+
 def _random_operator(rng: Random, dim: int) -> SparseOperator:
     """Field-valued entries with signs, a denominator per column times
     1, 4 or 7 per entry, and about one empty column in five."""
@@ -253,6 +259,28 @@ def test_compose_matches_scalar_product():
     assert any(len(col) > 1 for op in dens for col in op)
     assert any(len({lcm(*col) for col in op if col}) > 1 for op in dens)
     assert any(not col for op in drawn for col in op.cols)
+
+
+def test_apply_matches_scalar_dot_product():
+    # Vectors with signed field entries over mixed denominators, about
+    # two entries in five zero, and the zero vector.
+    rng = Random(17)
+    zeros = 0
+    for dim in (1, 2, 4, 8):
+        for _ in range(6):
+            a = _random_operator(rng, dim)
+            vec = [
+                Scalar([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 35))) for _ in range(4)])
+                if rng.random() >= 0.4
+                else ZERO
+                for _ in range(dim)
+            ]
+            zeros += vec.count(ZERO)
+            assert a.apply(vec) == _scalar_apply(a, vec)
+            assert a.apply([ZERO] * dim) == [ZERO] * dim
+    assert zeros
+    with pytest.raises(ValueError):
+        SparseOperator.identity(2).apply([ONE])
 
 
 def test_compose_with_zero_and_unit_operators():

@@ -21,6 +21,7 @@ from openloop import (
     check_interlace,
     exchange_operator,
     fourth_roots,
+    index_of,
     pi_point,
     reduction,
     transfer_apply,
@@ -110,8 +111,8 @@ def test_plan_holds_no_weights(length):
 def test_sweep_batch_with_different_denominators():
     # Each vector of a batch keeps its own denominator through the sweep.
     pt = draw_point(Random(127), 3)
-    u = {"()(": rational(1, 3), ")((": rational(2) + ZETA}
-    v = {"()(": ZETA / 5 - rational(1, 7), "(((": rational(3, 11)}
+    u = {index_of("()("): rational(1, 3), index_of(")(("): rational(2) + ZETA}
+    v = {index_of("()("): ZETA / 5 - rational(1, 7), index_of("((("): rational(3, 11)}
     assert _sweep(pt, [u, v]) == _sweep(pt, [u]) + _sweep(pt, [v])
 
 
