@@ -10,13 +10,15 @@ the exact-solve cap and an unwritable --output path) or a failed
 verification (a FAIL row or a failed sum rule), 2 any other domain
 error (non-generic point, confluent character arguments, failed
 cross-check, degree bound), 3 singular parameter (an operator pole at
-the given values).
+the given values), 141 standard output closed before all was written
+(as when piped into head; 128 + SIGPIPE, as a shell reports).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -261,7 +263,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "L", 0) < 0:
             raise _CliError("--L must be nonnegative")
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so that the interpreter's final flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -128,11 +128,6 @@ class Scalar:
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return tuple(Fraction(n, self._d) for n in self._n)
 
-    def as_integers(self) -> tuple[tuple[int, int, int, int], int]:
-        """The four integer numerators and the positive common denominator,
-        in lowest terms (the inverse of `from_integers`)."""
-        return self._n, self._d
-
     def is_zero(self) -> bool:
         return self._n == (0, 0, 0, 0)
 

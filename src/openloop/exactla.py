@@ -7,8 +7,8 @@ The linear algebra shared by the character and groundstate modules:
   prime has the generic rank and is the oracle the lifting is tested
   against;
 - one Gaussian elimination mod p, behind Dixon's p-adic lifting of the
-  fixed vector of a transfer matrix, certified exactly as T v == v by
-  `SparseOperator.apply` in Z[zeta] integers;
+  one ray of the kernel of a `SparseOperator`, certified exactly as
+  op v == 0 by `SparseOperator.apply` in Z[zeta] integers;
 - the Laurent fits `newton_interpolate` and `laurent_fit`, which return
   the interpolated groundstate components as `LaurentPoly` results.
 """
@@ -28,8 +28,8 @@ __all__ = [
     "PRIMES",
     "LaurentPoly",
     "det",
-    "fixed_vector",
     "kernel_basis",
+    "kernel_vector",
     "newton_interpolate",
     "laurent_fit",
 ]
@@ -58,9 +58,6 @@ class LaurentPoly:
     @property
     def max_exp(self) -> int:
         return max(self._c)
-
-    def coeff(self, exp: int) -> Scalar:
-        return self._c.get(exp, ZERO)
 
     def eval_at(self, x: Scalar) -> Scalar:
         total = ZERO
@@ -145,11 +142,11 @@ def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scal
     return basis
 
 
-# -- fixed vector by p-adic lifting -------------------------------------
+# -- kernel vector by p-adic lifting ------------------------------------
 
 # Primes p = 1 (mod 12), so that F_p holds the primitive 12th roots of
 # unity and Z[zeta] / p splits into four copies of F_p.  A prime at
-# which T - 1 has the wrong rank is skipped for the next one.
+# which the operator has the wrong rank is skipped for the next one.
 PRIMES = ((1 << 125) - 415, (1 << 125) - 1291, (1 << 125) - 1483)
 
 # Bits by which the reconstruction bounds stay below Wang's sqrt(m / 2).
@@ -261,11 +258,11 @@ def _reconstruct(residues: Sequence[int], m: int) -> tuple[list[int], int] | Non
     return nums, den
 
 
-def _lift(tmat: SparseOperator, ints: list[list[tuple[int, ...]]], d: int, p: int):
-    """The certified fixed vector of T = tmat, lifted from the prime p with
-    the cleared rows ints of T - 1, with its free column at 1; None if
-    T - 1 does not have rank n - 1 mod p.  A reconstruction is returned
-    only if tmat.apply(v) == v, computed in Z[zeta] integers."""
+def _lift(op: SparseOperator, ints: list[list[tuple[int, ...]]], d: int, p: int):
+    """The certified kernel vector of op, lifted from the prime p with the
+    cleared rows ints of op, with its free column at 1; None if op does
+    not have rank n - 1 mod p.  A reconstruction is returned only if
+    op.apply(v) vanishes, computed in Z[zeta] integers."""
     positions, minpoly, _ = _RINGS[d]
     vander, vinv = _embeddings(p, d)
     n = len(ints)
@@ -323,48 +320,41 @@ def _lift(tmat: SparseOperator, ints: list[list[tuple[int, ...]]], d: int, p: in
             full[k // d][positions[k % d]] = c
         full[free] = [den, 0, 0, 0]
         vec = [Scalar.from_integers(c, den) for c in full]
-        if tmat.apply(vec) == vec:
+        if not any(op.apply(vec)):
             return vec
     raise ConsistencyError(
-        f"p-adic lifting found no certified fixed vector within {budget} steps"
+        f"p-adic lifting found no certified kernel vector within {budget} steps"
     )
 
 
-def fixed_vector(tmat: SparseOperator) -> list[Scalar]:
-    """The fixed vector of T, scaled so that its last nonzero entry is 1.
+def kernel_vector(op: SparseOperator) -> list[Scalar]:
+    """The one ray of ker op, scaled so that its last nonzero entry is 1.
 
-    Dixon's method: the rows of T - 1 are cleared of denominators, the
-    rank profile is found mod a prime p of PRIMES, the pivot block is
-    factored once in each embedding of Z[zeta] into F_p, and the solution
-    is lifted p-adically with exact residual updates (r - A x) / p until
-    a rational reconstruction over one common denominator satisfies
-    tmat.apply(v) == v, which `SparseOperator.apply` computes in Z[zeta]
+    Dixon's method: the rows of op are cleared of denominators, the rank
+    profile is found mod a prime p of PRIMES, the pivot block is factored
+    once in each embedding of Z[zeta] into F_p, and the solution is
+    lifted p-adically with exact residual updates (r - A x) / p until a
+    rational reconstruction over one common denominator satisfies
+    op.apply(v) == 0, which `SparseOperator.apply` computes in Z[zeta]
     integers.  A wrong reconstruction costs one more lifting step, never
     a wrong vector.  With the rank n - 1 mod p that proves v spans the
-    fixed space.  A prime with any other rank is skipped; when every one
-    is, the exact `kernel_basis` decides, and a fixed space that is not a
-    line raises NonGenericPointError.  The last nonzero entry is the free
+    kernel.  A prime with any other rank is skipped; when every one is,
+    the exact `kernel_basis` decides, and a kernel that is not a line
+    raises NonGenericPointError.  The last nonzero entry is the free
     column of `kernel_basis`'s RREF, so both give the same vector.
     """
-    n = tmat.dim
-    rows = tmat.to_rows()
-    for i in range(n):
-        rows[i][i] = rows[i][i] - ONE
+    n = op.dim
+    rows = op.to_rows()
     ints = [cleared(row)[0] for row in rows]
     d = 4 if any(c[1] or c[3] for row in ints for c in row) else 2
     for p in PRIMES:
-        vec = _lift(tmat, ints, d, p)
+        vec = _lift(op, ints, d, p)
         if vec is not None:
-            last = next(x for x in reversed(vec) if not x.is_zero())
-            if last != ONE:
-                inv = last.inv()
-                vec = [x * inv for x in vec]
-            return vec
+            inv = next(x for x in reversed(vec) if x).inv()
+            return vec if inv == ONE else [x * inv for x in vec]
     basis = kernel_basis(rows, n)
     if len(basis) != 1:
-        raise NonGenericPointError(
-            f"fixed space of the transfer matrix has dimension {len(basis)}, expected 1"
-        )
+        raise NonGenericPointError(f"kernel has dimension {len(basis)}, expected 1")
     return basis[0]
 
 

@@ -1,17 +1,18 @@
 """Exact groundstate of the double-row transfer matrix.
 
 The transfer matrix at a generic spectral point fixes a unique ray;
-`solve` computes it by p-adic lifting (`exactla.fixed_vector`),
-certified by an exact T v == v, and pins the scale to closed-form
-anchor components so that different points share one global
-polynomial normalization.  On top of the solver this module
-carries the full identity apparatus: the extremal closed forms, the
-component sum rule, the exchange and reflection equations satisfied by
-the eigenvector, the size-lowering recursions with their explicit
-proportionality factors, degree bounds via exact interpolation, the
-vanishing conditions at specialization points, the homogeneous-point
-Hamiltonian annihilation, and the partial reconstruction of the L = 3
-vector from its extremal components.
+`solve` computes it as the kernel of T - 1 by p-adic lifting
+(`exactla.kernel_vector`), certified by an exact (T - 1) v == 0, and
+pins the scale to closed-form anchor components so that different
+points share one global polynomial normalization.  On top of the
+solver this module carries the full identity apparatus: the extremal
+closed forms, the component sum rule, the exchange and reflection
+equations satisfied by the eigenvector, the size-lowering recursions
+with their explicit proportionality factors, degree bounds via exact
+interpolation, the vanishing conditions at specialization points, the
+homogeneous-point Hamiltonian (its kernel, by the same lifting, is the
+ray T fixes), and the partial reconstruction of the L = 3 vector from
+its extremal components.
 
 The per-index identities follow the convention of `transfer`: index
 i = 0 is the left wall, 1..L-1 the bulk, L the right wall, and the
@@ -42,8 +43,8 @@ from .errors import (
     SingularParameterError,
 )
 from .exactfield import ONE, Scalar, ZERO, kfun
-from .exactla import LaurentPoly, fixed_vector, laurent_fit
-from .linkpat import all_patterns, c_from_zeta, hamiltonian, index_of, word_of
+from .exactla import LaurentPoly, kernel_vector, laurent_fit
+from .linkpat import SparseOperator, all_patterns, c_from_zeta, hamiltonian, index_of, word_of
 from .transfer import (
     SpectralPoint,
     _relation_length,
@@ -238,24 +239,25 @@ def solve(
 ) -> GroundstateVector:
     """Exact fixed vector of T(pt).
 
-    T(pt) is built once and its fixed vector found by Dixon's p-adic
-    lifting (`exactla.fixed_vector`): one elimination mod a prime that
-    shows the rank n - 1, exact residual updates, and a rational
-    reconstruction returned only once T(pt) v == v holds exactly, which
-    with that rank proves the fixed space is this one ray.  Where no
-    prime has that rank, the exact elimination decides, and a fixed
-    space that is not one-dimensional raises NonGenericPointError.  With
-    check_w the vector is re-verified against T at an independently
-    shifted auxiliary parameter, which must fix it too, or
-    ConsistencyError is raised.  The scale is then pinned to the first
-    available closed-form anchor (all_open, then all_close, then the
-    component sum), falling back to the raw scale (last nonzero
-    component 1) when every anchor vanishes; an explicitly requested
-    anchor that vanishes raises NonGenericPointError instead.
+    T(pt) is built once and its fixed vector found as the kernel of
+    T(pt) - 1 by Dixon's p-adic lifting (`exactla.kernel_vector`): one
+    elimination mod a prime that shows the rank n - 1, exact residual
+    updates, and a rational reconstruction returned only once
+    (T(pt) - 1) v == 0 holds exactly, which with that rank proves the
+    fixed space is this one ray.  Where no prime has that rank, the
+    exact elimination decides, and a fixed space that is not
+    one-dimensional raises NonGenericPointError, whose message gives the
+    dimension of the kernel.  With check_w the vector is re-verified
+    against T at an independently shifted auxiliary parameter, which
+    must fix it too, or ConsistencyError is raised.  The scale is then
+    pinned to the first available closed-form anchor (all_open, then
+    all_close, then the component sum), falling back to the raw scale
+    (last nonzero component 1) when every anchor vanishes; an explicitly
+    requested anchor that vanishes raises NonGenericPointError instead.
     """
     if pt.length > SOLVE_CAP:
         raise ValueError(f"refusing exact solve beyond L = SOLVE_CAP = {SOLVE_CAP}")
-    vec = fixed_vector(transfer_matrix(pt))
+    vec = kernel_vector(transfer_matrix(pt) - SparseOperator.identity(1 << pt.length))
     if check_w:
         second = _generic_w(pt, [pt.w + Scalar.from_rational(d) for d in (2, 3, 5, 7, 11)])
         if transfer_apply(vec, second) != vec:
@@ -384,6 +386,12 @@ def check_vanishing(pt: SpectralPoint) -> list[bool]:
 # -- homogeneous point --------------------------------------------------
 
 
+def _homogeneous_point(length: int, zeta1: Scalar, zeta2: Scalar) -> SpectralPoint:
+    """z_i = 1 at the first generic auxiliary parameter of one fixed list."""
+    ws = [Scalar.from_rational(Fraction(f)) for f in ("2", "3", "5/2", "7/2", "7/3", "9/4")]
+    return _generic_w(SpectralPoint((ONE,) * length, zeta1, zeta2, ONE), ws)
+
+
 def solve_homogeneous(length: int, zeta1: Scalar, zeta2: Scalar) -> GroundstateVector:
     """Groundstate at z_i = 1, anchored to the all-open closed form.
 
@@ -391,17 +399,16 @@ def solve_homogeneous(length: int, zeta1: Scalar, zeta2: Scalar) -> GroundstateV
     fixed space or a vanishing all-open anchor raises
     NonGenericPointError, as in `solve`.
     """
-    ws = [Scalar.from_rational(Fraction(f)) for f in ("2", "3", "5/2", "7/2", "7/3", "9/4")]
-    pt = _generic_w(SpectralPoint((ONE,) * length, zeta1, zeta2, ONE), ws)
-    return solve(pt, normalization="all_open")
+    return solve(_homogeneous_point(length, zeta1, zeta2), normalization="all_open")
 
 
 def check_hamiltonian(length: int, zeta1: Scalar, zeta2: Scalar) -> bool:
-    """H(c_1, c_2) annihilates the groundstate at z_i = 1, with
-    c_i = 3 / (1 + zeta_i^2 + zeta_i^{-2})."""
-    gs = solve_homogeneous(length, zeta1, zeta2)
-    ham = hamiltonian(length, c_from_zeta(zeta1), c_from_zeta(zeta2))
-    return all(x.is_zero() for x in ham.apply(list(gs.components)))
+    """The one ray of ker H(c_1, c_2), c_i = 3 / (1 + zeta_i^2 + zeta_i^-2),
+    by `exactla.kernel_vector`, is fixed by T at the z_i = 1 point of
+    `solve_homogeneous`.  A kernel that is not a line raises
+    NonGenericPointError, a pole of c_i SingularParameterError."""
+    vec = kernel_vector(hamiltonian(length, c_from_zeta(zeta1), c_from_zeta(zeta2)))
+    return transfer_apply(vec, _homogeneous_point(length, zeta1, zeta2)) == vec
 
 
 # -- degree bounds via interpolation ------------------------------------

@@ -12,7 +12,6 @@ from random import Random
 from openloop import (
     ONE,
     GroundstateVector,
-    Scalar,
     character_auto,
     check_sum_rule,
     closed_form_all_close,

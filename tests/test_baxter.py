@@ -13,7 +13,6 @@ from openloop import (
     bracket,
     kcheck0,
     kcheckL,
-    kfun,
     rcheck,
 )
 from openloop.baxter import face_weights_K0, face_weights_KL, face_weights_R

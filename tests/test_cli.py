@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -108,6 +111,32 @@ def test_boundary_pole_exits_three(capsys):
         capsys, "solve", "--L", "1", "--z", "2", "--zeta2", "1", "--w", "0:0:1:0"
     )
     assert code == 3
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # A pipe of one page makes the CLI's 13 kB of JSON block in its write
+    # until the reader has read 10 bytes and closed its end, so the CLI
+    # meets the closed pipe on every run, not only when the reader is fast.
+    import fcntl
+
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    argv = ["--L", "5", "--z", "2,3,5,7,11", "--zeta1", "2", "--zeta2", "3", "--w", "5/2"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "openloop.cli", "solve", *argv],
+        stdin=subprocess.DEVNULL,
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        os.close(write_end)
+        try:
+            head = os.read(read_end, 10)
+        finally:
+            os.close(read_end)
+        _, err = proc.communicate(timeout=120)
+    assert head == b'{\n  "schem'
+    assert proc.returncode == 141
+    assert b"Traceback" not in err
 
 
 def test_sumrule_command(capsys):

@@ -136,7 +136,7 @@ def test_addmul_removes_a_cancelled_sum():
 def test_cleared_keeps_numerators_already_over_the_lcm():
     x, y = Scalar([Fraction(1, 6), 0, Fraction(1, 3), 0]), Scalar([Fraction(5, 2), 1, 0, 0])
     (nx, ny), d = cleared([x, y])
-    assert d == 6 and nx is x.as_integers()[0] and ny == (15, 6, 0, 0)
+    assert d == 6 and nx is x._n and ny == (15, 6, 0, 0)
     assert [Scalar.from_integers(n, d) for n in (nx, ny)] == [x, y]
     assert cleared([]) == ([], 1)
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra: determinants, kernels, the p-adic fixed vector,
+"""Exact linear algebra: determinants, kernels, the p-adic kernel vector,
 Laurent interpolation."""
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from openloop import (
     NonGenericPointError,
     Scalar,
     SparseOperator,
+    c_from_zeta,
+    hamiltonian,
     reduction,
     transfer_matrix,
 )
@@ -26,8 +28,8 @@ from openloop.exactla import (
     PRIMES,
     LaurentPoly,
     det,
-    fixed_vector,
     kernel_basis,
+    kernel_vector,
     laurent_fit,
     newton_interpolate,
 )
@@ -124,29 +126,25 @@ def test_kernel_vectors_annihilate_rows():
             assert sum((a * b for a, b in zip(row, v)), ZERO).is_zero()
 
 
-def _kernel_oracle(tmat: SparseOperator) -> list[Scalar]:
-    rows = tmat.to_rows()
-    for i in range(tmat.dim):
-        rows[i][i] = rows[i][i] - ONE
-    (vec,) = kernel_basis(rows, tmat.dim)
+def _kernel_oracle(op: SparseOperator) -> list[Scalar]:
+    (vec,) = kernel_basis(op.to_rows(), op.dim)
     return vec
 
 
-def _fixing(minus_one) -> SparseOperator:
-    """T = 1 + minus_one, for a small hand-built T - 1."""
-    n = len(minus_one)
-    return SparseOperator(
-        n,
-        [{i: minus_one[i][j] + (ONE if i == j else ZERO) for i in range(n)} for j in range(n)],
-    )
+def _minus_one(tmat: SparseOperator) -> SparseOperator:
+    return tmat - SparseOperator.identity(tmat.dim)
 
 
-def _has_odd_powers(tmat: SparseOperator) -> bool:
-    return any(
-        nums[1] or nums[3]
-        for col in tmat.cols
-        for nums, _ in (x.as_integers() for x in col.values())
-    )
+def _from_rows(rows) -> SparseOperator:
+    """A small hand-built operator with these rows."""
+    n = len(rows)
+    return SparseOperator(n, [{i: rows[i][j] for i in range(n)} for j in range(n)])
+
+
+def _has_odd_powers(op: SparseOperator) -> bool:
+    """Whether some entry has a zeta or zeta^3 term, so that the lifting
+    runs in all four embeddings of Z[zeta] rather than two."""
+    return any(x.coeffs[1] or x.coeffs[3] for col in op.cols for x in col.values())
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
@@ -164,8 +162,8 @@ def test_fixed_vector_matches_the_exact_kernel(length):
         "s = i": replace(pt, s=IMAG),
     }
     for name, point in points.items():
-        tmat = transfer_matrix(point)
-        assert fixed_vector(tmat) == _kernel_oracle(tmat), name
+        op = _minus_one(transfer_matrix(point))
+        assert kernel_vector(op) == _kernel_oracle(op), name
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
@@ -173,8 +171,19 @@ def test_fixed_vector_matches_the_exact_kernel_at_specialisations(length):
     pt = draw_point(Random(720 + length), length)
     for i in range(length + 1):
         specialised, _, _ = reduction(pt, i)
-        tmat = transfer_matrix(specialised)
-        assert fixed_vector(tmat) == _kernel_oracle(tmat), i
+        op = _minus_one(transfer_matrix(specialised))
+        assert kernel_vector(op) == _kernel_oracle(op), i
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_kernel_vector_of_the_hamiltonian_matches_the_exact_kernel(length):
+    # Rational zeta keeps H in Q(zeta^2), where the lifting runs in two
+    # embeddings; zeta_1 = 2 + zeta puts odd powers of zeta into c_1 and
+    # so into H, where it runs in all four.
+    for zeta1, odd in ((rational(2), False), (rational(2) + ZETA, True)):
+        op = hamiltonian(length, c_from_zeta(zeta1), c_from_zeta(rational(5)))
+        assert _has_odd_powers(op) == odd
+        assert kernel_vector(op) == _kernel_oracle(op), zeta1
 
 
 def _scalar_apply(tmat: SparseOperator, vec: list[Scalar]) -> list[Scalar]:
@@ -184,15 +193,16 @@ def _scalar_apply(tmat: SparseOperator, vec: list[Scalar]) -> list[Scalar]:
 
 @pytest.mark.parametrize("odd", [False, True])
 def test_integer_certificate_is_t_v_equals_v(odd):
-    # `_lift` accepts a reconstruction v only if tmat.apply(v) == v, which
-    # runs in Z[zeta] integers.  A rational point keeps T in Q(zeta^2)
-    # (d = 2); zeta_1 = 2 + zeta puts odd powers of zeta into T (d = 4).
+    # `_lift` accepts a reconstruction v of ker(T - 1) only if
+    # (T - 1).apply(v) vanishes, which runs in Z[zeta] integers.  A
+    # rational point keeps T in Q(zeta^2) (d = 2); zeta_1 = 2 + zeta puts
+    # odd powers of zeta into T (d = 4).
     pt = draw_point(Random(740), 4)
     if odd:
         pt = replace(pt, zeta1=rational(2) + ZETA)
     tmat = transfer_matrix(pt)
     assert _has_odd_powers(tmat) == odd
-    vec = fixed_vector(tmat)
+    vec = kernel_vector(_minus_one(tmat))
     assert tmat.apply(vec) == vec == _scalar_apply(tmat, vec)
     # Each copy with one entry moved by 1 or by zeta is no fixed vector,
     # by the certificate and by the Scalar reference alike.
@@ -219,9 +229,9 @@ def test_integer_certificate_multiplies_as_scalars_do():
 
 def test_certificate_rejects_a_wrong_reconstruction(monkeypatch):
     # The first reconstruction has one numerator off by 1 (in entry 0, not
-    # the free last entry), so T v == v fails and the lifting asks for one
-    # more step instead of returning a wrong vector.
-    tmat = transfer_matrix(draw_point(Random(760), 3))
+    # the free last entry), so (T - 1) v == 0 fails and the lifting asks
+    # for one more step instead of returning a wrong vector.
+    op = _minus_one(transfer_matrix(draw_point(Random(760), 3)))
     found = []
     reconstruct = exactla._reconstruct
 
@@ -234,16 +244,16 @@ def test_certificate_rejects_a_wrong_reconstruction(monkeypatch):
         return result
 
     monkeypatch.setattr(exactla, "_reconstruct", off_by_one_once)
-    assert fixed_vector(tmat) == _kernel_oracle(tmat)
+    assert kernel_vector(op) == _kernel_oracle(op)
     first = next(k for k, r in enumerate(found) if r is not None)
     assert len(found) == first + 2 and found[-1] is not None
 
 
 def test_fixed_vector_skips_a_prime_dividing_a_pivot(monkeypatch):
-    # Rank 2 with fixed vector (1, 1, 1), but mod PRIMES[0] the first
+    # Rank 2 with kernel vector (1, 1, 1), but mod PRIMES[0] the first
     # pivot vanishes and the rank drops to 1.
     p = rational(PRIMES[0])
-    tmat = _fixing([[p, ZERO, -p], [ZERO, ONE, -ONE], [ZERO, ZERO, ZERO]])
+    op = _from_rows([[p, ZERO, -p], [ZERO, ONE, -ONE], [ZERO, ZERO, ZERO]])
     calls = []
 
     def spy(rows, ncols):
@@ -251,45 +261,45 @@ def test_fixed_vector_skips_a_prime_dividing_a_pivot(monkeypatch):
         return kernel_basis(rows, ncols)
 
     monkeypatch.setattr(exactla, "kernel_basis", spy)
-    assert fixed_vector(tmat) == [ONE, ONE, ONE]
+    assert kernel_vector(op) == [ONE, ONE, ONE]
     assert calls == []  # lifted from PRIMES[1]
     monkeypatch.setattr(exactla, "PRIMES", PRIMES[:1])
-    assert fixed_vector(tmat) == [ONE, ONE, ONE]
+    assert kernel_vector(op) == [ONE, ONE, ONE]
     assert calls == [3]  # with PRIMES[0] alone the exact kernel decides
 
 
 def test_fixed_vector_falls_back_to_the_exact_kernel_when_every_prime_fails():
-    # The identity fixes a plane: T - 1 has rank 0 mod every prime, and
-    # the exact kernel reports the dimension.
+    # The zero operator has a plane for kernel: rank 0 mod every prime,
+    # and the exact kernel reports the dimension.
     with pytest.raises(NonGenericPointError, match="dimension 2, expected 1"):
-        fixed_vector(SparseOperator.identity(2))
-    # An invertible T - 1 has full rank mod every prime.
+        kernel_vector(SparseOperator(2, [{}, {}]))
+    # An invertible operator has full rank mod every prime.
     with pytest.raises(NonGenericPointError, match="dimension 0, expected 1"):
-        fixed_vector(_fixing([[ONE, ZERO], [ZERO, rational(2)]]))
-    # A line, but T - 1 vanishes mod every prime of PRIMES.
+        kernel_vector(_from_rows([[ONE, ZERO], [ZERO, rational(2)]]))
+    # A line, but the operator vanishes mod every prime of PRIMES.
     m = rational(PRIMES[0] * PRIMES[1] * PRIMES[2])
-    assert fixed_vector(_fixing([[m, -m], [ZERO, ZERO]])) == [ONE, ONE]
+    assert kernel_vector(_from_rows([[m, -m], [ZERO, ZERO]])) == [ONE, ONE]
 
 
 def test_fixed_vector_scales_its_last_nonzero_entry_to_one():
-    # Fixed vector (-2, 1, 0): the last nonzero entry is 1, not the last.
-    tmat = _fixing([
+    # Kernel vector (-2, 1, 0): the last nonzero entry is 1, not the last.
+    op = _from_rows([
         [ONE, rational(2), ZERO],
         [ZERO, ZERO, ONE],
         [rational(3), rational(6), rational(4)],
     ])
-    assert fixed_vector(tmat) == [-rational(2), ONE, ZERO] == _kernel_oracle(tmat)
-    # Fixed vector (1, p): mod p the free column is the first one, but the
+    assert kernel_vector(op) == [-rational(2), ONE, ZERO] == _kernel_oracle(op)
+    # Kernel vector (1, p): mod p the free column is the first one, but the
     # last nonzero entry over Q is the second.
     p = rational(PRIMES[0])
-    tmat = _fixing([[p, -ONE], [ZERO, ZERO]])
-    assert fixed_vector(tmat) == [p.inv(), ONE] == _kernel_oracle(tmat)
+    op = _from_rows([[p, -ONE], [ZERO, ZERO]])
+    assert kernel_vector(op) == [p.inv(), ONE] == _kernel_oracle(op)
 
 
 def test_laurent_poly_accessors():
+    # The coefficients by exponent, a zero one dropped.
     p = LaurentPoly({-1: ZETA, 0: ZERO, 2: -ONE})
-    assert p.coeff(-1) == ZETA and p.coeff(2) == -ONE
-    assert p.coeff(0) == ZERO and p.coeff(1) == ZERO
+    assert p._c == {-1: ZETA, 2: -ONE}
     three = Scalar.from_rational(3)
     assert p.eval_at(three) == ZETA / three - three * three
     assert p.min_exp == -1 and p.max_exp == 2

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -17,7 +16,9 @@ from openloop import (
     ONE,
     Q,
     Scalar,
+    SingularParameterError,
     SpectralPoint,
+    ZETA,
     check_T_recursion,
     check_hamiltonian,
     check_interlace,
@@ -30,6 +31,7 @@ from openloop import (
     eval_s,
     fourth_roots,
     generic_parameters,
+    groundstate,
     interpolate_all,
     kfun,
     pi_point,
@@ -320,6 +322,31 @@ def test_hamiltonian_annihilates_groundstate(zetas):
     z1, z2 = (rational(z) for z in zetas)
     for length in (1, 2, 3):
         assert check_hamiltonian(length, z1, z2)
+
+
+def test_hamiltonian_check_solves_no_transfer_matrix(monkeypatch):
+    # The kernel of H is lifted directly and only compared with T by one
+    # sweep, so neither a solve nor a T build is needed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_hamiltonian solved or built T")
+
+    for name in ("solve", "solve_homogeneous", "transfer_matrix"):
+        monkeypatch.setattr(groundstate, name, refuse)
+    assert check_hamiltonian(3, rational(2), rational(5))
+
+
+def test_hamiltonian_with_swapped_couplings_fails(monkeypatch):
+    # H(c_2, c_1) has a kernel line too, but T(zeta_1, zeta_2) does not fix it.
+    hamiltonian = groundstate.hamiltonian
+    monkeypatch.setattr(groundstate, "hamiltonian", lambda n, c1, c2: hamiltonian(n, c2, c1))
+    for length in (1, 2, 3):
+        assert not check_hamiltonian(length, rational(2), rational(5))
+
+
+def test_hamiltonian_coupling_pole_raises():
+    # zeta_1 = zeta12^2 gives 1 + zeta_1^2 + zeta_1^-2 = 0, a pole of c_1.
+    with pytest.raises(SingularParameterError, match="boundary coupling pole"):
+        check_hamiltonian(2, ZETA**2, rational(3))
 
 
 def test_homogeneous_components_share_one_sign():

@@ -29,6 +29,7 @@ from openloop import (
     transfer_matrix_naive,
     word_of,
 )
+from openloop.exactfield import cleared
 from openloop.groundstate import generic_parameters
 from openloop.linkpat import (
     LEFT_WALL,
@@ -255,7 +256,7 @@ def test_compose_matches_scalar_product():
     entries = [v for op in drawn for col in op.cols for v in col.values()]
     assert any(v.coeffs[1] and v.coeffs[3] for v in entries)
     assert any(c < 0 for v in entries for c in v.coeffs)
-    dens = [[{v.as_integers()[1] for v in col.values()} for col in op.cols] for op in drawn]
+    dens = [[{cleared([v])[1] for v in col.values()} for col in op.cols] for op in drawn]
     assert any(len(col) > 1 for op in dens for col in op)
     assert any(len({lcm(*col) for col in op if col}) > 1 for op in dens)
     assert any(not col for op in drawn for col in op.cols)
