@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -41,6 +42,12 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value starting with "-" is an option to argparse unless this private
+        # pattern (by default "-2" or "-.5" only) matches: widen it to "-3/4".
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
     def error(self, message: str):
         raise _CliError(message)
 

@@ -27,7 +27,7 @@ Bulk contractions skip the per-product gcd and run on those Z[zeta]
 numerators, plain 4-tuples of ints: `cleared` puts a batch of Scalars
 over one denominator, and `addmul` is the one home of the Z[zeta]
 product outside `Scalar.__mul__`, behind the transfer sweep, the
-`SparseOperator` products and the fixed-vector certificate.
+`SparseOperator` products and the p-adic lifting's residual and certificate.
 """
 
 from __future__ import annotations

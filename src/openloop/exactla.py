@@ -7,8 +7,9 @@ The linear algebra shared by the character and groundstate modules:
   prime has the generic rank and is the oracle the lifting is tested
   against;
 - one Gaussian elimination mod p, behind Dixon's p-adic lifting of the
-  one ray of the kernel of a `SparseOperator`, certified exactly as
-  op v == 0 by `SparseOperator.apply` in Z[zeta] integers;
+  one ray of the kernel of a `SparseOperator`, whose exact residual and
+  certificate op v == 0 contract its sparse Z[zeta] columns, over one
+  denominator, with `exactfield.addmul`;
 - the Laurent fits `newton_interpolate` and `laurent_fit`, which return
   the interpolated groundstate components as `LaurentPoly` results.
 """
@@ -21,8 +22,8 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ConsistencyError, NonGenericPointError
-from .exactfield import ONE, ZERO, Scalar, cleared
-from .linkpat import SparseOperator
+from .exactfield import ONE, ZERO, Scalar, addmul
+from .linkpat import SparseOperator, _cleared_columns
 
 __all__ = [
     "PRIMES",
@@ -152,17 +153,11 @@ PRIMES = ((1 << 125) - 415, (1 << 125) - 1291, (1 << 125) - 1483)
 # Bits by which the reconstruction bounds stay below Wang's sqrt(m / 2).
 _MARGIN = 16
 
-# The ring in which the lifting runs: Z[zeta] in the basis zeta^0..3, or
-# Z[zeta^2] in the basis 1, zeta^2 when no entry has an odd power of
-# zeta (then the embeddings zeta -> r and -r agree, and two suffice).
-# Each entry: positions of the basis in a Scalar's coefficients, the
-# minimal polynomial x^d + m_{d-1} x^{d-1} + ... + m_0 of the generator
-# as (m_0, .., m_{d-1}), and the exponents e with generator -> r^e for a
-# primitive 12th root of unity r mod p.
-_RINGS = {
-    4: ((0, 1, 2, 3), (1, 0, -1, 0), (1, 5, 7, 11)),
-    2: ((0, 2), (1, -1), (2, 10)),
-}
+# The embeddings zeta -> r^e of Z[zeta] into F_p, for r a primitive 12th
+# root of unity mod p.  The lifting runs in Z[zeta] with all d = 4, or in
+# Z[zeta^2] with the first d = 2 when no entry has an odd power of zeta
+# (then zeta -> r and -r agree); its ring basis is zeta^(4j/d), j < d.
+_EXPS = (1, 5, 7, 11)
 
 
 def _eliminate(rows: list[list[int]], p: int):
@@ -210,27 +205,17 @@ def _solve(factor, rhs: Sequence[int], p: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _embeddings(p: int, d: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The Vandermonde matrix V[k][j] = r_k^j of the d embeddings
-    generator -> r_k of `_RINGS[d]` into F_p, and its inverse mod p."""
-    _, _, exps = _RINGS[d]
+    """The images r_k^t of zeta^t, t = 0..3, under the first d embeddings
+    zeta -> r_k = r^e of `_EXPS`, and the inverse mod p of the Vandermonde
+    matrix of those embeddings on the ring basis zeta^(4j/d)."""
     for g in range(2, p):
         r = pow(g, (p - 1) // 12, p)
         if pow(r, 4, p) != 1 and pow(r, 6, p) != 1:  # order exactly 12
             break
-    vander = [[pow(r, e * j, p) for j in range(d)] for e in exps]
-    factor = _eliminate(vander, p)
+    powers = [[pow(r, e * t, p) for t in range(4)] for e in _EXPS[:d]]
+    factor = _eliminate([pw[:: 4 // d] for pw in powers], p)
     cols = [_solve(factor, [int(i == k) for i in range(d)], p) for k in range(d)]
-    return vander, [list(row) for row in zip(*cols)]
-
-
-def _regular(c: tuple[int, ...], minpoly: Sequence[int]) -> list[tuple[int, ...]]:
-    """Rows of the integer matrix of multiplication by c in the ring basis:
-    column s holds c times generator^s, reduced by the minimal polynomial."""
-    cols = [list(c)]
-    for _ in range(len(c) - 1):
-        prev = cols[-1]
-        cols.append([(prev[t - 1] if t else 0) - prev[-1] * m for t, m in enumerate(minpoly)])
-    return list(zip(*cols))
+    return powers, [list(row) for row in zip(*cols)]
 
 
 def _reconstruct(residues: Sequence[int], m: int) -> tuple[list[int], int] | None:
@@ -258,16 +243,23 @@ def _reconstruct(residues: Sequence[int], m: int) -> tuple[list[int], int] | Non
     return nums, den
 
 
-def _lift(op: SparseOperator, ints: list[list[tuple[int, ...]]], d: int, p: int):
-    """The certified kernel vector of op, lifted from the prime p with the
-    cleared rows ints of op, with its free column at 1; None if op does
-    not have rank n - 1 mod p.  A reconstruction is returned only if
-    op.apply(v) vanishes, computed in Z[zeta] integers."""
-    positions, minpoly, _ = _RINGS[d]
-    vander, vinv = _embeddings(p, d)
-    n = len(ints)
-    a = [[tuple(c[t] for t in positions) for c in row] for row in ints]
-    factor = _eliminate([[sum(map(mul, c, vander[0])) for c in row] for row in a], p)
+def _lift(cols: list[list[tuple]], d: int, p: int):
+    """The kernel vector, with its free column at 1, of the operator whose
+    sparse Z[zeta] columns over one denominator are cols; None if its rank
+    mod p is not n - 1.  A reconstruction v is returned only once the
+    `addmul` contraction of cols with v vanishes."""
+    powers, vinv = _embeddings(p, d)
+    n = len(cols)
+
+    def embedded(pw: list[int], cols: list[list[tuple]]) -> list[list[int]]:
+        """Dense rows of the columns' image under zeta^t -> pw[t]."""
+        rows = [[0] * n for _ in range(n)]
+        for j, col in enumerate(cols):
+            for i, c in col:
+                rows[i][j] = sum(map(mul, c, pw))
+        return rows
+
+    factor = _eliminate(embedded(powers[0], cols), p)
     if len(factor[0]) != n - 1:
         return None
     (dep,) = set(range(n)).difference(row for row, _, _ in factor[0])
@@ -276,52 +268,54 @@ def _lift(op: SparseOperator, ints: list[list[tuple[int, ...]]], d: int, p: int)
     # at most H = prod_i |row i|, with 2^hadamard >= H^2.  The solution's
     # coefficients are (numerator) / N(det A), both below 2 H^d, and
     # reconstruction needs m > 2 (2^_MARGIN 2 H^d)^2.
-    hadamard = sum(
-        sum(sum(map(abs, c)) ** 2 for c in row).bit_length()
-        for i, row in enumerate(a)
-        if i != dep
-    )
+    norms = [0] * n
+    for col in cols:
+        for i, c in col:
+            norms[i] += sum(map(abs, c)) ** 2
+    hadamard = sum(x.bit_length() for i, x in enumerate(norms) if i != dep)
     budget = -(-(d * hadamard + 2 * _MARGIN + 3) // (p.bit_length() - 1)) + 1
-    # Solve A x = -(column free) on the other rows and columns, v_free = 1.
-    rhs = [tuple(-c for c in row[free]) for row in a]
-    zero = (0,) * d
-    rhs[dep] = zero
-    a[dep] = [zero] * n
-    for row in a:
-        row[free] = zero
+    # Solve A x = -(column free) on the other rows and columns, v_free = 1:
+    # the first embedding's dep row and free column leave the one block
+    # that every other embedding factors too.
+    block = [[(i, c) for i, c in col if i != dep] for col in cols]
+    res: dict = {}
+    addmul(res, (-1, 0, 0, 0), block[free])
+    block[free] = []
     factors = [factor]
-    for pw in vander[1:]:
-        factor = _eliminate([[sum(map(mul, c, pw)) for c in row] for row in a], p)
+    for pw in powers[1:]:
+        factor = _eliminate(embedded(pw, block), p)
         if len(factor[0]) != n - 1:
             return None
         factors.append(factor)
-    flat = []
-    for row in a:
-        regs = [_regular(c, minpoly) for c in row]
-        flat.extend([x for reg in regs for x in reg[t]] for t in range(d))
-    res = [c for row in rhs for c in row]
-    acc = [0] * (n * d)
+    zero = (0, 0, 0, 0)
+    acc = [0] * (4 * n)
     pk = 1
     for _ in range(budget):
         ys = [
-            _solve(f, [sum(map(mul, res[i * d : i * d + d], pw)) % p for i in range(n)], p)
-            for f, pw in zip(factors, vander)
+            _solve(f, [sum(map(mul, res.get(i, zero), pw)) % p for i in range(n)], p)
+            for f, pw in zip(factors, powers)
         ]
-        digit = [sum(map(mul, row, y)) % p for y in zip(*ys) for row in vinv]
-        res = [(r - sum(map(mul, brow, digit))) // p for r, brow in zip(res, flat)]
-        acc = [s + x * pk for s, x in zip(acc, digit)]
+        for j, y in enumerate(zip(*ys)):
+            if any(y):
+                digit = [0, 0, 0, 0]
+                digit[:: 4 // d] = [sum(map(mul, row, y)) % p for row in vinv]
+                addmul(res, [-x for x in digit], block[j])
+                for t, x in enumerate(digit, 4 * j):
+                    acc[t] += x * pk
+        res = {i: tuple(a // p for a in c) for i, c in res.items()}
         pk *= p
         found = _reconstruct(acc, pk)
         if found is None:
             continue
         nums, den = found
-        full = [[0, 0, 0, 0] for _ in range(n)]
-        for k, c in enumerate(nums):
-            full[k // d][positions[k % d]] = c
-        full[free] = [den, 0, 0, 0]
-        vec = [Scalar.from_integers(c, den) for c in full]
-        if not any(op.apply(vec)):
-            return vec
+        nums[4 * free] = den
+        full = [tuple(nums[t : t + 4]) for t in range(0, 4 * n, 4)]
+        check: dict = {}
+        for col, b in zip(cols, full):
+            if any(b):
+                addmul(check, b, col)
+        if not check:
+            return [Scalar.from_integers(b, den) for b in full]
     raise ConsistencyError(
         f"p-adic lifting found no certified kernel vector within {budget} steps"
     )
@@ -330,29 +324,28 @@ def _lift(op: SparseOperator, ints: list[list[tuple[int, ...]]], d: int, p: int)
 def kernel_vector(op: SparseOperator) -> list[Scalar]:
     """The one ray of ker op, scaled so that its last nonzero entry is 1.
 
-    Dixon's method: the rows of op are cleared of denominators, the rank
-    profile is found mod a prime p of PRIMES, the pivot block is factored
-    once in each embedding of Z[zeta] into F_p, and the solution is
-    lifted p-adically with exact residual updates (r - A x) / p until a
+    Dixon's method: the columns of op are cleared to Z[zeta] numerators
+    over one denominator, the rank profile is found mod a prime p of
+    PRIMES, one pivot block is factored in each embedding of Z[zeta] into
+    F_p, and the solution is lifted p-adically with exact residual
+    updates (r - A x) / p, one `addmul` per nonzero digit column, until a
     rational reconstruction over one common denominator satisfies
-    op.apply(v) == 0, which `SparseOperator.apply` computes in Z[zeta]
-    integers.  A wrong reconstruction costs one more lifting step, never
-    a wrong vector.  With the rank n - 1 mod p that proves v spans the
-    kernel.  A prime with any other rank is skipped; when every one is,
-    the exact `kernel_basis` decides, and a kernel that is not a line
-    raises NonGenericPointError.  The last nonzero entry is the free
-    column of `kernel_basis`'s RREF, so both give the same vector.
+    op v == 0, contracted with the same columns in Z[zeta] integers.  A
+    wrong reconstruction costs one more lifting step, never a wrong
+    vector.  With the rank n - 1 mod p that proves v spans the kernel.
+    A prime with any other rank is skipped; when every one is, the exact
+    `kernel_basis` decides, and a kernel that is not a line raises
+    NonGenericPointError.  The last nonzero entry is the free column of
+    `kernel_basis`'s RREF, so both give the same vector.
     """
-    n = op.dim
-    rows = op.to_rows()
-    ints = [cleared(row)[0] for row in rows]
-    d = 4 if any(c[1] or c[3] for row in ints for c in row) else 2
+    cols, _ = _cleared_columns(op.cols)
+    d = 4 if any(c[1] or c[3] for col in cols for _, c in col) else 2
     for p in PRIMES:
-        vec = _lift(op, ints, d, p)
+        vec = _lift(cols, d, p)
         if vec is not None:
             inv = next(x for x in reversed(vec) if x).inv()
             return vec if inv == ONE else [x * inv for x in vec]
-    basis = kernel_basis(rows, n)
+    basis = kernel_basis(op.to_rows(), op.dim)
     if len(basis) != 1:
         raise NonGenericPointError(f"kernel has dimension {len(basis)}, expected 1")
     return basis[0]

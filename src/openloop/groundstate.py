@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .chars import character_auto, lambda_partition, z_product
@@ -48,7 +49,6 @@ from .linkpat import SparseOperator, all_patterns, c_from_zeta, hamiltonian, ind
 from .transfer import (
     SpectralPoint,
     _relation_length,
-    assert_generic,
     exchange_coefficients,
     exchange_operator,
     pi_point,
@@ -187,18 +187,17 @@ def closed_form_all_close(pt: SpectralPoint) -> Scalar:
     return (pt.s * pt.s) ** pt.length * closed_form_all_open(pt.reflected())
 
 
-def _generic_w(pt: SpectralPoint, candidates: Iterable[Scalar]) -> SpectralPoint:
-    """pt moved to the first candidate w, other than 0 and +-1, at which
-    no tile weight has a pole."""
+def _at_generic_w(pt: SpectralPoint, candidates: Iterable[Scalar], run: Callable):
+    """run(pt moved to w) at the first candidate w, other than 0 and +-1,
+    at which no tile weight has a pole: the SingularParameterError that run
+    raises at a pole moves on to the next candidate."""
     for cand in candidates:
         if cand.is_zero() or cand == ONE or cand == -ONE:
             continue
-        trial = pt.with_w(cand)
         try:
-            assert_generic(trial)
+            return run(pt.with_w(cand))
         except SingularParameterError:
             continue
-        return trial
     raise NonGenericPointError("no generic auxiliary parameter found")
 
 
@@ -259,8 +258,8 @@ def solve(
         raise ValueError(f"refusing exact solve beyond L = SOLVE_CAP = {SOLVE_CAP}")
     vec = kernel_vector(transfer_matrix(pt) - SparseOperator.identity(1 << pt.length))
     if check_w:
-        second = _generic_w(pt, [pt.w + Scalar.from_rational(d) for d in (2, 3, 5, 7, 11)])
-        if transfer_apply(vec, second) != vec:
+        shifted = [pt.w + Scalar.from_rational(d) for d in (2, 3, 5, 7, 11)]
+        if _at_generic_w(pt, shifted, partial(transfer_apply, vec)) != vec:
             raise ConsistencyError(
                 "fixed vector is not independent of the auxiliary parameter"
             )
@@ -386,20 +385,19 @@ def check_vanishing(pt: SpectralPoint) -> list[bool]:
 # -- homogeneous point --------------------------------------------------
 
 
-def _homogeneous_point(length: int, zeta1: Scalar, zeta2: Scalar) -> SpectralPoint:
-    """z_i = 1 at the first generic auxiliary parameter of one fixed list."""
-    ws = [Scalar.from_rational(Fraction(f)) for f in ("2", "3", "5/2", "7/2", "7/3", "9/4")]
-    return _generic_w(SpectralPoint((ONE,) * length, zeta1, zeta2, ONE), ws)
+# The auxiliary parameters tried in turn at the homogeneous point z_i = 1.
+_HOMOGENEOUS_WS = [Scalar.from_rational(Fraction(f)) for f in "2 3 5/2 7/2 7/3 9/4".split()]
 
 
 def solve_homogeneous(length: int, zeta1: Scalar, zeta2: Scalar) -> GroundstateVector:
     """Groundstate at z_i = 1, anchored to the all-open closed form.
 
-    The auxiliary parameter is chosen deterministically.  A degenerate
-    fixed space or a vanishing all-open anchor raises
-    NonGenericPointError, as in `solve`.
+    The auxiliary parameter is the first of one fixed list at which T
+    has no pole.  A degenerate fixed space or a vanishing all-open anchor
+    raises NonGenericPointError, as in `solve`.
     """
-    return solve(_homogeneous_point(length, zeta1, zeta2), normalization="all_open")
+    pt = SpectralPoint((ONE,) * length, zeta1, zeta2, ONE)
+    return _at_generic_w(pt, _HOMOGENEOUS_WS, partial(solve, normalization="all_open"))
 
 
 def check_hamiltonian(length: int, zeta1: Scalar, zeta2: Scalar) -> bool:
@@ -408,7 +406,8 @@ def check_hamiltonian(length: int, zeta1: Scalar, zeta2: Scalar) -> bool:
     `solve_homogeneous`.  A kernel that is not a line raises
     NonGenericPointError, a pole of c_i SingularParameterError."""
     vec = kernel_vector(hamiltonian(length, c_from_zeta(zeta1), c_from_zeta(zeta2)))
-    return transfer_apply(vec, _homogeneous_point(length, zeta1, zeta2)) == vec
+    pt = SpectralPoint((ONE,) * length, zeta1, zeta2, ONE)
+    return _at_generic_w(pt, _HOMOGENEOUS_WS, partial(transfer_apply, vec)) == vec
 
 
 # -- degree bounds via interpolation ------------------------------------

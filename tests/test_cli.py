@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -70,6 +71,43 @@ def test_solve_level_zero(capsys):
     assert code == 0
     payload = json.loads(out[: out.rindex("}") + 1])
     assert payload["components"][""] == ["1", "0", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "--L 6 --z 2,3,5,7,11,13 --zeta1 2:1:0:0 --zeta2 3 --w 5/2",
+            "987909852e5a00273b5f683aa77f292b94376d25aa90c687ce1a1ebb1cd3ac26",
+        ),
+        (
+            "--L 7 --z 2,3,5,7,11,13,17 --zeta1 2 --zeta2 3 --w 5/2",
+            "5138a82e84716fd45750dd11d5510d908869c50f5d0f47516968bd32623b08e5",
+        ),
+    ],
+    ids=["L6", "L7"],
+)
+def test_solve_output_is_pinned_beyond_the_oracle_sizes(capsys, argv, digest):
+    # The exact kernel oracle is compared with the lifting up to L = 5;
+    # these digests of the whole stdout pin two larger solves, one of them
+    # with odd powers of zeta (zeta_1 = 2 + zeta).
+    code, out, err = run_cli(capsys, "solve", *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--w", "-3/4"), ("--zeta1", "-3/7"), ("--zeta2", "-1:0:1:0"), ("--z", "-2,3")],
+)
+def test_negative_scalars_are_values_not_options(capsys, flag, value):
+    base = {"--z": "2,3", "--zeta1": "2", "--zeta2": "3", "--w": "5/2"}
+    argv = ["solve", "--L", "2"] + [x for k, v in base.items() if k != flag for x in (k, v)]
+    code, spaced, err = run_cli(capsys, *argv, flag, value)
+    assert (code, err) == (0, "")
+    code, joined, err = run_cli(capsys, *argv, f"{flag}={value}")
+    assert (code, err) == (0, "")
+    assert spaced == joined
 
 
 def test_repeated_bulk_parameters_are_fine(capsys):

@@ -268,6 +268,25 @@ def test_fixed_vector_skips_a_prime_dividing_a_pivot(monkeypatch):
     assert calls == [3]  # with PRIMES[0] alone the exact kernel decides
 
 
+def test_every_embedding_factors_the_first_embeddings_pivot_block(monkeypatch):
+    # a = zeta - r vanishes in the first embedding zeta -> r mod PRIMES[0]
+    # only.  Rows (a, 1) and (2a, 2): there the free column is 0 and the
+    # dep row 1, but every other embedding would pivot on column 0 unless
+    # that row and column leave its matrix first.
+    p = PRIMES[0]
+    powers, _ = exactla._embeddings(p, 4)
+    a = ZETA - rational(powers[0][1])  # powers[0][1] = r
+    op = SparseOperator(2, [{0: a, 1: a * 2}, {0: ONE, 1: rational(2)}])
+    oracle = _kernel_oracle(op)
+
+    def refuse(rows, ncols):
+        raise AssertionError("fell back to the exact kernel")
+
+    monkeypatch.setattr(exactla, "PRIMES", (p,))
+    monkeypatch.setattr(exactla, "kernel_basis", refuse)
+    assert kernel_vector(op) == oracle == [-a.inv(), ONE]
+
+
 def test_fixed_vector_falls_back_to_the_exact_kernel_when_every_prime_fails():
     # The zero operator has a plane for kernel: rank 0 mod every prime,
     # and the exact kernel reports the dimension.

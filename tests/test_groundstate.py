@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -43,6 +44,7 @@ from openloop import (
     transfer_matrix,
     z_product,
 )
+from openloop import transfer
 from openloop.groundstate import SOLVE_CAP, a_const, recursion_factor
 
 from helpers import draw_point, rational
@@ -124,6 +126,27 @@ def test_solve_reaches_seven_sites():
     gs = solve(pt)
     assert gs.normalization == "all_open"
     assert sum_components(gs) == z_product(pt)
+
+
+def test_solve_computes_each_points_tile_weights_once(monkeypatch):
+    # The second-w check and the homogeneous point run their own sweep at
+    # each candidate w and move on only at a pole, so no weights are
+    # computed just to probe a candidate.
+    counts = Counter()
+    tile_weights = transfer._tile_weights
+
+    def counting(pt):
+        counts[pt] += 1
+        return tile_weights(pt)
+
+    monkeypatch.setattr(transfer, "_tile_weights", counting)
+    pt = draw_point(Random(48), 3)
+    solve(pt)
+    assert pt in counts and len(counts) == 2
+    assert set(counts.values()) == {1}
+    counts.clear()
+    solve_homogeneous(2, rational(2), rational(3))
+    assert len(counts) == 2 and set(counts.values()) == {1}
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])
