@@ -45,8 +45,8 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # A value starting with "-" is an option to argparse unless this private
-        # pattern (by default "-2" or "-.5" only) matches: widen it to "-3/4".
-        self._negative_number_matcher = re.compile(r"^-[\d.]")
+        # pattern (by default "-2" or "-.5" only) matches: widen it to "-3/4" and "-i".
+        self._negative_number_matcher = re.compile(r"^-([\d.]|i$)")
 
     def error(self, message: str):
         raise _CliError(message)

@@ -24,10 +24,10 @@ numerators over one positive common denominator in lowest terms, and
 `Scalar.coeffs` hands them out as `fractions.Fraction` values.
 
 Bulk contractions skip the per-product gcd and run on those Z[zeta]
-numerators, plain 4-tuples of ints: `cleared` puts a batch of Scalars
-over one denominator, and `addmul` is the one home of the Z[zeta]
-product outside `Scalar.__mul__`, behind the transfer sweep, the
-`SparseOperator` products and the p-adic lifting's residual and certificate.
+numerators, plain 4-tuples of ints: `cleared` (and `cleared_columns`,
+for sparse columns) puts Scalars over one denominator, and `addmul` is
+the one home of the Z[zeta] product outside `Scalar.__mul__`, behind the
+transfer sweep, the `SparseOperator` products and the p-adic lifting.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "bracket",
     "kfun",
     "cleared",
+    "cleared_columns",
     "addmul",
 ]
 
@@ -301,6 +302,15 @@ def cleared(xs: Collection[Scalar]) -> tuple[list[tuple[int, int, int, int]], in
     entry already over the lcm keeps its numerators as they are."""
     d = lcm(*{x._d for x in xs})
     return [x._n if x._d == d else tuple(n * (d // x._d) for n in x._n) for x in xs], d
+
+
+def cleared_columns(cols: Sequence[dict[int, Scalar]]) -> tuple[list[list[tuple]], int]:
+    """Sparse columns {index: Scalar} as lists of (index, numerators), all
+    over one `cleared` denominator, which is returned with them."""
+    nums, d = cleared([v for col in cols for v in col.values()])
+    flat = iter(nums)
+    # zip stops at the end of col before it draws from flat.
+    return [list(zip(col, flat)) for col in cols], d
 
 
 def addmul(acc: dict, b: tuple[int, int, int, int], items: Iterable[tuple]) -> None:

@@ -22,8 +22,8 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ConsistencyError, NonGenericPointError
-from .exactfield import ONE, ZERO, Scalar, addmul
-from .linkpat import SparseOperator, _cleared_columns
+from .exactfield import ONE, ZERO, Scalar, addmul, cleared_columns
+from .linkpat import SparseOperator
 
 __all__ = [
     "PRIMES",
@@ -338,7 +338,7 @@ def kernel_vector(op: SparseOperator) -> list[Scalar]:
     NonGenericPointError.  The last nonzero entry is the free column of
     `kernel_basis`'s RREF, so both give the same vector.
     """
-    cols, _ = _cleared_columns(op.cols)
+    cols, _ = cleared_columns(op.cols)
     d = 4 if any(c[1] or c[3] for col in cols for _, c in col) else 2
     for p in PRIMES:
         vec = _lift(cols, d, p)

@@ -11,8 +11,9 @@ equations satisfied by the eigenvector, the size-lowering recursions
 with their explicit proportionality factors, degree bounds via exact
 interpolation, the vanishing conditions at specialization points, the
 homogeneous-point Hamiltonian (its kernel, by the same lifting, is the
-ray T fixes), and the partial reconstruction of the L = 3 vector from
-its extremal components.
+ray T fixes), and the components that one qKZ propagation rule fixes
+from the two extremal closed forms at any L (`qkz_components`, with
+`reconstruct_partial_L3` as its L = 3 view).
 
 The per-index identities follow the convention of `transfer`: index
 i = 0 is the left wall, 1..L-1 the bulk, L the right wall, and the
@@ -33,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 from .chars import character_auto, lambda_partition, z_product
@@ -45,7 +46,9 @@ from .errors import (
 )
 from .exactfield import ONE, Scalar, ZERO, kfun
 from .exactla import LaurentPoly, kernel_vector, laurent_fit
-from .linkpat import SparseOperator, all_patterns, c_from_zeta, hamiltonian, index_of, word_of
+from .linkpat import (
+    SparseOperator, all_patterns, apply_e, c_from_zeta, hamiltonian, index_of, word_of
+)
 from .transfer import (
     SpectralPoint,
     _relation_length,
@@ -74,6 +77,7 @@ __all__ = [
     "eval_s",
     "generic_parameters",
     "interpolate_all",
+    "qkz_components",
     "reconstruct_partial_L3",
     "recursion_factor",
     "solve",
@@ -459,17 +463,50 @@ def interpolate_all(
     return out
 
 
-# -- partial reconstruction at L = 3 ------------------------------------
+# -- components from the qKZ relations ---------------------------------
+
+
+def qkz_components(
+    psi_open: ComponentEvaluator, psi_close: ComponentEvaluator, length: int
+) -> tuple[dict[str, ComponentEvaluator], list[tuple[tuple[str, ...], ComponentEvaluator]]]:
+    """The components that the qKZ relations fix from the extremal ones.
+
+    For each pattern a with e_i a = a, i = 0..L (the index convention of
+    `exchange_coefficients`), s_i psi_a = sum of psi_b over b != a with
+    e_i b = a.  A relation whose a is known and that has exactly one
+    unknown b fixes psi_b as s_i psi_a minus the known psi_b, starting
+    from the all-open and all-close components, until no relation fixes
+    anything new.  Returns the fixed components' evaluators, each with its
+    own cache of values per point (the two extremal ones included), and for
+    each relation with a known a its unknown b's (none, or two or more)
+    with the evaluator of its remainder s_i psi_a - sum of known psi_b.
+    """
+    words = list(all_patterns(length))
+    relations = []
+    for i in range(length + 1):
+        image = {b: apply_e(i, b) for b in words}
+        relations += [(i, a, [b for b in words if b != a and image[b] == a])
+                      for a in words if image[a] == a]
+    memo = lru_cache(maxsize=None)
+    known = {words[0]: memo(psi_open), words[-1]: memo(psi_close)}
+
+    def remainder(i: int, a: str, bs: list[str]) -> ComponentEvaluator:
+        f, terms = known[a], [known[b] for b in bs if b in known]
+        return memo(lambda p: eval_s(i, f, p) - sum((g(p) for g in terms), ZERO))
+
+    unknown = lambda bs: tuple(b for b in bs if b not in known)
+    # Fix in rounds, every relation ready at a round's start at once, so each
+    # component comes by a shortest chain: each level doubles the points.
+    while ready := {unknown(bs)[0]: remainder(i, a, bs) for i, a, bs in relations
+                    if a in known and len(unknown(bs)) == 1}:
+        known.update(ready)
+    return known, [(unknown(bs), remainder(i, a, bs)) for i, a, bs in relations if a in known]
 
 
 @dataclass(frozen=True)
 class ReconstructionL3:
-    """Components of the L = 3 vector reachable from the extremal ones.
-
-    At the combinatorial point the two chains determine six of the
-    eight components and the sum of the remaining two; the pair listed
-    in `undetermined` cannot be separated by the chain relations alone.
-    """
+    """The L = 3 view of `qkz_components` at one point: six components
+    are fixed, and of the pair in `undetermined` only the sum."""
 
     point: SpectralPoint
     determined: dict[str, Scalar]
@@ -483,51 +520,26 @@ def reconstruct_partial_L3(
     psi_close: ComponentEvaluator,
     pt: SpectralPoint,
 ) -> ReconstructionL3:
-    """Rebuild L = 3 components from the extremal evaluators.
+    """Rebuild L = 3 components from the extremal evaluators by
+    `qkz_components`, with the fixed ones at pt in `all_patterns` order.
 
-    Chain one starts at the all-open component: s_3 produces "(()",
-    then s_2 minus the start produces "()(", then s_3 again produces
-    "())".  Chain two starts at the all-close component and runs the
-    mirror path through s_0 and s_1.  The chains overlap on "(()" and
-    "())" and must agree there; disagreement raises ConsistencyError
-    since it signals a closed-form or convention error.  The components
-    ")((" and "))(" stay undetermined: only their sum follows from the
-    relations, and the residual of the would-be separating identity
-    (s_3 s_2 s_1 - s_1 + 1) applied to "())" is returned so callers can
-    confirm it vanishes identically.
+    A relation with no unknown left must vanish at pt and relations on one
+    unknown pair must agree there, or ConsistencyError is raised: either
+    signals a closed-form or convention error.  The residual of the
+    would-be separating identity (s_3 s_2 s_1 - s_1 + 1) on "())", which
+    no relation produces, is returned so callers can confirm it vanishes.
     """
     if pt.length != 3:
-        raise ValueError("reconstruction chains are specific to L = 3")
-
-    f2 = lambda p: eval_s(3, psi_open, p)
-    f3 = lambda p: eval_s(2, f2, p) - psi_open(p)
-    f4 = lambda p: eval_s(3, f3, p)
-    g4 = lambda p: eval_s(0, psi_close, p)
-    g6 = lambda p: eval_s(1, g4, p) - psi_close(p)
-    g2 = lambda p: eval_s(0, g6, p)
-
-    v2, v2b = f2(pt), g2(pt)
-    v4, v4b = f4(pt), g4(pt)
-    if v2 != v2b or v4 != v4b:
-        raise ConsistencyError("the two reconstruction chains disagree")
-
-    pair_sum = eval_s(1, f3, pt) - psi_open(pt) - v2
-    s1f4 = lambda p: eval_s(1, f4, p)
-    s21 = lambda p: eval_s(2, s1f4, p)
-    residual = eval_s(3, s21, pt) - s1f4(pt) + f4(pt)
-
-    determined = {
-        "(((": psi_open(pt),
-        "(()": v2,
-        "()(": f3(pt),
-        "())": v4,
-        ")()": g6(pt),
-        ")))": psi_close(pt),
-    }
-    return ReconstructionL3(
-        point=pt,
-        determined=determined,
-        undetermined=(")((", "))("),
-        pair_sum=pair_sum,
-        obstruction_residual=residual,
-    )
+        raise ValueError("the reconstruction view is specific to L = 3")
+    known, relations = qkz_components(psi_open, psi_close, 3)
+    sums = {(): ZERO}
+    for unknown, rem in relations:
+        if sums.setdefault(unknown, rem(pt)) != rem(pt):
+            raise ConsistencyError(f"qKZ relation remainders disagree on unknowns {unknown}")
+    del sums[()]
+    ((pair, pair_sum),) = sums.items()
+    psi = known["())"]
+    s1 = lambda p: eval_s(1, psi, p)
+    residual = eval_s(3, lambda p: eval_s(2, s1, p), pt) - s1(pt) + psi(pt)
+    determined = {w: known[w](pt) for w in all_patterns(3) if w in known}
+    return ReconstructionL3(pt, determined, pair, pair_sum, residual)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SingularParameterError
-from .exactfield import ONE, ZERO, Scalar, addmul, cleared
+from .exactfield import ONE, ZERO, Scalar, addmul, cleared_columns
 
 __all__ = [
     "LEFT_WALL",
@@ -230,15 +230,6 @@ def apply_e(i: int, word: str) -> str:
     return read_word(st, range(1, length + 1))
 
 
-def _cleared_columns(cols: Sequence[dict[int, Scalar]]) -> tuple[list[list[tuple]], int]:
-    """Sparse columns {index: Scalar} as lists of (index, numerators), all
-    over one `cleared` denominator, which is returned with them."""
-    nums, d = cleared([v for col in cols for v in col.values()])
-    flat = iter(nums)
-    # zip stops at the end of col before it draws from flat.
-    return [list(zip(col, flat)) for col in cols], d
-
-
 class SparseOperator:
     """Column-sparse linear operator on the 2^L pattern basis."""
 
@@ -265,8 +256,8 @@ class SparseOperator:
         numerators: self and the columns are each cleared to one
         denominator, da and db, `addmul` takes one contraction per column
         entry with no gcd, and each surviving entry n becomes n / (da db)."""
-        left, da = _cleared_columns(self.cols)
-        right, db = _cleared_columns(cols)
+        left, da = cleared_columns(self.cols)
+        right, db = cleared_columns(cols)
         d = da * db
         out = []
         for col in right:
@@ -314,9 +305,6 @@ class SparseOperator:
     def scale(self, s: Scalar) -> SparseOperator:
         return SparseOperator(self.dim, [{r: v * s for r, v in col.items()} for col in self.cols])
 
-    def entry(self, row: int, col: int) -> Scalar:
-        return self.cols[col].get(row, ZERO)
-
     def column_sums(self) -> list[Scalar]:
         return [sum(col.values(), ZERO) for col in self.cols]
 
@@ -326,9 +314,6 @@ class SparseOperator:
             for r, v in col.items():
                 rows[r][j] = v
         return rows
-
-    def is_zero(self) -> bool:
-        return all(not col for col in self.cols)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseOperator):

@@ -110,6 +110,16 @@ def test_negative_scalars_are_values_not_options(capsys, flag, value):
     assert spaced == joined
 
 
+@pytest.mark.parametrize("value", ["-i", "-1"])
+def test_negative_fourth_roots_are_values_not_options(capsys, value):
+    argv = ["solve", "--L", "1", "--z", "2"]
+    code, spaced, err = run_cli(capsys, *argv, "--s", value)
+    assert (code, err) == (0, "")
+    code, joined, err = run_cli(capsys, *argv, f"--s={value}")
+    assert (code, err) == (0, "")
+    assert spaced == joined
+
+
 def test_repeated_bulk_parameters_are_fine(capsys):
     code, out, err = run_cli(capsys, "solve", "--L", "2", "--z", "2,2")
     assert code == 0

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
@@ -36,6 +37,7 @@ from openloop import (
     interpolate_all,
     kfun,
     pi_point,
+    qkz_components,
     reconstruct_partial_L3,
     reduction,
     solve,
@@ -418,3 +420,40 @@ def test_reconstruction_rejects_inconsistent_inputs():
     scaled = lambda p: two * closed_form_all_close(p)
     with pytest.raises(ConsistencyError):
         reconstruct_partial_L3(closed_form_all_open, scaled, pt)
+
+
+@pytest.mark.parametrize("s", [ONE, IMAG], ids=["s=1", "s=i"])
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+def test_qkz_components_match_solver(length, s):
+    # The propagation fixes 2 C(L, floor(L/2)) components, each equal to
+    # the solved vector in the all-open normalization.
+    pt = draw_point(Random(890 + length), length, s)
+    known, _ = qkz_components(closed_form_all_open, closed_form_all_close, length)
+    assert len(known) == 2 * comb(length, length // 2)
+    gs = solve(pt, normalization="all_open", check_w=False)
+    for word, psi in known.items():
+        assert psi(pt) == gs[word], word
+
+
+def test_qkz_components_leave_one_pair_at_L3():
+    known, relations = qkz_components(closed_form_all_open, closed_form_all_close, 3)
+    assert {")((", "))("}.isdisjoint(known) and len(known) == 6
+    assert {unknown for unknown, _ in relations if unknown} == {(")((", "))(")}
+
+
+def test_reconstruction_evaluates_each_extremal_component_once_per_point():
+    pt = draw_point(Random(100), 3)
+    counts = {"open": Counter(), "close": Counter()}
+
+    def counted(name, psi):
+        def wrapped(p):
+            counts[name][p] += 1
+            return psi(p)
+
+        return wrapped
+
+    reconstruct_partial_L3(
+        counted("open", closed_form_all_open), counted("close", closed_form_all_close), pt
+    )
+    for name, calls in counts.items():
+        assert calls and max(calls.values()) == 1, (name, calls.most_common(1))
