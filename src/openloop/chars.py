@@ -152,18 +152,17 @@ def z_product(pt) -> Scalar:
 def check_char_recursion(zs: Sequence[Scalar], j: int) -> bool:
     """Staircase character recursion under z_{j+1} = q z_j.
 
-    chi_{lambda(L)}(z^2)| = (-1)^L prod_{i != j, j+1} k(z_j, z_i)
-                            * chi_{lambda(L-2)}(remaining z^2).
+    S_L(z)| = (-1)^L prod_{i != j, j+1} k(z_j, z_i) S_{L-2}(remaining z),
+
+    with S_n of `s_character`.
     """
     length = len(zs)
     if not 1 <= j <= length - 1:
         raise ValueError("specialised pair out of range")
     if zs[j] != Q * zs[j - 1]:
         raise ValueError("recursion needs z_{j+1} = q z_j")
-    lhs = character_auto(lambda_partition(length), [z * z for z in zs])
     rest = [zs[i] for i in range(length) if i not in (j - 1, j)]
     factor = ONE if length % 2 == 0 else -ONE
     for other in rest:
         factor = factor * kfun(zs[j - 1], other)
-    rhs = factor * character_auto(lambda_partition(length - 2), [z * z for z in rest])
-    return lhs == rhs
+    return s_character(zs) == factor * s_character(rest)

@@ -27,14 +27,12 @@ from typing import Sequence
 
 from .chars import _collides, character_auto, z_product
 from .errors import ConfluentPointError, OpenLoopError, SingularParameterError
-from .exactfield import Scalar
+from .exactfield import FOURTH_ROOTS, Scalar
 from .groundstate import SOLVE_CAP, GroundstateVector, generic_parameters, solve, sum_components
 from .transfer import SpectralPoint
-from .verify import _S_VALUES, SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, run_suite
 
 SCHEMA_VERSION = "1"
-
-_S_CHOICES = dict(_S_VALUES)
 
 
 class _CliError(Exception):
@@ -97,7 +95,7 @@ def _build_point(args) -> SpectralPoint:
     zeta2 = _require_nonzero("zeta2", parse_scalar(args.zeta2))
     w = parse_scalar(args.w) if args.w else _default_w(args.seed, zs + [zeta1, zeta2])
     _require_nonzero("w", w)
-    return SpectralPoint(tuple(zs), zeta1, zeta2, w, _S_CHOICES[args.s])
+    return SpectralPoint(tuple(zs), zeta1, zeta2, w, FOURTH_ROOTS[args.s])
 
 
 def _scalar_json(x: Scalar) -> list[str]:
@@ -222,7 +220,7 @@ def _add_point_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--z", default="", help="comma-separated z_1..z_L")
     sub.add_argument("--zeta1", default="2", help="left boundary parameter")
     sub.add_argument("--zeta2", default="3", help="right boundary parameter")
-    sub.add_argument("--s", choices=sorted(_S_CHOICES), default="1",
+    sub.add_argument("--s", choices=sorted(FOURTH_ROOTS), default="1",
                      help="fourth root of unity in the right reflection")
     sub.add_argument("--w", default="", help="auxiliary parameter (default: from seed)")
     sub.add_argument("--seed", type=int, default=0, help="seed for generated values")

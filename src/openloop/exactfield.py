@@ -43,7 +43,7 @@ __all__ = [
     "ZETA",
     "Q",
     "IMAG",
-    "fourth_roots",
+    "FOURTH_ROOTS",
     "bracket",
     "kfun",
     "cleared",
@@ -276,10 +276,8 @@ ZETA = Scalar.root_of_unity(1)
 Q = Scalar.root_of_unity(4)
 IMAG = Scalar.root_of_unity(3)
 
-
-def fourth_roots() -> tuple[Scalar, Scalar, Scalar, Scalar]:
-    """All solutions of s**4 = 1, in the order 1, i, -1, -i."""
-    return (ONE, IMAG, -ONE, -IMAG)
+# All solutions of s**4 = 1, by the name the command line gives them.
+FOURTH_ROOTS = {"1": ONE, "-1": -ONE, "i": IMAG, "-i": -IMAG}
 
 
 def bracket(z: Scalar) -> Scalar:

@@ -10,8 +10,8 @@ The linear algebra shared by the character and groundstate modules:
   one ray of the kernel of a `SparseOperator`, whose exact residual and
   certificate op v == 0 contract its sparse Z[zeta] columns, over one
   denominator, with `exactfield.addmul`;
-- the Laurent fits `newton_interpolate` and `laurent_fit`, which return
-  the interpolated groundstate components as `LaurentPoly` results.
+- the Laurent fit `laurent_fit`, which returns the interpolated
+  groundstate components as `LaurentPoly` results.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "det",
     "kernel_basis",
     "kernel_vector",
-    "newton_interpolate",
     "laurent_fit",
 ]
 
@@ -351,12 +350,20 @@ def kernel_vector(op: SparseOperator) -> list[Scalar]:
     return basis[0]
 
 
-def newton_interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> LaurentPoly:
-    """The unique degree < len(xs) polynomial through (xs, ys)."""
-    n = len(xs)
-    if n != len(ys) or n == 0:
-        raise ValueError("need equally many sample points and values")
-    coef = list(ys)
+def laurent_fit(
+    xs: Sequence[Scalar], ys: Sequence[Scalar], min_exp: int, max_exp: int
+) -> LaurentPoly:
+    """Fit a Laurent polynomial with support in [min_exp, max_exp].
+
+    Needs exactly max_exp - min_exp + 1 samples at distinct nonzero
+    points; the caller is responsible for holdout verification.  The
+    values y x^(-min_exp) are interpolated in Newton form, by divided
+    differences, and expanded by Horner.
+    """
+    n = max_exp - min_exp + 1
+    if n < 1 or len(xs) != n or len(ys) != n:
+        raise ValueError(f"need exactly {n} samples for this exponent window")
+    coef = [y * x ** (-min_exp) for x, y in zip(xs, ys)]
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
@@ -366,20 +373,4 @@ def newton_interpolate(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> LaurentPol
     for k in range(n - 2, -1, -1):
         x = xs[k]
         poly = [coef[k] - x * poly[0]] + [a - x * b for a, b in zip(poly, poly[1:] + [ZERO])]
-    return LaurentPoly(dict(enumerate(poly)))
-
-
-def laurent_fit(
-    xs: Sequence[Scalar], ys: Sequence[Scalar], min_exp: int, max_exp: int
-) -> LaurentPoly:
-    """Fit a Laurent polynomial with support in [min_exp, max_exp].
-
-    Needs exactly max_exp - min_exp + 1 samples at distinct nonzero
-    points; the caller is responsible for holdout verification.
-    """
-    width = max_exp - min_exp + 1
-    if len(xs) != width or len(ys) != width:
-        raise ValueError(f"need exactly {width} samples for this exponent window")
-    lifted = [y * x ** (-min_exp) for x, y in zip(xs, ys)]
-    poly = newton_interpolate(xs, lifted)
-    return LaurentPoly({e + min_exp: c for e, c in poly._c.items()})
+    return LaurentPoly({e + min_exp: c for e, c in enumerate(poly)})

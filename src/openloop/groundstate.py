@@ -25,8 +25,9 @@ index-i data comes from its tables `pi_point`, `exchange_operator` and
 Sign bookkeeping follows the anchor constant A_0 = 1, A_L = (-1)^L
 A_{L-1}, so A_L = (-1)^{L(L+1)/2}.  With this choice the component sum
 equals the four-character product of `chars.z_product` with no stray
-sign, and exchange relations hold as exact equalities rather than
-projective statements.
+sign, exchange relations hold as exact equalities rather than
+projective statements, and the recursion factors carry fixed signs
+(A_L/A_{L-2} = -1 and A_L/A_{L-1} = (-1)^L at every L).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
-from .chars import character_auto, lambda_partition, z_product
+from .chars import s_character, z_product
 from .errors import (
     ConsistencyError,
     DegreeBoundError,
@@ -170,7 +171,8 @@ def closed_form_all_open(pt: SpectralPoint) -> Scalar:
     """Component of the pattern with every site opening to the right.
 
     Product of k(z_j, z_i) over 0 <= i < j <= L with z_0 = zeta_1,
-    times A_L chi_{lambda(L+1)}(z^2, zeta_2^2) chi_{lambda(L)}(z^2).
+    times A_L S_{L+1}(z, zeta_2) S_L(z), two of the four staircase
+    characters of `chars.z_product` (S_n of `chars.s_character`).
     """
     length = pt.length
     zs = (pt.zeta1,) + pt.z
@@ -178,10 +180,7 @@ def closed_form_all_open(pt: SpectralPoint) -> Scalar:
     for i in range(length + 1):
         for j in range(i + 1, length + 1):
             total = total * kfun(zs[j], zs[i])
-    sq = [x * x for x in pt.z]
-    total = total * character_auto(lambda_partition(length + 1), sq + [pt.zeta2 * pt.zeta2])
-    total = total * character_auto(lambda_partition(length), sq)
-    return total
+    return total * s_character(pt.z + (pt.zeta2,)) * s_character(pt.z)
 
 
 def closed_form_all_close(pt: SpectralPoint) -> Scalar:
@@ -321,20 +320,20 @@ def recursion_factor(pt: SpectralPoint, i: int) -> Scalar:
     k(z_i,zeta_2)^2 prod_{j != i,i+1} k(z_i,z_j)^4, the same function of
     the surviving parameters for every i.  Right wall (z_L = zeta_2 / q),
     r_L = s^2 r_0 of `pt.reflected()`.  None of them reads the specialised
-    coordinate, so pt may be the generic or the specialised point."""
+    coordinate, so pt may be the generic or the specialised point.
+    A_L/A_{L-2} = -1 and A_L/A_{L-1} = (-1)^L, so p has sign +1 and r_0
+    sign -1 at every L."""
     length = _relation_length(pt, i)
     if i == length:
         return pt.s * pt.s * recursion_factor(pt.reflected(), 0)
     if i > 0:
         zi = pt.z[i - 1]
-        total = -(a_const(length) / a_const(length - 2))
-        total = total * kfun(zi, pt.zeta1) ** 2 * kfun(zi, pt.zeta2) ** 2
+        total = kfun(zi, pt.zeta1) ** 2 * kfun(zi, pt.zeta2) ** 2
         for j, zj in enumerate(pt.z, start=1):
             if j not in (i, i + 1):
                 total = total * kfun(zi, zj) ** 4
         return total
-    sign = -ONE if (length + 1) % 2 else ONE
-    total = sign * (a_const(length) / a_const(length - 1)) * kfun(pt.zeta1, pt.zeta2)
+    total = -kfun(pt.zeta1, pt.zeta2)
     for zj in pt.z[1:]:
         total = total * kfun(pt.zeta1, zj) ** 2
     return total

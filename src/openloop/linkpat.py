@@ -358,7 +358,10 @@ def idempotents(length: int) -> tuple[SparseOperator, SparseOperator]:
 
 
 def c_from_zeta(zeta: Scalar) -> Scalar:
-    """Boundary coupling 3 / (1 + zeta^2 + 1/zeta^2)."""
+    """Boundary coupling 3 / (1 + zeta^2 + 1/zeta^2) = -3 / k(1, zeta),
+    as q + 1/q = -1.  So the pole of c_1 is the zero of the factor
+    k(1, zeta_1) of the all-open anchor at z_i = 1: `check_hamiltonian`
+    and `solve_homogeneous` both fail at zeta_1 = zeta12^2."""
     denom = ONE + zeta * zeta + (zeta * zeta).inv()
     if denom.is_zero():
         raise SingularParameterError("boundary coupling pole: 1 + zeta^2 + zeta^-2 = 0")

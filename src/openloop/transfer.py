@@ -57,7 +57,7 @@ from .baxter import (
     k_coefficients,
     r_coefficients,
 )
-from .exactfield import ONE, Q, Scalar, ZERO, addmul, cleared
+from .exactfield import FOURTH_ROOTS, ONE, Q, Scalar, ZERO, addmul, cleared
 from .linkpat import (
     LEFT_WALL,
     RIGHT_WALL,
@@ -114,7 +114,7 @@ class SpectralPoint:
                 raise ValueError(f"spectral parameter {name} must be nonzero")
         if any(x.is_zero() for x in self.z):
             raise ValueError("bulk spectral parameters must be nonzero")
-        if self.s**4 != ONE:
+        if self.s not in FOURTH_ROOTS.values():
             raise ValueError("s must be a fourth root of unity")
 
     @property

@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 from .baxter import face_weights_R, kcheck0, kcheckL, rcheck
 from .chars import check_char_recursion, z_product
 from .errors import DegreeBoundError, NonGenericPointError
-from .exactfield import IMAG, ONE, Q, Scalar, bracket
+from .exactfield import FOURTH_ROOTS, ONE, Q, Scalar, bracket
 from .groundstate import (
     SOLVE_CAP,
     check_qkz,
@@ -48,9 +48,6 @@ __all__ = ["SUITE_NAMES", "run_suite"]
 
 Report = list[tuple[str, bool]]
 Rows = Iterator[tuple[str, list[bool]]]
-
-_S_VALUES = (("1", ONE), ("-1", -ONE), ("i", IMAG), ("-i", -IMAG))
-
 
 def _point(rng: random.Random, length: int, s: Scalar = ONE) -> SpectralPoint:
     vals = generic_parameters(rng, length + 3)
@@ -144,7 +141,7 @@ def suite_transfer(length: int, trials: int, rng: random.Random) -> Rows:
 
 
 def suite_qkz(length: int, trials: int, rng: random.Random) -> Rows:
-    for name, s in _S_VALUES:
+    for name, s in FOURTH_ROOTS.items():
         for _ in range(trials):
             verdicts = check_qkz(_point(rng, length, s))
             yield f"exchange relations at every bulk index (s = {name})", verdicts[1:-1]

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from openloop import IMAG, ONE, Q, ZERO, ZETA, Scalar, bracket, fourth_roots, kfun
+from openloop import FOURTH_ROOTS, IMAG, ONE, Q, ZERO, ZETA, Scalar, bracket, kfun
 from openloop.exactfield import addmul, cleared
 
 
@@ -25,8 +25,8 @@ def test_distinguished_elements():
     assert Q + Q.inv() == -ONE
     assert IMAG == ZETA**3
     assert IMAG * IMAG == -ONE
-    assert fourth_roots() == (ONE, IMAG, -ONE, -IMAG)
-    assert all(s**4 == ONE for s in fourth_roots())
+    assert FOURTH_ROOTS == {"1": ONE, "-1": -ONE, "i": IMAG, "-i": -IMAG}
+    assert all(s**4 == ONE for s in FOURTH_ROOTS.values())
 
 
 def test_rational_embedding():

@@ -31,7 +31,6 @@ from openloop import (
     closed_form_all_close,
     closed_form_all_open,
     eval_s,
-    fourth_roots,
     generic_parameters,
     groundstate,
     interpolate_all,
@@ -107,6 +106,14 @@ def test_anchor_constant_signs():
     assert signs == [ONE, -ONE, -ONE, ONE, ONE, -ONE]
 
 
+def test_anchor_constant_ratios_are_the_recursion_signs():
+    # recursion_factor uses these constants in place of the A-ratios.
+    for length in range(2, 13):
+        assert a_const(length) / a_const(length - 2) == -ONE
+    for length in range(1, 13):
+        assert a_const(length) / a_const(length - 1) == (-ONE) ** length
+
+
 def test_solve_level_zero():
     pt = SpectralPoint(z=(), zeta1=rational(2), zeta2=rational(3), w=rational(5, 2))
     gs = solve(pt)
@@ -179,7 +186,7 @@ def test_all_close_is_the_reflected_all_open(length, s):
 def test_level_one_explicit_components():
     # psi_( = A_1 k(z_1, zeta_1), psi_) = A_1 s^2 k(1/(s z_1), s zeta_2).
     rng = Random(607)
-    for s in fourth_roots():
+    for s in (ONE, IMAG, -ONE, -IMAG):
         pt = draw_point(rng, 1, s=s)
         gs = solve(pt, check_w=False)
         s2 = s * s
@@ -244,7 +251,7 @@ def test_hamiltonian_needs_a_site():
 
 @pytest.mark.parametrize("s_index", [0, 1, 2, 3])
 def test_qkz_relations_level_two(s_index):
-    s = fourth_roots()[s_index]
+    s = (ONE, IMAG, -ONE, -IMAG)[s_index]
     rng = Random(700 + s_index)
     pt = draw_point(rng, 2, s=s)
     assert check_qkz(pt) == [True, True, True]
@@ -293,6 +300,35 @@ def test_recursion_factors_are_nonzero_scalars():
         assert factor == recursion_factor(pt, i)
 
 
+def _paper_recursion_factor(pt, i):
+    """r_0, p and r_L in the paper's form, with the anchor-constant ratios."""
+    length = pt.length
+    if i == length:
+        return pt.s * pt.s * _paper_recursion_factor(pt.reflected(), 0)
+    if i > 0:
+        zi = pt.z[i - 1]
+        total = -(a_const(length) / a_const(length - 2))
+        total = total * kfun(zi, pt.zeta1) ** 2 * kfun(zi, pt.zeta2) ** 2
+        for j, zj in enumerate(pt.z, start=1):
+            if j not in (i, i + 1):
+                total = total * kfun(zi, zj) ** 4
+        return total
+    total = (-ONE) ** (length + 1) * (a_const(length) / a_const(length - 1))
+    total = total * kfun(pt.zeta1, pt.zeta2)
+    for zj in pt.z[1:]:
+        total = total * kfun(pt.zeta1, zj) ** 2
+    return total
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_recursion_factors_match_the_anchor_ratio_form(length):
+    for s in (ONE, IMAG, -ONE, -IMAG):
+        pt = draw_point(Random(4400 + length), length, s=s)
+        for i in range(length + 1):
+            specialised, _, _ = reduction(pt, i)
+            assert recursion_factor(specialised, i) == _paper_recursion_factor(specialised, i)
+
+
 def test_extracted_factor_matches_formula():
     # Ratio of a specialised big component to its reduced preimage
     # equals the predicted factor; independent of which component and,
@@ -316,7 +352,7 @@ def test_vanishing_specialisations(length):
 def test_every_per_index_check_at_one_site(s_index):
     # L = 1 has two walls and no bulk: each check returns the left and
     # the right wall verdict, and none at L = 0.
-    pt = draw_point(Random(870 + s_index), 1, s=fourth_roots()[s_index])
+    pt = draw_point(Random(870 + s_index), 1, s=(ONE, IMAG, -ONE, -IMAG)[s_index])
 
     def interlace(p):
         return check_interlace(p, transfer_matrix(p))

@@ -20,7 +20,6 @@ from openloop import (
     check_T_recursion,
     check_interlace,
     exchange_operator,
-    fourth_roots,
     index_of,
     pi_point,
     reduction,
@@ -132,7 +131,7 @@ def test_transfer_matrix_does_not_depend_on_s():
     for length in range(6):
         pt = draw_point(Random(137 + length), length)
         tmat = transfer_matrix(pt)
-        for s in fourth_roots()[1:]:
+        for s in (IMAG, -ONE, -IMAG):
             assert transfer_matrix(replace(pt, s=s)) == tmat
 
 
@@ -165,7 +164,7 @@ def test_interlace_all_positions():
     # wall operator Kcheck_L(s z_L, s zeta_2) moves z_L to 1/(s^2 z_L).
     rng = Random(83)
     for length in (1, 2, 3):
-        for s in fourth_roots():
+        for s in (ONE, IMAG, -ONE, -IMAG):
             pt = draw_point(rng, length, s=s)
             assert check_interlace(pt, transfer_matrix(pt)) == [True] * (length + 1)
 
@@ -217,7 +216,7 @@ def test_unit_w_fixed_space_is_degenerate():
 
 def test_transfer_at_four_s_values():
     rng = Random(107)
-    for s in fourth_roots():
+    for s in (ONE, IMAG, -ONE, -IMAG):
         pt = draw_point(rng, 2, s=s)
         tmat = transfer_matrix(pt)
         assert tmat.column_sums() == [ONE] * 4
