@@ -25,9 +25,10 @@ numerators over one positive common denominator in lowest terms, and
 
 Bulk contractions skip the per-product gcd and run on those Z[zeta]
 numerators, plain 4-tuples of ints: `cleared` (and `cleared_columns`,
-for sparse columns) puts Scalars over one denominator, and `addmul` is
-the one home of the Z[zeta] product outside `Scalar.__mul__`, behind the
-transfer sweep, the `SparseOperator` products and the p-adic lifting.
+for sparse columns) puts Scalars over one denominator.  `addmul`, the
+entry-by-entry Z[zeta] multiply-add, is behind the `SparseOperator`
+products and the p-adic lifting; the transfer sweep runs the same
+product on numerators packed for a whole batch of vectors.
 """
 
 from __future__ import annotations
@@ -253,6 +254,9 @@ class Scalar:
         return self._d == o._d and self._n == o._n
 
     def __hash__(self) -> int:
+        # A rational Scalar equals its int or Fraction, so it hashes as it.
+        if self.is_rational():
+            return hash(Fraction(self._n[0], self._d))
         return hash((self._n, self._d))
 
     def __bool__(self) -> bool:
@@ -316,7 +320,9 @@ def addmul(acc: dict, b: tuple[int, int, int, int], items: Iterable[tuple]) -> N
 
     The product is that of `Scalar.__mul__`, without its gcd.  Z[zeta] has
     no zero divisors, so with a and b nonzero only a sum can cancel, and
-    an entry that does is deleted rather than stored as zero.
+    an entry that does is deleted rather than stored as zero.  Operator
+    products and the p-adic lifting contract with it; the transfer sweep
+    writes the same product out on packed big ints instead.
     """
     b0, b1, b2, b3 = b
     for k, (a0, a1, a2, a3) in items:

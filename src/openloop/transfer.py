@@ -21,14 +21,17 @@ No tile reads s, so T does not depend on it: s enters only through
 `pi_point` and `exchange_coefficients`.  All contractions go through
 one frontier sweep, `_sweep`, which applies the tiles in that order to
 a batch of sparse vectors: each partial state (site j's strand end in
-slot j) carries one amplitude per vector, and states of equal
+slot j) carries the amplitudes of the whole batch, and states of equal
 connectivity merge across patterns and vectors.  Where each state goes
 depends only on L, so `_plan` finds it once per L and a sweep only does
 arithmetic.  Vectors are keyed by basis index, amplitudes are Z[zeta]
 numerators, and each tile's two weights share one integer denominator,
-kept outside the sweep, so a tile step is an `exactfield.addmul` with no
-gcd and each entry of the result takes one.  `transfer_matrix` sweeps
-the basis, `transfer_apply` one vector.
+kept outside the sweep.  A state packs the batch's numerators into four
+big ints, one per power of zeta, with a slot of fixed width per vector
+(Kronecker substitution), so a tile step is one Z[zeta] product per
+state and weight, run in C with no gcd, and each entry of the result
+takes one.  `transfer_matrix` sweeps the basis, `transfer_apply` one
+vector.
 `transfer_matrix_naive` expands the 2^(2L+2) planar fillings by
 explicit path tracing, independently of the sweep, as its oracle.
 
@@ -57,7 +60,7 @@ from .baxter import (
     k_coefficients,
     r_coefficients,
 )
-from .exactfield import FOURTH_ROOTS, ONE, Q, Scalar, ZERO, addmul, cleared
+from .exactfield import FOURTH_ROOTS, ONE, Q, Scalar, ZERO, cleared
 from .linkpat import (
     LEFT_WALL,
     RIGHT_WALL,
@@ -243,13 +246,13 @@ _AUX = -2
 
 
 @lru_cache(maxsize=None)
-def _plan(length: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]:
+def _plan(length: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Where the sweep at L = length takes each state; no weight enters.
     Layer 0 holds the 2^L seeded patterns in `index_of` order.  Entry i
     of each tile is the (crossing, e) pair of next-layer indices of state
     i: at a site the crossing swaps its strand with the auxiliary one, at
-    a wall it does nothing.  Last, the row each final state reads once
-    the auxiliary strand closes."""
+    a wall it does nothing.  The last tile also closes the auxiliary
+    strand, so its pairs are the rows the states read."""
     layer = []
     for word in all_patterns(length):
         st = seed(word)
@@ -276,7 +279,17 @@ def _plan(length: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[i
         st = dict(key)
         connect(st, _K0B, _AUX)
         rows.append(index_of(read_word(st, range(1, length + 1))))
-    return tuple(tiles), tuple(rows)
+    tiles[-1] = tuple(tuple(rows[k] for k in pair) for pair in tiles[-1])
+    return tuple(tiles)
+
+
+def _unpack(packed: int, span: int, width: int) -> list[int]:
+    """The span signed width-bit slots of packed, lowest first; each
+    must lie in (-2^(width-1), 2^(width-1)), and width is whole bytes."""
+    half, size = 1 << (width - 1), width // 8
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * span, "little")  # half per slot
+    buf = (packed + bias).to_bytes(span * size, "little")
+    return [int.from_bytes(buf[k : k + size], "little") - half for k in range(0, len(buf), size)]
 
 
 def _sweep(pt: SpectralPoint, vectors: Sequence[dict[int, Scalar]]) -> list[dict[int, Scalar]]:
@@ -285,38 +298,84 @@ def _sweep(pt: SpectralPoint, vectors: Sequence[dict[int, Scalar]]) -> list[dict
     follows the `_plan` of L and only does the arithmetic.
 
     Layer 0 of the plan is the basis in index order, so vector entries
-    seed it directly.  Each partial state carries one Z[zeta] numerator
-    per vector, and each tile step is one `addmul` per (state, nonzero
-    weight), sending state i to succ[i][is_e].  Vector v enters over its
-    lcm denominator D_v and tile t multiplies by numerators over its own
-    d_t, so a final amplitude n stands for n / (c D_v), c = prod d_t.
-    Each nonzero entry then takes a gcd.
+    seed it directly.  Vector v enters over its lcm denominator D_v and
+    tile t multiplies by numerators over its own d_t, so a final amplitude
+    n stands for n / (c D_v), c = prod d_t, and each nonzero entry takes
+    one gcd.  A state holds the Z[zeta] numerators of the whole batch as
+    (off, A0, A1, A2, A3): slot j of A_k, W bits wide, is the zeta^k
+    numerator of vector off + j.  A tile step is then one Z[zeta] product
+    per (state, nonzero weight) on big ints, sending state i to
+    succ[i][is_e], and states of different offsets add after the higher
+    one is shifted left by W per offset step.
+
+    Packing is linear: a packed int is sum_j a_j 2^(W j) over its slots
+    a_j, and products with weights, sums and shifts keep it so.  Only the
+    read-back needs a bound: it is exact, and a packed int is 0 exactly
+    when all its slots are, while every slot lies in (-2^(W-1), 2^(W-1)).
+    W is chosen for that, a condition the code does not check.  Since
+    |a b|_1 <= 2 |a|_1 |b|_1 in Z[zeta] (a product of two basis powers
+    reduces to at most two of them), a tile multiplies the l1 mass of one
+    vector, summed over states and zeta powers, by at most
+    2 (|id_t|_1 + |cup_t|_1).  Every slot, and every partial sum of
+    slots, is bounded by its vector's mass, hence by
+    M = max_v |v|_1 prod_t 2 (|id_t|_1 + |cup_t|_1), and W = bits(M) + 2
+    rounded up to whole bytes.  So a state whose four packed ints cancel
+    to 0 is dropped, and the last layer, whose states are the rows, is
+    read back exactly with `_unpack`.
     """
-    tiles, rows = _plan(pt.length)
-    states: dict = {}
-    entering = [cleared(vec.values()) for vec in vectors]
-    for col, (vec, (nums, _)) in enumerate(zip(vectors, entering)):
-        for j, n in zip(vec, nums):
-            states.setdefault(j, {})[col] = n
-    c = 1
-    for succ, (_, fw) in zip(tiles, _tile_weights(pt)):
+    steps, bound, c = [], 1, 1
+    for succ, (_, fw) in zip(_plan(pt.length), _tile_weights(pt)):
         nums, d = cleared((fw.id_weight, fw.cup_weight))
         c *= d
-        weights = [(is_e, n) for is_e, n in enumerate(nums) if any(n)]
+        bound *= 2 * sum(map(abs, nums[0] + nums[1]))
+        steps.append((succ, [(is_e, n) for is_e, n in enumerate(nums) if any(n)]))
+    entering = [cleared(vec.values()) for vec in vectors]
+    mass = max((sum(abs(x) for n in nums for x in n) for nums, _ in entering), default=0)
+    width = -(-((mass * bound).bit_length() + 2) // 8) * 8
+    states: dict = {}
+    for col, (vec, (nums, _)) in enumerate(zip(vectors, entering)):
+        for j, n in zip(vec, nums):
+            if (prev := states.get(j)) is None:
+                states[j] = (col, *n)
+            else:  # cols rise, so the earlier offset stays
+                shift = width * (col - prev[0])
+                states[j] = (prev[0], *(a + (b << shift) for a, b in zip(prev[1:], n)))
+    for succ, weights in steps:
         out: dict = {}
-        for i, amps in states.items():
-            for is_e, b in weights:
-                addmul(out.setdefault(succ[i][is_e], {}), b, amps.items())
+        while states:  # popitem frees each state once it is spent
+            i, (off, a0, a1, a2, a3) = states.popitem()
+            for is_e, (b0, b1, b2, b3) in weights:
+                t4 = a1 * b3 + a2 * b2 + a3 * b1
+                t5 = a2 * b3 + a3 * b2
+                p0 = a0 * b0 - t4 - a3 * b3
+                p1 = a0 * b1 + a1 * b0 - t5
+                p2 = a0 * b2 + a1 * b1 + a2 * b0 + t4
+                p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
+                k = succ[i][is_e]
+                if (q := out.get(k)) is None:
+                    out[k] = (off, p0, p1, p2, p3)
+                    continue
+                q0, q1, q2, q3, q4 = q
+                if q0 == off:
+                    q = (off, q1 + p0, q2 + p1, q3 + p2, q4 + p3)
+                elif q0 < off:
+                    s = width * (off - q0)
+                    q = (q0, q1 + (p0 << s), q2 + (p1 << s), q3 + (p2 << s), q4 + (p3 << s))
+                else:
+                    s = width * (q0 - off)
+                    q = (off, (q1 << s) + p0, (q2 << s) + p1, (q3 << s) + p2, (q4 << s) + p3)
+                if q[1] or q[2] or q[3] or q[4]:
+                    out[k] = q
+                else:
+                    del out[k]
         states = out
-    sums: list[dict] = [{} for _ in vectors]
-    for i, amps in states.items():
-        for col, n in amps.items():
-            prev = sums[col].get(rows[i])
-            sums[col][rows[i]] = n if prev is None else tuple(a + b for a, b in zip(prev, n))
-    return [
-        {r: Scalar.from_integers(n, c * dv) for r, n in col.items() if any(n)}
-        for col, (_, dv) in zip(sums, entering)
-    ]
+    cols: list[dict] = [{} for _ in vectors]
+    for r, (off, *packed) in states.items():
+        slots = [_unpack(a, len(vectors) - off, width) for a in packed]
+        for j, n in enumerate(zip(*slots), start=off):
+            if any(n):
+                cols[j][r] = Scalar.from_integers(n, c * entering[j][1])
+    return cols
 
 
 def transfer_matrix(pt: SpectralPoint) -> SparseOperator:

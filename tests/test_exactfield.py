@@ -49,6 +49,16 @@ def test_mixed_arithmetic_with_ints_and_fractions():
     assert (ONE + ZETA) - ZETA == ONE
 
 
+def test_rational_scalars_hash_as_the_numbers_they_equal():
+    for value in (0, 1, -1, 7, 2**70, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 2**70)):
+        x = Scalar.from_rational(value)
+        assert x == value and hash(x) == hash(value)
+    assert len({ONE, 1}) == 1 and len({ZERO, 0, Fraction(0)}) == 1
+    assert {Scalar.from_rational(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
+    # Field elements off Q keep their own hash, and still equal themselves.
+    assert hash(ZETA) == hash(ZETA**13) and hash(ONE + ZETA) != hash(ONE)
+
+
 def test_inverse_and_powers():
     rng = Random(7)
     for _ in range(25):

@@ -28,7 +28,14 @@ from openloop import (
     transfer_matrix_naive,
 )
 from openloop.groundstate import generic_parameters, recursion_factor, solve
-from openloop.transfer import _check_embedding, _plan, _sweep, _tile_weights, assert_generic
+from openloop.transfer import (
+    _check_embedding,
+    _plan,
+    _sweep,
+    _tile_weights,
+    _unpack,
+    assert_generic,
+)
 
 from helpers import draw_point, rational
 
@@ -113,6 +120,38 @@ def test_sweep_batch_with_different_denominators():
     u = {index_of("()("): rational(1, 3), index_of(")(("): rational(2) + ZETA}
     v = {index_of("()("): ZETA / 5 - rational(1, 7), index_of("((("): rational(3, 11)}
     assert _sweep(pt, [u, v]) == _sweep(pt, [u]) + _sweep(pt, [v])
+    # Above NAIVE_CAP, against T.apply, whose addmul products share no
+    # packed slots with the sweep: a batch of ~1000-bit mixed-sign
+    # numerators, a basis vector and odd powers of zeta, at three offsets.
+    for length in (5, 6):
+        rng = Random(127 + length)
+        pt = draw_point(rng, length)
+        dim = 1 << length
+        big = {}
+        for k, j in enumerate(rng.sample(range(dim), dim // 3)):
+            nums = [rng.choice((-1, 1)) * rng.getrandbits(1000), 0, rng.getrandbits(999), 0]
+            big[j] = Scalar.from_integers(nums, 3**k)
+        odd = {j: rational(j + 1, 5) + ZETA**j for j in range(0, dim, 3)}
+        batch = [big, {dim - 1: ONE}, odd]
+        tmat = transfer_matrix(pt)
+        for col, vec in zip(_sweep(pt, batch), batch):
+            applied = tmat.apply([vec.get(j, ZERO) for j in range(dim)])
+            assert col == {r: x for r, x in enumerate(applied) if not x.is_zero()}
+
+
+@pytest.mark.parametrize("width", [8, 16, 208])
+def test_unpack_reads_signed_slots_up_to_the_bound(width):
+    # Slots at +-(2^(width-1) - 1), 0 and mixed signs, packed as the sweep
+    # packs them; shifting by width per offset step, as a merge of two
+    # states does, puts zero slots below them.
+    top = (1 << (width - 1)) - 1
+    slots = [top, -top, 0, -1, 1, top, 0, -top, 5, -7, top]
+    packed = sum(a << (width * j) for j, a in enumerate(slots))
+    assert _unpack(packed, len(slots), width) == slots
+    assert _unpack(packed, len(slots) + 2, width) == slots + [0, 0]
+    assert _unpack(packed << (width * 3), len(slots) + 3, width) == [0] * 3 + slots
+    assert _unpack(-packed, len(slots), width) == [-a for a in slots]
+    assert _unpack(0, 4, width) == [0] * 4
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4])
