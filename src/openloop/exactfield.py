@@ -23,6 +23,11 @@ floating point anywhere: the four coefficients are kept as integer
 numerators over one positive common denominator in lowest terms, and
 `Scalar.coeffs` hands them out as `fractions.Fraction` values.
 
+An inverse is a conjugate over the norm.  Every value at a rational
+point with s = +-1 lies in the subfield Q(zeta^2) = Q(sqrt(-3)), where
+c1 = c3 = 0; there the one conjugate zeta^2 -> 1 - zeta^2 does, and only
+other elements take the product of all three nontrivial conjugates.
+
 Bulk contractions skip the per-product gcd and run on those Z[zeta]
 numerators, plain 4-tuples of ints: `cleared` (and `cleared_columns`,
 for sparse columns) puts Scalars over one denominator.  `addmul`, the
@@ -204,13 +209,19 @@ class Scalar:
     __rmul__ = __mul__
 
     def inv(self) -> Scalar:
-        """Multiplicative inverse: the product of the three nontrivial
-        Galois conjugates (zeta -> zeta^5, zeta^7, zeta^11) over the norm."""
+        """Multiplicative inverse: a conjugate over the norm.
+
+        On the subfield Q(zeta^2) = Q(sqrt(-3)), where c1 = c3 = 0 (every
+        rational among them), that is the one conjugate zeta^2 -> 1 - zeta^2:
+        1 / (c0 + c2 zeta^2) = ((c0 + c2) - c2 zeta^2) / (c0^2 + c0 c2 + c2^2).
+        Every other element takes the product of its three nontrivial
+        Galois conjugates (zeta -> zeta^5, zeta^7, zeta^11) over the norm.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero Scalar")
         (c0, c1, c2, c3), d = self._n, self._d
-        if self.is_rational():
-            return _make(d, 0, 0, 0, c0)
+        if not (c1 or c3):
+            return _make(d * (c0 + c2), 0, -d * c2, 0, c0 * c0 + c0 * c2 + c2 * c2)
         s5 = _make(c0 + c2, -c1, -c2, c1 + c3, 1)
         s7 = _make(c0, -c1, c2, -c3, 1)
         s11 = _make(c0 + c2, c1, -c2, -c1 - c3, 1)

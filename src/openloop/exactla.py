@@ -7,11 +7,13 @@ The linear algebra shared by the character and groundstate modules:
   prime has the generic rank and is the oracle the lifting is tested
   against;
 - one Gaussian elimination mod p, behind Dixon's p-adic lifting of the
-  one ray of the kernel of a `SparseOperator`, whose exact residual and
-  certificate op v == 0 contract its sparse Z[zeta] columns, over one
-  denominator, with `exactfield.addmul`;
-- the Laurent fit `laurent_fit`, which returns the interpolated
-  groundstate components as `LaurentPoly` results.
+  one ray of the kernel of an operator given as sparse Z[zeta] integer
+  columns, whose exact residual and certificate A v == 0 contract those
+  columns with `exactfield.addmul`;
+- the Laurent fit `laurent_fit`, which builds one interpolation map per
+  set of nodes, applies it to any number of value columns with the
+  `SparseOperator` contraction, and returns the interpolated groundstate
+  components as `LaurentPoly` results.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ConsistencyError, NonGenericPointError
-from .exactfield import ONE, ZERO, Scalar, addmul, cleared_columns
+from .exactfield import ONE, ZERO, Scalar, addmul
 from .linkpat import SparseOperator
 
 __all__ = [
@@ -60,10 +62,12 @@ class LaurentPoly:
         return max(self._c)
 
     def eval_at(self, x: Scalar) -> Scalar:
-        total = ZERO
-        for e, v in self._c.items():
-            total = total + v * x**e
-        return total
+        return self.eval_powers({e: x**e for e in self._c})
+
+    def eval_powers(self, powers: dict[int, Scalar]) -> Scalar:
+        """The value at a point x, given powers[e] = x**e for every
+        exponent e of self, so that many fits share one point's powers."""
+        return sum((v * powers[e] for e, v in self._c.items()), ZERO)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self._c == other._c
@@ -320,57 +324,82 @@ def _lift(cols: list[list[tuple]], d: int, p: int):
     )
 
 
-def kernel_vector(op: SparseOperator) -> list[Scalar]:
-    """The one ray of ker op, scaled so that its last nonzero entry is 1.
+def kernel_vector(cols: list[list[tuple]]) -> list[Scalar]:
+    """The one ray of the kernel of the square operator whose sparse
+    columns of Z[zeta] numerators, in the form of
+    `exactfield.cleared_columns`, are cols, scaled so that its last
+    nonzero entry is 1.  A common factor of the columns, such as their
+    denominator, does not change the kernel, so none is passed, and the
+    integer content of the columns is divided out before the lifting,
+    whose integers would only grow with it.
 
-    Dixon's method: the columns of op are cleared to Z[zeta] numerators
-    over one denominator, the rank profile is found mod a prime p of
-    PRIMES, one pivot block is factored in each embedding of Z[zeta] into
-    F_p, and the solution is lifted p-adically with exact residual
-    updates (r - A x) / p, one `addmul` per nonzero digit column, until a
+    Dixon's method: the rank profile is found mod a prime p of PRIMES,
+    one pivot block is factored in each embedding of Z[zeta] into F_p,
+    and the solution is lifted p-adically with exact residual updates
+    (r - A x) / p, one `addmul` per nonzero digit column, until a
     rational reconstruction over one common denominator satisfies
-    op v == 0, contracted with the same columns in Z[zeta] integers.  A
+    A v == 0, contracted with the same columns in Z[zeta] integers.  A
     wrong reconstruction costs one more lifting step, never a wrong
     vector.  With the rank n - 1 mod p that proves v spans the kernel.
     A prime with any other rank is skipped; when every one is, the exact
-    `kernel_basis` decides, and a kernel that is not a line raises
-    NonGenericPointError.  The last nonzero entry is the free column of
-    `kernel_basis`'s RREF, so both give the same vector.
+    `kernel_basis` of the integer rows decides, and a kernel that is not
+    a line raises NonGenericPointError.  The last nonzero entry is the
+    free column of `kernel_basis`'s RREF, so both give the same vector.
     """
-    cols, _ = cleared_columns(op.cols)
+    g = gcd(*(a for col in cols for _, c in col for a in c))
+    if g > 1:
+        cols = [[(i, tuple(a // g for a in c)) for i, c in col] for col in cols]
     d = 4 if any(c[1] or c[3] for col in cols for _, c in col) else 2
     for p in PRIMES:
         vec = _lift(cols, d, p)
         if vec is not None:
             inv = next(x for x in reversed(vec) if x).inv()
             return vec if inv == ONE else [x * inv for x in vec]
-    basis = kernel_basis(op.to_rows(), op.dim)
+    n = len(cols)
+    rows = [[ZERO] * n for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, c in col:
+            rows[i][j] = Scalar.from_integers(c, 1)
+    basis = kernel_basis(rows, n)
     if len(basis) != 1:
         raise NonGenericPointError(f"kernel has dimension {len(basis)}, expected 1")
     return basis[0]
 
 
 def laurent_fit(
-    xs: Sequence[Scalar], ys: Sequence[Scalar], min_exp: int, max_exp: int
-) -> LaurentPoly:
-    """Fit a Laurent polynomial with support in [min_exp, max_exp].
+    xs: Sequence[Scalar], columns: Sequence[Sequence[Scalar]], min_exp: int, max_exp: int
+) -> list[LaurentPoly]:
+    """Fit one Laurent polynomial with support in [min_exp, max_exp] to
+    each column of values at the nodes xs.
 
-    Needs exactly max_exp - min_exp + 1 samples at distinct nonzero
-    points; the caller is responsible for holdout verification.  The
-    values y x^(-min_exp) are interpolated in Newton form, by divided
-    differences, and expanded by Horner.
+    Needs exactly n = max_exp - min_exp + 1 distinct nonzero nodes and n
+    values per column; the caller is responsible for holdout
+    verification.  The n by n map from values to coefficients, the
+    inverse Vandermonde matrix of xs times diag(x^(-min_exp)), is built
+    once in Scalars: its column i holds the coefficients of the Lagrange
+    polynomial prod_{k != i} (t - x_k) / (x_i - x_k), read off the
+    quotient of prod_k (t - x_k) by t - x_i.  It is applied to every
+    column at once by the Z[zeta] contraction of `SparseOperator`, with
+    one gcd per coefficient.
     """
     n = max_exp - min_exp + 1
-    if n < 1 or len(xs) != n or len(ys) != n:
+    if n < 1 or len(xs) != n or any(len(ys) != n for ys in columns):
         raise ValueError(f"need exactly {n} samples for this exponent window")
-    coef = [y * x ** (-min_exp) for x, y in zip(xs, ys)]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    # Horner on the Newton form: poly <- poly * (t - xs[k]) + coef[k],
-    # with poly[e] the coefficient of t^e.
-    poly = [coef[n - 1]]
-    for k in range(n - 2, -1, -1):
-        x = xs[k]
-        poly = [coef[k] - x * poly[0]] + [a - x * b for a, b in zip(poly, poly[1:] + [ZERO])]
-    return LaurentPoly({e + min_exp: c for e, c in enumerate(poly)})
+    master = [ONE]  # prod_k (t - x_k), master[e] the coefficient of t^e
+    for x in xs:
+        master = [a - x * b for a, b in zip([ZERO] + master, master + [ZERO])]
+    cols = []
+    for i, x in enumerate(xs):
+        quotient = [master[n]]  # by t - x, from the top coefficient down
+        for a in master[n - 1 : 0 : -1]:
+            quotient.append(a + x * quotient[-1])
+        denom = ONE
+        for k, other in enumerate(xs):
+            if k != i:
+                denom = denom * (x - other)
+        scale = x ** (-min_exp) / denom
+        cols.append({e: c * scale for e, c in enumerate(reversed(quotient))})
+    coeffs = SparseOperator(n, cols)._times(
+        [{i: y for i, y in enumerate(ys) if y} for ys in columns]
+    )
+    return [LaurentPoly({e + min_exp: c for e, c in col.items()}) for col in coeffs]

@@ -1,8 +1,10 @@
 """Exact groundstate of the double-row transfer matrix.
 
 The transfer matrix at a generic spectral point fixes a unique ray;
-`solve` computes it as the kernel of T - 1 by p-adic lifting
-(`exactla.kernel_vector`), certified by an exact (T - 1) v == 0, and
+`solve` computes it as the kernel of c (T - 1), the integer columns of
+one basis sweep over their denominator c less c on the diagonal, by
+p-adic lifting (`exactla.kernel_vector`), certified by an exact
+c (T - 1) v == 0, and
 pins the scale to closed-form anchor components so that different
 points share one global polynomial normalization.  On top of the
 solver this module carries the full identity apparatus: the extremal
@@ -45,20 +47,20 @@ from .errors import (
     NonGenericPointError,
     SingularParameterError,
 )
-from .exactfield import ONE, Scalar, ZERO, kfun
+from .exactfield import ONE, Scalar, ZERO, cleared_columns, kfun
 from .exactla import LaurentPoly, kernel_vector, laurent_fit
 from .linkpat import (
-    SparseOperator, all_patterns, apply_e, c_from_zeta, hamiltonian, index_of, word_of
+    all_patterns, apply_e, c_from_zeta, hamiltonian, index_of, word_of
 )
 from .transfer import (
     SpectralPoint,
     _relation_length,
+    _sweep,
     exchange_coefficients,
     exchange_operator,
     pi_point,
     reduction,
     transfer_apply,
-    transfer_matrix,
 )
 
 __all__ = [
@@ -241,12 +243,15 @@ def solve(
 ) -> GroundstateVector:
     """Exact fixed vector of T(pt).
 
-    T(pt) is built once and its fixed vector found as the kernel of
-    T(pt) - 1 by Dixon's p-adic lifting (`exactla.kernel_vector`): one
-    elimination mod a prime that shows the rank n - 1, exact residual
-    updates, and a rational reconstruction returned only once
-    (T(pt) - 1) v == 0 holds exactly, which with that rank proves the
-    fixed space is this one ray.  Where no prime has that rank, the
+    One sweep of the basis gives T(pt) as Z[zeta] integer columns over
+    one denominator c, with no Scalar read-out.  Subtracting c on the
+    diagonal gives c (T(pt) - 1), which has the kernel of T(pt) - 1, and
+    its fixed vector is found as that kernel by Dixon's p-adic lifting
+    (`exactla.kernel_vector`): one elimination mod a prime that shows
+    the rank n - 1, exact residual updates, and a rational
+    reconstruction returned only once c (T(pt) - 1) v == 0 holds
+    exactly, which with that rank proves the fixed space is this one
+    ray.  Where no prime has that rank, the
     exact elimination decides, and a fixed space that is not
     one-dimensional raises NonGenericPointError, whose message gives the
     dimension of the kernel.  With check_w the vector is re-verified
@@ -259,7 +264,12 @@ def solve(
     """
     if pt.length > SOLVE_CAP:
         raise ValueError(f"refusing exact solve beyond L = SOLVE_CAP = {SOLVE_CAP}")
-    vec = kernel_vector(transfer_matrix(pt) - SparseOperator.identity(1 << pt.length))
+    cols, c = _sweep(pt, [{j: ONE} for j in range(1 << pt.length)])
+    for j, col in enumerate(cols):  # c (T - 1): c off each diagonal entry
+        n0, n1, n2, n3 = col.pop(j, (0, 0, 0, 0))
+        if n0 != c or n1 or n2 or n3:
+            col[j] = (n0 - c, n1, n2, n3)
+    vec = kernel_vector([list(col.items()) for col in cols])
     if check_w:
         shifted = [pt.w + Scalar.from_rational(d) for d in (2, 3, 5, 7, 11)]
         if _at_generic_w(pt, shifted, partial(transfer_apply, vec)) != vec:
@@ -408,7 +418,8 @@ def check_hamiltonian(length: int, zeta1: Scalar, zeta2: Scalar) -> bool:
     by `exactla.kernel_vector`, is fixed by T at the z_i = 1 point of
     `solve_homogeneous`.  A kernel that is not a line raises
     NonGenericPointError, a pole of c_i SingularParameterError."""
-    vec = kernel_vector(hamiltonian(length, c_from_zeta(zeta1), c_from_zeta(zeta2)))
+    cols, _ = cleared_columns(hamiltonian(length, c_from_zeta(zeta1), c_from_zeta(zeta2)).cols)
+    vec = kernel_vector(cols)
     pt = SpectralPoint((ONE,) * length, zeta1, zeta2, ONE)
     return _at_generic_w(pt, _HOMOGENEOUS_WS, partial(transfer_apply, vec)) == vec
 
@@ -429,7 +440,9 @@ def interpolate_all(
     polynomial and two more are holdout verification.
     Raises DegreeBoundError if a holdout sample disagrees with a fit,
     i.e. if some true degree exceeds the window.  One solve per sample
-    covers all 2^L components at once.
+    covers all 2^L components at once, one `laurent_fit` call fits them
+    all through one interpolation map, and each holdout's powers across
+    the window are computed once for every component.
     """
     length = pt.length
     if not 1 <= var_index <= length:
@@ -448,18 +461,19 @@ def interpolate_all(
             continue
         xs.append(cand * cand)
         cols.append(gs.components)
-    out: dict[str, LaurentPoly] = {}
-    for idx in range(1 << length):
-        values = [c[idx] for c in cols]
-        poly = laurent_fit(xs[:width], values[:width], -(2 * length - 1), 2 * length - 1)
-        for x, val in zip(xs[width:], values[width:]):
-            if poly.eval_at(x) != val:
+    top = 2 * length - 1
+    polys = laurent_fit(xs[:width], list(zip(*cols[:width])), -top, top)
+    for x, comps in zip(xs[width:], cols[width:]):
+        powers = {-top: x ** (-top)}
+        for e in range(1 - top, top + 1):
+            powers[e] = powers[e - 1] * x
+        for idx, (poly, val) in enumerate(zip(polys, comps)):
+            if poly.eval_powers(powers) != val:
                 raise DegreeBoundError(
                     f"component {word_of(idx, length)} exceeds the degree window "
                     f"in z_{var_index}^2"
                 )
-        out[word_of(idx, length)] = poly
-    return out
+    return {word_of(idx, length): poly for idx, poly in enumerate(polys)}
 
 
 # -- components from the qKZ relations ---------------------------------

@@ -231,7 +231,9 @@ def apply_e(i: int, word: str) -> str:
 
 
 class SparseOperator:
-    """Column-sparse linear operator on the 2^L pattern basis."""
+    """Column-sparse square linear operator: on the 2^L pattern basis,
+    or, in `exactla.laurent_fit`, from the samples of a fit to its
+    coefficients."""
 
     __slots__ = ("dim", "cols")
 

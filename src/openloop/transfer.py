@@ -25,13 +25,17 @@ slot j) carries the amplitudes of the whole batch, and states of equal
 connectivity merge across patterns and vectors.  Where each state goes
 depends only on L, so `_plan` finds it once per L and a sweep only does
 arithmetic.  Vectors are keyed by basis index, amplitudes are Z[zeta]
-numerators, and each tile's two weights share one integer denominator,
-kept outside the sweep.  A state packs the batch's numerators into four
-big ints, one per power of zeta, with a slot of fixed width per vector
-(Kronecker substitution), so a tile step is one Z[zeta] product per
-state and weight, run in C with no gcd, and each entry of the result
-takes one.  `transfer_matrix` sweeps the basis, `transfer_apply` one
-vector.
+numerators, the batch enters over one denominator, and each tile's two
+weights share another, kept outside the sweep.  A state packs the
+batch's numerators into four big ints, one per power of zeta, with a
+slot of fixed width per vector (Kronecker substitution), so a tile step
+is one Z[zeta] product per state and weight, run in C with no gcd.  The
+sweep returns integer columns over one denominator; `_read`, the one
+Scalar read-out, takes one gcd per entry for `transfer_matrix` (a sweep
+of the basis), `transfer_apply` (of one vector) and the recursion
+checks.  `groundstate.solve` reads none: it takes the integers of a
+basis sweep over c, subtracts c on the diagonal, and hands c (T - 1) to
+the kernel lifting.
 `transfer_matrix_naive` expands the 2^(2L+2) planar fillings by
 explicit path tracing, independently of the sweep, as its oracle.
 
@@ -60,7 +64,7 @@ from .baxter import (
     k_coefficients,
     r_coefficients,
 )
-from .exactfield import FOURTH_ROOTS, ONE, Q, Scalar, ZERO, cleared
+from .exactfield import FOURTH_ROOTS, ONE, Q, Scalar, ZERO, cleared, cleared_columns
 from .linkpat import (
     LEFT_WALL,
     RIGHT_WALL,
@@ -292,16 +296,20 @@ def _unpack(packed: int, span: int, width: int) -> list[int]:
     return [int.from_bytes(buf[k : k + size], "little") - half for k in range(0, len(buf), size)]
 
 
-def _sweep(pt: SpectralPoint, vectors: Sequence[dict[int, Scalar]]) -> list[dict[int, Scalar]]:
+def _sweep(
+    pt: SpectralPoint, vectors: Sequence[dict[int, Scalar]]
+) -> tuple[list[dict[int, tuple[int, int, int, int]]], int]:
     """T(pt) applied to each sparse vector {basis index: coefficient}, as
-    one sparse column {row: coefficient} per vector, in a single pass that
-    follows the `_plan` of L and only does the arithmetic.
+    one sparse column {row: Z[zeta] numerators} per vector over one
+    denominator, returned with it, in a single pass that follows the
+    `_plan` of L and only does the arithmetic.
 
     Layer 0 of the plan is the basis in index order, so vector entries
-    seed it directly.  Vector v enters over its lcm denominator D_v and
-    tile t multiplies by numerators over its own d_t, so a final amplitude
-    n stands for n / (c D_v), c = prod d_t, and each nonzero entry takes
-    one gcd.  A state holds the Z[zeta] numerators of the whole batch as
+    seed it directly.  The batch enters as its `cleared_columns`, over
+    one denominator D, and tile t multiplies by numerators over its own
+    d_t, so every final amplitude stands over c D, c = prod d_t; `_read`
+    turns them into Scalars with one gcd per entry.  A state holds the
+    Z[zeta] numerators of the whole batch as
     (off, A0, A1, A2, A3): slot j of A_k, W bits wide, is the zeta^k
     numerator of vector off + j.  A tile step is then one Z[zeta] product
     per (state, nonzero weight) on big ints, sending state i to
@@ -329,12 +337,12 @@ def _sweep(pt: SpectralPoint, vectors: Sequence[dict[int, Scalar]]) -> list[dict
         c *= d
         bound *= 2 * sum(map(abs, nums[0] + nums[1]))
         steps.append((succ, [(is_e, n) for is_e, n in enumerate(nums) if any(n)]))
-    entering = [cleared(vec.values()) for vec in vectors]
-    mass = max((sum(abs(x) for n in nums for x in n) for nums, _ in entering), default=0)
+    entering, den = cleared_columns(vectors)
+    mass = max((sum(abs(x) for _, n in vec for x in n) for vec in entering), default=0)
     width = -(-((mass * bound).bit_length() + 2) // 8) * 8
     states: dict = {}
-    for col, (vec, (nums, _)) in enumerate(zip(vectors, entering)):
-        for j, n in zip(vec, nums):
+    for col, vec in enumerate(entering):
+        for j, n in vec:
             if (prev := states.get(j)) is None:
                 states[j] = (col, *n)
             else:  # cols rise, so the earlier offset stays
@@ -374,13 +382,20 @@ def _sweep(pt: SpectralPoint, vectors: Sequence[dict[int, Scalar]]) -> list[dict
         slots = [_unpack(a, len(vectors) - off, width) for a in packed]
         for j, n in enumerate(zip(*slots), start=off):
             if any(n):
-                cols[j][r] = Scalar.from_integers(n, c * entering[j][1])
-    return cols
+                cols[j][r] = n
+    return cols, c * den
+
+
+def _read(swept: tuple[list[dict], int]) -> list[dict[int, Scalar]]:
+    """The Scalar columns of a `_sweep` result: one gcd per entry."""
+    cols, den = swept
+    return [{r: Scalar.from_integers(n, den) for r, n in col.items()} for col in cols]
 
 
 def transfer_matrix(pt: SpectralPoint) -> SparseOperator:
     """T at pt as a 2^L by 2^L operator: one sweep of every basis vector."""
-    return SparseOperator(1 << pt.length, _sweep(pt, [{j: ONE} for j in range(1 << pt.length)]))
+    basis = [{j: ONE} for j in range(1 << pt.length)]
+    return SparseOperator(len(basis), _read(_sweep(pt, basis)))
 
 
 def transfer_apply(vec: Sequence[Scalar], pt: SpectralPoint) -> list[Scalar]:
@@ -388,7 +403,7 @@ def transfer_apply(vec: Sequence[Scalar], pt: SpectralPoint) -> list[Scalar]:
     sweep seeded with every nonzero component."""
     if len(vec) != 1 << pt.length:
         raise ValueError("vector length mismatch")
-    col = _sweep(pt, [{j: x for j, x in enumerate(vec) if not x.is_zero()}])[0]
+    (col,) = _read(_sweep(pt, [{j: x for j, x in enumerate(vec) if not x.is_zero()}]))
     return [col.get(r, ZERO) for r in range(len(vec))]
 
 
@@ -507,8 +522,8 @@ def _check_embedding(pt: SpectralPoint, reduced: SpectralPoint, embed) -> bool:
     """T(pt) o embed = embed o T(reduced): one sweep of the embedded basis
     at pt against one sweep of the whole basis at the reduced point."""
     embedded = [index_of(embed(word)) for word in all_patterns(reduced.length)]
-    lhs = _sweep(pt, [{j: ONE} for j in embedded])
-    rhs = _sweep(reduced, [{j: ONE} for j in range(len(embedded))])
+    lhs = _read(_sweep(pt, [{j: ONE} for j in embedded]))
+    rhs = _read(_sweep(reduced, [{j: ONE} for j in range(len(embedded))]))
     return lhs == [{embedded[r]: v for r, v in col.items()} for col in rhs]
 
 

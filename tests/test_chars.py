@@ -160,7 +160,7 @@ def _limit_in_first_argument(lam, xs):
     avoid = [x.rational_value() for x in rest if x.is_rational()]
     samples = generic_parameters(Random(5), width + 1, avoid=avoid)
     values = [symplectic_character(lam, [y] + rest) for y in samples]
-    poly = laurent_fit(samples[:width], values[:width], -lam[0], lam[0])
+    (poly,) = laurent_fit(samples[:width], [values[:width]], -lam[0], lam[0])
     assert poly.eval_at(samples[width]) == values[width]
     return poly.eval_at(xs[0])
 

@@ -73,6 +73,38 @@ def test_inverse_and_powers():
         ZERO.inv()
 
 
+def _three_conjugate_inverse(x: Scalar) -> Scalar:
+    """1 / x as the product of the Galois conjugates zeta -> zeta^5,
+    zeta^7, zeta^11 over the norm, with no call to Scalar.inv."""
+    adj = ONE
+    for k in (5, 7, 11):
+        adj = adj * sum((c * ZETA ** (j * k) for j, c in enumerate(x.coeffs)), ZERO)
+    norm = (x * adj).rational_value()
+    return adj * (1 / norm)
+
+
+def test_inverse_on_the_subfield_q_sqrt_minus_3():
+    # c1 = c3 = 0: the one conjugate zeta^2 -> 1 - zeta^2 over the norm
+    # c0^2 + c0 c2 + c2^2.  A norm of the wrong sign or the conjugate
+    # zeta^2 -> -zeta^2 fails both checks.
+    rng = Random(11)
+    units = [ZETA ** (2 * k) for k in range(6)]
+    drawn = [
+        Scalar((Fraction(rng.randint(-30, 30)), 0, Fraction(rng.randint(-30, 30)), 0))
+        / rng.randint(1, 40)
+        for _ in range(60)
+    ]
+    rationals = [Scalar.from_rational(f) for f in (1, -1, 7, Fraction(-3, 8), Fraction(2**70, 3))]
+    for x in units + [Q, ONE - Q, Q * 5 - 2] + drawn + rationals:
+        if x.is_zero():
+            continue
+        assert x.coeffs[1] == x.coeffs[3] == 0
+        assert x * x.inv() == ONE, x
+        assert x.inv() == _three_conjugate_inverse(x), x
+    assert (ONE - Q).inv() == (ONE - Q.inv()) / 3  # norm 3
+    assert Q.inv() == Q * Q
+
+
 def test_ring_operations_match_coefficientwise_fractions():
     # Denominators sharing factors exercise the partial cancellation in
     # addition; results must stay canonical, so equal values hash alike.

@@ -24,6 +24,7 @@ from openloop import (
     transfer_matrix,
 )
 from openloop import exactla
+from openloop.exactfield import cleared, cleared_columns
 from openloop.exactla import (
     PRIMES,
     LaurentPoly,
@@ -134,6 +135,12 @@ def _minus_one(tmat: SparseOperator) -> SparseOperator:
     return tmat - SparseOperator.identity(tmat.dim)
 
 
+def _columns(op: SparseOperator) -> list[list[tuple]]:
+    """The Z[zeta] integer columns that `kernel_vector` takes."""
+    cols, _ = cleared_columns(op.cols)
+    return cols
+
+
 def _from_rows(rows) -> SparseOperator:
     """A small hand-built operator with these rows."""
     n = len(rows)
@@ -162,7 +169,7 @@ def test_fixed_vector_matches_the_exact_kernel(length):
     }
     for name, point in points.items():
         op = _minus_one(transfer_matrix(point))
-        assert kernel_vector(op) == _kernel_oracle(op), name
+        assert kernel_vector(_columns(op)) == _kernel_oracle(op), name
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
@@ -171,7 +178,7 @@ def test_fixed_vector_matches_the_exact_kernel_at_specialisations(length):
     for i in range(length + 1):
         specialised, _, _ = reduction(pt, i)
         op = _minus_one(transfer_matrix(specialised))
-        assert kernel_vector(op) == _kernel_oracle(op), i
+        assert kernel_vector(_columns(op)) == _kernel_oracle(op), i
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4])
@@ -182,7 +189,7 @@ def test_kernel_vector_of_the_hamiltonian_matches_the_exact_kernel(length):
     for zeta1, odd in ((rational(2), False), (rational(2) + ZETA, True)):
         op = hamiltonian(length, c_from_zeta(zeta1), c_from_zeta(rational(5)))
         assert _has_odd_powers(op) == odd
-        assert kernel_vector(op) == _kernel_oracle(op), zeta1
+        assert kernel_vector(_columns(op)) == _kernel_oracle(op), zeta1
 
 
 def _scalar_apply(tmat: SparseOperator, vec: list[Scalar]) -> list[Scalar]:
@@ -201,7 +208,7 @@ def test_integer_certificate_is_t_v_equals_v(odd):
         pt = replace(pt, zeta1=rational(2) + ZETA)
     tmat = transfer_matrix(pt)
     assert _has_odd_powers(tmat) == odd
-    vec = kernel_vector(_minus_one(tmat))
+    vec = kernel_vector(_columns(_minus_one(tmat)))
     assert tmat.apply(vec) == vec == _scalar_apply(tmat, vec)
     # Each copy with one entry moved by 1 or by zeta is no fixed vector,
     # by the certificate and by the Scalar reference alike.
@@ -243,7 +250,7 @@ def test_certificate_rejects_a_wrong_reconstruction(monkeypatch):
         return result
 
     monkeypatch.setattr(exactla, "_reconstruct", off_by_one_once)
-    assert kernel_vector(op) == _kernel_oracle(op)
+    assert kernel_vector(_columns(op)) == _kernel_oracle(op)
     first = next(k for k, r in enumerate(found) if r is not None)
     assert len(found) == first + 2 and found[-1] is not None
 
@@ -260,10 +267,10 @@ def test_fixed_vector_skips_a_prime_dividing_a_pivot(monkeypatch):
         return kernel_basis(rows, ncols)
 
     monkeypatch.setattr(exactla, "kernel_basis", spy)
-    assert kernel_vector(op) == [ONE, ONE, ONE]
+    assert kernel_vector(_columns(op)) == [ONE, ONE, ONE]
     assert calls == []  # lifted from PRIMES[1]
     monkeypatch.setattr(exactla, "PRIMES", PRIMES[:1])
-    assert kernel_vector(op) == [ONE, ONE, ONE]
+    assert kernel_vector(_columns(op)) == [ONE, ONE, ONE]
     assert calls == [3]  # with PRIMES[0] alone the exact kernel decides
 
 
@@ -283,20 +290,82 @@ def test_every_embedding_factors_the_first_embeddings_pivot_block(monkeypatch):
 
     monkeypatch.setattr(exactla, "PRIMES", (p,))
     monkeypatch.setattr(exactla, "kernel_basis", refuse)
-    assert kernel_vector(op) == oracle == [-a.inv(), ONE]
+    assert kernel_vector(_columns(op)) == oracle == [-a.inv(), ONE]
 
 
 def test_fixed_vector_falls_back_to_the_exact_kernel_when_every_prime_fails():
     # The zero operator has a plane for kernel: rank 0 mod every prime,
     # and the exact kernel reports the dimension.
     with pytest.raises(NonGenericPointError, match="dimension 2, expected 1"):
-        kernel_vector(SparseOperator(2, [{}, {}]))
+        kernel_vector(_columns(SparseOperator(2, [{}, {}])))
     # An invertible operator has full rank mod every prime.
     with pytest.raises(NonGenericPointError, match="dimension 0, expected 1"):
-        kernel_vector(_from_rows([[ONE, ZERO], [ZERO, rational(2)]]))
-    # A line, but the operator vanishes mod every prime of PRIMES.
+        kernel_vector(_columns(_from_rows([[ONE, ZERO], [ZERO, rational(2)]])))
+    # A line, but row 0 vanishes mod every prime of PRIMES; the unit in
+    # row 1 keeps the columns from sharing a factor that would hide it.
     m = rational(PRIMES[0] * PRIMES[1] * PRIMES[2])
-    assert kernel_vector(_from_rows([[m, -m], [ZERO, ZERO]])) == [ONE, ONE]
+    op = _from_rows([[m, -m, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]])
+    assert kernel_vector(_columns(op)) == [ONE, ONE, ZERO]
+
+
+def test_kernel_vector_divides_out_a_common_factor_of_the_columns(monkeypatch):
+    # solve hands the lifting c (T - 1), with c the sweep's denominator,
+    # rather than T - 1 cleared to its own lcm.  A common integer factor
+    # of the columns changes no kernel, and the lifting runs on the same
+    # integers without it: even a factor of PRIMES[0] leaves that prime
+    # the generic rank.
+    lifted = []
+    lift = exactla._lift
+
+    def spy(cols, d, p):
+        lifted.append((cols, p))
+        return lift(cols, d, p)
+
+    monkeypatch.setattr(exactla, "_lift", spy)
+    for length, odd in ((3, False), (4, True)):
+        pt = draw_point(Random(780 + length), length)
+        if odd:
+            pt = replace(pt, zeta1=rational(2) + ZETA)
+        cols = _columns(_minus_one(transfer_matrix(pt)))
+        lifted.clear()
+        vec = kernel_vector(cols)
+        (plain,) = lifted
+        for factor in (6, 2**70 + 1, PRIMES[0]):
+            lifted.clear()
+            scaled = [[(i, tuple(factor * a for a in c)) for i, c in col] for col in cols]
+            assert kernel_vector(scaled) == vec, (length, factor)
+            assert lifted == [plain], (length, factor)
+
+
+def test_exact_fallback_reads_integer_columns(monkeypatch):
+    # m (a, -a b) in row 0 vanishes mod every prime of PRIMES, and row 1
+    # has a unit, so the rank is 1 mod every prime against 2 over Q: the
+    # exact kernel_basis decides, on rows it builds from the Z[zeta]
+    # numerators.  Its kernel is the line (b, 1, 0), with a and b carrying
+    # every power of zeta.
+    m = PRIMES[0] * PRIMES[1] * PRIMES[2]
+    a = Scalar.from_integers((1, 2, 3, 4), 1)
+    b = Scalar.from_integers((2, -1, 0, 1), 1)
+    (ab,), _ = cleared([a * b])
+    cols = [
+        [(0, (m, 2 * m, 3 * m, 4 * m))],
+        [(0, tuple(-m * x for x in ab))],
+        [(1, (1, 0, 0, 0))],
+    ]
+    calls = []
+
+    def spy(rows, ncols):
+        calls.append(rows)
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(exactla, "kernel_basis", spy)
+    assert kernel_vector(cols) == [b, ONE, ZERO]
+    assert calls == [[[a * m, -a * b * m, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]]]
+    # Rank 1 of 3 over Q and mod every prime: the kernel is a plane.
+    ones = [[(0, (k, 0, 0, 0)), (1, (0, k, 0, 0))] for k in (1, 2, 3)]
+    with pytest.raises(NonGenericPointError, match="dimension 2, expected 1"):
+        kernel_vector(ones)
+    assert len(calls) == 2
 
 
 def test_fixed_vector_scales_its_last_nonzero_entry_to_one():
@@ -306,12 +375,12 @@ def test_fixed_vector_scales_its_last_nonzero_entry_to_one():
         [ZERO, ZERO, ONE],
         [rational(3), rational(6), rational(4)],
     ])
-    assert kernel_vector(op) == [-rational(2), ONE, ZERO] == _kernel_oracle(op)
+    assert kernel_vector(_columns(op)) == [-rational(2), ONE, ZERO] == _kernel_oracle(op)
     # Kernel vector (1, p): mod p the free column is the first one, but the
     # last nonzero entry over Q is the second.
     p = rational(PRIMES[0])
     op = _from_rows([[p, -ONE], [ZERO, ZERO]])
-    assert kernel_vector(op) == [p.inv(), ONE] == _kernel_oracle(op)
+    assert kernel_vector(_columns(op)) == [p.inv(), ONE] == _kernel_oracle(op)
 
 
 def test_laurent_poly_accessors():
@@ -325,19 +394,19 @@ def test_laurent_poly_accessors():
     assert LaurentPoly({0: ZERO}).is_zero()
 
 
-def test_newton_interpolation_recovers_polynomial():
+def test_laurent_fit_recovers_polynomial():
     rng = Random(9)
     target = LaurentPoly({0: _rand_scalar(rng), 1: _rand_scalar(rng), 3: ONE})
     xs = [Scalar.from_rational(k) for k in (1, 2, 3, 5)]
     ys = [target.eval_at(x) for x in xs]
-    assert laurent_fit(xs, ys, 0, len(xs) - 1) == target
+    assert laurent_fit(xs, [ys], 0, len(xs) - 1) == [target]
 
 
 def test_laurent_fit_with_negative_exponents():
     target = LaurentPoly({-2: ZETA, 0: ONE, 1: IMAG})
     xs = [Scalar.from_rational(Fraction(k, 2)) for k in (2, 3, 5, 7)]
     ys = [target.eval_at(x) for x in xs]
-    fitted = laurent_fit(xs, ys, -2, 1)
+    (fitted,) = laurent_fit(xs, [ys], -2, 1)
     assert fitted == target
     holdout = Scalar.from_rational(Fraction(11, 3))
     assert fitted.eval_at(holdout) == target.eval_at(holdout)
@@ -347,13 +416,38 @@ def test_laurent_fit_at_field_valued_points():
     target = LaurentPoly({-1: ONE + ZETA, 0: IMAG, 2: Scalar.from_rational(Fraction(-3, 5))})
     xs = [ZETA + Scalar.from_rational(k) for k in (1, 2, 3, 4)]
     ys = [target.eval_at(x) for x in xs]
-    fitted = laurent_fit(xs, ys, -1, 2)
+    (fitted,) = laurent_fit(xs, [ys], -1, 2)
     assert fitted == target
     holdout = ZETA * 2 - IMAG
     assert fitted.eval_at(holdout) == target.eval_at(holdout)
 
 
+@pytest.mark.parametrize("nodes", ["rational", "field"])
+def test_multi_column_fit_equals_the_per_column_fits(nodes):
+    # One interpolation map serves every column: fitting the columns
+    # together gives each column's own fit, a zero column included.
+    rng = Random(17)
+    lo, hi = -3, 3
+    if nodes == "rational":
+        xs = [Scalar.from_rational(Fraction(k, 3)) for k in (-7, -2, 1, 2, 4, 5, 8)]
+    else:
+        xs = [ZETA * k + Scalar.from_rational(Fraction(1, k)) for k in range(1, 8)]
+    targets = [
+        LaurentPoly({e: _rand_scalar(rng) for e in range(lo, hi + 1) if rng.random() < 0.7})
+        for _ in range(4)
+    ] + [LaurentPoly()]
+    columns = [[t.eval_at(x) for x in xs] for t in targets]
+    fits = laurent_fit(xs, columns, lo, hi)
+    assert fits == targets
+    assert fits == [laurent_fit(xs, [ys], lo, hi)[0] for ys in columns]
+    powers = {e: xs[0] ** e for e in range(lo, hi + 1)}
+    assert [f.eval_powers(powers) for f in fits] == [ys[0] for ys in columns]
+
+
 def test_laurent_fit_requires_exact_sample_count():
     xs = [Scalar.from_rational(k) for k in (1, 2)]
     with pytest.raises(ValueError):
-        laurent_fit(xs, [ONE, ONE], -2, 1)
+        laurent_fit(xs, [[ONE, ONE]], -2, 1)
+    xs = [Scalar.from_rational(k) for k in (1, 2, 3, 4)]
+    with pytest.raises(ValueError):
+        laurent_fit(xs, [[ONE] * 4, [ONE] * 3], -2, 1)

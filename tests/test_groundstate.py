@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -387,11 +389,12 @@ def test_hamiltonian_annihilates_groundstate(zetas):
 
 def test_hamiltonian_check_solves_no_transfer_matrix(monkeypatch):
     # The kernel of H is lifted directly and only compared with T by one
-    # sweep, so neither a solve nor a T build is needed.
+    # sweep of the vector, so neither a solve nor a T build (the basis
+    # sweep that `solve` runs) is needed.
     def refuse(*args, **kwargs):
         raise AssertionError("check_hamiltonian solved or built T")
 
-    for name in ("solve", "solve_homogeneous", "transfer_matrix"):
+    for name in ("solve", "solve_homogeneous", "_sweep"):
         monkeypatch.setattr(groundstate, name, refuse)
     assert check_hamiltonian(3, rational(2), rational(5))
 
@@ -429,6 +432,30 @@ def test_interpolation_respects_degree_window():
             if not poly.is_zero():
                 assert poly.min_exp >= -3 and poly.max_exp <= 3
             assert poly.eval_at(y) == gs[word]
+
+
+# sha256 of repr(sorted(interpolate_all(var, pt).items())), every
+# component's Laurent polynomial in z_var^2 as computed before the fit
+# took all components through one interpolation map.
+_INTERPOLATION_DIGESTS = {
+    ("L = 2", 1): "002a0d3c38e0f494bd9f5430b4c225c725a76fe82b532b1f5e9ce3be13fcb932",
+    ("L = 2", 2): "595c1b7e0b1864888f9212eb8773af9377e86aa487047ff4f5ec2f6d0bef96bb",
+    ("L = 3", 2): "c555408c00e1083f624ef8f6ddf32069ca0173c3d7ec39552da658f4e3f86e68",
+    ("zeta1 = 2 + zeta", 1): "bcb728b9aaa0f5de0831c247c8b0344341b05d956460ecdb516c88f21d1e0be6",
+    ("s = i", 2): "4e5944f18512a477640fd77b27e90dd0a85f83ae7453d5c7a2ff372f9777a22d",
+}
+
+
+@pytest.mark.parametrize("name,var", list(_INTERPOLATION_DIGESTS))
+def test_interpolated_polynomials_are_pinned(name, var):
+    points = {
+        "L = 2": lambda: draw_point(Random(901), 2),
+        "L = 3": lambda: draw_point(Random(903), 3),
+        "zeta1 = 2 + zeta": lambda: replace(draw_point(Random(901), 2), zeta1=rational(2) + ZETA),
+        "s = i": lambda: draw_point(Random(905), 2, s=IMAG),
+    }
+    text = repr(sorted(interpolate_all(var, points[name]()).items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == _INTERPOLATION_DIGESTS[name, var]
 
 
 def test_interpolate_rejects_bad_variable_index():

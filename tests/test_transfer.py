@@ -31,6 +31,7 @@ from openloop.groundstate import generic_parameters, recursion_factor, solve
 from openloop.transfer import (
     _check_embedding,
     _plan,
+    _read,
     _sweep,
     _tile_weights,
     _unpack,
@@ -115,11 +116,12 @@ def test_plan_holds_no_weights(length):
 
 
 def test_sweep_batch_with_different_denominators():
-    # Each vector of a batch keeps its own denominator through the sweep.
+    # A batch is swept over one common denominator and reads back as its
+    # vectors swept alone.
     pt = draw_point(Random(127), 3)
     u = {index_of("()("): rational(1, 3), index_of(")(("): rational(2) + ZETA}
     v = {index_of("()("): ZETA / 5 - rational(1, 7), index_of("((("): rational(3, 11)}
-    assert _sweep(pt, [u, v]) == _sweep(pt, [u]) + _sweep(pt, [v])
+    assert _read(_sweep(pt, [u, v])) == _read(_sweep(pt, [u])) + _read(_sweep(pt, [v]))
     # Above NAIVE_CAP, against T.apply, whose addmul products share no
     # packed slots with the sweep: a batch of ~1000-bit mixed-sign
     # numerators, a basis vector and odd powers of zeta, at three offsets.
@@ -134,7 +136,7 @@ def test_sweep_batch_with_different_denominators():
         odd = {j: rational(j + 1, 5) + ZETA**j for j in range(0, dim, 3)}
         batch = [big, {dim - 1: ONE}, odd]
         tmat = transfer_matrix(pt)
-        for col, vec in zip(_sweep(pt, batch), batch):
+        for col, vec in zip(_read(_sweep(pt, batch)), batch):
             applied = tmat.apply([vec.get(j, ZERO) for j in range(dim)])
             assert col == {r: x for r, x in enumerate(applied) if not x.is_zero()}
 
