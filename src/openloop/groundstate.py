@@ -1,8 +1,8 @@
 """Exact groundstate of the double-row transfer matrix.
 
 The transfer matrix at a generic spectral point fixes a unique ray;
-`solve` computes it as the kernel of c (T - 1), the integer columns of
-one basis sweep over their denominator c less c on the diagonal, by
+`solve` computes it as the kernel of c (T - 1), the columns of T
+cleared to integers over one denominator c less c on the diagonal, by
 p-adic lifting (`exactla.kernel_vector`), certified by an exact
 c (T - 1) v == 0, and
 pins the scale to closed-form anchor components so that different
@@ -55,12 +55,12 @@ from .linkpat import (
 from .transfer import (
     SpectralPoint,
     _relation_length,
-    _sweep,
     exchange_coefficients,
     exchange_operator,
     pi_point,
     reduction,
     transfer_apply,
+    transfer_matrix,
 )
 
 __all__ = [
@@ -243,10 +243,11 @@ def solve(
 ) -> GroundstateVector:
     """Exact fixed vector of T(pt).
 
-    One sweep of the basis gives T(pt) as Z[zeta] integer columns over
-    one denominator c, with no Scalar read-out.  Subtracting c on the
-    diagonal gives c (T(pt) - 1), which has the kernel of T(pt) - 1, and
-    its fixed vector is found as that kernel by Dixon's p-adic lifting
+    T(pt) is built once by `transfer_matrix` and its columns cleared to
+    Z[zeta] integers over one denominator c.  Subtracting c on the
+    diagonal gives c (T(pt) - 1), which has the kernel of T(pt) - 1, with
+    no Scalar operator in between, and the fixed vector is found as that
+    kernel by Dixon's p-adic lifting
     (`exactla.kernel_vector`): one elimination mod a prime that shows
     the rank n - 1, exact residual updates, and a rational
     reconstruction returned only once c (T(pt) - 1) v == 0 holds
@@ -264,12 +265,15 @@ def solve(
     """
     if pt.length > SOLVE_CAP:
         raise ValueError(f"refusing exact solve beyond L = SOLVE_CAP = {SOLVE_CAP}")
-    cols, c = _sweep(pt, [{j: ONE} for j in range(1 << pt.length)])
-    for j, col in enumerate(cols):  # c (T - 1): c off each diagonal entry
+    tcols, c = cleared_columns(transfer_matrix(pt).cols)
+    cols = []
+    for j, col in enumerate(tcols):  # c (T - 1): c off each diagonal entry
+        col = dict(col)
         n0, n1, n2, n3 = col.pop(j, (0, 0, 0, 0))
         if n0 != c or n1 or n2 or n3:
             col[j] = (n0 - c, n1, n2, n3)
-    vec = kernel_vector([list(col.items()) for col in cols])
+        cols.append(list(col.items()))
+    vec = kernel_vector(cols)
     if check_w:
         shifted = [pt.w + Scalar.from_rational(d) for d in (2, 3, 5, 7, 11)]
         if _at_generic_w(pt, shifted, partial(transfer_apply, vec)) != vec:
@@ -463,12 +467,15 @@ def interpolate_all(
         cols.append(gs.components)
     top = 2 * length - 1
     polys = laurent_fit(xs[:width], list(zip(*cols[:width])), -top, top)
-    for x, comps in zip(xs[width:], cols[width:]):
+    holdouts = []
+    for x in xs[width:]:
         powers = {-top: x ** (-top)}
         for e in range(1 - top, top + 1):
             powers[e] = powers[e - 1] * x
-        for idx, (poly, val) in enumerate(zip(polys, comps)):
-            if poly.eval_powers(powers) != val:
+        holdouts.append(powers)
+    for idx, poly in enumerate(polys):
+        for powers, comps in zip(holdouts, cols[width:]):
+            if poly.eval_powers(powers) != comps[idx]:
                 raise DegreeBoundError(
                     f"component {word_of(idx, length)} exceeds the degree window "
                     f"in z_{var_index}^2"

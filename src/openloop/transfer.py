@@ -33,9 +33,7 @@ is one Z[zeta] product per state and weight, run in C with no gcd.  The
 sweep returns integer columns over one denominator; `_read`, the one
 Scalar read-out, takes one gcd per entry for `transfer_matrix` (a sweep
 of the basis), `transfer_apply` (of one vector) and the recursion
-checks.  `groundstate.solve` reads none: it takes the integers of a
-basis sweep over c, subtracts c on the diagonal, and hands c (T - 1) to
-the kernel lifting.
+checks.
 `transfer_matrix_naive` expands the 2^(2L+2) planar fillings by
 explicit path tracing, independently of the sweep, as its oracle.
 

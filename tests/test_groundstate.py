@@ -389,12 +389,11 @@ def test_hamiltonian_annihilates_groundstate(zetas):
 
 def test_hamiltonian_check_solves_no_transfer_matrix(monkeypatch):
     # The kernel of H is lifted directly and only compared with T by one
-    # sweep of the vector, so neither a solve nor a T build (the basis
-    # sweep that `solve` runs) is needed.
+    # sweep, so neither a solve nor a T build is needed.
     def refuse(*args, **kwargs):
         raise AssertionError("check_hamiltonian solved or built T")
 
-    for name in ("solve", "solve_homogeneous", "_sweep"):
+    for name in ("solve", "solve_homogeneous", "transfer_matrix"):
         monkeypatch.setattr(groundstate, name, refuse)
     assert check_hamiltonian(3, rational(2), rational(5))
 
