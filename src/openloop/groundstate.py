@@ -247,12 +247,11 @@ def solve(
     Z[zeta] integers over one denominator c.  Subtracting c on the
     diagonal gives c (T(pt) - 1), which has the kernel of T(pt) - 1, with
     no Scalar operator in between, and the fixed vector is found as that
-    kernel by Dixon's p-adic lifting
-    (`exactla.kernel_vector`): one elimination mod a prime that shows
-    the rank n - 1, exact residual updates, and a rational
-    reconstruction returned only once c (T(pt) - 1) v == 0 holds
-    exactly, which with that rank proves the fixed space is this one
-    ray.  Where no prime has that rank, the
+    kernel by Dixon's p-adic lifting (`exactla.kernel_vector`): one
+    elimination mod a prime that shows the rank n - 1, exact residual
+    updates, and a rational reconstruction returned only once
+    c (T(pt) - 1) v == 0 holds exactly, which with that rank proves the
+    fixed space is this one ray.  Where no prime has that rank, the
     exact elimination decides, and a fixed space that is not
     one-dimensional raises NonGenericPointError, whose message gives the
     dimension of the kernel.  With check_w the vector is re-verified
