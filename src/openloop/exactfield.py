@@ -30,9 +30,12 @@ other elements take the product of all three nontrivial conjugates.
 
 Bulk contractions skip the per-product gcd and run on those Z[zeta]
 numerators, plain 4-tuples of ints: `cleared` (and `cleared_columns`,
-for sparse columns) puts Scalars over one denominator.  `addmul`, the
-entry-by-entry Z[zeta] multiply-add, is behind the `SparseOperator`
-products and the p-adic lifting; the transfer sweep runs the same
+for sparse columns) puts Scalars over one denominator.  A
+`SparseOperator` holds only that integer form, sparse columns over one
+denominator.  `addmul`, the entry-by-entry Z[zeta] multiply-add, is
+behind its products, sums and scalings and behind the p-adic lifting,
+and `same_columns` compares two such forms by cross-multiplying their
+denominators; neither takes a gcd.  The transfer sweep runs the same
 product on numerators packed for a whole batch of vectors.
 """
 
@@ -55,6 +58,7 @@ __all__ = [
     "cleared",
     "cleared_columns",
     "addmul",
+    "same_columns",
 ]
 
 _RationalLike = Union[int, Fraction]
@@ -350,3 +354,24 @@ def addmul(acc: dict, b: tuple[int, int, int, int], items: Iterable[tuple]) -> N
             acc[k] = q
         else:
             del acc[k]
+
+
+def same_columns(a: Sequence[dict], da: int, b: Sequence[dict], db: int) -> bool:
+    """Whether sparse columns {index: Z[zeta] numerators} a over da and b
+    over db, none holding a zero entry, are the same elements of
+    Q(zeta): the same indices in each column, and n_a db == n_b da entry
+    by entry, cross-multiplied with no gcd."""
+    if len(a) != len(b):
+        return False
+    g = gcd(da, db)
+    sa, sb = db // g, da // g
+    if sa == sb:  # both 1: one denominator
+        return all(x == y for x, y in zip(a, b))
+    for x, y in zip(a, b):
+        if x.keys() != y.keys():
+            return False
+        for k, (a0, a1, a2, a3) in x.items():
+            b0, b1, b2, b3 = y[k]
+            if a0 * sa != b0 * sb or a1 * sa != b1 * sb or a2 * sa != b2 * sb or a3 * sa != b3 * sb:
+                return False
+    return True

@@ -21,10 +21,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, NonGenericPointError
-from .exactfield import ONE, ZERO, Scalar, addmul
+from .exactfield import ONE, ZERO, Scalar, addmul, cleared_columns
 from .linkpat import SparseOperator
 
 __all__ = [
@@ -246,7 +246,7 @@ def _reconstruct(residues: Sequence[int], m: int) -> tuple[list[int], int] | Non
     return nums, den
 
 
-def _lift(cols: list[list[tuple]], d: int, p: int):
+def _lift(cols: Sequence[Iterable[tuple]], d: int, p: int):
     """The kernel vector, with its free column at 1, of the operator whose
     sparse Z[zeta] columns over one denominator are cols; None if its rank
     mod p is not n - 1.  A reconstruction v is returned only once the
@@ -254,7 +254,7 @@ def _lift(cols: list[list[tuple]], d: int, p: int):
     powers, vinv = _embeddings(p, d)
     n = len(cols)
 
-    def embedded(pw: list[int], cols: list[list[tuple]]) -> list[list[int]]:
+    def embedded(pw: list[int], cols: Sequence[Iterable[tuple]]) -> list[list[int]]:
         """Dense rows of the columns' image under zeta^t -> pw[t]."""
         rows = [[0] * n for _ in range(n)]
         for j, col in enumerate(cols):
@@ -324,10 +324,11 @@ def _lift(cols: list[list[tuple]], d: int, p: int):
     )
 
 
-def kernel_vector(cols: list[list[tuple]]) -> list[Scalar]:
+def kernel_vector(cols: Sequence[Iterable[tuple]]) -> list[Scalar]:
     """The one ray of the kernel of the square operator whose sparse
-    columns of Z[zeta] numerators, in the form of
-    `exactfield.cleared_columns`, are cols, scaled so that its last
+    columns of (row, Z[zeta] numerators) pairs, as
+    `exactfield.cleared_columns` lists or the `.items()` of
+    `SparseOperator.num_cols`, are cols, scaled so that its last
     nonzero entry is 1.  A common factor of the columns, such as their
     denominator, does not change the kernel, so none is passed, and the
     integer content of the columns is divided out before the lifting,
@@ -379,8 +380,9 @@ def laurent_fit(
     once in Scalars: its column i holds the coefficients of the Lagrange
     polynomial prod_{k != i} (t - x_k) / (x_i - x_k), read off the
     quotient of prod_k (t - x_k) by t - x_i.  It is applied to every
-    column at once by the Z[zeta] contraction of `SparseOperator`, with
-    one gcd per coefficient.
+    column at once by the Z[zeta] contraction of `SparseOperator`, on
+    integer columns, and only the fitted coefficients are read out as
+    Scalars, one gcd each.
     """
     n = max_exp - min_exp + 1
     if n < 1 or len(xs) != n or any(len(ys) != n for ys in columns):
@@ -399,7 +401,9 @@ def laurent_fit(
                 denom = denom * (x - other)
         scale = x ** (-min_exp) / denom
         cols.append({e: c * scale for e, c in enumerate(reversed(quotient))})
-    coeffs = SparseOperator(n, cols)._times(
-        [{i: y for i, y in enumerate(ys) if y} for ys in columns]
-    )
-    return [LaurentPoly({e + min_exp: c for e, c in col.items()}) for col in coeffs]
+    values = cleared_columns([{i: y for i, y in enumerate(ys) if y} for ys in columns])
+    coeffs, den = SparseOperator(n, cols)._times(*values)
+    return [
+        LaurentPoly({e + min_exp: Scalar.from_integers(c, den) for e, c in col.items()})
+        for col in coeffs
+    ]

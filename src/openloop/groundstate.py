@@ -1,21 +1,20 @@
 """Exact groundstate of the double-row transfer matrix.
 
 The transfer matrix at a generic spectral point fixes a unique ray;
-`solve` computes it as the kernel of c (T - 1), the columns of T
-cleared to integers over one denominator c less c on the diagonal, by
-p-adic lifting (`exactla.kernel_vector`), certified by an exact
-c (T - 1) v == 0, and
-pins the scale to closed-form anchor components so that different
-points share one global polynomial normalization.  On top of the
-solver this module carries the full identity apparatus: the extremal
-closed forms, the component sum rule, the exchange and reflection
-equations satisfied by the eigenvector, the size-lowering recursions
-with their explicit proportionality factors, degree bounds via exact
-interpolation, the vanishing conditions at specialization points, the
-homogeneous-point Hamiltonian (its kernel, by the same lifting, is the
-ray T fixes), and the components that one qKZ propagation rule fixes
-from the two extremal closed forms at any L (`qkz_components`, with
-`reconstruct_partial_L3` as its L = 3 view).
+`solve` computes it as the kernel of c (T - 1), the integer columns of
+T over their one denominator c less c on the diagonal, by p-adic
+lifting (`exactla.kernel_vector`), certified by an exact
+c (T - 1) v == 0, and pins the scale to closed-form anchor components
+so that different points share one global polynomial normalization.
+On top of the solver this module carries the full identity apparatus:
+the extremal closed forms, the component sum rule, the exchange and
+reflection equations satisfied by the eigenvector, the size-lowering
+recursions with their explicit proportionality factors, degree bounds
+via exact interpolation, the vanishing conditions at specialization
+points, the homogeneous-point Hamiltonian (its kernel, by the same
+lifting, is the ray T fixes), and the components that one qKZ
+propagation rule fixes from the two extremal closed forms at any L
+(`qkz_components`, with `reconstruct_partial_L3` as its L = 3 view).
 
 The per-index identities follow the convention of `transfer`: index
 i = 0 is the left wall, 1..L-1 the bulk, L the right wall, and the
@@ -47,7 +46,7 @@ from .errors import (
     NonGenericPointError,
     SingularParameterError,
 )
-from .exactfield import ONE, Scalar, ZERO, cleared_columns, kfun
+from .exactfield import ONE, Scalar, ZERO, kfun
 from .exactla import LaurentPoly, kernel_vector, laurent_fit
 from .linkpat import (
     all_patterns, apply_e, c_from_zeta, hamiltonian, index_of, word_of
@@ -90,7 +89,10 @@ __all__ = [
 
 SOLVE_CAP = 8
 
-ComponentEvaluator = Callable[[SpectralPoint], Scalar]
+# Forward references: typing caches every subscripted Callable, and a
+# cached alias that held the classes would keep this module, and every
+# module their functions reach, alive after the package is unloaded.
+ComponentEvaluator = Callable[["SpectralPoint"], "Scalar"]
 
 
 @dataclass(frozen=True)
@@ -243,10 +245,10 @@ def solve(
 ) -> GroundstateVector:
     """Exact fixed vector of T(pt).
 
-    T(pt) is built once by `transfer_matrix` and its columns cleared to
-    Z[zeta] integers over one denominator c.  Subtracting c on the
+    T(pt) is built once by `transfer_matrix`, whose integer form is
+    Z[zeta] columns over one denominator c.  Subtracting c on the
     diagonal gives c (T(pt) - 1), which has the kernel of T(pt) - 1, with
-    no Scalar operator in between, and the fixed vector is found as that
+    no Scalar read out in between, and the fixed vector is found as that
     kernel by Dixon's p-adic lifting (`exactla.kernel_vector`): one
     elimination mod a prime that shows the rank n - 1, exact residual
     updates, and a rational reconstruction returned only once
@@ -264,14 +266,15 @@ def solve(
     """
     if pt.length > SOLVE_CAP:
         raise ValueError(f"refusing exact solve beyond L = SOLVE_CAP = {SOLVE_CAP}")
-    tcols, c = cleared_columns(transfer_matrix(pt).cols)
+    tmat = transfer_matrix(pt)
+    c = tmat.den
     cols = []
-    for j, col in enumerate(tcols):  # c (T - 1): c off each diagonal entry
+    for j, col in enumerate(tmat.num_cols):  # c (T - 1): c off each diagonal entry
         col = dict(col)
         n0, n1, n2, n3 = col.pop(j, (0, 0, 0, 0))
         if n0 != c or n1 or n2 or n3:
             col[j] = (n0 - c, n1, n2, n3)
-        cols.append(list(col.items()))
+        cols.append(col.items())
     vec = kernel_vector(cols)
     if check_w:
         shifted = [pt.w + Scalar.from_rational(d) for d in (2, 3, 5, 7, 11)]
@@ -421,8 +424,8 @@ def check_hamiltonian(length: int, zeta1: Scalar, zeta2: Scalar) -> bool:
     by `exactla.kernel_vector`, is fixed by T at the z_i = 1 point of
     `solve_homogeneous`.  A kernel that is not a line raises
     NonGenericPointError, a pole of c_i SingularParameterError."""
-    cols, _ = cleared_columns(hamiltonian(length, c_from_zeta(zeta1), c_from_zeta(zeta2)).cols)
-    vec = kernel_vector(cols)
+    ham = hamiltonian(length, c_from_zeta(zeta1), c_from_zeta(zeta2))
+    vec = kernel_vector([col.items() for col in ham.num_cols])
     pt = SpectralPoint((ONE,) * length, zeta1, zeta2, ONE)
     return _at_generic_w(pt, _HOMOGENEOUS_WS, partial(transfer_apply, vec)) == vec
 

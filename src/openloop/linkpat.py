@@ -33,10 +33,11 @@ with `read_word`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SingularParameterError
-from .exactfield import ONE, ZERO, Scalar, addmul, cleared_columns
+from .exactfield import ONE, ZERO, Scalar, addmul, cleared, cleared_columns, same_columns
 
 __all__ = [
     "LEFT_WALL",
@@ -233,82 +234,120 @@ def apply_e(i: int, word: str) -> str:
 class SparseOperator:
     """Column-sparse square linear operator: on the 2^L pattern basis,
     or, in `exactla.laurent_fit`, from the samples of a fit to its
-    coefficients."""
+    coefficients.
 
-    __slots__ = ("dim", "cols")
+    It is held in integer form only: `num_cols[j]` maps each row of a
+    nonzero entry of column j to its Z[zeta] numerators (n0, n1, n2, n3),
+    all over the one positive denominator `den`, with no gcd taken.
+    Products, sums and scalings run on those integers with `addmul`, and
+    equality cross-multiplies by the denominators.  `.cols` reads the
+    Scalar columns out, one gcd per entry, afresh on every read.
+    """
+
+    __slots__ = ("dim", "num_cols", "den")
 
     def __init__(self, dim: int, cols: Sequence[dict[int, Scalar]]):
         if len(cols) != dim:
             raise ValueError("need one column per basis state")
+        nums, self.den = cleared_columns(cols)
         self.dim = dim
-        self.cols = [
-            {r: v for r, v in col.items() if not v.is_zero()} for col in cols
-        ]
+        self.num_cols = [{r: n for r, n in col if any(n)} for col in nums]
+
+    @classmethod
+    def from_integers(cls, cols: list[dict[int, tuple]], den: int) -> SparseOperator:
+        """The operator whose column j is cols[j], {row: Z[zeta]
+        numerators} over den > 0, kept as given: no entry may be zero."""
+        op = object.__new__(cls)
+        op.dim = len(cols)
+        op.num_cols = cols
+        op.den = den
+        return op
 
     @classmethod
     def identity(cls, dim: int) -> SparseOperator:
-        return cls(dim, [{j: ONE} for j in range(dim)])
+        return cls.from_column_map(dim, lambda j: j)
 
     @classmethod
     def from_column_map(cls, dim: int, image: Callable[[int], int]) -> SparseOperator:
-        return cls(dim, [{image(j): ONE} for j in range(dim)])
+        return cls.from_integers([{image(j): (1, 0, 0, 0)} for j in range(dim)], 1)
 
-    def _times(self, cols: Sequence[dict[int, Scalar]]) -> list[dict[int, Scalar]]:
-        """self applied to each sparse column {index: Scalar}, in Z[zeta]
-        numerators: self and the columns are each cleared to one
-        denominator, da and db, `addmul` takes one contraction per column
-        entry with no gcd, and each surviving entry n becomes n / (da db)."""
-        left, da = cleared_columns(self.cols)
-        right, db = cleared_columns(cols)
-        d = da * db
+    @property
+    def cols(self) -> list[dict[int, Scalar]]:
+        d = self.den
+        return [{r: Scalar.from_integers(n, d) for r, n in col.items()} for col in self.num_cols]
+
+    def _times(self, cols: Iterable[Iterable[tuple]], den: int) -> tuple[list[dict], int]:
+        """self applied to each sparse column of (index, Z[zeta]
+        numerators) pairs over den: one `addmul` contraction per column
+        entry, with no gcd, into columns over self.den * den."""
+        left = self.num_cols
         out = []
-        for col in right:
+        for col in cols:
             acc: dict[int, tuple[int, int, int, int]] = {}
             for k, b in col:
-                addmul(acc, b, left[k])
-            out.append({r: Scalar.from_integers(n, d) for r, n in acc.items()})
-        return out
+                addmul(acc, b, left[k].items())
+            out.append(acc)
+        return out, self.den * den
 
     def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
-        """self times the vector, through `_times`; exact, so it also
-        certifies a fixed vector as T v == v."""
+        """self times the vector, through `_times`, read out as Scalars;
+        exact, so it also certifies a fixed vector as T v == v."""
         if len(vec) != self.dim:
             raise ValueError("vector length mismatch")
-        (col,) = self._times([{j: x for j, x in enumerate(vec) if not x.is_zero()}])
-        return [col.get(r, ZERO) for r in range(self.dim)]
+        entering = cleared_columns([{j: x for j, x in enumerate(vec) if not x.is_zero()}])
+        (col,), d = self._times(*entering)
+        out = [ZERO] * self.dim
+        for r, n in col.items():
+            out[r] = Scalar.from_integers(n, d)
+        return out
 
     def compose(self, other: SparseOperator) -> SparseOperator:
-        """Matrix product self @ other: `_times` of the columns of other."""
+        """Matrix product self @ other: `_times` of the columns of other,
+        over the product of the two denominators."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        # Every entry is nonzero, so skip the constructor's filter.
-        product = object.__new__(SparseOperator)
-        product.dim = self.dim
-        product.cols = self._times(other.cols)
-        return product
+        return SparseOperator.from_integers(
+            *self._times([col.items() for col in other.num_cols], other.den)
+        )
 
     def __matmul__(self, other: SparseOperator) -> SparseOperator:
         return self.compose(other)
 
     def __add__(self, other: SparseOperator) -> SparseOperator:
+        """self + other over the lcm of the two denominators."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
+        g = gcd(self.den, other.den)
+        a, b = (other.den // g, 0, 0, 0), (self.den // g, 0, 0, 0)
         cols = []
-        for a, b in zip(self.cols, other.cols):
-            acc = dict(a)
-            for r, v in b.items():
-                acc[r] = acc.get(r, ZERO) + v
+        for x, y in zip(self.num_cols, other.num_cols):
+            acc: dict[int, tuple[int, int, int, int]] = {}
+            addmul(acc, a, x.items())
+            addmul(acc, b, y.items())
             cols.append(acc)
-        return SparseOperator(self.dim, cols)
+        return SparseOperator.from_integers(cols, self.den // g * other.den)
 
     def __sub__(self, other: SparseOperator) -> SparseOperator:
         return self + other.scale(-ONE)
 
     def scale(self, s: Scalar) -> SparseOperator:
-        return SparseOperator(self.dim, [{r: v * s for r, v in col.items()} for col in self.cols])
+        if s.is_zero():
+            return SparseOperator.from_integers([{} for _ in range(self.dim)], 1)
+        (b,), d = cleared([s])
+        cols = []
+        for col in self.num_cols:
+            acc: dict[int, tuple[int, int, int, int]] = {}
+            addmul(acc, b, col.items())
+            cols.append(acc)
+        return SparseOperator.from_integers(cols, self.den * d)
 
     def column_sums(self) -> list[Scalar]:
-        return [sum(col.values(), ZERO) for col in self.cols]
+        """One Scalar per column: its numerators summed, then one gcd."""
+        zero = (0, 0, 0, 0)
+        return [
+            Scalar.from_integers([sum(t) for t in zip(zero, *col.values())], self.den)
+            for col in self.num_cols
+        ]
 
     def to_rows(self) -> list[list[Scalar]]:
         rows = [[ZERO] * self.dim for _ in range(self.dim)]
@@ -320,10 +359,12 @@ class SparseOperator:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseOperator):
             return NotImplemented
-        return self.dim == other.dim and self.cols == other.cols
+        return self.dim == other.dim and same_columns(
+            self.num_cols, self.den, other.num_cols, other.den
+        )
 
     def __repr__(self) -> str:
-        nnz = sum(len(c) for c in self.cols)
+        nnz = sum(len(c) for c in self.num_cols)
         return f"SparseOperator(dim={self.dim}, nnz={nnz})"
 
 

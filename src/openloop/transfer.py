@@ -30,10 +30,11 @@ weights share another, kept outside the sweep.  A state packs the
 batch's numerators into four big ints, one per power of zeta, with a
 slot of fixed width per vector (Kronecker substitution), so a tile step
 is one Z[zeta] product per state and weight, run in C with no gcd.  The
-sweep returns integer columns over one denominator; `_read`, the one
-Scalar read-out, takes one gcd per entry for `transfer_matrix` (a sweep
-of the basis), `transfer_apply` (of one vector) and the recursion
-checks.
+sweep returns integer columns over one denominator.  `transfer_matrix`
+(a sweep of the basis) keeps them as the integer form of its
+`SparseOperator`, and the recursion checks compare them with
+`same_columns`, both with no gcd; only `transfer_apply` (of one vector)
+reads its column out as Scalars, through `_read`.
 `transfer_matrix_naive` expands the 2^(2L+2) planar fillings by
 explicit path tracing, independently of the sweep, as its oracle.
 
@@ -62,7 +63,16 @@ from .baxter import (
     k_coefficients,
     r_coefficients,
 )
-from .exactfield import FOURTH_ROOTS, ONE, Q, Scalar, ZERO, cleared, cleared_columns
+from .exactfield import (
+    FOURTH_ROOTS,
+    ONE,
+    Q,
+    Scalar,
+    ZERO,
+    cleared,
+    cleared_columns,
+    same_columns,
+)
 from .linkpat import (
     LEFT_WALL,
     RIGHT_WALL,
@@ -305,14 +315,13 @@ def _sweep(
     Layer 0 of the plan is the basis in index order, so vector entries
     seed it directly.  The batch enters as its `cleared_columns`, over
     one denominator D, and tile t multiplies by numerators over its own
-    d_t, so every final amplitude stands over c D, c = prod d_t; `_read`
-    turns them into Scalars with one gcd per entry.  A state holds the
-    Z[zeta] numerators of the whole batch as
-    (off, A0, A1, A2, A3): slot j of A_k, W bits wide, is the zeta^k
-    numerator of vector off + j.  A tile step is then one Z[zeta] product
-    per (state, nonzero weight) on big ints, sending state i to
-    succ[i][is_e], and states of different offsets add after the higher
-    one is shifted left by W per offset step.
+    d_t, so every final amplitude stands over c D, c = prod d_t, which is
+    returned as it is, with no gcd.  A state holds the Z[zeta] numerators
+    of the whole batch as (off, A0, A1, A2, A3): slot j of A_k, W bits
+    wide, is the zeta^k numerator of vector off + j.  A tile step is then
+    one Z[zeta] product per (state, nonzero weight) on big ints, sending
+    state i to succ[i][is_e], and states of different offsets add after
+    the higher one is shifted left by W per offset step.
 
     Packing is linear: a packed int is sum_j a_j 2^(W j) over its slots
     a_j, and products with weights, sums and shifts keep it so.  Only the
@@ -385,15 +394,16 @@ def _sweep(
 
 
 def _read(swept: tuple[list[dict], int]) -> list[dict[int, Scalar]]:
-    """The Scalar columns of a `_sweep` result: one gcd per entry."""
+    """The Scalar columns of a `_sweep` result, one gcd per entry: the
+    read-out of `transfer_apply`, which returns Scalars."""
     cols, den = swept
     return [{r: Scalar.from_integers(n, den) for r, n in col.items()} for col in cols]
 
 
 def transfer_matrix(pt: SpectralPoint) -> SparseOperator:
-    """T at pt as a 2^L by 2^L operator: one sweep of every basis vector."""
-    basis = [{j: ONE} for j in range(1 << pt.length)]
-    return SparseOperator(len(basis), _read(_sweep(pt, basis)))
+    """T at pt as a 2^L by 2^L operator: one sweep of every basis vector,
+    whose integer columns over c D are the operator, with no gcd."""
+    return SparseOperator.from_integers(*_sweep(pt, [{j: ONE} for j in range(1 << pt.length)]))
 
 
 def transfer_apply(vec: Sequence[Scalar], pt: SpectralPoint) -> list[Scalar]:
@@ -518,11 +528,12 @@ def check_interlace(pt: SpectralPoint, tmat: SparseOperator) -> list[bool]:
 
 def _check_embedding(pt: SpectralPoint, reduced: SpectralPoint, embed) -> bool:
     """T(pt) o embed = embed o T(reduced): one sweep of the embedded basis
-    at pt against one sweep of the whole basis at the reduced point."""
+    at pt against one sweep of the whole basis at the reduced point,
+    compared on their integer columns by `same_columns`."""
     embedded = [index_of(embed(word)) for word in all_patterns(reduced.length)]
-    lhs = _read(_sweep(pt, [{j: ONE} for j in embedded]))
-    rhs = _read(_sweep(reduced, [{j: ONE} for j in range(len(embedded))]))
-    return lhs == [{embedded[r]: v for r, v in col.items()} for col in rhs]
+    lhs, dl = _sweep(pt, [{j: ONE} for j in embedded])
+    rhs, dr = _sweep(reduced, [{j: ONE} for j in range(len(embedded))])
+    return same_columns(lhs, dl, [{embedded[r]: n for r, n in col.items()} for col in rhs], dr)
 
 
 def check_T_recursion(pt: SpectralPoint) -> list[bool]:

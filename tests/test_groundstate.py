@@ -49,6 +49,7 @@ from openloop import (
 )
 from openloop import transfer
 from openloop.groundstate import SOLVE_CAP, a_const, recursion_factor
+from openloop.linkpat import SparseOperator
 
 from helpers import draw_point, rational
 
@@ -396,6 +397,22 @@ def test_hamiltonian_check_solves_no_transfer_matrix(monkeypatch):
     for name in ("solve", "solve_homogeneous", "transfer_matrix"):
         monkeypatch.setattr(groundstate, name, refuse)
     assert check_hamiltonian(3, rational(2), rational(5))
+
+
+def test_solve_and_hamiltonian_check_read_no_scalar_columns(monkeypatch):
+    # T and H reach the lifting as their integer columns over one
+    # denominator; reading the Scalar columns would take a gcd per entry.
+    def refuse(self):
+        raise AssertionError("read SparseOperator.cols")
+
+    monkeypatch.setattr(SparseOperator, "cols", property(refuse))
+    with pytest.raises(AssertionError, match="read SparseOperator.cols"):
+        SparseOperator.identity(2).cols
+    for length in (2, 3):
+        pt = draw_point(Random(66 + length), length)
+        assert solve(pt).components == solve(pt, check_w=False).components
+    assert check_hamiltonian(3, rational(2), rational(5))
+    assert solve_homogeneous(2, rational(2), rational(3)).normalization == "all_open"
 
 
 def test_hamiltonian_with_swapped_couplings_fails(monkeypatch):

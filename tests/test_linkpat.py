@@ -309,6 +309,106 @@ def test_compose_drops_a_cancelled_entry():
     assert prod == _scalar_product(a, b)
 
 
+def _dense_product(a: list[list[Scalar]], b: list[list[Scalar]]) -> list[list[Scalar]]:
+    """Reference matrix product of dense Scalar rows."""
+    n = len(a)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)] for i in range(n)
+    ]
+
+
+def _has_zero_entry(op: SparseOperator) -> bool:
+    return any(not any(n) for col in op.num_cols for n in col.values())
+
+
+def test_integer_form_equality_ignores_the_denominator():
+    # The same columns over d and over k d are one operator, with either
+    # denominator on either side; the Scalar constructor agrees.
+    cols = [{0: (3, 0, -1, 2), 2: (0, 5, 0, 0)}, {}, {1: (-7, 0, 0, 1)}]
+    for d, k in ((1, 2), (6, 35), (2**70 + 1, 3)):
+        a = SparseOperator.from_integers(cols, d)
+        b = SparseOperator.from_integers(
+            [{r: tuple(k * x for x in n) for r, n in col.items()} for col in cols], k * d
+        )
+        assert a == b and b == a
+        assert a == SparseOperator(3, a.cols)
+        assert a.cols == b.cols
+
+
+def test_integer_form_inequality():
+    cols = [{0: (3, 0, -1, 2), 2: (0, 5, 0, 0)}, {}, {1: (-7, 0, 0, 1)}]
+    a = SparseOperator.from_integers(cols, 6)
+    scaled = SparseOperator.from_integers(
+        [{r: tuple(2 * x for x in n) for r, n in col.items()} for col in cols], 12
+    )
+    for col, row in ((0, 0), (0, 2), (2, 1)):
+        for t in range(4):
+            for den, base in ((6, cols), (12, scaled.num_cols)):
+                changed = [dict(c) for c in base]
+                n = list(changed[col][row])
+                n[t] += 1  # one numerator off by one
+                changed[col][row] = tuple(n)
+                other = SparseOperator.from_integers(changed, den)
+                assert a != other and other != a, (col, row, t, den)
+    # The same values on different rows, an entry more, or one fewer.
+    moved = [{1: (3, 0, -1, 2), 2: (0, 5, 0, 0)}, {}, {1: (-7, 0, 0, 1)}]
+    extra = [{0: (3, 0, -1, 2), 2: (0, 5, 0, 0)}, {0: (1, 0, 0, 0)}, {1: (-7, 0, 0, 1)}]
+    fewer = [{0: (3, 0, -1, 2)}, {}, {1: (-7, 0, 0, 1)}]
+    for other in (moved, extra, fewer):
+        for den in (6, 12):
+            assert a != SparseOperator.from_integers(other, den)
+    assert a != SparseOperator.from_integers(cols[:2], 6)
+
+
+def test_cols_reads_out_the_constructor_columns():
+    # Every nonzero entry reads back as given; zero entries are dropped.
+    rng = Random(22)
+    for dim in (1, 2, 4, 8):
+        for _ in range(4):
+            cols = _random_operator(rng, dim).cols
+            given = [dict(col) for col in cols]
+            for col in given[: dim // 2]:
+                col[dim - 1] = ZERO
+            op = SparseOperator(dim, given)
+            assert op.cols == [{r: v for r, v in col.items() if v} for col in given]
+            assert not _has_zero_entry(op)
+    # identity and from_column_map hold unit numerators over 1.
+    ident = SparseOperator.identity(3)
+    assert ident.den == 1 and ident.cols == [{0: ONE}, {1: ONE}, {2: ONE}]
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_integer_arithmetic_matches_dense_scalar_arithmetic(length):
+    # compose, apply, scale, + and column_sums against dense to_rows
+    # arithmetic in Scalars, with empty columns and entries that cancel.
+    rng = Random(220 + length)
+    dim = 1 << length
+    e = [generator_matrix(i, length) for i in range(length + 1)]
+    for _ in range(6):
+        a, b = _random_operator(rng, dim), _random_operator(rng, dim)
+        ra, rb = a.to_rows(), b.to_rows()
+        s = Scalar([Fraction(rng.randint(-9, 9), rng.choice((1, 5, 6))) for _ in range(4)])
+        assert (a @ b).to_rows() == _dense_product(ra, rb)
+        assert (a + b).to_rows() == [[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)]
+        assert (a - b).to_rows() == [[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)]
+        assert a.scale(s).to_rows() == [[x * s for x in row] for row in ra]
+        assert a.column_sums() == [sum((row[j] for row in ra), ZERO) for j in range(dim)]
+        vec = [v if rng.random() < 0.7 else ZERO for v in b.column_sums()]
+        assert a.apply(vec) == [sum((x * y for x, y in zip(row, vec)), ZERO) for row in ra]
+        # Entries that cancel: a - a, a + (-1) a and a scaled by 0; below,
+        # e_i (1 - e_i) = 0 cancels every product entry.
+        for zero in (a - a, a + a.scale(-ONE), a.scale(ZERO)):
+            assert zero.num_cols == [{}] * dim and zero == SparseOperator(dim, [{}] * dim)
+        for op in (a @ b, a + b, a - b, a.scale(s)):
+            assert not _has_zero_entry(op)
+    ident = SparseOperator.identity(dim)
+    for x in e:
+        prod = x @ (ident - x)
+        assert prod.num_cols == [{}] * dim
+        assert prod.to_rows() == _dense_product(x.to_rows(), (ident - x).to_rows())
+    assert e[0].column_sums() == [ONE] * dim
+
+
 def test_naive_transfer_matrices_commute():
     rng = Random(16)
     pt = draw_point(rng, 3)

@@ -23,6 +23,7 @@ from openloop import (
     index_of,
     pi_point,
     reduction,
+    transfer,
     transfer_apply,
     transfer_matrix,
     transfer_matrix_naive,
@@ -139,6 +140,32 @@ def test_sweep_batch_with_different_denominators():
         for col, vec in zip(_read(_sweep(pt, batch)), batch):
             applied = tmat.apply([vec.get(j, ZERO) for j in range(dim)])
             assert col == {r: x for r, x in enumerate(applied) if not x.is_zero()}
+
+
+def test_transfer_recursion_fails_on_a_mutated_sweep_entry(monkeypatch):
+    # Each index compares two sweeps, the embedded basis at the point and
+    # the basis at the reduced point; one numerator off by one in either
+    # fails that index alone.
+    pt = draw_point(Random(91), 3)
+    assert check_T_recursion(pt) == [True] * 4
+    sweep = transfer._sweep
+    for target in range(8):
+        calls = []
+
+        def mutated(point, vectors):
+            cols, den = sweep(point, vectors)
+            if len(calls) == target:
+                col = next(c for c in cols if c)
+                row = min(col)
+                n0, n1, n2, n3 = col[row]
+                col[row] = (n0 + 1, n1, n2, n3)
+            calls.append(point)
+            return cols, den
+
+        monkeypatch.setattr(transfer, "_sweep", mutated)
+        verdicts = check_T_recursion(pt)
+        assert len(calls) == 8
+        assert verdicts == [i != target // 2 for i in range(4)], target
 
 
 @pytest.mark.parametrize("width", [8, 16, 208])
