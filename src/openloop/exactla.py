@@ -7,13 +7,13 @@ The linear algebra shared by the character and groundstate modules:
   prime has the generic rank and is the oracle the lifting is tested
   against;
 - one Gaussian elimination mod p, behind Dixon's p-adic lifting of the
-  one ray of the kernel of an operator given as sparse Z[zeta] integer
-  columns, whose exact residual and certificate A v == 0 contract those
-  columns with `exactfield.addmul`;
+  one ray of the kernel of a `SparseOperator`, whose exact residual and
+  certificate A v == 0 contract its Z[zeta] integer columns with
+  `exactfield.addmul`;
 - the Laurent fit `laurent_fit`, which builds one interpolation map per
-  set of nodes, applies it to any number of value columns with the
-  `SparseOperator` contraction, and returns the interpolated groundstate
-  components as `LaurentPoly` results.
+  set of nodes as a `SparseOperator`, applies it to any number of value
+  columns, and returns the interpolated groundstate components as
+  `LaurentPoly` results.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConsistencyError, NonGenericPointError
-from .exactfield import ONE, ZERO, Scalar, addmul, cleared_columns
+from .exactfield import ONE, ZERO, Scalar, addmul
 from .linkpat import SparseOperator
 
 __all__ = [
@@ -157,9 +157,10 @@ PRIMES = ((1 << 125) - 415, (1 << 125) - 1291, (1 << 125) - 1483)
 _MARGIN = 16
 
 # The embeddings zeta -> r^e of Z[zeta] into F_p, for r a primitive 12th
-# root of unity mod p.  The lifting runs in Z[zeta] with all d = 4, or in
+# root of unity mod p.  The lifting runs in Z[zeta] with all d = 4, in
 # Z[zeta^2] with the first d = 2 when no entry has an odd power of zeta
-# (then zeta -> r and -r agree); its ring basis is zeta^(4j/d), j < d.
+# (then zeta -> r and -r agree), or in Z with d = 1 when no entry has a
+# zeta^2 part either; its ring basis is zeta^(4j/d), j < d.
 _EXPS = (1, 5, 7, 11)
 
 
@@ -246,15 +247,15 @@ def _reconstruct(residues: Sequence[int], m: int) -> tuple[list[int], int] | Non
     return nums, den
 
 
-def _lift(cols: Sequence[Iterable[tuple]], d: int, p: int):
+def _lift(cols: Sequence[Sequence[tuple]], d: int, p: int):
     """The kernel vector, with its free column at 1, of the operator whose
-    sparse Z[zeta] columns over one denominator are cols; None if its rank
-    mod p is not n - 1.  A reconstruction v is returned only once the
-    `addmul` contraction of cols with v vanishes."""
+    sparse columns of (row, Z[zeta] numerators) pairs are cols; None if
+    its rank mod p is not n - 1.  A reconstruction v is returned only
+    once the `addmul` contraction of cols with v vanishes."""
     powers, vinv = _embeddings(p, d)
     n = len(cols)
 
-    def embedded(pw: list[int], cols: Sequence[Iterable[tuple]]) -> list[list[int]]:
+    def embedded(pw: list[int], cols: Sequence[Sequence[tuple]]) -> list[list[int]]:
         """Dense rows of the columns' image under zeta^t -> pw[t]."""
         rows = [[0] * n for _ in range(n)]
         for j, col in enumerate(cols):
@@ -324,15 +325,12 @@ def _lift(cols: Sequence[Iterable[tuple]], d: int, p: int):
     )
 
 
-def kernel_vector(cols: Sequence[Iterable[tuple]]) -> list[Scalar]:
-    """The one ray of the kernel of the square operator whose sparse
-    columns of (row, Z[zeta] numerators) pairs, as
-    `exactfield.cleared_columns` lists or the `.items()` of
-    `SparseOperator.num_cols`, are cols, scaled so that its last
-    nonzero entry is 1.  A common factor of the columns, such as their
-    denominator, does not change the kernel, so none is passed, and the
-    integer content of the columns is divided out before the lifting,
-    whose integers would only grow with it.
+def kernel_vector(op: SparseOperator) -> list[Scalar]:
+    """The one ray of the kernel of the square operator op, scaled so
+    that its last nonzero entry is 1.  The lifting reads op's Z[zeta]
+    integer columns `num_cols` and not its denominator, which does not
+    change the kernel, and first divides out their integer content,
+    with which its integers would only grow.
 
     Dixon's method: the rank profile is found mod a prime p of PRIMES,
     one pivot block is factored in each embedding of Z[zeta] into F_p,
@@ -343,25 +341,20 @@ def kernel_vector(cols: Sequence[Iterable[tuple]]) -> list[Scalar]:
     wrong reconstruction costs one more lifting step, never a wrong
     vector.  With the rank n - 1 mod p that proves v spans the kernel.
     A prime with any other rank is skipped; when every one is, the exact
-    `kernel_basis` of the integer rows decides, and a kernel that is not
+    `kernel_basis` of `op.to_rows()` decides, and a kernel that is not
     a line raises NonGenericPointError.  The last nonzero entry is the
     free column of `kernel_basis`'s RREF, so both give the same vector.
     """
-    g = gcd(*(a for col in cols for _, c in col for a in c))
-    if g > 1:
-        cols = [[(i, tuple(a // g for a in c)) for i, c in col] for col in cols]
-    d = 4 if any(c[1] or c[3] for col in cols for _, c in col) else 2
+    g = gcd(*(a for col in op.num_cols for c in col.values() for a in c))
+    cols = [[(i, tuple(a // g for a in c)) for i, c in col.items()] for col in op.num_cols]
+    entries = [c for col in cols for _, c in col]
+    d = 4 if any(c[1] or c[3] for c in entries) else 2 if any(c[2] for c in entries) else 1
     for p in PRIMES:
         vec = _lift(cols, d, p)
         if vec is not None:
             inv = next(x for x in reversed(vec) if x).inv()
             return vec if inv == ONE else [x * inv for x in vec]
-    n = len(cols)
-    rows = [[ZERO] * n for _ in range(n)]
-    for j, col in enumerate(cols):
-        for i, c in col:
-            rows[i][j] = Scalar.from_integers(c, 1)
-    basis = kernel_basis(rows, n)
+    basis = kernel_basis(op.to_rows(), op.dim)
     if len(basis) != 1:
         raise NonGenericPointError(f"kernel has dimension {len(basis)}, expected 1")
     return basis[0]
@@ -379,10 +372,8 @@ def laurent_fit(
     inverse Vandermonde matrix of xs times diag(x^(-min_exp)), is built
     once in Scalars: its column i holds the coefficients of the Lagrange
     polynomial prod_{k != i} (t - x_k) / (x_i - x_k), read off the
-    quotient of prod_k (t - x_k) by t - x_i.  It is applied to every
-    column at once by the Z[zeta] contraction of `SparseOperator`, on
-    integer columns, and only the fitted coefficients are read out as
-    Scalars, one gcd each.
+    quotient of prod_k (t - x_k) by t - x_i.  It is held as one
+    `SparseOperator` and applied to each column of values.
     """
     n = max_exp - min_exp + 1
     if n < 1 or len(xs) != n or any(len(ys) != n for ys in columns):
@@ -401,9 +392,5 @@ def laurent_fit(
                 denom = denom * (x - other)
         scale = x ** (-min_exp) / denom
         cols.append({e: c * scale for e, c in enumerate(reversed(quotient))})
-    values = cleared_columns([{i: y for i, y in enumerate(ys) if y} for ys in columns])
-    coeffs, den = SparseOperator(n, cols)._times(*values)
-    return [
-        LaurentPoly({e + min_exp: Scalar.from_integers(c, den) for e, c in col.items()})
-        for col in coeffs
-    ]
+    fit = SparseOperator(n, cols)
+    return [LaurentPoly(dict(enumerate(fit.apply(ys), min_exp))) for ys in columns]

@@ -1,10 +1,9 @@
 """Exact groundstate of the double-row transfer matrix.
 
 The transfer matrix at a generic spectral point fixes a unique ray;
-`solve` computes it as the kernel of c (T - 1), the integer columns of
-T over their one denominator c less c on the diagonal, by p-adic
+`solve` computes it as the kernel of the operator T - 1 by p-adic
 lifting (`exactla.kernel_vector`), certified by an exact
-c (T - 1) v == 0, and pins the scale to closed-form anchor components
+(T - 1) v == 0, and pins the scale to closed-form anchor components
 so that different points share one global polynomial normalization.
 On top of the solver this module carries the full identity apparatus:
 the extremal closed forms, the component sum rule, the exchange and
@@ -49,7 +48,7 @@ from .errors import (
 from .exactfield import ONE, Scalar, ZERO, kfun
 from .exactla import LaurentPoly, kernel_vector, laurent_fit
 from .linkpat import (
-    all_patterns, apply_e, c_from_zeta, hamiltonian, index_of, word_of
+    SparseOperator, all_patterns, apply_e, c_from_zeta, hamiltonian, index_of, word_of
 )
 from .transfer import (
     SpectralPoint,
@@ -245,20 +244,17 @@ def solve(
 ) -> GroundstateVector:
     """Exact fixed vector of T(pt).
 
-    T(pt) is built once by `transfer_matrix`, whose integer form is
-    Z[zeta] columns over one denominator c.  Subtracting c on the
-    diagonal gives c (T(pt) - 1), which has the kernel of T(pt) - 1, with
-    no Scalar read out in between, and the fixed vector is found as that
-    kernel by Dixon's p-adic lifting (`exactla.kernel_vector`): one
-    elimination mod a prime that shows the rank n - 1, exact residual
-    updates, and a rational reconstruction returned only once
-    c (T(pt) - 1) v == 0 holds exactly, which with that rank proves the
-    fixed space is this one ray.  Where no prime has that rank, the
-    exact elimination decides, and a fixed space that is not
-    one-dimensional raises NonGenericPointError, whose message gives the
-    dimension of the kernel.  With check_w the vector is re-verified
-    against T at an independently shifted auxiliary parameter, which
-    must fix it too, or ConsistencyError is raised.  The scale is then
+    T(pt) is built once by `transfer_matrix`, and the fixed vector is
+    found as the kernel of the operator T(pt) - 1 by Dixon's p-adic
+    lifting (`exactla.kernel_vector`): one elimination mod a prime that
+    shows the rank n - 1, exact residual updates, and a rational
+    reconstruction returned only once (T(pt) - 1) v == 0 holds exactly,
+    which with that rank proves the fixed space is this one ray.  Where
+    no prime has that rank, the exact elimination decides, and a fixed
+    space that is not one-dimensional raises NonGenericPointError, whose
+    message gives the dimension of the kernel.  With check_w the vector
+    is re-verified against T at an independently shifted auxiliary
+    parameter, which must fix it too, or ConsistencyError is raised.  The scale is then
     pinned to the first available closed-form anchor (all_open, then
     all_close, then the component sum), falling back to the raw scale
     (last nonzero component 1) when every anchor vanishes; an explicitly
@@ -266,16 +262,7 @@ def solve(
     """
     if pt.length > SOLVE_CAP:
         raise ValueError(f"refusing exact solve beyond L = SOLVE_CAP = {SOLVE_CAP}")
-    tmat = transfer_matrix(pt)
-    c = tmat.den
-    cols = []
-    for j, col in enumerate(tmat.num_cols):  # c (T - 1): c off each diagonal entry
-        col = dict(col)
-        n0, n1, n2, n3 = col.pop(j, (0, 0, 0, 0))
-        if n0 != c or n1 or n2 or n3:
-            col[j] = (n0 - c, n1, n2, n3)
-        cols.append(col.items())
-    vec = kernel_vector(cols)
+    vec = kernel_vector(transfer_matrix(pt) - SparseOperator.identity(1 << pt.length))
     if check_w:
         shifted = [pt.w + Scalar.from_rational(d) for d in (2, 3, 5, 7, 11)]
         if _at_generic_w(pt, shifted, partial(transfer_apply, vec)) != vec:
@@ -408,6 +395,11 @@ def check_vanishing(pt: SpectralPoint) -> list[bool]:
 _HOMOGENEOUS_WS = [Scalar.from_rational(Fraction(f)) for f in "2 3 5/2 7/2 7/3 9/4".split()]
 
 
+def _homogeneous_point(length: int, zeta1: Scalar, zeta2: Scalar) -> SpectralPoint:
+    """The point z_i = 1, before its auxiliary parameter is chosen."""
+    return SpectralPoint((ONE,) * length, zeta1, zeta2, ONE)
+
+
 def solve_homogeneous(length: int, zeta1: Scalar, zeta2: Scalar) -> GroundstateVector:
     """Groundstate at z_i = 1, anchored to the all-open closed form.
 
@@ -415,7 +407,7 @@ def solve_homogeneous(length: int, zeta1: Scalar, zeta2: Scalar) -> GroundstateV
     has no pole.  A degenerate fixed space or a vanishing all-open anchor
     raises NonGenericPointError, as in `solve`.
     """
-    pt = SpectralPoint((ONE,) * length, zeta1, zeta2, ONE)
+    pt = _homogeneous_point(length, zeta1, zeta2)
     return _at_generic_w(pt, _HOMOGENEOUS_WS, partial(solve, normalization="all_open"))
 
 
@@ -425,8 +417,8 @@ def check_hamiltonian(length: int, zeta1: Scalar, zeta2: Scalar) -> bool:
     `solve_homogeneous`.  A kernel that is not a line raises
     NonGenericPointError, a pole of c_i SingularParameterError."""
     ham = hamiltonian(length, c_from_zeta(zeta1), c_from_zeta(zeta2))
-    vec = kernel_vector([col.items() for col in ham.num_cols])
-    pt = SpectralPoint((ONE,) * length, zeta1, zeta2, ONE)
+    vec = kernel_vector(ham)
+    pt = _homogeneous_point(length, zeta1, zeta2)
     return _at_generic_w(pt, _HOMOGENEOUS_WS, partial(transfer_apply, vec)) == vec
 
 

@@ -318,11 +318,10 @@ class SparseOperator:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         g = gcd(self.den, other.den)
-        a, b = (other.den // g, 0, 0, 0), (self.den // g, 0, 0, 0)
+        a, b = other.den // g, (self.den // g, 0, 0, 0)
         cols = []
         for x, y in zip(self.num_cols, other.num_cols):
-            acc: dict[int, tuple[int, int, int, int]] = {}
-            addmul(acc, a, x.items())
+            acc = dict(x) if a == 1 else {r: tuple(a * n for n in c) for r, c in x.items()}
             addmul(acc, b, y.items())
             cols.append(acc)
         return SparseOperator.from_integers(cols, self.den // g * other.den)

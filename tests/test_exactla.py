@@ -24,7 +24,7 @@ from openloop import (
     transfer_matrix,
 )
 from openloop import exactla
-from openloop.exactfield import cleared, cleared_columns
+from openloop.exactfield import cleared
 from openloop.exactla import (
     PRIMES,
     LaurentPoly,
@@ -135,12 +135,6 @@ def _minus_one(tmat: SparseOperator) -> SparseOperator:
     return tmat - SparseOperator.identity(tmat.dim)
 
 
-def _columns(op: SparseOperator) -> list[list[tuple]]:
-    """The Z[zeta] integer columns that `kernel_vector` takes."""
-    cols, _ = cleared_columns(op.cols)
-    return cols
-
-
 def _from_rows(rows) -> SparseOperator:
     """A small hand-built operator with these rows."""
     n = len(rows)
@@ -169,7 +163,7 @@ def test_fixed_vector_matches_the_exact_kernel(length):
     }
     for name, point in points.items():
         op = _minus_one(transfer_matrix(point))
-        assert kernel_vector(_columns(op)) == _kernel_oracle(op), name
+        assert kernel_vector(op) == _kernel_oracle(op), name
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
@@ -178,18 +172,68 @@ def test_fixed_vector_matches_the_exact_kernel_at_specialisations(length):
     for i in range(length + 1):
         specialised, _, _ = reduction(pt, i)
         op = _minus_one(transfer_matrix(specialised))
-        assert kernel_vector(_columns(op)) == _kernel_oracle(op), i
+        assert kernel_vector(op) == _kernel_oracle(op), i
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4])
 def test_kernel_vector_of_the_hamiltonian_matches_the_exact_kernel(length):
-    # Rational zeta keeps H in Q(zeta^2), where the lifting runs in two
-    # embeddings; zeta_1 = 2 + zeta puts odd powers of zeta into c_1 and
+    # Rational zeta keeps H rational, where the lifting runs in one
+    # embedding; zeta_1 = 2 + zeta puts odd powers of zeta into c_1 and
     # so into H, where it runs in all four.
     for zeta1, odd in ((rational(2), False), (rational(2) + ZETA, True)):
         op = hamiltonian(length, c_from_zeta(zeta1), c_from_zeta(rational(5)))
         assert _has_odd_powers(op) == odd
-        assert kernel_vector(_columns(op)) == _kernel_oracle(op), zeta1
+        assert kernel_vector(op) == _kernel_oracle(op), zeta1
+
+
+def _spy_degrees(monkeypatch) -> list[int]:
+    """The ring degrees d that `_lift` is called with, in call order."""
+    degrees = []
+    lift = exactla._lift
+
+    def spy(cols, d, p):
+        degrees.append(d)
+        return lift(cols, d, p)
+
+    monkeypatch.setattr(exactla, "_lift", spy)
+    return degrees
+
+
+def test_rational_operators_lift_with_d_1(monkeypatch):
+    # H at rational zeta has no zeta or zeta^2 part in any entry, so the
+    # lifting runs in Z, with d = 1 and one embedding.
+    degrees = _spy_degrees(monkeypatch)
+    for length in (1, 2, 3, 4):
+        op = hamiltonian(length, c_from_zeta(rational(2)), c_from_zeta(rational(3)))
+        degrees.clear()
+        assert kernel_vector(op) == _kernel_oracle(op), length
+        assert degrees == [1], length
+    # Rank 1 of 3 over Q and mod every prime: every prime is tried at
+    # d = 1, and the exact kernel reports the plane.
+    op = _from_rows([[ONE, rational(2), ZERO], [rational(3), rational(6), ZERO], [ZERO] * 3])
+    degrees.clear()
+    with pytest.raises(NonGenericPointError, match="dimension 2, expected 1"):
+        kernel_vector(op)
+    assert degrees == [1] * len(PRIMES)
+
+
+def test_kernel_vector_does_not_depend_on_a_field_valued_scale(monkeypatch):
+    # T - 1 at a rational point lifts with d = 2 and H at rational zeta
+    # with d = 1; scaling by -1 or 2/3 keeps d, scaling by 2 + zeta moves
+    # the operator to d = 4, and none of them moves the kernel.
+    degrees = _spy_degrees(monkeypatch)
+    ops = {
+        2: _minus_one(transfer_matrix(draw_point(Random(790), 3))),
+        1: hamiltonian(3, c_from_zeta(rational(2)), c_from_zeta(rational(3))),
+    }
+    for d, op in ops.items():
+        degrees.clear()
+        vec = kernel_vector(op)
+        assert degrees == [d]
+        for s, scaled_d in ((-ONE, d), (rational(2, 3), d), (rational(2) + ZETA, 4)):
+            degrees.clear()
+            assert kernel_vector(op.scale(s)) == vec, (d, s)
+            assert degrees == [scaled_d], (d, s)
 
 
 def _scalar_apply(tmat: SparseOperator, vec: list[Scalar]) -> list[Scalar]:
@@ -208,7 +252,7 @@ def test_integer_certificate_is_t_v_equals_v(odd):
         pt = replace(pt, zeta1=rational(2) + ZETA)
     tmat = transfer_matrix(pt)
     assert _has_odd_powers(tmat) == odd
-    vec = kernel_vector(_columns(_minus_one(tmat)))
+    vec = kernel_vector(_minus_one(tmat))
     assert tmat.apply(vec) == vec == _scalar_apply(tmat, vec)
     # Each copy with one entry moved by 1 or by zeta is no fixed vector,
     # by the certificate and by the Scalar reference alike.
@@ -250,7 +294,7 @@ def test_certificate_rejects_a_wrong_reconstruction(monkeypatch):
         return result
 
     monkeypatch.setattr(exactla, "_reconstruct", off_by_one_once)
-    assert kernel_vector(_columns(op)) == _kernel_oracle(op)
+    assert kernel_vector(op) == _kernel_oracle(op)
     first = next(k for k, r in enumerate(found) if r is not None)
     assert len(found) == first + 2 and found[-1] is not None
 
@@ -267,10 +311,10 @@ def test_fixed_vector_skips_a_prime_dividing_a_pivot(monkeypatch):
         return kernel_basis(rows, ncols)
 
     monkeypatch.setattr(exactla, "kernel_basis", spy)
-    assert kernel_vector(_columns(op)) == [ONE, ONE, ONE]
+    assert kernel_vector(op) == [ONE, ONE, ONE]
     assert calls == []  # lifted from PRIMES[1]
     monkeypatch.setattr(exactla, "PRIMES", PRIMES[:1])
-    assert kernel_vector(_columns(op)) == [ONE, ONE, ONE]
+    assert kernel_vector(op) == [ONE, ONE, ONE]
     assert calls == [3]  # with PRIMES[0] alone the exact kernel decides
 
 
@@ -290,22 +334,22 @@ def test_every_embedding_factors_the_first_embeddings_pivot_block(monkeypatch):
 
     monkeypatch.setattr(exactla, "PRIMES", (p,))
     monkeypatch.setattr(exactla, "kernel_basis", refuse)
-    assert kernel_vector(_columns(op)) == oracle == [-a.inv(), ONE]
+    assert kernel_vector(op) == oracle == [-a.inv(), ONE]
 
 
 def test_fixed_vector_falls_back_to_the_exact_kernel_when_every_prime_fails():
     # The zero operator has a plane for kernel: rank 0 mod every prime,
     # and the exact kernel reports the dimension.
     with pytest.raises(NonGenericPointError, match="dimension 2, expected 1"):
-        kernel_vector(_columns(SparseOperator(2, [{}, {}])))
+        kernel_vector(SparseOperator(2, [{}, {}]))
     # An invertible operator has full rank mod every prime.
     with pytest.raises(NonGenericPointError, match="dimension 0, expected 1"):
-        kernel_vector(_columns(_from_rows([[ONE, ZERO], [ZERO, rational(2)]])))
+        kernel_vector(_from_rows([[ONE, ZERO], [ZERO, rational(2)]]))
     # A line, but row 0 vanishes mod every prime of PRIMES; the unit in
     # row 1 keeps the columns from sharing a factor that would hide it.
     m = rational(PRIMES[0] * PRIMES[1] * PRIMES[2])
     op = _from_rows([[m, -m, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]])
-    assert kernel_vector(_columns(op)) == [ONE, ONE, ZERO]
+    assert kernel_vector(op) == [ONE, ONE, ZERO]
 
 
 def test_kernel_vector_divides_out_a_common_factor_of_the_columns(monkeypatch):
@@ -326,13 +370,16 @@ def test_kernel_vector_divides_out_a_common_factor_of_the_columns(monkeypatch):
         pt = draw_point(Random(780 + length), length)
         if odd:
             pt = replace(pt, zeta1=rational(2) + ZETA)
-        cols = _columns(_minus_one(transfer_matrix(pt)))
+        op = _minus_one(transfer_matrix(pt))
         lifted.clear()
-        vec = kernel_vector(cols)
+        vec = kernel_vector(op)
         (plain,) = lifted
         for factor in (6, 2**70 + 1, PRIMES[0]):
             lifted.clear()
-            scaled = [[(i, tuple(factor * a for a in c)) for i, c in col] for col in cols]
+            scaled = SparseOperator.from_integers(
+                [{i: tuple(factor * a for a in c) for i, c in col.items()} for col in op.num_cols],
+                op.den,
+            )
             assert kernel_vector(scaled) == vec, (length, factor)
             assert lifted == [plain], (length, factor)
 
@@ -340,18 +387,15 @@ def test_kernel_vector_divides_out_a_common_factor_of_the_columns(monkeypatch):
 def test_exact_fallback_reads_integer_columns(monkeypatch):
     # m (a, -a b) in row 0 vanishes mod every prime of PRIMES, and row 1
     # has a unit, so the rank is 1 mod every prime against 2 over Q: the
-    # exact kernel_basis decides, on rows it builds from the Z[zeta]
-    # numerators.  Its kernel is the line (b, 1, 0), with a and b carrying
-    # every power of zeta.
+    # exact kernel_basis decides, on the rows of the operator.  Its kernel
+    # is the line (b, 1, 0), with a and b carrying every power of zeta.
     m = PRIMES[0] * PRIMES[1] * PRIMES[2]
     a = Scalar.from_integers((1, 2, 3, 4), 1)
     b = Scalar.from_integers((2, -1, 0, 1), 1)
     (ab,), _ = cleared([a * b])
-    cols = [
-        [(0, (m, 2 * m, 3 * m, 4 * m))],
-        [(0, tuple(-m * x for x in ab))],
-        [(1, (1, 0, 0, 0))],
-    ]
+    op = SparseOperator.from_integers(
+        [{0: (m, 2 * m, 3 * m, 4 * m)}, {0: tuple(-m * x for x in ab)}, {1: (1, 0, 0, 0)}], 1
+    )
     calls = []
 
     def spy(rows, ncols):
@@ -359,10 +403,10 @@ def test_exact_fallback_reads_integer_columns(monkeypatch):
         return kernel_basis(rows, ncols)
 
     monkeypatch.setattr(exactla, "kernel_basis", spy)
-    assert kernel_vector(cols) == [b, ONE, ZERO]
+    assert kernel_vector(op) == [b, ONE, ZERO]
     assert calls == [[[a * m, -a * b * m, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]]]
     # Rank 1 of 3 over Q and mod every prime: the kernel is a plane.
-    ones = [[(0, (k, 0, 0, 0)), (1, (0, k, 0, 0))] for k in (1, 2, 3)]
+    ones = SparseOperator.from_integers([{0: (k, 0, 0, 0), 1: (0, k, 0, 0)} for k in (1, 2, 3)], 1)
     with pytest.raises(NonGenericPointError, match="dimension 2, expected 1"):
         kernel_vector(ones)
     assert len(calls) == 2
@@ -375,12 +419,12 @@ def test_fixed_vector_scales_its_last_nonzero_entry_to_one():
         [ZERO, ZERO, ONE],
         [rational(3), rational(6), rational(4)],
     ])
-    assert kernel_vector(_columns(op)) == [-rational(2), ONE, ZERO] == _kernel_oracle(op)
+    assert kernel_vector(op) == [-rational(2), ONE, ZERO] == _kernel_oracle(op)
     # Kernel vector (1, p): mod p the free column is the first one, but the
     # last nonzero entry over Q is the second.
     p = rational(PRIMES[0])
     op = _from_rows([[p, -ONE], [ZERO, ZERO]])
-    assert kernel_vector(_columns(op)) == [p.inv(), ONE] == _kernel_oracle(op)
+    assert kernel_vector(op) == [p.inv(), ONE] == _kernel_oracle(op)
 
 
 def test_laurent_poly_accessors():
