@@ -36,7 +36,12 @@ denominator.  `addmul`, the entry-by-entry Z[zeta] multiply-add, is
 behind its products, sums and scalings and behind the p-adic lifting,
 and `same_columns` compares two such forms by cross-multiplying their
 denominators; neither takes a gcd.  The transfer sweep runs the same
-product on numerators packed for a whole batch of vectors.
+product on numerators packed for a whole batch of vectors.  Where no
+factor has a zeta or zeta^3 part, both multiply in Z[zeta^2] = Z[omega],
+omega^2 = omega - 1, on two numerators instead of four: every value at a
+rational point lies there.  `ring_degree` is the one rule that reads the
+smallest of Z, Z[zeta^2] and Z[zeta] holding some numerators; the sweep
+and the p-adic lifting choose their ring with it.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ __all__ = [
     "kfun",
     "cleared",
     "cleared_columns",
+    "ring_degree",
     "addmul",
     "same_columns",
 ]
@@ -330,23 +336,47 @@ def cleared_columns(cols: Sequence[dict[int, Scalar]]) -> tuple[list[list[tuple]
     return [list(zip(col, flat)) for col in cols], d
 
 
+def ring_degree(nums: Iterable[tuple[int, int, int, int]]) -> int:
+    """The degree d of the smallest of Z, Z[zeta^2] and Z[zeta] that holds
+    every one of the Z[zeta] numerators nums: 4 if some has a zeta or
+    zeta^3 part, else 2 if some has a zeta^2 part, else 1."""
+    d = 1
+    for n0, n1, n2, n3 in nums:
+        if n1 or n3:
+            return 4
+        if n2:
+            d = 2
+    return d
+
+
 def addmul(acc: dict, b: tuple[int, int, int, int], items: Iterable[tuple]) -> None:
     """acc[k] += a * b for every (k, a) in items, on Z[zeta] numerators.
 
-    The product is that of `Scalar.__mul__`, without its gcd.  Z[zeta] has
-    no zero divisors, so with a and b nonzero only a sum can cancel, and
-    an entry that does is deleted rather than stored as zero.  Operator
-    products and the p-adic lifting contract with it; the transfer sweep
-    writes the same product out on packed big ints instead.
+    The product is that of `Scalar.__mul__`, without its gcd.  Where
+    neither a nor b has a zeta or zeta^3 part (`ring_degree` 2 or 1) it
+    is taken in Z[omega], omega = zeta^2 with omega^2 = omega - 1:
+    (a0 + a2 omega)(b0 + b2 omega) = (a0 b0 - a2 b2) + ((a0 + a2)(b0 +
+    b2) - a0 b0) omega, three products instead of sixteen; every other
+    term takes the full Z[zeta] product.  The sum adds all four numerators,
+    so an entry of acc keeps its odd parts whatever a b is.  Z[zeta]
+    has no zero divisors, so with a and b nonzero only a sum can cancel,
+    and an entry that does is deleted rather than stored as zero.
+    Operator products and the p-adic lifting contract with it; the
+    transfer sweep writes the same products out on packed big ints.
     """
     b0, b1, b2, b3 = b
+    even, b02 = not (b1 or b3), b0 + b2
     for k, (a0, a1, a2, a3) in items:
-        t4 = a1 * b3 + a2 * b2 + a3 * b1
-        t5 = a2 * b3 + a3 * b2
-        p0 = a0 * b0 - t4 - a3 * b3
-        p1 = a0 * b1 + a1 * b0 - t5
-        p2 = a0 * b2 + a1 * b1 + a2 * b0 + t4
-        p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
+        if even and not (a1 or a3):
+            t = a0 * b0
+            p0, p1, p2, p3 = t - a2 * b2, 0, (a0 + a2) * b02 - t, 0
+        else:
+            t4 = a1 * b3 + a2 * b2 + a3 * b1
+            t5 = a2 * b3 + a3 * b2
+            p0 = a0 * b0 - t4 - a3 * b3
+            p1 = a0 * b1 + a1 * b0 - t5
+            p2 = a0 * b2 + a1 * b1 + a2 * b0 + t4
+            p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
         prev = acc.get(k)
         if prev is None:
             acc[k] = (p0, p1, p2, p3)

@@ -24,7 +24,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ConsistencyError, NonGenericPointError
-from .exactfield import ONE, ZERO, Scalar, addmul
+from .exactfield import ONE, ZERO, Scalar, addmul, ring_degree
 from .linkpat import SparseOperator
 
 __all__ = [
@@ -347,8 +347,7 @@ def kernel_vector(op: SparseOperator) -> list[Scalar]:
     """
     g = gcd(*(a for col in op.num_cols for c in col.values() for a in c))
     cols = [[(i, tuple(a // g for a in c)) for i, c in col.items()] for col in op.num_cols]
-    entries = [c for col in cols for _, c in col]
-    d = 4 if any(c[1] or c[3] for c in entries) else 2 if any(c[2] for c in entries) else 1
+    d = ring_degree(c for col in cols for _, c in col)
     for p in PRIMES:
         vec = _lift(cols, d, p)
         if vec is not None:

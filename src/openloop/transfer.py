@@ -27,10 +27,13 @@ depends only on L, so `_plan` finds it once per L and a sweep only does
 arithmetic.  Vectors are keyed by basis index, amplitudes are Z[zeta]
 numerators, the batch enters over one denominator, and each tile's two
 weights share another, kept outside the sweep.  A state packs the
-batch's numerators into four big ints, one per power of zeta, with a
-slot of fixed width per vector (Kronecker substitution), so a tile step
-is one Z[zeta] product per state and weight, run in C with no gcd.  The
-sweep returns integer columns over one denominator.  `transfer_matrix`
+batch's numerators into one big int per power of zeta, with a slot of
+fixed width per vector (Kronecker substitution), so a tile step is one
+ring product per state and weight, run in C with no gcd.  The ring is
+read from the data (`ring_degree`): four ints and Z[zeta] products when
+a weight or an entering entry has an odd power of zeta, else two ints
+and Z[zeta^2] products, which every rational point takes.  The sweep
+returns integer columns over one denominator.  `transfer_matrix`
 (a sweep of the basis) keeps them as the integer form of its
 `SparseOperator`, and the recursion checks compare them with
 `same_columns`, both with no gcd; only `transfer_apply` (of one vector)
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .baxter import (
@@ -71,6 +75,7 @@ from .exactfield import (
     ZERO,
     cleared,
     cleared_columns,
+    ring_degree,
     same_columns,
 )
 from .linkpat import (
@@ -235,11 +240,20 @@ def _slots(length: int) -> list:
 
 
 def _tile_weights(pt: SpectralPoint) -> list[tuple]:
-    """(site or wall, FaceWeights) of every tile, in `_slots` order."""
+    """(site or wall, FaceWeights) of every tile, in `_slots` order.  Bulk
+    tiles with the same arguments share one FaceWeights, computed once:
+    at z_i = 1 all 2L of them are face_weights_R(w, 1)."""
+    bulk: dict = {}
+
+    def tile_r(z: Scalar, w: Scalar):
+        if (fw := bulk.get((z, w))) is None:
+            fw = bulk[z, w] = face_weights_R(z, w)
+        return fw
+
     weights = (
-        [face_weights_R(pt.w, z) for z in pt.z]
+        [tile_r(pt.w, z) for z in pt.z]
         + [face_weights_KL(pt.w, pt.zeta2)]
-        + [face_weights_R(z * pt.w, ONE) for z in reversed(pt.z)]
+        + [tile_r(z * pt.w, ONE) for z in reversed(pt.z)]
         + [face_weights_K0(pt.w.inv(), pt.zeta1)]
     )
     return list(zip(_slots(pt.length), weights))
@@ -321,7 +335,13 @@ def _sweep(
     wide, is the zeta^k numerator of vector off + j.  A tile step is then
     one Z[zeta] product per (state, nonzero weight) on big ints, sending
     state i to succ[i][is_e], and states of different offsets add after
-    the higher one is shifted left by W per offset step.
+    the higher one is shifted left by W per offset step (`_layer_zeta`).
+    When no weight and no entering entry has a zeta or zeta^3 part
+    (`ring_degree` below 4), none arises, and a state holds only
+    (off, A0, A2): the step is one Z[omega] product, omega = zeta^2 with
+    omega^2 = omega - 1, in three multiplications (`_layer_omega`), and
+    the rows read back as (n0, 0, n2, 0).  Each distinct tile is cleared
+    once: at z_i = 1 all 2L bulk tiles share one FaceWeights.
 
     Packing is linear: a packed int is sum_j a_j 2^(W j) over its slots
     a_j, and products with weights, sums and shifts keep it so.  Only the
@@ -334,19 +354,26 @@ def _sweep(
     2 (|id_t|_1 + |cup_t|_1).  Every slot, and every partial sum of
     slots, is bounded by its vector's mass, hence by
     M = max_v |v|_1 prod_t 2 (|id_t|_1 + |cup_t|_1), and W = bits(M) + 2
-    rounded up to whole bytes.  So a state whose four packed ints cancel
-    to 0 is dropped, and the last layer, whose states are the rows, is
-    read back exactly with `_unpack`.
+    rounded up to whole bytes, in either ring.  So a state whose packed
+    ints cancel to 0 is dropped, and the last layer, whose states are
+    the rows, is read back exactly with `_unpack`.
     """
-    steps, bound, c = [], 1, 1
+    steps, bound, c, tiles = [], 1, 1, {}
     for succ, (_, fw) in zip(_plan(pt.length), _tile_weights(pt)):
-        nums, d = cleared((fw.id_weight, fw.cup_weight))
+        if (tile := tiles.get(fw)) is None:  # a repeated tile is cleared once
+            tile = tiles[fw] = cleared((fw.id_weight, fw.cup_weight))
+        nums, d = tile
         c *= d
         bound *= 2 * sum(map(abs, nums[0] + nums[1]))
         steps.append((succ, [(is_e, n) for is_e, n in enumerate(nums) if any(n)]))
     entering, den = cleared_columns(vectors)
     mass = max((sum(abs(x) for _, n in vec for x in n) for vec in entering), default=0)
     width = -(-((mass * bound).bit_length() + 2) // 8) * 8
+    numerators = chain((n for _, ws in steps for _, n in ws), (n for v in entering for _, n in v))
+    even = ring_degree(numerators) < 4
+    if even:
+        entering = [[(j, (n[0], n[2])) for j, n in vec] for vec in entering]
+        steps = [(succ, [(e, (b[0], b[2], b[0] + b[2])) for e, b in ws]) for succ, ws in steps]
     states: dict = {}
     for col, vec in enumerate(entering):
         for j, n in vec:
@@ -355,42 +382,85 @@ def _sweep(
             else:  # cols rise, so the earlier offset stays
                 shift = width * (col - prev[0])
                 states[j] = (prev[0], *(a + (b << shift) for a, b in zip(prev[1:], n)))
+    layer = _layer_omega if even else _layer_zeta
     for succ, weights in steps:
-        out: dict = {}
-        while states:  # popitem frees each state once it is spent
-            i, (off, a0, a1, a2, a3) = states.popitem()
-            for is_e, (b0, b1, b2, b3) in weights:
-                t4 = a1 * b3 + a2 * b2 + a3 * b1
-                t5 = a2 * b3 + a3 * b2
-                p0 = a0 * b0 - t4 - a3 * b3
-                p1 = a0 * b1 + a1 * b0 - t5
-                p2 = a0 * b2 + a1 * b1 + a2 * b0 + t4
-                p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
-                k = succ[i][is_e]
-                if (q := out.get(k)) is None:
-                    out[k] = (off, p0, p1, p2, p3)
-                    continue
-                q0, q1, q2, q3, q4 = q
-                if q0 == off:
-                    q = (off, q1 + p0, q2 + p1, q3 + p2, q4 + p3)
-                elif q0 < off:
-                    s = width * (off - q0)
-                    q = (q0, q1 + (p0 << s), q2 + (p1 << s), q3 + (p2 << s), q4 + (p3 << s))
-                else:
-                    s = width * (q0 - off)
-                    q = (off, (q1 << s) + p0, (q2 << s) + p1, (q3 << s) + p2, (q4 << s) + p3)
-                if q[1] or q[2] or q[3] or q[4]:
-                    out[k] = q
-                else:
-                    del out[k]
-        states = out
+        states = layer(states, succ, weights, width)
     cols: list[dict] = [{} for _ in vectors]
     for r, (off, *packed) in states.items():
         slots = [_unpack(a, len(vectors) - off, width) for a in packed]
+        if even:  # (A0, A2) reads back as (n0, 0, n2, 0)
+            zeros = [0] * (len(vectors) - off)
+            slots = [slots[0], zeros, slots[1], zeros]
         for j, n in enumerate(zip(*slots), start=off):
             if any(n):
                 cols[j][r] = n
     return cols, c * den
+
+
+def _layer_zeta(states: dict, succ: tuple, weights: list, width: int) -> dict:
+    """One tile of `_sweep` on states (off, A0, A1, A2, A3): the Z[zeta]
+    product of `Scalar.__mul__` with each (is_e, (b0, b1, b2, b3))."""
+    out: dict = {}
+    while states:  # popitem frees each state once it is spent
+        i, (off, a0, a1, a2, a3) = states.popitem()
+        for is_e, (b0, b1, b2, b3) in weights:
+            t4 = a1 * b3 + a2 * b2 + a3 * b1
+            t5 = a2 * b3 + a3 * b2
+            p0 = a0 * b0 - t4 - a3 * b3
+            p1 = a0 * b1 + a1 * b0 - t5
+            p2 = a0 * b2 + a1 * b1 + a2 * b0 + t4
+            p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
+            k = succ[i][is_e]
+            if (q := out.get(k)) is None:
+                out[k] = (off, p0, p1, p2, p3)
+                continue
+            q0, q1, q2, q3, q4 = q
+            if q0 == off:
+                q = (off, q1 + p0, q2 + p1, q3 + p2, q4 + p3)
+            elif q0 < off:
+                s = width * (off - q0)
+                q = (q0, q1 + (p0 << s), q2 + (p1 << s), q3 + (p2 << s), q4 + (p3 << s))
+            else:
+                s = width * (q0 - off)
+                q = (off, (q1 << s) + p0, (q2 << s) + p1, (q3 << s) + p2, (q4 << s) + p3)
+            if q[1] or q[2] or q[3] or q[4]:
+                out[k] = q
+            else:
+                del out[k]
+    return out
+
+
+def _layer_omega(states: dict, succ: tuple, weights: list, width: int) -> dict:
+    """One tile of `_sweep` on states (off, A0, A2) in Z[omega], omega =
+    zeta^2, with each (is_e, (b0, b2, b0 + b2)): (a0 + a2 omega)(b0 +
+    b2 omega) = (a0 b0 - a2 b2) + ((a0 + a2)(b0 + b2) - a0 b0) omega, as
+    omega^2 = omega - 1."""
+    out: dict = {}
+    while states:
+        i, (off, a0, a2) = states.popitem()
+        a02 = a0 + a2
+        for is_e, (b0, b2, b02) in weights:
+            t = a0 * b0
+            p0 = t - a2 * b2
+            p2 = a02 * b02 - t
+            k = succ[i][is_e]
+            if (q := out.get(k)) is None:
+                out[k] = (off, p0, p2)
+                continue
+            q0, q1, q2 = q
+            if q0 == off:
+                q = (off, q1 + p0, q2 + p2)
+            elif q0 < off:
+                s = width * (off - q0)
+                q = (q0, q1 + (p0 << s), q2 + (p2 << s))
+            else:
+                s = width * (q0 - off)
+                q = (off, (q1 << s) + p0, (q2 << s) + p2)
+            if q[1] or q[2]:
+                out[k] = q
+            else:
+                del out[k]
+    return out
 
 
 def _read(swept: tuple[list[dict], int]) -> list[dict[int, Scalar]]:

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from openloop import FOURTH_ROOTS, IMAG, ONE, Q, ZERO, ZETA, Scalar, bracket, kfun
-from openloop.exactfield import addmul, cleared
+from openloop.exactfield import addmul, cleared, ring_degree
 
 
 def test_defining_relation():
@@ -173,6 +173,40 @@ def test_addmul_removes_a_cancelled_sum():
     addmul(acc, (0, 0, 1, 0), [(0, (1, 1, 0, 0)), (1, (0, 0, 0, 1))])
     assert acc == {2: (5, 0, 0, 0), 1: (0, -1, 0, 1)}
     assert 0 not in acc
+
+
+def test_addmul_on_every_mix_of_even_and_odd_factors():
+    # "Even" numerators have no zeta or zeta^3 part.  An even a times an
+    # even b takes the Z[omega] product, omega = zeta^2, and any other
+    # term the full Z[zeta] one; each sum must match Scalar arithmetic.
+    # An accumulator entry with zeta and zeta^3 parts keeps them under an
+    # even product, and an even product that cancels deletes its entry.
+    even_a, even_b = (3, 0, -5, 0), (-2, 0, 7, 0)
+    odd_a, odd_b = (1, 4, 0, -2), (0, -3, 2, 5)
+    held = (6, -1, 2, 9)
+    for stored in (None, held, (0, 0, 4, 0)):
+        acc = {} if stored is None else {"k": stored}
+        for a, b in ((even_a, even_b), (even_a, odd_b), (odd_a, even_b), (odd_a, odd_b)):
+            total = Scalar.from_integers(a, 1) * Scalar.from_integers(b, 1)
+            if stored is not None:
+                total = total + Scalar.from_integers(stored, 1)
+            assert _accumulated(acc, b, [("k", a)]) == {"k": total}, (stored, a, b)
+    acc = {}
+    addmul(acc, even_b, [("k", even_a)])
+    assert acc["k"][1] == acc["k"][3] == 0
+    addmul(acc, (2, 0, -7, 0), [("k", even_a)])
+    assert acc == {}
+    acc = {"k": held}
+    addmul(acc, even_b, [("k", even_a)])
+    assert acc["k"][1] == held[1] and acc["k"][3] == held[3]
+
+
+def test_ring_degree_reads_the_smallest_ring():
+    assert ring_degree([]) == 1
+    assert ring_degree([(3, 0, 0, 0), (-1, 0, 0, 0)]) == 1
+    assert ring_degree([(3, 0, 0, 0), (0, 0, 2, 0)]) == 2
+    assert ring_degree([(0, 0, 2, 0), (0, 1, 0, 0)]) == 4
+    assert ring_degree([(1, 0, 0, -1)]) == 4
 
 
 def test_cleared_keeps_numerators_already_over_the_lcm():

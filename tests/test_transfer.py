@@ -116,6 +116,52 @@ def test_plan_holds_no_weights(length):
             assert transfer_matrix(pts[k]) == refs[k], (order, k)
 
 
+@pytest.mark.parametrize("length", range(8))
+def test_sweep_bodies_agree(length, monkeypatch):
+    # At a rational point every tile weight and the basis lie in
+    # Z[omega], omega = zeta^2, so the sweep of the basis takes the
+    # Z[omega] body.  Seeding zeta e_j instead puts an odd power of zeta
+    # in each entering column, so the same point takes the general
+    # Z[zeta] body, whose columns must be zeta times the others', entry
+    # by entry.  zeta_1 = 2 + zeta puts one in the weights, and up to
+    # NAIVE_CAP the general body matches the naive oracle there.
+    ran = []
+
+    def spied(name):
+        body = getattr(transfer, name)
+        return lambda *args: ran.append(name) or body(*args)
+
+    for name in ("_layer_omega", "_layer_zeta"):
+        monkeypatch.setattr(transfer, name, spied(name))
+    pt = draw_point(Random(211 + length), length)
+    dim = 1 << length
+    even, d_even = _sweep(pt, [{j: ONE} for j in range(dim)])
+    assert set(ran) == {"_layer_omega"}
+    ran.clear()
+    odd, d_odd = _sweep(pt, [{j: ZETA} for j in range(dim)])
+    assert set(ran) == {"_layer_zeta"}
+    assert d_odd == d_even
+    times_zeta = [{r: (0, n0, 0, n2) for r, (n0, n1, n2, n3) in col.items()} for col in even]
+    assert all(n1 == n3 == 0 for col in even for n0, n1, n2, n3 in col.values())
+    assert odd == times_zeta
+    if length <= NAIVE_CAP:
+        ran.clear()
+        field = replace(pt, zeta1=rational(2) + ZETA)
+        assert transfer_matrix(field) == transfer_matrix_naive(field)
+        assert set(ran) == {"_layer_zeta"}
+
+
+def test_bulk_tiles_with_equal_arguments_share_their_weights():
+    # At z_i = 1 every bulk tile is face_weights_R(w, 1): one FaceWeights
+    # for all 2L of them, made afresh on each call.
+    pt = replace(draw_point(Random(223), 4), z=(ONE,) * 4)
+    tiles = [fw for slot, fw in _tile_weights(pt) if isinstance(slot, int)]
+    assert len(tiles) == 8 and all(fw is tiles[0] for fw in tiles)
+    assert _tile_weights(pt)[0][1] is not tiles[0]
+    generic = [fw for slot, fw in _tile_weights(draw_point(Random(223), 4)) if isinstance(slot, int)]
+    assert len({id(fw) for fw in generic}) == 8
+
+
 def test_sweep_batch_with_different_denominators():
     # A batch is swept over one common denominator and reads back as its
     # vectors swept alone.
