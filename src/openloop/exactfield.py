@@ -35,17 +35,20 @@ for sparse columns) puts Scalars over one denominator.  A
 denominator.  `addmul`, the entry-by-entry Z[zeta] multiply-add, is
 behind its products, sums and scalings and behind the p-adic lifting,
 and `same_columns` compares two such forms by cross-multiplying their
-denominators; neither takes a gcd.  The transfer sweep runs the same
-product on numerators packed for a whole batch of vectors.  Where no
-factor has a zeta or zeta^3 part, both multiply in Z[zeta^2] = Z[omega],
-omega^2 = omega - 1, on two numerators instead of four: every value at a
-rational point lies there.  `ring_degree` is the one rule that reads the
-smallest of Z, Z[zeta^2] and Z[zeta] holding some numerators; the sweep
-and the p-adic lifting choose their ring with it.
+denominators; neither takes a gcd.  Where no factor has a zeta or
+zeta^3 part, `addmul` multiplies in Z[zeta^2] = Z[omega], omega^2 =
+omega - 1, on two numerators instead of four: every value at a rational
+point lies there.  The transfer sweep multiplies only in Z[omega], on
+numerators packed for a whole batch of vectors, and carries a Z[zeta]
+numerator as its two Z[omega] parts x + zeta y.  `ring_degree` is the
+one rule that reads the smallest of Z, Z[zeta^2] and Z[zeta] holding
+some numerators; the sweep and the p-adic lifting choose their ring
+with it.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Collection, Iterable, Sequence, Union
@@ -67,6 +70,7 @@ __all__ = [
     "same_columns",
 ]
 
+_HASH_P, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 _RationalLike = Union[int, Fraction]
 _ScalarLike = Union["Scalar", int, Fraction]
 
@@ -275,10 +279,16 @@ class Scalar:
         return self._d == o._d and self._n == o._n
 
     def __hash__(self) -> int:
-        # A rational Scalar equals its int or Fraction, so it hashes as it.
-        if self.is_rational():
-            return hash(Fraction(self._n[0], self._d))
-        return hash((self._n, self._d))
+        # A rational Scalar equals its int or Fraction, so it hashes as
+        # they do: |n0| / d modulo the hash modulus P, signed as n0, with
+        # inf where P divides d and -1 mapped to -2.  n0 / d is in lowest
+        # terms already, so no Fraction (and no gcd) is needed.
+        if not self.is_rational():
+            return hash((self._n, self._d))
+        n, d = self._n[0], self._d
+        h = _HASH_INF if d % _HASH_P == 0 else abs(n) % _HASH_P * pow(d, -1, _HASH_P) % _HASH_P
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
 
     def __bool__(self) -> bool:
         return not self.is_zero()

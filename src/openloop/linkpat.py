@@ -33,6 +33,7 @@ with `read_word`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -367,12 +368,16 @@ class SparseOperator:
         return f"SparseOperator(dim={self.dim}, nnz={nnz})"
 
 
+@lru_cache(maxsize=None)
+def _generator_image(i: int, length: int) -> tuple[int, ...]:
+    """The basis index e_i sends each basis index of length sites to."""
+    return tuple(index_of(apply_e(i, word_of(j, length))) for j in range(1 << length))
+
+
 def generator_matrix(i: int, length: int) -> SparseOperator:
-    """Matrix of e_i on the 2^length basis (one unit entry per column)."""
-    dim = 1 << length
-    return SparseOperator.from_column_map(
-        dim, lambda j: index_of(apply_e(i, word_of(j, length)))
-    )
+    """Matrix of e_i on the 2^length basis (one unit entry per column):
+    a fresh operator on each call, from the image map kept per (i, L)."""
+    return SparseOperator.from_column_map(1 << length, _generator_image(i, length).__getitem__)
 
 
 def idempotents(length: int) -> tuple[SparseOperator, SparseOperator]:

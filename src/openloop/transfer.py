@@ -26,14 +26,15 @@ connectivity merge across patterns and vectors.  Where each state goes
 depends only on L, so `_plan` finds it once per L and a sweep only does
 arithmetic.  Vectors are keyed by basis index, amplitudes are Z[zeta]
 numerators, the batch enters over one denominator, and each tile's two
-weights share another, kept outside the sweep.  A state packs the
-batch's numerators into one big int per power of zeta, with a slot of
-fixed width per vector (Kronecker substitution), so a tile step is one
-ring product per state and weight, run in C with no gcd.  The ring is
-read from the data (`ring_degree`): four ints and Z[zeta] products when
-a weight or an entering entry has an odd power of zeta, else two ints
-and Z[zeta^2] products, which every rational point takes.  The sweep
-returns integer columns over one denominator.  `transfer_matrix`
+weights share another, kept outside the sweep.  Every product is taken
+in Z[omega], omega = zeta^2: a Z[zeta] amplitude is x + zeta y with x
+and y in Z[omega], and where a weight or an entering entry has an odd
+power of zeta (`ring_degree` 4) each state splits into these two parts,
+else it keeps x alone, which every rational point takes.  A part packs
+the batch's numerators into one big int per power of omega, with a slot
+of fixed width per vector (Kronecker substitution), so a tile step is
+one Z[omega] product per part and weight factor, run in C with no gcd.
+The sweep returns integer columns over one denominator.  `transfer_matrix`
 (a sweep of the basis) keeps them as the integer form of its
 `SparseOperator`, and the recursion checks compare them with
 `same_columns`, both with no gcd; only `transfer_apply` (of one vector)
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, Iterable, Sequence
 
 from .baxter import (
@@ -330,120 +331,107 @@ def _sweep(
     seed it directly.  The batch enters as its `cleared_columns`, over
     one denominator D, and tile t multiplies by numerators over its own
     d_t, so every final amplitude stands over c D, c = prod d_t, which is
-    returned as it is, with no gcd.  A state holds the Z[zeta] numerators
-    of the whole batch as (off, A0, A1, A2, A3): slot j of A_k, W bits
-    wide, is the zeta^k numerator of vector off + j.  A tile step is then
-    one Z[zeta] product per (state, nonzero weight) on big ints, sending
-    state i to succ[i][is_e], and states of different offsets add after
-    the higher one is shifted left by W per offset step (`_layer_zeta`).
-    When no weight and no entering entry has a zeta or zeta^3 part
-    (`ring_degree` below 4), none arises, and a state holds only
-    (off, A0, A2): the step is one Z[omega] product, omega = zeta^2 with
-    omega^2 = omega - 1, in three multiplications (`_layer_omega`), and
-    the rows read back as (n0, 0, n2, 0).  Each distinct tile is cleared
-    once: at z_i = 1 all 2L bulk tiles share one FaceWeights.
+    returned as it is, with no gcd.  Every product is taken in Z[omega],
+    omega = zeta^2 with omega^2 = omega - 1: a Z[zeta] numerator is
+    x + zeta y with x = (n0, n2) and y = (n1, n3) in Z[omega], its parts
+    0 and 1.  When some weight or entering entry has a zeta or zeta^3
+    part (`ring_degree` 4), state i of the plan is split into the keys
+    i << 1 | part, else every y is 0 and only part 0, keyed i, is kept.
+    A key holds its part's Z[omega] numerators for the whole batch as
+    (off, A0, A2): slot j of A0 and of A2, W bits wide, is the 1 and the
+    omega numerator of vector off + j.  A weight C + zeta D sends (x, y) to
+    (x C + y omega D, x D + y C), so each source part has a list of
+    (is_e, target part, Z[omega] factor) with zero factors dropped
+    (`_factors`), and a tile step is one Z[omega] product per (key,
+    factor), sending the key's state i to succ[i][is_e], after which
+    keys of different offsets add once the higher one is shifted left by
+    W per offset step (`_layer`).  Each distinct tile is cleared once:
+    at z_i = 1 all 2L bulk tiles share one FaceWeights.
 
     Packing is linear: a packed int is sum_j a_j 2^(W j) over its slots
     a_j, and products with weights, sums and shifts keep it so.  Only the
     read-back needs a bound: it is exact, and a packed int is 0 exactly
     when all its slots are, while every slot lies in (-2^(W-1), 2^(W-1)).
     W is chosen for that, a condition the code does not check.  Since
-    |a b|_1 <= 2 |a|_1 |b|_1 in Z[zeta] (a product of two basis powers
-    reduces to at most two of them), a tile multiplies the l1 mass of one
-    vector, summed over states and zeta powers, by at most
-    2 (|id_t|_1 + |cup_t|_1).  Every slot, and every partial sum of
-    slots, is bounded by its vector's mass, hence by
-    M = max_v |v|_1 prod_t 2 (|id_t|_1 + |cup_t|_1), and W = bits(M) + 2
-    rounded up to whole bytes, in either ring.  So a state whose packed
-    ints cancel to 0 is dropped, and the last layer, whose states are
-    the rows, is read back exactly with `_unpack`.
+    |a b|_1 <= 2 |a|_1 |b|_1 in Z[omega] (omega^2 = omega - 1 has l1
+    norm 2), a tile multiplies the l1 mass of one vector, summed over
+    keys and powers of omega, by at most g_t = 2 max_p sum_f |f|_1, the
+    sum over the factors f of source part p.  With part 0 alone this is
+    2 (|id_t|_1 + |cup_t|_1); otherwise |omega D|_1 <= 2 |D|_1, so g_t
+    is at most twice that.  Every slot, and every partial sum of slots,
+    is bounded by its vector's mass, hence by M = max_v |v|_1 prod_t
+    g_t, and W = bits(M) + 2 rounded up to whole bytes.  So a key whose
+    packed ints cancel to 0 is dropped, and the last layer, whose states
+    are the rows, is read back exactly with `_unpack`, both parts of a
+    row into one (n0, n1, n2, n3).
     """
-    steps, bound, c, tiles = [], 1, 1, {}
+    tiles, plan = {}, []
     for succ, (_, fw) in zip(_plan(pt.length), _tile_weights(pt)):
         if (tile := tiles.get(fw)) is None:  # a repeated tile is cleared once
             tile = tiles[fw] = cleared((fw.id_weight, fw.cup_weight))
-        nums, d = tile
-        c *= d
-        bound *= 2 * sum(map(abs, nums[0] + nums[1]))
-        steps.append((succ, [(is_e, n) for is_e, n in enumerate(nums) if any(n)]))
+        plan.append((succ, *tile))
     entering, den = cleared_columns(vectors)
+    numerators = chain(*(nums for nums, _ in tiles.values()), (n for v in entering for _, n in v))
+    sh = int(ring_degree(numerators) == 4)
+    steps, c, bound = [], 1, 1
+    for succ, nums, d in plan:
+        factors = _factors(nums, sh)
+        c *= d
+        bound *= 2 * max(sum(abs(b0) + abs(b2) for _, _, b0, b2, _ in fs) for fs in factors)
+        steps.append((succ, factors))
     mass = max((sum(abs(x) for _, n in vec for x in n) for vec in entering), default=0)
     width = -(-((mass * bound).bit_length() + 2) // 8) * 8
-    numerators = chain((n for _, ws in steps for _, n in ws), (n for v in entering for _, n in v))
-    even = ring_degree(numerators) < 4
-    if even:
-        entering = [[(j, (n[0], n[2])) for j, n in vec] for vec in entering]
-        steps = [(succ, [(e, (b[0], b[2], b[0] + b[2])) for e, b in ws]) for succ, ws in steps]
     states: dict = {}
     for col, vec in enumerate(entering):
         for j, n in vec:
-            if (prev := states.get(j)) is None:
-                states[j] = (col, *n)
-            else:  # cols rise, so the earlier offset stays
-                shift = width * (col - prev[0])
-                states[j] = (prev[0], *(a + (b << shift) for a, b in zip(prev[1:], n)))
-    layer = _layer_omega if even else _layer_zeta
-    for succ, weights in steps:
-        states = layer(states, succ, weights, width)
+            for part in range(1 + sh):
+                a0, a2 = n[part], n[part + 2]
+                if (prev := states.get(k := j << sh | part)) is not None:
+                    shift = width * (col - prev[0])  # cols rise, so the earlier offset stays
+                    states[k] = (prev[0], prev[1] + (a0 << shift), prev[2] + (a2 << shift))
+                elif a0 or a2:
+                    states[k] = (col, a0, a2)
+    for succ, factors in steps:
+        states = _layer(states, succ, factors, sh, width)
     cols: list[dict] = [{} for _ in vectors]
-    for r, (off, *packed) in states.items():
-        slots = [_unpack(a, len(vectors) - off, width) for a in packed]
-        if even:  # (A0, A2) reads back as (n0, 0, n2, 0)
-            zeros = [0] * (len(vectors) - off)
-            slots = [slots[0], zeros, slots[1], zeros]
-        for j, n in enumerate(zip(*slots), start=off):
-            if any(n):
-                cols[j][r] = n
+    for k, (off, a0, a2) in states.items():
+        r, part = k >> sh, k & sh
+        span = len(vectors) - off
+        for j, x, y in zip(count(off), _unpack(a0, span, width), _unpack(a2, span, width)):
+            if x or y:
+                n = cols[j].get(r, (0, 0, 0, 0))
+                cols[j][r] = (n[0], x, n[2], y) if part else (x, n[1], y, n[3])
     return cols, c * den
 
 
-def _layer_zeta(states: dict, succ: tuple, weights: list, width: int) -> dict:
-    """One tile of `_sweep` on states (off, A0, A1, A2, A3): the Z[zeta]
-    product of `Scalar.__mul__` with each (is_e, (b0, b1, b2, b3))."""
+def _factors(nums: list[tuple[int, int, int, int]], sh: int) -> list[list[tuple]]:
+    """Per source part (part 0 alone when sh is 0), the (is_e, target
+    part, b0, b2, b0 + b2) of a tile with cleared weights nums, each
+    C + zeta D with C = (n0, n2), D = (n1, n3) in Z[omega]: x goes to
+    x C in part 0 and x D in part 1, y to y omega D in part 0 and y C in
+    part 1, where omega D = (-n3, n1 + n3).  Zero factors are dropped."""
+    parts: list[list[tuple]] = [[], []]
+    for is_e, (n0, n1, n2, n3) in enumerate(nums):
+        for src, tgt, b0, b2 in ((0, 0, n0, n2), (0, 1, n1, n3), (1, 0, -n3, n1 + n3), (1, 1, n0, n2)):
+            if b0 or b2:
+                parts[src].append((is_e, tgt, b0, b2, b0 + b2))
+    return parts[: 1 + sh]
+
+
+def _layer(states: dict, succ: tuple, factors: list, sh: int, width: int) -> dict:
+    """One tile of `_sweep` on keys i << sh | part holding (off, A0, A2)
+    in Z[omega], with each (is_e, target part, b0, b2, b0 + b2) of the
+    key's part: (a0 + a2 omega)(b0 + b2 omega) = (a0 b0 - a2 b2) +
+    ((a0 + a2)(b0 + b2) - a0 b0) omega, as omega^2 = omega - 1."""
     out: dict = {}
     while states:  # popitem frees each state once it is spent
-        i, (off, a0, a1, a2, a3) = states.popitem()
-        for is_e, (b0, b1, b2, b3) in weights:
-            t4 = a1 * b3 + a2 * b2 + a3 * b1
-            t5 = a2 * b3 + a3 * b2
-            p0 = a0 * b0 - t4 - a3 * b3
-            p1 = a0 * b1 + a1 * b0 - t5
-            p2 = a0 * b2 + a1 * b1 + a2 * b0 + t4
-            p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
-            k = succ[i][is_e]
-            if (q := out.get(k)) is None:
-                out[k] = (off, p0, p1, p2, p3)
-                continue
-            q0, q1, q2, q3, q4 = q
-            if q0 == off:
-                q = (off, q1 + p0, q2 + p1, q3 + p2, q4 + p3)
-            elif q0 < off:
-                s = width * (off - q0)
-                q = (q0, q1 + (p0 << s), q2 + (p1 << s), q3 + (p2 << s), q4 + (p3 << s))
-            else:
-                s = width * (q0 - off)
-                q = (off, (q1 << s) + p0, (q2 << s) + p1, (q3 << s) + p2, (q4 << s) + p3)
-            if q[1] or q[2] or q[3] or q[4]:
-                out[k] = q
-            else:
-                del out[k]
-    return out
-
-
-def _layer_omega(states: dict, succ: tuple, weights: list, width: int) -> dict:
-    """One tile of `_sweep` on states (off, A0, A2) in Z[omega], omega =
-    zeta^2, with each (is_e, (b0, b2, b0 + b2)): (a0 + a2 omega)(b0 +
-    b2 omega) = (a0 b0 - a2 b2) + ((a0 + a2)(b0 + b2) - a0 b0) omega, as
-    omega^2 = omega - 1."""
-    out: dict = {}
-    while states:
-        i, (off, a0, a2) = states.popitem()
-        a02 = a0 + a2
-        for is_e, (b0, b2, b02) in weights:
+        key, (off, a0, a2) = states.popitem()
+        a02, targets = a0 + a2, succ[key >> sh]
+        for is_e, part, b0, b2, b02 in factors[key & sh]:
             t = a0 * b0
             p0 = t - a2 * b2
             p2 = a02 * b02 - t
-            k = succ[i][is_e]
+            k = targets[is_e] << sh | part
             if (q := out.get(k)) is None:
                 out[k] = (off, p0, p2)
                 continue

@@ -84,13 +84,19 @@ def test_solve_level_zero(capsys):
             "--L 7 --z 2,3,5,7,11,13,17 --zeta1 2 --zeta2 3 --w 5/2",
             "5138a82e84716fd45750dd11d5510d908869c50f5d0f47516968bd32623b08e5",
         ),
+        (
+            "--L 6 --z 2:1:0:0,3:0:0:1,5:0:1:1,7:1:0:0,11:0:0:-1,13:1:1:0"
+            " --zeta1 2:1:0:0 --zeta2 3:0:0:1 --w 5/2:1:0:0",
+            "c2b9e27c3d55782bfe1fce172c181ea9c9fcaa777142902570f3b4a886590c1d",
+        ),
     ],
-    ids=["L6", "L7"],
+    ids=["L6", "L7", "L6-field"],
 )
 def test_solve_output_is_pinned_beyond_the_oracle_sizes(capsys, argv, digest):
     # The exact kernel oracle is compared with the lifting up to L = 5;
-    # these digests of the whole stdout pin two larger solves, one of them
-    # with odd powers of zeta (zeta_1 = 2 + zeta).
+    # these digests of the whole stdout pin three larger solves: one with
+    # odd powers of zeta in zeta_1 = 2 + zeta alone, and one with them in
+    # every parameter.
     code, out, err = run_cli(capsys, "solve", *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

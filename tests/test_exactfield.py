@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -50,9 +51,19 @@ def test_mixed_arithmetic_with_ints_and_fractions():
 
 
 def test_rational_scalars_hash_as_the_numbers_they_equal():
-    for value in (0, 1, -1, 7, 2**70, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 2**70)):
+    # The hash is computed from (n0, d) without a Fraction; it must agree
+    # with int and Fraction, also where the modulus P = 2^61 - 1 divides
+    # a numerator or the denominator (Fraction gives inf there).
+    p = sys.hash_info.modulus
+    values = [0, 1, -1, -2, 7, 2**70, -(3**90), p, -p, p - 1, 2 * p + 1]
+    values += [Fraction(1, 2), Fraction(-1, 2), Fraction(-7, 3), Fraction(5, 2**70)]
+    values += [Fraction(1, p), Fraction(-1, p), Fraction(2**100 + 1, p), Fraction(3, 2 * p)]
+    values += [Fraction(-(7**80), 11**30), Fraction(p - 1, p + 1)]
+    for value in values:
         x = Scalar.from_rational(value)
-        assert x == value and hash(x) == hash(value)
+        assert x == value and hash(x) == hash(Fraction(value))
+        if Fraction(value).denominator == 1:
+            assert hash(x) == hash(int(value))
     assert len({ONE, 1}) == 1 and len({ZERO, 0, Fraction(0)}) == 1
     assert {Scalar.from_rational(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
     # Field elements off Q keep their own hash, and still equal themselves.

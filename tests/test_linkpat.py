@@ -148,6 +148,18 @@ def test_generator_matrices_are_unit_subpermutations():
             assert entries == [ONE]
 
 
+def test_generator_matrix_is_a_fresh_operator_per_call():
+    # The image map of e_i is kept per (i, L), but each call builds its
+    # own operator, so no caller shares a mutable one.
+    length = 3
+    for i in range(length + 1):
+        a, b = generator_matrix(i, length), generator_matrix(i, length)
+        assert a == b and a is not b
+        assert all(x is not y for x, y in zip(a.num_cols, b.num_cols))
+        image = lambda j: index_of(apply_e(i, word_of(j, length)))
+        assert a == SparseOperator.from_column_map(1 << length, image)
+
+
 def test_generator_relations_small():
     length = 3
     es = [generator_matrix(i, length) for i in range(length + 1)]
