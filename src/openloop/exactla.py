@@ -6,9 +6,11 @@ The linear algebra shared by the character and groundstate modules:
   row echelon `kernel_basis`, which decides the dimension where no
   prime has the generic rank and is the oracle the lifting is tested
   against;
-- one Gaussian elimination mod p, behind Dixon's p-adic lifting of the
-  one ray of the kernel of a `SparseOperator`, whose exact residual and
-  certificate A v == 0 contract its Z[zeta] integer columns with
+- one Gaussian elimination mod p on packed rows, each row one big int
+  (Kronecker substitution), behind Dixon's p-adic lifting of the one
+  ray of the kernel of a `SparseOperator`; its triangular solves and
+  its exact residual are packed too, and its certificate A v == 0
+  contracts the operator's Z[zeta] integer columns with
   `exactfield.addmul`;
 - the Laurent fit `laurent_fit`, which builds one interpolation map per
   set of nodes as a `SparseOperator`, applies it to any number of value
@@ -21,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, NonGenericPointError
 from .exactfield import ONE, ZERO, Scalar, addmul, ring_degree
@@ -164,47 +166,107 @@ _MARGIN = 16
 _EXPS = (1, 5, 7, 11)
 
 
-def _eliminate(rows: list[list[int]], p: int):
-    """Gaussian elimination mod p, column by column, pivoting on the first
-    remaining row with a nonzero entry.
-
-    Returns the steps as (pivot row, column, inverse pivot), the
-    multipliers each row was reduced by, one per earlier step, and the
-    reduced rows.  The pivot rows and columns index a nonsingular block,
-    which `_solve` solves with this factorisation."""
-    work = [[a % p for a in row] for row in rows]
-    live = list(range(len(work)))
-    lower: list[list[int]] = [[] for _ in work]
-    steps = []
-    for col in range(len(work[0]) if work else 0):
-        piv = next((i for i in live if work[i][col]), None)
-        if piv is None:
-            continue
-        live.remove(piv)
-        inv = pow(work[piv][col], -1, p)
-        prow = work[piv][col:]
-        for i in live:
-            row = work[i]
-            f = row[col] * inv % p
-            lower[i].append(f)
-            if f:
-                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], prow)]
-        steps.append((piv, col, inv))
-    return steps, lower, work
+def _width(p: int, n: int, bound: int) -> int:
+    """The slot width, in whole bytes, that holds 2 p bound + (n + 1) p^2:
+    `_lift` shows that no slot of a packed lifting mod p over n rows
+    grows past that when the slots start below 2 p bound or below p^2."""
+    return -(-(2 * p * bound + (n + 1) * p * p).bit_length() // 8) * 8
 
 
-def _solve(factor, rhs: Sequence[int], p: int) -> list[int]:
-    """x with A x = rhs mod p on the pivot block of an `_eliminate`
-    factorisation, indexed by column and zero off the pivot columns."""
-    steps, lower, upper = factor
-    y: list[int] = []
-    for row, _, _ in steps:
-        y.append((rhs[row] - sum(map(mul, lower[row], y))) % p)
-    x = [0] * len(upper[0])
-    for k in range(len(steps) - 1, -1, -1):
-        row, col, inv = steps[k]
-        x[col] = (y[k] - sum(map(mul, upper[row], x))) * inv % p
-    return x
+def _packed(values: Iterable[int], width: int) -> int:
+    """sum_i values[i] 2^(width i), for values in [0, 2^width)."""
+    wb = width // 8
+    return int.from_bytes(b"".join(v.to_bytes(wb, "little") for v in values), "little")
+
+
+class _PackedLU:
+    """Gaussian elimination mod p of packed rows, column by column,
+    pivoting on the first live row whose current entry is nonzero mod p.
+
+    Slot j of rows[i], width bits wide, holds entry (i, j) up to a
+    multiple of p, nonnegative; the list is the work space.  A step
+    reduces and unpacks its pivot row P once.  Every other live row
+    gains (p - f) P, with f its multiplier, which makes its current slot
+    0 mod p, and then every live row shifts right by width, so that the
+    next column is slot 0.  A slot gains less than p^2 per step, for
+    which `_width` leaves room; a pivot row that outgrows its slots
+    raises ConsistencyError.
+
+    `steps` holds (pivot row, column, inverse pivot).  `lower[k]` is
+    column k of L, packed in natural row order: slot i holds row i's
+    multiplier at step k.  `upper[k]` is column k of U, packed from the
+    pivot of step k up: slot m holds the entry of step k - m's pivot row
+    in step k's column.  The pivot rows and columns index a nonsingular
+    block, which `solve` solves."""
+
+    __slots__ = ("p", "width", "ncols", "steps", "lower", "upper")
+
+    def __init__(self, rows: list[int], ncols: int, p: int, width: int):
+        self.p, self.width, self.ncols = p, width, ncols
+        wb, mask = width // 8, (1 << width) - 1
+        live = list(range(len(rows)))
+        self.steps, self.lower, pivots = [], [], []
+        for col in range(ncols):
+            piv = next((i for i in live if (rows[i] & mask) % p), None)
+            if piv is None:
+                for i in live:
+                    rows[i] >>= width
+                continue
+            live.remove(piv)
+            size = (ncols - col) * wb
+            try:
+                raw = rows[piv].to_bytes(size, "little")
+            except OverflowError:  # only where width is below `_width`
+                raise ConsistencyError(f"a packed slot outgrew its {width} bits") from None
+            rows[piv] = 0
+            prow = b"".join(
+                (int.from_bytes(raw[k : k + wb], "little") % p).to_bytes(wb, "little")
+                for k in range(0, size, wb)
+            )
+            inv = pow(int.from_bytes(prow[:wb], "little"), -1, p)
+            pivot = int.from_bytes(prow, "little")
+            multipliers = bytearray(len(rows) * wb)
+            for i in live:
+                row = rows[i]
+                if f := (row & mask) * inv % p:
+                    row += (p - f) * pivot
+                    multipliers[i * wb : (i + 1) * wb] = f.to_bytes(wb, "little")
+                rows[i] = row >> width
+            self.steps.append((piv, col, inv))
+            self.lower.append(int.from_bytes(multipliers, "little"))
+            pivots.append(prow)
+        self.upper = []
+        for k, (_, col, _) in enumerate(self.steps):
+            entries = (
+                prow[(col - c) * wb : (col - c + 1) * wb]
+                for prow, (_, c, _) in zip(pivots[k::-1], self.steps[k::-1])
+            )
+            self.upper.append(int.from_bytes(b"".join(entries), "little"))
+
+    def solve(self, rhs: int) -> list[int]:
+        """x with A x = rhs mod p on the pivot block, indexed by column and
+        zero off the pivot columns.  Slot i of rhs, a nonnegative packed
+        int, is row i's entry up to a multiple of p.
+
+        Forward substitution reads slot `row_k` of rhs as y_k and adds
+        (p - y_k) L_k; back substitution packs y from its last entry down,
+        reads x_k off slot 0, adds (p - x_k) U_k and shifts right by
+        width.  Each slot gains less than p^2 per step."""
+        p, width = self.p, self.width
+        mask = (1 << width) - 1
+        ys = []
+        for (row, _, _), col_l in zip(self.steps, self.lower):
+            if y := (rhs >> width * row & mask) % p:
+                rhs += (p - y) * col_l
+            ys.append(y)
+        y = _packed(reversed(ys), width)
+        x = [0] * self.ncols
+        for (_, col, inv), col_u in zip(reversed(self.steps), reversed(self.upper)):
+            if xk := (y & mask) * inv % p:
+                y += (p - xk) * col_u
+                x[col] = xk
+            y >>= width
+        return x
 
 
 @lru_cache(maxsize=None)
@@ -217,8 +279,9 @@ def _embeddings(p: int, d: int) -> tuple[list[list[int]], list[list[int]]]:
         if pow(r, 4, p) != 1 and pow(r, 6, p) != 1:  # order exactly 12
             break
     powers = [[pow(r, e * t, p) for t in range(4)] for e in _EXPS[:d]]
-    factor = _eliminate([pw[:: 4 // d] for pw in powers], p)
-    cols = [_solve(factor, [int(i == k) for i in range(d)], p) for k in range(d)]
+    width = _width(p, d, 0)
+    lu = _PackedLU([_packed(pw[:: 4 // d], width) for pw in powers], d, p, width)
+    cols = [lu.solve(1 << width * k) for k in range(d)]
     return powers, [list(row) for row in zip(*cols)]
 
 
@@ -247,77 +310,184 @@ def _reconstruct(residues: Sequence[int], m: int) -> tuple[list[int], int] | Non
     return nums, den
 
 
-def _lift(cols: Sequence[Sequence[tuple]], d: int, p: int):
-    """The kernel vector, with its free column at 1, of the operator whose
-    sparse columns of (row, Z[zeta] numerators) pairs are cols; None if
-    its rank mod p is not n - 1.  A reconstruction v is returned only
-    once the `addmul` contraction of cols with v vanishes."""
-    powers, vinv = _embeddings(p, d)
-    n = len(cols)
+def _pack(cols: Sequence[dict], g: int, images: list[list[int]], width: int, pad: int):
+    """One pass over the operator's Z[zeta] integer columns cols {row:
+    numerators}, which divides each entry's d ring parts by the content
+    g and packs them width bits a slot, then embeds each column.
 
-    def embedded(pw: list[int], cols: Sequence[Sequence[tuple]]) -> list[list[int]]:
-        """Dense rows of the columns' image under zeta^t -> pw[t]."""
-        rows = [[0] * n for _ in range(n)]
+    Returns, for each column, its ring parts zeta^(4j/d), j < d, each
+    packed over the rows with signed slots below 2^(width - 1) in size
+    (at d = 2 with their sum appended, for the three-product Z[omega]
+    form of `_submul`); and for each embedding, whose images of the ring
+    basis are images[e], the n rows: entry (i, j) is slot i of column
+    j's `_embedded` image, so it is nonnegative and right mod p."""
+    n, d = len(cols), len(images)
+    step, wb = 4 // d, width // 8
+    half = 1 << (width - 1)  # offsets a signed slot into [0, 2^width)
+    blank = half.to_bytes(wb, "little") * n
+    offset = int.from_bytes(blank, "little")
+    rows = [[bytearray(n * wb) for _ in range(n)] for _ in images]
+    columns = []
+    try:
         for j, col in enumerate(cols):
-            for i, c in col:
-                rows[i][j] = sum(map(mul, c, pw))
-        return rows
+            parts = [bytearray(blank) for _ in range(d)]
+            for i, c in col.items():
+                a = c[::step] if g == 1 else [x // g for x in c[::step]]
+                for x, buf in zip(a, parts):
+                    if x:
+                        buf[i * wb : (i + 1) * wb] = (x + half).to_bytes(wb, "little")
+            packed = [int.from_bytes(buf, "little") - offset for buf in parts]
+            for image, embedded in zip(images, rows):
+                raw = _embedded(image, packed, pad).to_bytes(n * wb, "little")
+                for i in col:
+                    embedded[i][j * wb : (j + 1) * wb] = raw[i * wb : (i + 1) * wb]
+            columns.append(packed + [packed[0] + packed[1]] if d == 2 else packed)
+    except OverflowError:  # only where width is below `_width`
+        raise ConsistencyError(f"a packed slot outgrew its {width} bits") from None
+    for embedded in rows:
+        for i, buf in enumerate(embedded):
+            embedded[i] = int.from_bytes(buf, "little")
+    return columns, rows
 
-    factor = _eliminate(embedded(powers[0], cols), p)
-    if len(factor[0]) != n - 1:
+
+def _embedded(image: Sequence[int], parts: Sequence[int], pad: int) -> int:
+    """sum_t image[t] parts[t] + pad: the image under one embedding of a
+    packed vector over the ring basis, pad a multiple of p in every slot
+    that keeps the slots nonnegative."""
+    return sum(map(mul, image, parts)) + pad
+
+
+def _submul(res: list[int], x: Sequence[int], c: Sequence[int]) -> None:
+    """res -= x c, part by part on the ring basis zeta^(4j/d), for a
+    digit x and a column's packed parts c from `_pack`.  At d = 2 this
+    is the three-product Z[omega] form of `exactfield.addmul`, with
+    c = (c0, c2, c0 + c2); at d = 4 it is the full Z[zeta] product."""
+    if len(res) == 1:
+        res[0] -= x[0] * c[0]
+    elif len(res) == 2:
+        x0, x2 = x
+        t = x0 * c[0]
+        res[0] -= t - x2 * c[1]
+        res[1] -= (x0 + x2) * c[2] - t
+    else:
+        a0, a1, a2, a3 = c
+        b0, b1, b2, b3 = x
+        t4 = a1 * b3 + a2 * b2 + a3 * b1
+        t5 = a2 * b3 + a3 * b2
+        res[0] -= a0 * b0 - t4 - a3 * b3
+        res[1] -= a0 * b1 + a1 * b0 - t5
+        res[2] -= a0 * b2 + a1 * b1 + a2 * b0 + t4
+        res[3] -= a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
+
+
+def _lift(cols: Sequence[dict], g: int, d: int, p: int):
+    """The kernel vector, with its free column at 1, of the operator whose
+    Z[zeta] integer columns cols {row: numerators} have content g, lifted
+    in the first d embeddings mod p; None if its rank mod p is not n - 1.
+    A reconstruction v is returned only once the `addmul` contraction of
+    cols with v vanishes.
+
+    Everything from the columns to that certificate is packed
+    (Kronecker substitution): a row, a column of L or U, a right-hand
+    side, or one ring part of the residual over the rows is one int
+    sum_i a_i 2^(W i), and a factorisation step, a substitution step or
+    a residual update is a few big-int operations.  One W, from
+    `_width`, serves the whole lifting.  Let N be the largest l1 norm of
+    a row of cols / g, over its entries and their ring parts, and let
+    B = 2 d N.
+    - Residual: r starts as minus the free column, so |r_i|_1 <= N <= B.
+      A digit x has d coordinates in [0, p), and |a x|_1 <= 2 |a|_1 |x|_1
+      in Z[zeta], whose zeta^4, zeta^5 and zeta^6 have l1 norm at most 2.
+      So |(A x)_i|_1 <= 2 d (p - 1) N, and (r - A x) / p keeps
+      |r_i|_1 <= B.
+    - Embedding e sends a packed vector with parts R_t to sum_t rho_e^t
+      R_t + p B (`_embedded`), with rho_e^t in [0, p), so its slots lie
+      in [0, 2 p B).  The right-hand sides are such images, and so are
+      the matrix rows, read off the embedded columns.  Elimination and
+      substitution add less than p^2 per step to a slot, and back
+      substitution starts below p, so every slot stays below
+      2 p B + (n + 1) p^2 < 2^W.
+    - The residual's slots are signed, and packing is linear: where
+      every slot of r - A x is divisible by p, so is the packed int, and
+      one divmod gives the packing of the slots' quotients.  A nonzero
+      remainder raises ConsistencyError, as does a packed int that
+      outgrows its slots, so a W too narrow costs an error, never a
+      wrong vector.
+    The first embedding's dep row rides along in the residual unread:
+    where the operator has a kernel, the block's solution satisfies that
+    row too, so its slot stays divisible by p; where it has none, that
+    slot's remainder ends the lifting.
+    """
+    powers, vinv = _embeddings(p, d)
+    images = [pw[:: 4 // d] for pw in powers]
+    n = len(cols)
+    l1, norms = [0] * n, [0] * n
+    for col in cols:
+        for i, c in col.items():
+            s = sum(map(abs, c))
+            l1[i] += s
+            norms[i] += s * s
+    bound = 2 * d * (max(l1, default=0) // g)
+    width = _width(p, n, bound)
+    pad = p * bound * _packed([1] * n, width)
+    parts, rows = _pack(cols, g, images, width, pad)
+    first = _PackedLU(rows[0], n, p, width)
+    if len(first.steps) != n - 1:
         return None
-    (dep,) = set(range(n)).difference(row for row, _, _ in factor[0])
-    (free,) = set(range(n)).difference(col for _, col, _ in factor[0])
+    (dep,) = set(range(n)).difference(row for row, _, _ in first.steps)
+    (free,) = set(range(n)).difference(col for _, col, _ in first.steps)
     # Hadamard: every conjugate of det A and of its Cramer numerators is
     # at most H = prod_i |row i|, with 2^hadamard >= H^2.  The solution's
     # coefficients are (numerator) / N(det A), both below 2 H^d, and
     # reconstruction needs m > 2 (2^_MARGIN 2 H^d)^2.
-    norms = [0] * n
-    for col in cols:
-        for i, c in col:
-            norms[i] += sum(map(abs, c)) ** 2
-    hadamard = sum(x.bit_length() for i, x in enumerate(norms) if i != dep)
+    hadamard = sum((x // (g * g)).bit_length() for i, x in enumerate(norms) if i != dep)
     budget = -(-(d * hadamard + 2 * _MARGIN + 3) // (p.bit_length() - 1)) + 1
     # Solve A x = -(column free) on the other rows and columns, v_free = 1:
     # the first embedding's dep row and free column leave the one block
     # that every other embedding factors too.
-    block = [[(i, c) for i, c in col if i != dep] for col in cols]
-    res: dict = {}
-    addmul(res, (-1, 0, 0, 0), block[free])
-    block[free] = []
-    factors = [factor]
-    for pw in powers[1:]:
-        factor = _eliminate(embedded(pw, block), p)
-        if len(factor[0]) != n - 1:
+    keep = ~(((1 << width) - 1) << width * free)
+    factors = [first]
+    for embedded in rows[1:]:
+        for i, row in enumerate(embedded):
+            embedded[i] = 0 if i == dep else row & keep
+        lu = _PackedLU(embedded, n, p, width)
+        if len(lu.steps) != n - 1:
             return None
-        factors.append(factor)
-    zero = (0, 0, 0, 0)
-    acc = [0] * (4 * n)
+        factors.append(lu)
+    del rows
+    res = [-c for c in parts[free][:d]]
+    acc = [0] * (d * n)
     pk = 1
     for _ in range(budget):
-        ys = [
-            _solve(f, [sum(map(mul, res.get(i, zero), pw)) % p for i in range(n)], p)
-            for f, pw in zip(factors, powers)
-        ]
-        for j, y in enumerate(zip(*ys)):
+        xs = [lu.solve(_embedded(image, res, pad)) for lu, image in zip(factors, images)]
+        for j, y in enumerate(zip(*xs)):
             if any(y):
-                digit = [0, 0, 0, 0]
-                digit[:: 4 // d] = [sum(map(mul, row, y)) % p for row in vinv]
-                addmul(res, [-x for x in digit], block[j])
-                for t, x in enumerate(digit, 4 * j):
+                digit = [sum(map(mul, row, y)) % p for row in vinv]
+                _submul(res, digit, parts[j])
+                for t, x in enumerate(digit, d * j):
                     acc[t] += x * pk
-        res = {i: tuple(a // p for a in c) for i, c in res.items()}
+        for t, r in enumerate(res):
+            res[t], rem = divmod(r, p)
+            if rem:
+                raise ConsistencyError(
+                    "p-adic residual not divisible by p: no kernel, "
+                    f"or a slot outgrew its {width} bits"
+                )
         pk *= p
         found = _reconstruct(acc, pk)
         if found is None:
             continue
         nums, den = found
-        nums[4 * free] = den
-        full = [tuple(nums[t : t + 4]) for t in range(0, 4 * n, 4)]
+        nums[d * free] = den
+        full = []
+        for j in range(0, d * n, d):
+            b = [0, 0, 0, 0]
+            b[:: 4 // d] = nums[j : j + d]
+            full.append(tuple(b))
         check: dict = {}
         for col, b in zip(cols, full):
             if any(b):
-                addmul(check, b, col)
+                addmul(check, b, col.items())
         if not check:
             return [Scalar.from_integers(b, den) for b in full]
     raise ConsistencyError(
@@ -329,27 +499,27 @@ def kernel_vector(op: SparseOperator) -> list[Scalar]:
     """The one ray of the kernel of the square operator op, scaled so
     that its last nonzero entry is 1.  The lifting reads op's Z[zeta]
     integer columns `num_cols` and not its denominator, which does not
-    change the kernel, and first divides out their integer content,
-    with which its integers would only grow.
+    change the kernel, and divides out their integer content g, with
+    which its integers would only grow, as it packs them (`_pack`).
 
     Dixon's method: the rank profile is found mod a prime p of PRIMES,
     one pivot block is factored in each embedding of Z[zeta] into F_p,
     and the solution is lifted p-adically with exact residual updates
-    (r - A x) / p, one `addmul` per nonzero digit column, until a
-    rational reconstruction over one common denominator satisfies
-    A v == 0, contracted with the same columns in Z[zeta] integers.  A
-    wrong reconstruction costs one more lifting step, never a wrong
+    (r - A x) / p, all on packed big ints (`_lift`), until a rational
+    reconstruction over one common denominator satisfies A v == 0,
+    contracted with the same columns in Z[zeta] integers by `addmul`.
+    A wrong reconstruction costs one more lifting step, never a wrong
     vector.  With the rank n - 1 mod p that proves v spans the kernel.
     A prime with any other rank is skipped; when every one is, the exact
     `kernel_basis` of `op.to_rows()` decides, and a kernel that is not
     a line raises NonGenericPointError.  The last nonzero entry is the
     free column of `kernel_basis`'s RREF, so both give the same vector.
     """
-    g = gcd(*(a for col in op.num_cols for c in col.values() for a in c))
-    cols = [[(i, tuple(a // g for a in c)) for i, c in col.items()] for col in op.num_cols]
-    d = ring_degree(c for col in cols for _, c in col)
+    cols = op.num_cols
+    g = gcd(*(a for col in cols for c in col.values() for a in c)) or 1
+    d = ring_degree(c for col in cols for c in col.values())
     for p in PRIMES:
-        vec = _lift(cols, d, p)
+        vec = _lift(cols, g, d, p)
         if vec is not None:
             inv = next(x for x in reversed(vec) if x).inv()
             return vec if inv == ONE else [x * inv for x in vec]

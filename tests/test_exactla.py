@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 from random import Random
 
 import pytest
@@ -15,6 +16,7 @@ from openloop import (
     ONE,
     ZERO,
     ZETA,
+    ConsistencyError,
     NonGenericPointError,
     Scalar,
     SparseOperator,
@@ -24,7 +26,7 @@ from openloop import (
     transfer_matrix,
 )
 from openloop import exactla
-from openloop.exactfield import cleared
+from openloop.exactfield import cleared, ring_degree
 from openloop.exactla import (
     PRIMES,
     LaurentPoly,
@@ -191,9 +193,9 @@ def _spy_degrees(monkeypatch) -> list[int]:
     degrees = []
     lift = exactla._lift
 
-    def spy(cols, d, p):
+    def spy(cols, g, d, p):
         degrees.append(d)
-        return lift(cols, d, p)
+        return lift(cols, g, d, p)
 
     monkeypatch.setattr(exactla, "_lift", spy)
     return degrees
@@ -352,20 +354,31 @@ def test_fixed_vector_falls_back_to_the_exact_kernel_when_every_prime_fails():
     assert kernel_vector(op) == [ONE, ONE, ZERO]
 
 
+def test_an_invertible_operator_of_rank_n_minus_1_mod_p_raises():
+    # det = p: rank 1 mod PRIMES[0], so the lifting runs, but no kernel
+    # exists.  Row 0, the dep row that no solve reads, keeps a residual
+    # of -1 after one step, which p does not divide.
+    p = rational(PRIMES[0])
+    with pytest.raises(ConsistencyError, match="not divisible by p: no kernel"):
+        kernel_vector(_from_rows([[p, ZERO], [ZERO, ONE]]))
+
+
 def test_kernel_vector_divides_out_a_common_factor_of_the_columns(monkeypatch):
     # solve hands the lifting c (T - 1), with c the sweep's denominator,
     # rather than T - 1 cleared to its own lcm.  A common integer factor
-    # of the columns changes no kernel, and the lifting runs on the same
-    # integers without it: even a factor of PRIMES[0] leaves that prime
-    # the generic rank.
+    # of the columns changes no kernel, and the lifting packs the same
+    # integers without it, at the same width: even a factor of PRIMES[0]
+    # leaves that prime the generic rank.
     lifted = []
-    lift = exactla._lift
+    pack = exactla._pack
 
-    def spy(cols, d, p):
-        lifted.append((cols, p))
-        return lift(cols, d, p)
+    def spy(cols, g, images, width, pad):
+        parts, rows = pack(cols, g, images, width, pad)
+        # the factorisation works in the rows' lists, so keep a copy
+        lifted.append((images, width, pad, parts, [list(r) for r in rows]))
+        return parts, rows
 
-    monkeypatch.setattr(exactla, "_lift", spy)
+    monkeypatch.setattr(exactla, "_pack", spy)
     for length, odd in ((3, False), (4, True)):
         pt = draw_point(Random(780 + length), length)
         if odd:
@@ -425,6 +438,208 @@ def test_fixed_vector_scales_its_last_nonzero_entry_to_one():
     p = rational(PRIMES[0])
     op = _from_rows([[p, -ONE], [ZERO, ZERO]])
     assert kernel_vector(op) == [p.inv(), ONE] == _kernel_oracle(op)
+
+
+# -- the packed factorisation against a dense reference ------------------
+
+
+def _eliminate(rows: list[list[int]], p: int):
+    """Dense Gaussian elimination mod p, column by column, pivoting on the
+    first remaining row with a nonzero entry: the reference for
+    `exactla._PackedLU`.
+
+    Returns the steps as (pivot row, column, inverse pivot), the
+    multipliers each row was reduced by, one per earlier step, and the
+    reduced rows."""
+    work = [[a % p for a in row] for row in rows]
+    live = list(range(len(work)))
+    lower: list[list[int]] = [[] for _ in work]
+    steps = []
+    for col in range(len(work[0]) if work else 0):
+        piv = next((i for i in live if work[i][col]), None)
+        if piv is None:
+            continue
+        live.remove(piv)
+        inv = pow(work[piv][col], -1, p)
+        prow = work[piv][col:]
+        for i in live:
+            row = work[i]
+            f = row[col] * inv % p
+            lower[i].append(f)
+            if f:
+                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], prow)]
+        steps.append((piv, col, inv))
+    return steps, lower, work
+
+
+def _solve(factor, rhs, p: int) -> list[int]:
+    """x with A x = rhs mod p on the pivot block of an `_eliminate`
+    factorisation, indexed by column and zero off the pivot columns."""
+    steps, lower, upper = factor
+    y: list[int] = []
+    for row, _, _ in steps:
+        y.append((rhs[row] - sum(map(mul, lower[row], y))) % p)
+    x = [0] * len(upper[0])
+    for k in range(len(steps) - 1, -1, -1):
+        row, col, inv = steps[k]
+        x[col] = (y[k] - sum(map(mul, upper[row], x))) * inv % p
+    return x
+
+
+def _slots(packed: int, width: int, count: int) -> list[int]:
+    return [packed >> width * k & ((1 << width) - 1) for k in range(count)]
+
+
+def _assert_factors_as_the_reference(rows: list[list[int]], p: int, rng: Random) -> list:
+    """_PackedLU on rows gives _eliminate's steps, multipliers and pivot
+    rows, and its solve meets A x = rhs mod p on the pivot block, with
+    every slot packed as its residue or as that plus a multiple of p.
+    Returns the steps."""
+    nrows, ncols = len(rows), len(rows[0])
+    width = exactla._width(p, max(nrows, ncols), 0)
+    steps, lower, work = _eliminate(rows, p)
+    for unreduced in (False, True):
+        packed = [
+            exactla._packed([a % p + p * rng.randrange(p) * unreduced for a in row], width)
+            for row in rows
+        ]
+        lu = exactla._PackedLU(packed, ncols, p, width)
+        assert lu.steps == steps
+        live = set(range(nrows))
+        for k, (row, col, _) in enumerate(steps):
+            live.remove(row)
+            assert _slots(lu.upper[k], width, k + 1) == [
+                work[r][col] for r, _, _ in reversed(steps[: k + 1])
+            ]
+            assert _slots(lu.lower[k], width, nrows) == [
+                lower[i][k] if i in live else 0 for i in range(nrows)
+            ]
+        pivot_rows = [r for r, _, _ in steps]
+        pivot_cols = [c for _, c, _ in steps]
+        for _ in range(3):
+            rhs = [rng.randrange(-(p**2), p**2) for _ in range(nrows)]
+            x = lu.solve(exactla._packed([a % p + p * unreduced for a in rhs], width))
+            assert x == _solve((steps, lower, work), rhs, p)
+            assert all(x[j] == 0 for j in range(ncols) if j not in pivot_cols)
+            for i in pivot_rows:
+                assert (sum(map(mul, rows[i], x)) - rhs[i]) % p == 0
+    return steps
+
+
+def test_packed_factorisation_matches_the_dense_reference():
+    rng = Random(800)
+    p = PRIMES[0]
+
+    def draw(n, m, big=False):
+        top = 3 * p if big else 5
+        return [[rng.randrange(-top, top) for _ in range(m)] for _ in range(n)]
+
+    # Each case with the columns its steps pivot in.
+    cases = {
+        "1 x 1": ([[7]], [0]),
+        "1 x 1 zero": ([[0]], []),
+        "1 x 1 multiple of p": ([[3 * p]], []),
+        "full rank, entries >= p or negative": (draw(6, 6, big=True), [0, 1, 2, 3, 4, 5]),
+    }
+    a = draw(5, 5)
+    zero_column = [[0 if j == 2 else x for j, x in enumerate(r)] for r in a]
+    cases["zero column"] = (zero_column, [0, 1, 3, 4])
+    cases["zero row"] = ([row if i != 1 else [0] * 5 for i, row in enumerate(a)], [0, 1, 2, 3])
+    # Column 2 is 2 * column 0 + column 1, so after two steps no live row
+    # has a nonzero entry there, and columns 3 and 4 pivot after it.
+    between = [[r[0], r[1], 2 * r[0] + r[1], r[3], r[4]] for r in a]
+    cases["no pivot between two"] = (between, [0, 1, 3, 4])
+    b = draw(2, 6, big=True)
+    # Rank 2 of 6: every row a combination of two; a multiple of p hides
+    # in the combination too.
+    coefficients = [(rng.randrange(-3, 4), rng.randrange(-3, 4) + p) for _ in range(6)]
+    low = [[s * x + t * y for x, y in zip(*b)] for s, t in coefficients]
+    cases["rank deficient"] = (low, [0, 1])
+    cases["rank deficient, first row zero mod p"] = ([[p * x for x in b[0]]] + low, [0, 1])
+    for name, (rows, pivot_cols) in cases.items():
+        rows = [list(r) for r in rows]
+        steps = _assert_factors_as_the_reference(rows, p, rng)
+        assert [c for _, c, _ in steps] == pivot_cols, name
+        if name == "zero row":
+            assert 1 not in [r for r, _, _ in steps]
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_packed_factorisation_inverts_the_vandermonde_matrix(d):
+    rng = Random(810 + d)
+    for p in PRIMES:
+        powers, vinv = exactla._embeddings(p, d)
+        vandermonde = [pw[:: 4 // d] for pw in powers]
+        _assert_factors_as_the_reference(vandermonde, p, rng)
+        for i, row in enumerate(vandermonde):
+            for k in range(d):
+                assert sum(a * vinv[j][k] for j, a in enumerate(row)) % p == (i == k)
+
+
+# -- the width of the packed lifting ------------------------------------
+
+
+def _big_operator(d: int, rng: Random) -> SparseOperator:
+    """A 5 x 5 operator over the ring of degree d, with entries near 2^200
+    of mixed signs and the one ray (c, -1) for its kernel: columns 0..3
+    are drawn and column 4 is their combination with the small c."""
+    def draw(top):
+        nums = [0, 0, 0, 0]
+        nums[:: 4 // d] = [rng.choice((-1, 1)) * rng.randrange(top) for _ in range(d)]
+        return Scalar.from_integers(nums, 1)
+
+    n = 5
+    cols = [
+        [draw(1 << 200) + rational(1 << 200) * rng.choice((-1, 1)) for _ in range(n)]
+        for _ in range(n - 1)
+    ]
+    c = [draw(50) + ONE for _ in range(n - 1)]
+    cols.append([sum((x * w for x, w in zip(row, c)), ZERO) for row in zip(*cols)])
+    op = SparseOperator(n, [dict(enumerate(col)) for col in cols])
+    assert ring_degree(x for col in op.num_cols for x in col.values()) == d
+    return op
+
+
+def _ring_operator(d: int, rng: Random) -> SparseOperator:
+    """H at rational zeta (d = 1), or T - 1 at a rational point (d = 2)
+    or at zeta_1 = 2 + zeta (d = 4), at L = 3."""
+    if d == 1:
+        return hamiltonian(3, c_from_zeta(rational(2)), c_from_zeta(rational(3)))
+    pt = draw_point(rng, 3)
+    return _minus_one(transfer_matrix(pt if d == 2 else replace(pt, zeta1=rational(2) + ZETA)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_lifting_entries_near_two_to_the_200(d, monkeypatch):
+    degrees = _spy_degrees(monkeypatch)
+    for seed in range(3):
+        op = _big_operator(d, Random(820 + 10 * d + seed))
+        assert kernel_vector(op) == _kernel_oracle(op), seed
+        assert degrees[-1] == d
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_a_width_too_narrow_costs_an_error_never_a_wrong_vector(d, monkeypatch):
+    # The embeddings' Vandermonde inverses are cached: take them at the
+    # true width, so that only the lifting runs narrow.
+    for p in PRIMES:
+        exactla._embeddings(p, d)
+    width = exactla._width
+    outcomes = set()
+    for cut in (8, 64):
+        monkeypatch.setattr(exactla, "_width", lambda p, n, bound: width(p, n, bound) - cut)
+        ops = [_big_operator(d, Random(830 + 10 * d + seed)) for seed in range(3)]
+        ops.append(_ring_operator(d, Random(840 + d)))
+        for op in ops:
+            oracle = _kernel_oracle(op)
+            try:
+                vec = kernel_vector(op)
+            except ConsistencyError:
+                outcomes.add("error")
+                continue
+            assert vec == oracle, (d, cut)
+            outcomes.add("oracle")
+    assert "error" in outcomes, outcomes
 
 
 def test_laurent_poly_accessors():
