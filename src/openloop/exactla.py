@@ -11,7 +11,13 @@ The linear algebra shared by the character and groundstate modules:
   ray of the kernel of a `SparseOperator`; its triangular solves and
   its exact residual are packed too, and its certificate A v == 0
   contracts the operator's Z[zeta] integer columns with
-  `exactfield.addmul`;
+  `exactfield.addmul`.  Given an anchor (an entry, its value and a
+  multiple of the anchored vector's denominator, which
+  `groundstate.solve` predicts from the point), the lifting reads the
+  anchored vector's numerators over that hint after each step, in
+  about half the steps that Wang's rational reconstruction needs to
+  find a denominator of its own; Wang's reconstruction stays as the
+  fallback, so a wrong hint costs steps and never changes the vector;
 - the Laurent fit `laurent_fit`, which builds one interpolation map per
   set of nodes as a `SparseOperator`, applies it to any number of value
   columns, and returns the interpolated groundstate components as
@@ -26,7 +32,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, NonGenericPointError
-from .exactfield import ONE, ZERO, Scalar, addmul, ring_degree
+from .exactfield import ONE, ZERO, Scalar, addmul, cleared, ring_degree
 from .linkpat import SparseOperator
 
 __all__ = [
@@ -316,11 +322,11 @@ def _pack(cols: Sequence[dict], g: int, images: list[list[int]], width: int, pad
     g and packs them width bits a slot, then embeds each column.
 
     Returns, for each column, its ring parts zeta^(4j/d), j < d, each
-    packed over the rows with signed slots below 2^(width - 1) in size
-    (at d = 2 with their sum appended, for the three-product Z[omega]
-    form of `_submul`); and for each embedding, whose images of the ring
-    basis are images[e], the n rows: entry (i, j) is slot i of column
-    j's `_embedded` image, so it is nonnegative and right mod p."""
+    packed over the rows with signed slots below 2^(width - 1) in size,
+    in the form `_operand` gives `_submul`; and for each embedding,
+    whose images of the ring basis are images[e], the n rows: entry
+    (i, j) is slot i of column j's `_embedded` image, so it is
+    nonnegative and right mod p."""
     n, d = len(cols), len(images)
     step, wb = 4 // d, width // 8
     half = 1 << (width - 1)  # offsets a signed slot into [0, 2^width)
@@ -341,7 +347,7 @@ def _pack(cols: Sequence[dict], g: int, images: list[list[int]], width: int, pad
                 raw = _embedded(image, packed, pad).to_bytes(n * wb, "little")
                 for i in col:
                     embedded[i][j * wb : (j + 1) * wb] = raw[i * wb : (i + 1) * wb]
-            columns.append(packed + [packed[0] + packed[1]] if d == 2 else packed)
+            columns.append(_operand(packed))
     except OverflowError:  # only where width is below `_width`
         raise ConsistencyError(f"a packed slot outgrew its {width} bits") from None
     for embedded in rows:
@@ -355,6 +361,13 @@ def _embedded(image: Sequence[int], parts: Sequence[int], pad: int) -> int:
     packed vector over the ring basis, pad a multiple of p in every slot
     that keeps the slots nonnegative."""
     return sum(map(mul, image, parts)) + pad
+
+
+def _operand(parts: list[int]) -> list[int]:
+    """The ring parts of a factor on the basis zeta^(4j/d) in the form
+    `_submul` takes them: at d = 2 with their sum appended, for its
+    three-product Z[omega] form."""
+    return parts + [parts[0] + parts[1]] if len(parts) == 2 else parts
 
 
 def _submul(res: list[int], x: Sequence[int], c: Sequence[int]) -> None:
@@ -380,12 +393,81 @@ def _submul(res: list[int], x: Sequence[int], c: Sequence[int]) -> None:
         res[3] -= a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
 
 
-def _lift(cols: Sequence[dict], g: int, d: int, p: int):
-    """The kernel vector, with its free column at 1, of the operator whose
-    Z[zeta] integer columns cols {row: numerators} have content g, lifted
-    in the first d embeddings mod p; None if its rank mod p is not n - 1.
-    A reconstruction v is returned only once the `addmul` contraction of
-    cols with v vanishes.
+def _quad(flat: Sequence[int], d: int, j: int) -> tuple[int, int, int, int]:
+    """Entry j of a vector held as d ring coordinates per entry, on the
+    basis zeta^(4t/d), as Z[zeta] numerators."""
+    b = [0, 0, 0, 0]
+    b[:: 4 // d] = flat[d * j : d * j + d]
+    return tuple(b)
+
+
+def _anchored(acc: Sequence[int], d: int, index: int, scaled: Scalar, m: int):
+    """The numerators over the hint of the vector v scaled so that v_index
+    is the anchor value, from v mod m and scaled = hint * value: the
+    symmetric residues of c v_j mod m, c = scaled / v_index, on the ring
+    basis zeta^(4t/d) as `_reconstruct` returns them; or None unless c
+    lies in the ring and every residue is below m / 2^(2 _MARGIN + 1).
+
+    1 / v_index mod m is its conjugate over its norm (`Scalar.inv`), read
+    mod m, where p does not divide that norm.  The products c v_j are
+    `_submul`'s, so one body serves every d.  The free column's v_j is
+    1, so its residues are c's own and are tested first: a step that is
+    still too short costs one inverse."""
+    x = _quad(acc, d, index)
+    if not any(x):
+        return None
+    (c,), den = cleared([scaled * Scalar.from_integers(x, 1).inv()])
+    ring = c[:: 4 // d]
+    if _quad(ring, d, 0) != c:
+        return None
+    try:
+        e = pow(den, -1, m)
+    except ValueError:  # p divides the norm of v_index
+        return None
+    bound, half = m >> (2 * _MARGIN + 1), m >> 1
+    factor = [a * e % m for a in ring]
+    if any(bound < a < m - bound for a in factor):
+        return None
+    parts = _operand(factor)
+    nums = []
+    for j in range(0, len(acc), d):
+        prod = [0] * d
+        _submul(prod, acc[j : j + d], parts)
+        for a in prod:
+            a = -a % m
+            if bound < a < m - bound:
+                return None
+            nums.append(a - m if a > half else a)
+    return nums
+
+
+def _certified(cols: Sequence[dict], nums: Sequence[int], d: int, den: int):
+    """The vector nums / den, its d ring coordinates per entry, if it is
+    nonzero and the `addmul` contraction of cols with its numerators
+    vanishes; else None."""
+    if not any(nums):
+        return None
+    full = [_quad(nums, d, j) for j in range(len(cols))]
+    check: dict = {}
+    for col, b in zip(cols, full):
+        if any(b):
+            addmul(check, b, col.items())
+    return None if check else [Scalar.from_integers(b, den) for b in full]
+
+
+def _lift(
+    cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple[int, Scalar, int] | None
+):
+    """The kernel vector of the operator whose Z[zeta] integer columns cols
+    {row: numerators} have content g, lifted in the first d embeddings
+    mod p; None if p does not show the rank n - 1.  A reconstruction v is
+    returned only once the `addmul` contraction of cols with v vanishes.
+    With an anchor (index, value, hint), each step first reads v scaled
+    to v_index = value over the denominator hint (`_anchored`).  Where
+    that reading does not fit, Wang's reconstruction runs as it does
+    without an anchor, and returns v with its free column at 1: a wrong
+    hint costs steps, never a wrong vector, and the caller scales
+    whichever vector comes back.
 
     Everything from the columns to that certificate is packed
     (Kronecker substitution): a row, a column of L or U, a right-hand
@@ -409,14 +491,15 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int):
       2 p B + (n + 1) p^2 < 2^W.
     - The residual's slots are signed, and packing is linear: where
       every slot of r - A x is divisible by p, so is the packed int, and
-      one divmod gives the packing of the slots' quotients.  A nonzero
-      remainder raises ConsistencyError, as does a packed int that
-      outgrows its slots, so a W too narrow costs an error, never a
-      wrong vector.
+      one divmod gives the packing of the slots' quotients.  A packed
+      int that outgrows its slots raises ConsistencyError, so a W too
+      narrow costs an error or this prime, never a wrong vector.
     The first embedding's dep row rides along in the residual unread:
     where the operator has a kernel, the block's solution satisfies that
-    row too, so its slot stays divisible by p; where it has none, that
-    slot's remainder ends the lifting.
+    row too, so its slot stays divisible by p.  A nonzero remainder means
+    that it has none, although its rank mod p is n - 1 (its determinant
+    divisible by p in that embedding): p does not show the rank, and None
+    hands the operator to the next prime.
     """
     powers, vinv = _embeddings(p, d)
     images = [pw[:: 4 // d] for pw in powers]
@@ -455,8 +538,14 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int):
             return None
         factors.append(lu)
     del rows
+    if anchor is not None:
+        index, value, hint = anchor
+        scaled = value * hint
     res = [-c for c in parts[free][:d]]
+    # v mod p^k on the ring basis, d coordinates per entry; no digit
+    # touches the free column, which stays 1.
     acc = [0] * (d * n)
+    acc[d * free] = 1
     pk = 1
     for _ in range(budget):
         xs = [lu.solve(_embedded(image, res, pad)) for lu, image in zip(factors, images)]
@@ -469,35 +558,32 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int):
         for t, r in enumerate(res):
             res[t], rem = divmod(r, p)
             if rem:
-                raise ConsistencyError(
-                    "p-adic residual not divisible by p: no kernel, "
-                    f"or a slot outgrew its {width} bits"
-                )
+                return None
         pk *= p
+        if anchor is not None and (nums := _anchored(acc, d, index, scaled, pk)):
+            if vec := _certified(cols, nums, d, hint):
+                return vec
         found = _reconstruct(acc, pk)
         if found is None:
             continue
         nums, den = found
-        nums[d * free] = den
-        full = []
-        for j in range(0, d * n, d):
-            b = [0, 0, 0, 0]
-            b[:: 4 // d] = nums[j : j + d]
-            full.append(tuple(b))
-        check: dict = {}
-        for col, b in zip(cols, full):
-            if any(b):
-                addmul(check, b, col.items())
-        if not check:
-            return [Scalar.from_integers(b, den) for b in full]
+        if vec := _certified(cols, nums, d, den):
+            return vec
     raise ConsistencyError(
         f"p-adic lifting found no certified kernel vector within {budget} steps"
     )
 
 
-def kernel_vector(op: SparseOperator) -> list[Scalar]:
+def kernel_vector(
+    op: SparseOperator, anchor: tuple[int, Scalar, int] | None = None
+) -> list[Scalar]:
     """The one ray of the kernel of the square operator op, scaled so
-    that its last nonzero entry is 1.  The lifting reads op's Z[zeta]
+    that its last nonzero entry is 1, or, with an anchor (index, value,
+    hint), so that entry index is value where that entry is nonzero.
+    hint is a multiple of the anchored vector's common denominator as
+    the caller predicts it (`groundstate.solve` reads one off the
+    point), or any positive integer: it picks how the lifting reads the
+    vector, never which vector comes out.  The lifting reads op's Z[zeta]
     integer columns `num_cols` and not its denominator, which does not
     change the kernel, and divides out their integer content g, with
     which its integers would only grow, as it packs them (`_pack`).
@@ -505,28 +591,40 @@ def kernel_vector(op: SparseOperator) -> list[Scalar]:
     Dixon's method: the rank profile is found mod a prime p of PRIMES,
     one pivot block is factored in each embedding of Z[zeta] into F_p,
     and the solution is lifted p-adically with exact residual updates
-    (r - A x) / p, all on packed big ints (`_lift`), until a rational
-    reconstruction over one common denominator satisfies A v == 0,
-    contracted with the same columns in Z[zeta] integers by `addmul`.
-    A wrong reconstruction costs one more lifting step, never a wrong
-    vector.  With the rank n - 1 mod p that proves v spans the kernel.
-    A prime with any other rank is skipped; when every one is, the exact
-    `kernel_basis` of `op.to_rows()` decides, and a kernel that is not
-    a line raises NonGenericPointError.  The last nonzero entry is the
-    free column of `kernel_basis`'s RREF, so both give the same vector.
+    (r - A x) / p, all on packed big ints (`_lift`).  After each step
+    the anchored vector's numerators over the hint are read off first,
+    which a right hint allows after about half the steps that Wang's
+    rational reconstruction needs to find a denominator of its own; then
+    Wang's reconstruction over one common denominator.  Either is
+    returned only once it satisfies A v == 0, contracted with the same
+    columns in Z[zeta] integers by `addmul`.  A wrong reconstruction
+    costs one more lifting step, never a wrong vector.  With the rank
+    n - 1 mod p that proves v spans the kernel.  A prime that does not
+    show the rank n - 1 is skipped: one with any other rank, or one
+    whose residual stops being divisible by p, which an operator with
+    no kernel shows where its rank mod p is n - 1.  When every prime is
+    skipped, the exact `kernel_basis` of `op.to_rows()` decides, and a
+    kernel that is not a line raises NonGenericPointError.  The last
+    nonzero entry is the free column of `kernel_basis`'s RREF, so both
+    give the same vector.
     """
     cols = op.num_cols
     g = gcd(*(a for col in cols for c in col.values() for a in c)) or 1
     d = ring_degree(c for col in cols for c in col.values())
     for p in PRIMES:
-        vec = _lift(cols, g, d, p)
+        vec = _lift(cols, g, d, p, anchor)
         if vec is not None:
-            inv = next(x for x in reversed(vec) if x).inv()
-            return vec if inv == ONE else [x * inv for x in vec]
-    basis = kernel_basis(op.to_rows(), op.dim)
-    if len(basis) != 1:
-        raise NonGenericPointError(f"kernel has dimension {len(basis)}, expected 1")
-    return basis[0]
+            break
+    else:
+        basis = kernel_basis(op.to_rows(), op.dim)
+        if len(basis) != 1:
+            raise NonGenericPointError(f"kernel has dimension {len(basis)}, expected 1")
+        vec = basis[0]
+    if anchor is not None and vec[anchor[0]]:
+        scale = anchor[1] / vec[anchor[0]]
+    else:
+        scale = next(x for x in reversed(vec) if x).inv()
+    return vec if scale == ONE else [x * scale for x in vec]
 
 
 def laurent_fit(

@@ -5,6 +5,9 @@ The transfer matrix at a generic spectral point fixes a unique ray;
 lifting (`exactla.kernel_vector`), certified by an exact
 (T - 1) v == 0, and pins the scale to closed-form anchor components
 so that different points share one global polynomial normalization.
+At a rational point the lifting reads the vector anchored to the
+all-open closed form directly, over a denominator predicted from the
+point (`_denominator_hint`).
 On top of the solver this module carries the full identity apparatus:
 the extremal closed forms, the component sum rule, the exchange and
 reflection equations satisfied by the eigenvector, the size-lowering
@@ -207,9 +210,41 @@ def _at_generic_w(pt: SpectralPoint, candidates: Iterable[Scalar], run: Callable
     raise NonGenericPointError("no generic auxiliary parameter found")
 
 
-def _anchor_target(pt: SpectralPoint, name: str, vec: Sequence[Scalar]):
+def _z_window(length: int) -> int:
+    """The top exponent 2L - 1 of the window [-(2L - 1), 2L - 1] that holds
+    every component, as a Laurent polynomial in each z_i^2: `interpolate_all`
+    fits that window, so the degree suite checks it, and `solve` reads its
+    denominator hint off it."""
+    return 2 * length - 1
+
+
+def _denominator_hint(pt: SpectralPoint) -> int | None:
+    """A multiple of the common denominator of the all-open-anchored vector
+    where z, zeta_1 and zeta_2 are rational; None at any other point.
+
+    In that normalisation every component is a Laurent polynomial in each
+    z_i^2 with exponents in the `_z_window` [-(2L - 1), 2L - 1], and in each
+    zeta^2 with exponents in [-L, L].  The zeta window was measured (at
+    L = 1..5, every component, both zetas), not derived.  So at z_i = a/b the
+    factor |a b|^(2 (2L - 1)) clears z_i, and |a b|^(2L) clears a zeta, where
+    the polynomials' coefficients are integral; w does not enter the vector.
+    A hint that falls short of the true denominator costs the lifting steps
+    of Wang's reconstruction (`exactla._lift`), never a wrong vector.
+    """
+    params = pt.z + (pt.zeta1, pt.zeta2)
+    if not all(x.is_rational() for x in params):
+        return None
+    tops = (_z_window(pt.length),) * pt.length + (pt.length, pt.length)
+    hint = 1
+    for x, top in zip(params, tops):
+        f = x.rational_value()
+        hint *= abs(f.numerator * f.denominator) ** (2 * top)
+    return hint
+
+
+def _anchor_target(pt: SpectralPoint, name: str, vec: Sequence[Scalar], open_form):
     if name == "all_open":
-        return closed_form_all_open(pt), vec[0]
+        return closed_form_all_open(pt) if open_form is None else open_form, vec[0]
     if name == "all_close":
         return closed_form_all_close(pt), vec[-1]
     if name == "sum":
@@ -217,12 +252,16 @@ def _anchor_target(pt: SpectralPoint, name: str, vec: Sequence[Scalar]):
     raise ValueError(f"unknown normalization {name!r}")
 
 
-def _normalize(pt, vec, mode) -> tuple[str, tuple[Scalar, ...]]:
+def _normalize(pt, vec, mode, open_form=None) -> tuple[str, tuple[Scalar, ...]]:
+    """The vector scaled to the first anchor of mode that does not vanish,
+    with the name of that anchor; open_form, where given, is the all-open
+    closed form at pt, already evaluated.  A closed form and its component
+    of which only one vanishes raise ConsistencyError."""
     if mode == "raw":
         return "raw", tuple(vec)
     names = ("all_open", "all_close", "sum") if mode == "auto" else (mode,)
     for name in names:
-        target, comp = _anchor_target(pt, name, vec)
+        target, comp = _anchor_target(pt, name, vec, open_form)
         if target.is_zero() != comp.is_zero():
             raise ConsistencyError(
                 f"{name} anchor contradicts the solved vector: closed form "
@@ -231,7 +270,7 @@ def _normalize(pt, vec, mode) -> tuple[str, tuple[Scalar, ...]]:
             )
         if not comp.is_zero():
             scale = target / comp
-            return name, tuple(x * scale for x in vec)
+            return name, tuple(vec) if scale == ONE else tuple(x * scale for x in vec)
     if mode == "auto":
         return "raw", tuple(vec)
     raise NonGenericPointError(f"{mode} anchor vanishes at this point")
@@ -252,24 +291,43 @@ def solve(
     which with that rank proves the fixed space is this one ray.  Where
     no prime has that rank, the exact elimination decides, and a fixed
     space that is not one-dimensional raises NonGenericPointError, whose
-    message gives the dimension of the kernel.  With check_w the vector
-    is re-verified against T at an independently shifted auxiliary
-    parameter, which must fix it too, or ConsistencyError is raised.  The scale is then
-    pinned to the first available closed-form anchor (all_open, then
-    all_close, then the component sum), falling back to the raw scale
-    (last nonzero component 1) when every anchor vanishes; an explicitly
-    requested anchor that vanishes raises NonGenericPointError instead.
+    message gives the dimension of the kernel.
+
+    For the auto and all_open normalizations the all-open closed form is
+    evaluated first.  Where it is nonzero and z, zeta_1 and zeta_2 are
+    rational, the lifting is anchored to it (entry 0): it reads the
+    anchored vector over the denominator that `_denominator_hint`
+    predicts, in about half the steps that Wang's reconstruction of the
+    vector with its last nonzero entry 1 needs, and falls back to that
+    reconstruction where the hint falls short.  Either way the same
+    vector comes out.
+
+    With check_w the vector is re-verified against T at an independently
+    shifted auxiliary parameter, which must fix it too, or
+    ConsistencyError is raised.  The scale is then pinned to the first
+    available closed-form anchor (all_open, then all_close, then the
+    component sum), falling back to the raw scale (last nonzero
+    component 1) when every anchor vanishes; an explicitly requested
+    anchor that vanishes raises NonGenericPointError instead.  An
+    anchored vector already has that scale and is not scaled again.
     """
     if pt.length > SOLVE_CAP:
         raise ValueError(f"refusing exact solve beyond L = SOLVE_CAP = {SOLVE_CAP}")
-    vec = kernel_vector(transfer_matrix(pt) - SparseOperator.identity(1 << pt.length))
+    op = transfer_matrix(pt) - SparseOperator.identity(1 << pt.length)
+    open_form = anchor = None
+    if normalization in ("auto", "all_open"):
+        open_form = closed_form_all_open(pt)
+        hint = _denominator_hint(pt)
+        if hint is not None and not open_form.is_zero():
+            anchor = (0, open_form, hint)
+    vec = kernel_vector(op, anchor)
     if check_w:
         shifted = [pt.w + Scalar.from_rational(d) for d in (2, 3, 5, 7, 11)]
         if _at_generic_w(pt, shifted, partial(transfer_apply, vec)) != vec:
             raise ConsistencyError(
                 "fixed vector is not independent of the auxiliary parameter"
             )
-    name, comps = _normalize(pt, vec, normalization)
+    name, comps = _normalize(pt, vec, normalization, open_form)
     return GroundstateVector(pt, name, comps)
 
 
@@ -434,8 +492,8 @@ def interpolate_all(
 
     The top degree of any component in each z_i^2 is 2L - 1 and the
     Weyl-orbit structure allows the mirrored negative exponents, so the
-    support window is [-(2L-1), 2L-1]: 4L - 1 samples determine the
-    polynomial and two more are holdout verification.
+    support window is [-(2L-1), 2L-1] (`_z_window`): 4L - 1 samples
+    determine the polynomial and two more are holdout verification.
     Raises DegreeBoundError if a holdout sample disagrees with a fit,
     i.e. if some true degree exceeds the window.  One solve per sample
     covers all 2^L components at once, one `laurent_fit` call fits them
@@ -445,7 +503,8 @@ def interpolate_all(
     length = pt.length
     if not 1 <= var_index <= length:
         raise ValueError(f"variable index {var_index} out of range 1..{length}")
-    width = 4 * length - 1
+    top = _z_window(length)
+    width = 2 * top + 1
     rng = rng if rng is not None else random.Random(23)
     avoid: list[Fraction] = []
     xs: list[Scalar] = []
@@ -459,7 +518,6 @@ def interpolate_all(
             continue
         xs.append(cand * cand)
         cols.append(gs.components)
-    top = 2 * length - 1
     polys = laurent_fit(xs[:width], list(zip(*cols[:width])), -top, top)
     holdouts = []
     for x in xs[width:]:

@@ -21,11 +21,12 @@ from openloop import (
     Scalar,
     SparseOperator,
     c_from_zeta,
+    closed_form_all_open,
     hamiltonian,
     reduction,
     transfer_matrix,
 )
-from openloop import exactla
+from openloop import exactla, groundstate
 from openloop.exactfield import cleared, ring_degree
 from openloop.exactla import (
     PRIMES,
@@ -36,7 +37,7 @@ from openloop.exactla import (
     laurent_fit,
 )
 
-from helpers import draw_point, rational
+from helpers import draw_point, rational, spy_lifting
 
 
 def _rand_scalar(rng: Random) -> Scalar:
@@ -193,9 +194,9 @@ def _spy_degrees(monkeypatch) -> list[int]:
     degrees = []
     lift = exactla._lift
 
-    def spy(cols, g, d, p):
+    def spy(cols, g, d, p, anchor):
         degrees.append(d)
-        return lift(cols, g, d, p)
+        return lift(cols, g, d, p, anchor)
 
     monkeypatch.setattr(exactla, "_lift", spy)
     return degrees
@@ -354,13 +355,17 @@ def test_fixed_vector_falls_back_to_the_exact_kernel_when_every_prime_fails():
     assert kernel_vector(op) == [ONE, ONE, ZERO]
 
 
-def test_an_invertible_operator_of_rank_n_minus_1_mod_p_raises():
+def test_an_invertible_operator_of_rank_n_minus_1_mod_p_raises(monkeypatch):
     # det = p: rank 1 mod PRIMES[0], so the lifting runs, but no kernel
     # exists.  Row 0, the dep row that no solve reads, keeps a residual
-    # of -1 after one step, which p does not divide.
+    # of -1 after one step, which p does not divide: PRIMES[0] does not
+    # show the rank, the other primes show rank 2, and the exact kernel
+    # reports dimension 0.
+    degrees = _spy_degrees(monkeypatch)
     p = rational(PRIMES[0])
-    with pytest.raises(ConsistencyError, match="not divisible by p: no kernel"):
+    with pytest.raises(NonGenericPointError, match="dimension 0, expected 1"):
         kernel_vector(_from_rows([[p, ZERO], [ZERO, ONE]]))
+    assert degrees == [1] * len(PRIMES)
 
 
 def test_kernel_vector_divides_out_a_common_factor_of_the_columns(monkeypatch):
@@ -438,6 +443,60 @@ def test_fixed_vector_scales_its_last_nonzero_entry_to_one():
     p = rational(PRIMES[0])
     op = _from_rows([[p, -ONE], [ZERO, ZERO]])
     assert kernel_vector(op) == [p.inv(), ONE] == _kernel_oracle(op)
+
+
+def test_an_anchor_scales_its_entry_unless_that_entry_is_zero():
+    # Kernel vector (-2, 1, 0): anchored at entry 0 it is scaled so that
+    # entry is 3, whatever the hint; anchored at the zero entry 2 it keeps
+    # its last nonzero entry at 1.
+    op = _from_rows([
+        [ONE, rational(2), ZERO],
+        [ZERO, ZERO, ONE],
+        [rational(3), rational(6), rational(4)],
+    ])
+    three = rational(3)
+    for hint in (1, 2, 7**40):
+        assert kernel_vector(op, (0, three, hint)) == [three, -rational(3, 2), ZERO]
+        assert kernel_vector(op, (2, three, hint)) == [-rational(2), ONE, ZERO]
+
+
+def _prime_factor(n: int) -> int:
+    return next(q for q in range(2, n + 1) if n % q == 0)
+
+
+def _valuation(n: int, q: int) -> int:
+    e = 0
+    while n % q == 0:
+        n, e = n // q, e + 1
+    return e
+
+
+def test_a_wrong_hint_returns_the_same_vector_through_wangs_reconstruction(monkeypatch):
+    # The anchored vector of T - 1, all-open closed form in entry 0, over
+    # the hint that `solve` predicts at a rational point; then over a hint
+    # of 1, one that lacks a prime of the true denominator D, and one that
+    # holds that prime to one power less than D does.  None of the three
+    # is certified, and Wang's reconstruction finds the same vector.
+    pt = draw_point(Random(850), 4)
+    op = _minus_one(transfer_matrix(pt))
+    value = closed_form_all_open(pt)
+    oracle = _kernel_oracle(op)
+    expected = [x * (value / oracle[0]) for x in oracle]
+    _, den = cleared(expected)
+    hint = groundstate._denominator_hint(pt)
+    assert hint % den == 0
+    spy = spy_lifting(monkeypatch)
+    assert kernel_vector(op, (0, value, hint)) == expected
+    assert spy["certified"] == [hint]
+    q = _prime_factor(den)
+    lacks = hint // q ** _valuation(hint, q)
+    short = hint // q ** (_valuation(hint, q) - _valuation(den, q) + 1)
+    assert _valuation(short, q) == _valuation(den, q) - 1
+    for bad in (1, lacks, short):
+        spy.update(anchored=0, wang=0, certified=[])
+        assert kernel_vector(op, (0, value, bad)) == expected, bad
+        (found,) = spy["certified"]
+        assert found != bad and spy["anchored"] == spy["wang"] > 0, bad
 
 
 # -- the packed factorisation against a dense reference ------------------

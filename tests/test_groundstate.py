@@ -47,11 +47,13 @@ from openloop import (
     transfer_matrix,
     z_product,
 )
-from openloop import transfer
+from openloop import exactla, transfer
+from openloop.exactfield import FOURTH_ROOTS
+from openloop.exactla import kernel_vector
 from openloop.groundstate import SOLVE_CAP, a_const, recursion_factor
 from openloop.linkpat import SparseOperator
 
-from helpers import draw_point, rational
+from helpers import draw_point, rational, spy_lifting
 
 
 def test_generic_parameters_avoid_degeneracies():
@@ -232,6 +234,104 @@ def test_auto_normalization_falls_back_when_anchor_vanishes():
     assert gs.normalization == "all_close"
     with pytest.raises(NonGenericPointError):
         solve(specialised, normalization="all_open", check_w=False)
+
+
+# -- the anchored lifting ----------------------------------------------
+
+
+def _spy_anchors(monkeypatch) -> list:
+    """The anchor that `solve` hands `kernel_vector`, per call."""
+    anchors = []
+    kernel_vector = groundstate.kernel_vector
+
+    def spy(op, anchor=None):
+        anchors.append(anchor)
+        return kernel_vector(op, anchor)
+
+    monkeypatch.setattr(groundstate, "kernel_vector", spy)
+    return anchors
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_anchored_and_unanchored_solves_agree(length, monkeypatch):
+    # The anchored lifting returns the vector over the predicted hint; with
+    # no hint the lifting reconstructs the vector with its last nonzero
+    # entry 1, which _normalize scales.  Both give the same output at all
+    # four s.
+    spy = spy_lifting(monkeypatch)
+    for s in FOURTH_ROOTS.values():
+        pt = draw_point(Random(950 + length), length, s=s)
+        spy["certified"].clear()
+        anchored = solve(pt, check_w=False)
+        assert spy["certified"] == [groundstate._denominator_hint(pt)], s
+        with monkeypatch.context() as m:
+            m.setattr(groundstate, "_denominator_hint", lambda pt: None)
+            assert solve(pt, check_w=False) == anchored, s
+
+
+def test_anchored_lifting_takes_fewer_steps(monkeypatch):
+    # At the certified L = 5 solves that the benchmark draws, the anchored
+    # lifting stops after about half the steps of the unanchored one.
+    spy = spy_lifting(monkeypatch)
+    totals = Counter()
+    for seed in range(1, 9):
+        vals = generic_parameters(Random(seed), 8)
+        pt = SpectralPoint(tuple(vals[:5]), vals[5], vals[6], vals[7])
+        op = transfer_matrix(pt) - SparseOperator.identity(32)
+        steps = {}
+        for name, run in (
+            ("anchored", lambda: solve(pt, check_w=False)),
+            ("unanchored", lambda: kernel_vector(op)),
+        ):
+            spy.update(anchored=0, wang=0)
+            run()
+            steps[name] = max(spy["anchored"], spy["wang"])
+        assert steps["anchored"] < steps["unanchored"], (seed, steps)
+        totals.update(steps)
+    assert 3 * totals["anchored"] <= 2 * totals["unanchored"], totals
+
+
+def test_field_valued_points_and_other_anchors_lift_unanchored(monkeypatch):
+    # The hint needs rational z, zeta_1 and zeta_2 and a nonzero all-open
+    # closed form; the sum, all_close and raw normalizations read no
+    # closed form before the kernel.
+    anchors = _spy_anchors(monkeypatch)
+    pt = draw_point(Random(960), 3)
+    solve(pt, check_w=False)
+    assert anchors.pop() is not None
+    unanchored = {
+        "z_1 = 2 zeta^2": (pt.with_z(1, ZETA * ZETA * 2), "auto"),
+        "zeta_1 = 2 + zeta": (replace(pt, zeta1=rational(2) + ZETA), "auto"),
+        "zeta_2 = 3 zeta": (replace(pt, zeta2=ZETA * 3), "all_open"),
+        "vanishing all-open form at z_1 = q zeta_1": (pt.with_z(1, Q * pt.zeta1), "auto"),
+        "sum": (pt, "sum"),
+        "all_close": (pt, "all_close"),
+        "raw": (pt, "raw"),
+    }
+    for name, (point, normalization) in unanchored.items():
+        solve(point, normalization=normalization, check_w=False)
+        assert anchors.pop() is None, name
+
+
+def test_a_field_valued_w_keeps_the_hint_at_d_4(monkeypatch):
+    # w = 2 + zeta puts odd powers of zeta into T, so the lifting runs in
+    # Z[zeta], but the vector does not depend on w: the hint of the
+    # rational z and zetas still reads it.
+    degrees = []
+    lift = exactla._lift
+
+    def spy_degrees(cols, g, d, p, anchor):
+        degrees.append(d)
+        return lift(cols, g, d, p, anchor)
+
+    monkeypatch.setattr(exactla, "_lift", spy_degrees)
+    spy = spy_lifting(monkeypatch)
+    pt = draw_point(Random(970), 3)
+    field_w = pt.with_w(rational(2) + ZETA)
+    gs = solve(field_w)
+    assert degrees == [4]
+    assert spy["certified"] == [groundstate._denominator_hint(pt)]
+    assert gs.components == solve(pt).components
 
 
 def test_groundstate_vector_accessors():
