@@ -11,13 +11,14 @@ The linear algebra shared by the character and groundstate modules:
   ray of the kernel of a `SparseOperator`; its triangular solves and
   its exact residual are packed too, and its certificate A v == 0
   contracts the operator's Z[zeta] integer columns with
-  `exactfield.addmul`.  Given an anchor (an entry, its value and a
-  multiple of the anchored vector's denominator, which
+  `exactfield.addmul`.  Given an anchor (an entry or the entries' sum,
+  its value and a multiple of the anchored vector's denominator, which
   `groundstate.solve` predicts from the point), the lifting reads the
   anchored vector's numerators over that hint after each step, in
   about half the steps that Wang's rational reconstruction needs to
   find a denominator of its own; Wang's reconstruction stays as the
-  fallback, so a wrong hint costs steps and never changes the vector;
+  fallback, scaled to the anchor, so a wrong hint costs steps and never
+  changes the vector.  Only this module scales to an anchor;
 - the Laurent fit `laurent_fit`, which builds one interpolation map per
   set of nodes as a `SparseOperator`, applies it to any number of value
   columns, and returns the interpolated groundstate components as
@@ -38,6 +39,7 @@ from .linkpat import SparseOperator
 __all__ = [
     "PRIMES",
     "LaurentPoly",
+    "anchor_entry",
     "det",
     "kernel_basis",
     "kernel_vector",
@@ -401,19 +403,28 @@ def _quad(flat: Sequence[int], d: int, j: int) -> tuple[int, int, int, int]:
     return tuple(b)
 
 
-def _anchored(acc: Sequence[int], d: int, index: int, scaled: Scalar, m: int):
-    """The numerators over the hint of the vector v scaled so that v_index
-    is the anchor value, from v mod m and scaled = hint * value: the
-    symmetric residues of c v_j mod m, c = scaled / v_index, on the ring
-    basis zeta^(4t/d) as `_reconstruct` returns them; or None unless c
-    lies in the ring and every residue is below m / 2^(2 _MARGIN + 1).
+def anchor_entry(vec: Sequence[Scalar], index: int | None) -> Scalar:
+    """The entry of vec that an anchor pins: vec[index], or the sum of
+    every entry where index is None."""
+    return sum(vec, ZERO) if index is None else vec[index]
 
-    1 / v_index mod m is its conjugate over its norm (`Scalar.inv`), read
-    mod m, where p does not divide that norm.  The products c v_j are
+
+def _anchored(acc: Sequence[int], d: int, index: int | None, scaled: Scalar, m: int):
+    """The numerators over the hint of the vector v whose `anchor_entry`
+    u is the anchor value, from v mod m and scaled = hint * value: the
+    symmetric residues of c v_j mod m, c = scaled / u, on the ring basis
+    zeta^(4t/d) as `_reconstruct` returns them; or None unless c lies in
+    the ring and every residue is below m / 2^(2 _MARGIN + 1).
+
+    1 / u mod m is its conjugate over its norm (`Scalar.inv`), read mod
+    m, where p does not divide that norm.  The products c v_j are
     `_submul`'s, so one body serves every d.  The free column's v_j is
     1, so its residues are c's own and are tested first: a step that is
     still too short costs one inverse."""
-    x = _quad(acc, d, index)
+    if index is None:
+        x = _quad([sum(acc[t::d]) % m for t in range(d)], d, 0)
+    else:
+        x = _quad(acc, d, index)
     if not any(x):
         return None
     (c,), den = cleared([scaled * Scalar.from_integers(x, 1).inv()])
@@ -444,9 +455,13 @@ def _anchored(acc: Sequence[int], d: int, index: int, scaled: Scalar, m: int):
 def _certified(cols: Sequence[dict], nums: Sequence[int], d: int, den: int):
     """The vector nums / den, its d ring coordinates per entry, if it is
     nonzero and the `addmul` contraction of cols with its numerators
-    vanishes; else None."""
+    vanishes; else None.  The numerators are contracted over their gcd
+    with den, which a hint above the true denominator leaves behind."""
     if not any(nums):
         return None
+    g = gcd(den, *nums)
+    if g > 1:
+        nums, den = [a // g for a in nums], den // g
     full = [_quad(nums, d, j) for j in range(len(cols))]
     check: dict = {}
     for col, b in zip(cols, full):
@@ -455,19 +470,17 @@ def _certified(cols: Sequence[dict], nums: Sequence[int], d: int, den: int):
     return None if check else [Scalar.from_integers(b, den) for b in full]
 
 
-def _lift(
-    cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple[int, Scalar, int] | None
-):
+def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     """The kernel vector of the operator whose Z[zeta] integer columns cols
     {row: numerators} have content g, lifted in the first d embeddings
     mod p; None if p does not show the rank n - 1.  A reconstruction v is
     returned only once the `addmul` contraction of cols with v vanishes.
     With an anchor (index, value, hint), each step first reads v scaled
-    to v_index = value over the denominator hint (`_anchored`).  Where
-    that reading does not fit, Wang's reconstruction runs as it does
-    without an anchor, and returns v with its free column at 1: a wrong
-    hint costs steps, never a wrong vector, and the caller scales
-    whichever vector comes back.
+    so that its `anchor_entry` is value, over the denominator hint
+    (`_anchored`).  Where that reading does not fit, Wang's
+    reconstruction runs as it does without an anchor, and returns v with
+    its free column at 1: a wrong hint costs steps, never a wrong
+    vector, and the caller scales whichever vector comes back.
 
     Everything from the columns to that certificate is packed
     (Kronecker substitution): a row, a column of L or U, a right-hand
@@ -575,16 +588,17 @@ def _lift(
 
 
 def kernel_vector(
-    op: SparseOperator, anchor: tuple[int, Scalar, int] | None = None
+    op: SparseOperator, anchor: tuple[int | None, Scalar, int] | None = None
 ) -> list[Scalar]:
     """The one ray of the kernel of the square operator op, scaled so
     that its last nonzero entry is 1, or, with an anchor (index, value,
-    hint), so that entry index is value where that entry is nonzero.
-    hint is a multiple of the anchored vector's common denominator as
-    the caller predicts it (`groundstate.solve` reads one off the
-    point), or any positive integer: it picks how the lifting reads the
-    vector, never which vector comes out.  The lifting reads op's Z[zeta]
-    integer columns `num_cols` and not its denominator, which does not
+    hint), so that its `anchor_entry` is value where that entry is
+    nonzero.  hint is a multiple of the anchored vector's common
+    denominator as the caller predicts it (`groundstate.solve` reads one
+    off the point), or any positive integer: it picks how the lifting
+    reads the vector, never which vector comes out, for the vector of
+    Wang's reconstruction is scaled to the anchor too.  The lifting reads
+    op's Z[zeta] integer columns `num_cols` and not its denominator, which does not
     change the kernel, and divides out their integer content g, with
     which its integers would only grow, as it packs them (`_pack`).
 
@@ -620,8 +634,8 @@ def kernel_vector(
         if len(basis) != 1:
             raise NonGenericPointError(f"kernel has dimension {len(basis)}, expected 1")
         vec = basis[0]
-    if anchor is not None and vec[anchor[0]]:
-        scale = anchor[1] / vec[anchor[0]]
+    if anchor is not None and (entry := anchor_entry(vec, anchor[0])):
+        scale = anchor[1] / entry
     else:
         scale = next(x for x in reversed(vec) if x).inv()
     return vec if scale == ONE else [x * scale for x in vec]

@@ -3,11 +3,11 @@
 The transfer matrix at a generic spectral point fixes a unique ray;
 `solve` computes it as the kernel of the operator T - 1 by p-adic
 lifting (`exactla.kernel_vector`), certified by an exact
-(T - 1) v == 0, and pins the scale to closed-form anchor components
-so that different points share one global polynomial normalization.
-At a rational point the lifting reads the vector anchored to the
-all-open closed form directly, over a denominator predicted from the
-point (`_denominator_hint`).
+(T - 1) v == 0.  Its scale is pinned to a closed-form anchor component
+(or the component sum) so that different points share one global
+polynomial normalization: `solve` only picks the anchor, and the
+lifting reads the vector anchored to it directly, over a denominator
+predicted from the point (`_denominator_hint`).
 On top of the solver this module carries the full identity apparatus:
 the extremal closed forms, the component sum rule, the exchange and
 reflection equations satisfied by the eigenvector, the size-lowering
@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .chars import s_character, z_product
 from .errors import (
@@ -48,8 +48,8 @@ from .errors import (
     NonGenericPointError,
     SingularParameterError,
 )
-from .exactfield import ONE, Scalar, ZERO, kfun
-from .exactla import LaurentPoly, kernel_vector, laurent_fit
+from .exactfield import ONE, Scalar, ZERO, cleared, kfun
+from .exactla import LaurentPoly, anchor_entry, kernel_vector, laurent_fit
 from .linkpat import (
     SparseOperator, all_patterns, apply_e, c_from_zeta, hamiltonian, index_of, word_of
 )
@@ -101,8 +101,9 @@ ComponentEvaluator = Callable[["SpectralPoint"], "Scalar"]
 class GroundstateVector:
     """Fixed vector of T at one point, with the normalization used.
 
-    normalization is one of "all_open", "all_close", "sum" (anchored to
-    the matching closed form) or "raw" (last nonzero component 1).
+    normalization is one of "all_open", "all_close" (the extremal
+    component equals its closed form), "sum" (the component sum equals
+    `chars.z_product`) or "raw" (last nonzero component 1).
     """
 
     point: SpectralPoint
@@ -218,62 +219,35 @@ def _z_window(length: int) -> int:
     return 2 * length - 1
 
 
-def _denominator_hint(pt: SpectralPoint) -> int | None:
-    """A multiple of the common denominator of the all-open-anchored vector
-    where z, zeta_1 and zeta_2 are rational; None at any other point.
+def _denominator_hint(pt: SpectralPoint) -> int:
+    """A multiple of the common denominator of the vector anchored to any
+    closed form of `solve`, at any point of Q(zeta).
 
-    In that normalisation every component is a Laurent polynomial in each
-    z_i^2 with exponents in the `_z_window` [-(2L - 1), 2L - 1], and in each
-    zeta^2 with exponents in [-L, L].  The zeta window was measured (at
-    L = 1..5, every component, both zetas), not derived.  So at z_i = a/b the
-    factor |a b|^(2 (2L - 1)) clears z_i, and |a b|^(2L) clears a zeta, where
-    the polynomials' coefficients are integral; w does not enter the vector.
-    A hint that falls short of the true denominator costs the lifting steps
-    of Wang's reconstruction (`exactla._lift`), never a wrong vector.
+    In that one polynomial normalisation every component is a Laurent
+    polynomial in each z_i^2 with exponents in the `_z_window`, and in
+    each zeta^2 in [-L, L] (measured at L = 1..5, not derived), with
+    integral coefficients.  So for each parameter x with window top,
+    (den(x) den(1/x))^(2 top) clears x^(2e), |e| <= top, den(x) the
+    denominator of x; at x = a/b that is |a b|^(2 top).  w does not enter
+    the vector.  A hint that falls short costs the lifting steps of
+    Wang's reconstruction (`exactla._lift`), never a wrong vector.
     """
-    params = pt.z + (pt.zeta1, pt.zeta2)
-    if not all(x.is_rational() for x in params):
-        return None
     tops = (_z_window(pt.length),) * pt.length + (pt.length, pt.length)
     hint = 1
-    for x, top in zip(params, tops):
-        f = x.rational_value()
-        hint *= abs(f.numerator * f.denominator) ** (2 * top)
+    for x, top in zip(pt.z + (pt.zeta1, pt.zeta2), tops):
+        hint *= (cleared([x])[1] * cleared([x.inv()])[1]) ** (2 * top)
     return hint
 
 
-def _anchor_target(pt: SpectralPoint, name: str, vec: Sequence[Scalar], open_form):
-    if name == "all_open":
-        return closed_form_all_open(pt) if open_form is None else open_form, vec[0]
-    if name == "all_close":
-        return closed_form_all_close(pt), vec[-1]
-    if name == "sum":
-        return z_product(pt), sum(vec, ZERO)
-    raise ValueError(f"unknown normalization {name!r}")
-
-
-def _normalize(pt, vec, mode, open_form=None) -> tuple[str, tuple[Scalar, ...]]:
-    """The vector scaled to the first anchor of mode that does not vanish,
-    with the name of that anchor; open_form, where given, is the all-open
-    closed form at pt, already evaluated.  A closed form and its component
-    of which only one vanishes raise ConsistencyError."""
-    if mode == "raw":
-        return "raw", tuple(vec)
-    names = ("all_open", "all_close", "sum") if mode == "auto" else (mode,)
-    for name in names:
-        target, comp = _anchor_target(pt, name, vec, open_form)
-        if target.is_zero() != comp.is_zero():
-            raise ConsistencyError(
-                f"{name} anchor contradicts the solved vector: closed form "
-                f"{'vanishes' if target.is_zero() else 'is nonzero'} but the "
-                f"component does not agree"
-            )
-        if not comp.is_zero():
-            scale = target / comp
-            return name, tuple(vec) if scale == ONE else tuple(x * scale for x in vec)
-    if mode == "auto":
-        return "raw", tuple(vec)
-    raise NonGenericPointError(f"{mode} anchor vanishes at this point")
+# The closed form that each anchor of `solve` evaluates, and the chain of
+# anchors that each normalization tries in turn.
+_CLOSED_FORMS = {
+    "all_open": closed_form_all_open,
+    "all_close": closed_form_all_close,
+    "sum": z_product,
+}
+_CHAINS = {name: (name,) for name in _CLOSED_FORMS}
+_CHAINS.update(auto=tuple(_CLOSED_FORMS), raw=())
 
 
 def solve(
@@ -283,43 +257,41 @@ def solve(
 ) -> GroundstateVector:
     """Exact fixed vector of T(pt).
 
-    T(pt) is built once by `transfer_matrix`, and the fixed vector is
-    found as the kernel of the operator T(pt) - 1 by Dixon's p-adic
-    lifting (`exactla.kernel_vector`): one elimination mod a prime that
-    shows the rank n - 1, exact residual updates, and a rational
-    reconstruction returned only once (T(pt) - 1) v == 0 holds exactly,
-    which with that rank proves the fixed space is this one ray.  Where
-    no prime has that rank, the exact elimination decides, and a fixed
-    space that is not one-dimensional raises NonGenericPointError, whose
-    message gives the dimension of the kernel.
+    The fixed vector is the kernel of T(pt) - 1, lifted p-adically and
+    certified exactly by `exactla.kernel_vector`; a fixed space that is
+    not one ray raises NonGenericPointError, whose message gives the
+    dimension of the kernel.
 
-    For the auto and all_open normalizations the all-open closed form is
-    evaluated first.  Where it is nonzero and z, zeta_1 and zeta_2 are
-    rational, the lifting is anchored to it (entry 0): it reads the
-    anchored vector over the denominator that `_denominator_hint`
-    predicts, in about half the steps that Wang's reconstruction of the
-    vector with its last nonzero entry 1 needs, and falls back to that
-    reconstruction where the hint falls short.  Either way the same
-    vector comes out.
+    The scale is picked before T is built: the first closed form of the
+    normalization's chain that does not vanish (auto tries all_open,
+    entry 0; all_close, entry n - 1; sum, the component sum, whose closed
+    form is `chars.z_product`), handed to the lifting with the denominator
+    that `_denominator_hint` predicts.  raw, and auto where every closed
+    form vanishes, keep the lifting's scale (last nonzero component 1);
+    a named anchor that vanishes raises NonGenericPointError once the
+    kernel is solved.  A closed form tried that vanishes while its
+    component does not, or the reverse, raises ConsistencyError.  An
+    unknown normalization raises ValueError before T is built.
 
     With check_w the vector is re-verified against T at an independently
     shifted auxiliary parameter, which must fix it too, or
-    ConsistencyError is raised.  The scale is then pinned to the first
-    available closed-form anchor (all_open, then all_close, then the
-    component sum), falling back to the raw scale (last nonzero
-    component 1) when every anchor vanishes; an explicitly requested
-    anchor that vanishes raises NonGenericPointError instead.  An
-    anchored vector already has that scale and is not scaled again.
+    ConsistencyError is raised.
     """
     if pt.length > SOLVE_CAP:
         raise ValueError(f"refusing exact solve beyond L = SOLVE_CAP = {SOLVE_CAP}")
-    op = transfer_matrix(pt) - SparseOperator.identity(1 << pt.length)
-    open_form = anchor = None
-    if normalization in ("auto", "all_open"):
-        open_form = closed_form_all_open(pt)
-        hint = _denominator_hint(pt)
-        if hint is not None and not open_form.is_zero():
-            anchor = (0, open_form, hint)
+    if normalization not in _CHAINS:
+        raise ValueError(f"unknown normalization {normalization!r}")
+    size = 1 << pt.length
+    tried = []  # (name, pinned entry, closed form), up to the first nonzero form
+    for name in _CHAINS[normalization]:
+        value = _CLOSED_FORMS[name](pt)
+        tried.append((name, {"all_open": 0, "all_close": size - 1}.get(name), value))
+        if not value.is_zero():
+            break
+    anchor = None
+    if tried and not tried[-1][2].is_zero():
+        anchor = tried[-1][1:] + (_denominator_hint(pt),)
+    op = transfer_matrix(pt) - SparseOperator.identity(size)
     vec = kernel_vector(op, anchor)
     if check_w:
         shifted = [pt.w + Scalar.from_rational(d) for d in (2, 3, 5, 7, 11)]
@@ -327,8 +299,18 @@ def solve(
             raise ConsistencyError(
                 "fixed vector is not independent of the auxiliary parameter"
             )
-    name, comps = _normalize(pt, vec, normalization, open_form)
-    return GroundstateVector(pt, name, comps)
+    for name, index, value in tried:
+        if value.is_zero() != anchor_entry(vec, index).is_zero():
+            raise ConsistencyError(
+                f"{name} anchor contradicts the solved vector: closed form "
+                f"{'vanishes' if value.is_zero() else 'is nonzero'} but the "
+                f"component does not agree"
+            )
+    if anchor is not None:
+        return GroundstateVector(pt, tried[-1][0], tuple(vec))
+    if normalization not in ("auto", "raw"):
+        raise NonGenericPointError(f"{normalization} anchor vanishes at this point")
+    return GroundstateVector(pt, "raw", tuple(vec))
 
 
 def check_sum_rule(pt: SpectralPoint) -> bool:

@@ -48,7 +48,7 @@ from openloop import (
     z_product,
 )
 from openloop import exactla, transfer
-from openloop.exactfield import FOURTH_ROOTS
+from openloop.exactfield import FOURTH_ROOTS, cleared
 from openloop.exactla import kernel_vector
 from openloop.groundstate import SOLVE_CAP, a_const, recursion_factor
 from openloop.linkpat import SparseOperator
@@ -255,9 +255,9 @@ def _spy_anchors(monkeypatch) -> list:
 @pytest.mark.parametrize("length", range(1, 7))
 def test_anchored_and_unanchored_solves_agree(length, monkeypatch):
     # The anchored lifting returns the vector over the predicted hint; with
-    # no hint the lifting reconstructs the vector with its last nonzero
-    # entry 1, which _normalize scales.  Both give the same output at all
-    # four s.
+    # a hint of 1 the lifting falls back to Wang's reconstruction of the
+    # vector with its last nonzero entry 1, which `kernel_vector` scales
+    # to the anchor.  Both give the same output at all four s.
     spy = spy_lifting(monkeypatch)
     for s in FOURTH_ROOTS.values():
         pt = draw_point(Random(950 + length), length, s=s)
@@ -265,7 +265,7 @@ def test_anchored_and_unanchored_solves_agree(length, monkeypatch):
         anchored = solve(pt, check_w=False)
         assert spy["certified"] == [groundstate._denominator_hint(pt)], s
         with monkeypatch.context() as m:
-            m.setattr(groundstate, "_denominator_hint", lambda pt: None)
+            m.setattr(groundstate, "_denominator_hint", lambda pt: 1)
             assert solve(pt, check_w=False) == anchored, s
 
 
@@ -291,26 +291,96 @@ def test_anchored_lifting_takes_fewer_steps(monkeypatch):
     assert 3 * totals["anchored"] <= 2 * totals["unanchored"], totals
 
 
-def test_field_valued_points_and_other_anchors_lift_unanchored(monkeypatch):
-    # The hint needs rational z, zeta_1 and zeta_2 and a nonzero all-open
-    # closed form; the sum, all_close and raw normalizations read no
-    # closed form before the kernel.
+def test_every_solve_but_raw_lifts_anchored(monkeypatch):
+    # solve hands the lifting the first closed form of the chain that does
+    # not vanish, with the hint, at rational and field-valued points alike:
+    # entry 0, entry n - 1 or the component sum (index None).  Only raw,
+    # which reads no closed form, lifts unanchored.
     anchors = _spy_anchors(monkeypatch)
     pt = draw_point(Random(960), 3)
-    solve(pt, check_w=False)
-    assert anchors.pop() is not None
-    unanchored = {
-        "z_1 = 2 zeta^2": (pt.with_z(1, ZETA * ZETA * 2), "auto"),
-        "zeta_1 = 2 + zeta": (replace(pt, zeta1=rational(2) + ZETA), "auto"),
-        "zeta_2 = 3 zeta": (replace(pt, zeta2=ZETA * 3), "all_open"),
-        "vanishing all-open form at z_1 = q zeta_1": (pt.with_z(1, Q * pt.zeta1), "auto"),
-        "sum": (pt, "sum"),
-        "all_close": (pt, "all_close"),
-        "raw": (pt, "raw"),
+    bulk, _, _ = reduction(pt, 1)
+    cases = {
+        "rational": (pt, "auto", 0),
+        "z_1 = 2 zeta^2": (pt.with_z(1, ZETA * ZETA * 2), "auto", 0),
+        "zeta_1 = 2 + zeta": (replace(pt, zeta1=rational(2) + ZETA), "auto", 0),
+        "zeta_2 = 3 zeta": (replace(pt, zeta2=ZETA * 3), "all_open", 0),
+        "vanishing all-open form at z_1 = q zeta_1": (pt.with_z(1, Q * pt.zeta1), "auto", 7),
+        "vanishing extremal forms at z_2 = q z_1": (bulk, "auto", None),
+        "sum": (pt, "sum", None),
+        "all_close": (pt, "all_close", 7),
     }
-    for name, (point, normalization) in unanchored.items():
-        solve(point, normalization=normalization, check_w=False)
-        assert anchors.pop() is None, name
+    for name, (point, normalization, expected) in cases.items():
+        gs = solve(point, normalization=normalization, check_w=False)
+        index, value, hint = anchors.pop()
+        assert index == expected and hint == groundstate._denominator_hint(point), name
+        assert exactla.anchor_entry(gs.components, index) == value, name
+    solve(pt, normalization="raw", check_w=False)
+    assert anchors.pop() is None
+
+
+def test_an_unknown_normalization_is_rejected_before_t_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(groundstate, "transfer_matrix", built.append)
+    with pytest.raises(ValueError, match="unknown normalization 'bogus'"):
+        solve(draw_point(Random(961), 2), normalization="bogus")
+    assert built == []
+
+
+def test_a_closed_form_that_contradicts_its_component_raises(monkeypatch):
+    # A vanishing all-open form is skipped, but its component must vanish
+    # too; a nonzero all-close form is the anchor, and its component must
+    # not vanish, which it does at z_L = zeta_2 / q.
+    pt = draw_point(Random(964), 3)
+    with monkeypatch.context() as m:
+        m.setitem(groundstate._CLOSED_FORMS, "all_open", lambda p: Scalar.zero())
+        with pytest.raises(ConsistencyError, match="all_open anchor .* closed form vanishes"):
+            solve(pt, check_w=False)
+    right, _, _ = reduction(pt, 3)
+    monkeypatch.setitem(groundstate._CLOSED_FORMS, "all_close", lambda p: ONE)
+    with pytest.raises(ConsistencyError, match="all_close anchor .* closed form is nonzero"):
+        solve(right, normalization="all_close", check_w=False)
+
+
+def test_the_hint_at_a_rational_point_is_the_product_of_its_parameters():
+    # |a b|^(2 (2L - 1)) for each z_i = a/b and |a b|^(2L) for each zeta.
+    for length in range(4):
+        pt = draw_point(Random(962 + length), length)
+        tops = [(z, 2 * length - 1) for z in pt.z] + [(pt.zeta1, length), (pt.zeta2, length)]
+        hint = 1
+        for x, top in tops:
+            f = x.rational_value()
+            hint *= abs(f.numerator * f.denominator) ** (2 * top)
+        assert groundstate._denominator_hint(pt) == hint, length
+
+
+@pytest.mark.parametrize("length", [2, 3, 4])
+def test_the_hint_clears_every_anchored_vector_at_field_valued_points(length):
+    # The all-open, all-close and sum vectors at zeta_1 + zeta, at
+    # z_1 zeta^2 and at each specialisation of `reduction`, where an
+    # extremal anchor that vanishes is skipped; the sum never vanishes.
+    for seed in range(4):
+        pt = draw_point(Random(seed), length)
+        points = [replace(pt, zeta1=pt.zeta1 + ZETA), pt.with_z(1, pt.z[0] * ZETA * ZETA)]
+        points += [reduction(pt, i)[0] for i in range(length + 1)]
+        for point in points:
+            hint = groundstate._denominator_hint(point)
+            for normalization in ("all_open", "all_close", "sum"):
+                try:
+                    gs = solve(point, normalization=normalization, check_w=False)
+                except NonGenericPointError:
+                    assert normalization != "sum", seed
+                    continue
+                assert hint % cleared(gs.components)[1] == 0, (seed, normalization)
+
+
+def test_the_sum_and_all_close_anchors_are_read_over_the_hint(monkeypatch):
+    spy = spy_lifting(monkeypatch)
+    pt = draw_point(Random(963), 4)
+    for point in (pt, replace(pt, zeta1=pt.zeta1 + ZETA)):
+        for normalization in ("sum", "all_close"):
+            spy["certified"].clear()
+            solve(point, normalization=normalization, check_w=False)
+            assert spy["certified"] == [groundstate._denominator_hint(point)], normalization
 
 
 def test_a_field_valued_w_keeps_the_hint_at_d_4(monkeypatch):
