@@ -337,13 +337,13 @@ def cleared(xs: Collection[Scalar]) -> tuple[list[tuple[int, int, int, int]], in
     return [x._n if x._d == d else tuple(n * (d // x._d) for n in x._n) for x in xs], d
 
 
-def cleared_columns(cols: Sequence[dict[int, Scalar]]) -> tuple[list[list[tuple]], int]:
-    """Sparse columns {index: Scalar} as lists of (index, numerators), all
-    over one `cleared` denominator, which is returned with them."""
+def cleared_columns(cols: Sequence[dict[int, Scalar]]) -> tuple[list[dict[int, tuple]], int]:
+    """Sparse columns {index: Scalar} as {index: numerators}, all over one
+    `cleared` denominator, which is returned with them."""
     nums, d = cleared([v for col in cols for v in col.values()])
     flat = iter(nums)
     # zip stops at the end of col before it draws from flat.
-    return [list(zip(col, flat)) for col in cols], d
+    return [dict(zip(col, flat)) for col in cols], d
 
 
 def ring_degree(nums: Iterable[tuple[int, int, int, int]]) -> int:

@@ -252,7 +252,7 @@ class SparseOperator:
             raise ValueError("need one column per basis state")
         nums, self.den = cleared_columns(cols)
         self.dim = dim
-        self.num_cols = [{r: n for r, n in col if any(n)} for col in nums]
+        self.num_cols = [{r: n for r, n in col.items() if any(n)} for col in nums]
 
     @classmethod
     def from_integers(cls, cols: list[dict[int, tuple]], den: int) -> SparseOperator:
@@ -277,15 +277,15 @@ class SparseOperator:
         d = self.den
         return [{r: Scalar.from_integers(n, d) for r, n in col.items()} for col in self.num_cols]
 
-    def _times(self, cols: Iterable[Iterable[tuple]], den: int) -> tuple[list[dict], int]:
-        """self applied to each sparse column of (index, Z[zeta]
-        numerators) pairs over den: one `addmul` contraction per column
-        entry, with no gcd, into columns over self.den * den."""
+    def _times(self, cols: Iterable[dict[int, tuple]], den: int) -> tuple[list[dict], int]:
+        """self applied to each sparse column {index: Z[zeta] numerators}
+        over den: one `addmul` contraction per column entry, with no gcd,
+        into columns over self.den * den."""
         left = self.num_cols
         out = []
         for col in cols:
             acc: dict[int, tuple[int, int, int, int]] = {}
-            for k, b in col:
+            for k, b in col.items():
                 addmul(acc, b, left[k].items())
             out.append(acc)
         return out, self.den * den
@@ -295,12 +295,9 @@ class SparseOperator:
         exact, so it also certifies a fixed vector as T v == v."""
         if len(vec) != self.dim:
             raise ValueError("vector length mismatch")
-        entering = cleared_columns([{j: x for j, x in enumerate(vec) if not x.is_zero()}])
-        (col,), d = self._times(*entering)
-        out = [ZERO] * self.dim
-        for r, n in col.items():
-            out[r] = Scalar.from_integers(n, d)
-        return out
+        seeds = {j: x for j, x in enumerate(vec) if not x.is_zero()}
+        (col,), d = self._times(*cleared_columns([seeds]))
+        return [Scalar.from_integers(col[r], d) if r in col else ZERO for r in range(self.dim)]
 
     def compose(self, other: SparseOperator) -> SparseOperator:
         """Matrix product self @ other: `_times` of the columns of other,
@@ -308,7 +305,7 @@ class SparseOperator:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return SparseOperator.from_integers(
-            *self._times([col.items() for col in other.num_cols], other.den)
+            *self._times(other.num_cols, other.den)
         )
 
     def __matmul__(self, other: SparseOperator) -> SparseOperator:

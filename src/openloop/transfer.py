@@ -18,27 +18,26 @@ the exact L = 1, 2 groundstates), in the order the strand meets them:
     left wall:                   face_weights_K0(1 / w, zeta_1).
 
 No tile reads s, so T does not depend on it: s enters only through
-`pi_point` and `exchange_coefficients`.  All contractions go through
-one frontier sweep, `_sweep`, which applies the tiles in that order to
-a batch of sparse vectors: each partial state (site j's strand end in
+`pi_point` and `exchange_coefficients`.  Every product with T is one
+frontier sweep, `_sweep`, which applies the tiles in that order to a
+batch of sparse columns: each partial state (site j's strand end in
 slot j) carries the amplitudes of the whole batch, and states of equal
-connectivity merge across patterns and vectors.  Where each state goes
+connectivity merge across patterns and columns.  Where each state goes
 depends only on L, so `_plan` finds it once per L and a sweep only does
-arithmetic.  Vectors are keyed by basis index, amplitudes are Z[zeta]
-numerators, the batch enters over one denominator, and each tile's two
-weights share another, kept outside the sweep.  Every product is taken
+arithmetic.  Columns are keyed by basis index and hold Z[zeta]
+numerators over one denominator, as a `SparseOperator` does, and each
+tile's two weights share another, kept outside the sweep.  Products are
 in Z[omega], omega = zeta^2: a Z[zeta] amplitude is x + zeta y with x
 and y in Z[omega], and where a weight or an entering entry has an odd
 power of zeta (`ring_degree` 4) each state splits into these two parts,
 else it keeps x alone, which every rational point takes.  A part packs
 the batch's numerators into one big int per power of omega, with a slot
-of fixed width per vector (Kronecker substitution), so a tile step is
+of fixed width per column (Kronecker substitution), so a tile step is
 one Z[omega] product per part and weight factor, run in C with no gcd.
-The sweep returns integer columns over one denominator.  `transfer_matrix`
-(a sweep of the basis) keeps them as the integer form of its
-`SparseOperator`, and the recursion checks compare them with
-`same_columns`, both with no gcd; only `transfer_apply` (of one vector)
-reads its column out as Scalars, through `_read`.
+The sweep returns columns in the same form: `transfer_times(pt, op)`
+keeps them as T(pt) @ op, `transfer_matrix` is T times the identity,
+and the recursion checks compare two sweeps with `same_columns`, all
+with no gcd; only `transfer_apply` clears and reads back Scalars.
 `transfer_matrix_naive` expands the 2^(2L+2) planar fillings by
 explicit path tracing, independently of the sweep, as its oracle.
 
@@ -108,6 +107,7 @@ __all__ = [
     "exchange_operator",
     "reduction",
     "transfer_matrix",
+    "transfer_times",
     "transfer_apply",
     "transfer_matrix_naive",
     "check_interlace",
@@ -320,18 +320,18 @@ def _unpack(packed: int, span: int, width: int) -> list[int]:
 
 
 def _sweep(
-    pt: SpectralPoint, vectors: Sequence[dict[int, Scalar]]
+    pt: SpectralPoint, cols: Sequence[dict[int, tuple[int, int, int, int]]], den: int
 ) -> tuple[list[dict[int, tuple[int, int, int, int]]], int]:
-    """T(pt) applied to each sparse vector {basis index: coefficient}, as
-    one sparse column {row: Z[zeta] numerators} per vector over one
+    """T(pt) applied to each sparse column {basis index: Z[zeta]
+    numerators} over den, as one such column per input column over one
     denominator, returned with it, in a single pass that follows the
     `_plan` of L and only does the arithmetic.
 
-    Layer 0 of the plan is the basis in index order, so vector entries
-    seed it directly.  The batch enters as its `cleared_columns`, over
-    one denominator D, and tile t multiplies by numerators over its own
-    d_t, so every final amplitude stands over c D, c = prod d_t, which is
-    returned as it is, with no gcd.  Every product is taken in Z[omega],
+    Layer 0 of the plan is the basis in index order, so column entries
+    seed it directly.  The batch enters over its one denominator D = den,
+    and tile t multiplies by numerators over its own d_t, so every final
+    amplitude stands over c D, c = prod d_t, which is returned as it is,
+    with no gcd.  Every product is taken in Z[omega],
     omega = zeta^2 with omega^2 = omega - 1: a Z[zeta] numerator is
     x + zeta y with x = (n0, n2) and y = (n1, n3) in Z[omega], its parts
     0 and 1.  When some weight or entering entry has a zeta or zeta^3
@@ -339,7 +339,7 @@ def _sweep(
     i << 1 | part, else every y is 0 and only part 0, keyed i, is kept.
     A key holds its part's Z[omega] numerators for the whole batch as
     (off, A0, A2): slot j of A0 and of A2, W bits wide, is the 1 and the
-    omega numerator of vector off + j.  A weight C + zeta D sends (x, y) to
+    omega numerator of column off + j.  A weight C + zeta D sends (x, y) to
     (x C + y omega D, x D + y C), so each source part has a list of
     (is_e, target part, Z[omega] factor) with zero factors dropped
     (`_factors`), and a tile step is one Z[omega] product per (key,
@@ -354,12 +354,12 @@ def _sweep(
     when all its slots are, while every slot lies in (-2^(W-1), 2^(W-1)).
     W is chosen for that, a condition the code does not check.  Since
     |a b|_1 <= 2 |a|_1 |b|_1 in Z[omega] (omega^2 = omega - 1 has l1
-    norm 2), a tile multiplies the l1 mass of one vector, summed over
+    norm 2), a tile multiplies the l1 mass of one column, summed over
     keys and powers of omega, by at most g_t = 2 max_p sum_f |f|_1, the
     sum over the factors f of source part p.  With part 0 alone this is
     2 (|id_t|_1 + |cup_t|_1); otherwise |omega D|_1 <= 2 |D|_1, so g_t
     is at most twice that.  Every slot, and every partial sum of slots,
-    is bounded by its vector's mass, hence by M = max_v |v|_1 prod_t
+    is bounded by its column's mass, hence by M = max_v |v|_1 prod_t
     g_t, and W = bits(M) + 2 rounded up to whole bytes.  So a key whose
     packed ints cancel to 0 is dropped, and the last layer, whose states
     are the rows, is read back exactly with `_unpack`, both parts of a
@@ -370,8 +370,7 @@ def _sweep(
         if (tile := tiles.get(fw)) is None:  # a repeated tile is cleared once
             tile = tiles[fw] = cleared((fw.id_weight, fw.cup_weight))
         plan.append((succ, *tile))
-    entering, den = cleared_columns(vectors)
-    numerators = chain(*(nums for nums, _ in tiles.values()), (n for v in entering for _, n in v))
+    numerators = chain(*(nums for nums, _ in tiles.values()), *(col.values() for col in cols))
     sh = int(ring_degree(numerators) == 4)
     steps, c, bound = [], 1, 1
     for succ, nums, d in plan:
@@ -379,29 +378,29 @@ def _sweep(
         c *= d
         bound *= 2 * max(sum(abs(b0) + abs(b2) for _, _, b0, b2, _ in fs) for fs in factors)
         steps.append((succ, factors))
-    mass = max((sum(abs(x) for _, n in vec for x in n) for vec in entering), default=0)
+    mass = max((sum(abs(x) for n in col.values() for x in n) for col in cols), default=0)
     width = -(-((mass * bound).bit_length() + 2) // 8) * 8
     states: dict = {}
-    for col, vec in enumerate(entering):
-        for j, n in vec:
+    for v, col in enumerate(cols):
+        for j, n in col.items():
             for part in range(1 + sh):
                 a0, a2 = n[part], n[part + 2]
                 if (prev := states.get(k := j << sh | part)) is not None:
-                    shift = width * (col - prev[0])  # cols rise, so the earlier offset stays
+                    shift = width * (v - prev[0])  # v rises, so the earlier offset stays
                     states[k] = (prev[0], prev[1] + (a0 << shift), prev[2] + (a2 << shift))
                 elif a0 or a2:
-                    states[k] = (col, a0, a2)
+                    states[k] = (v, a0, a2)
     for succ, factors in steps:
         states = _layer(states, succ, factors, sh, width)
-    cols: list[dict] = [{} for _ in vectors]
+    out: list[dict] = [{} for _ in cols]
     for k, (off, a0, a2) in states.items():
         r, part = k >> sh, k & sh
-        span = len(vectors) - off
+        span = len(cols) - off
         for j, x, y in zip(count(off), _unpack(a0, span, width), _unpack(a2, span, width)):
             if x or y:
-                n = cols[j].get(r, (0, 0, 0, 0))
-                cols[j][r] = (n[0], x, n[2], y) if part else (x, n[1], y, n[3])
-    return cols, c * den
+                n = out[j].get(r, (0, 0, 0, 0))
+                out[j][r] = (n[0], x, n[2], y) if part else (x, n[1], y, n[3])
+    return out, c * den
 
 
 def _factors(nums: list[tuple[int, int, int, int]], sh: int) -> list[list[tuple]]:
@@ -451,26 +450,27 @@ def _layer(states: dict, succ: tuple, factors: list, sh: int, width: int) -> dic
     return out
 
 
-def _read(swept: tuple[list[dict], int]) -> list[dict[int, Scalar]]:
-    """The Scalar columns of a `_sweep` result, one gcd per entry: the
-    read-out of `transfer_apply`, which returns Scalars."""
-    cols, den = swept
-    return [{r: Scalar.from_integers(n, den) for r, n in col.items()} for col in cols]
+def transfer_times(pt: SpectralPoint, op: SparseOperator) -> SparseOperator:
+    """T(pt) @ op: one sweep of the integer columns of op, whose result
+    over c D is the product, with no gcd."""
+    if op.dim != 1 << pt.length:
+        raise ValueError("dimension mismatch")
+    return SparseOperator.from_integers(*_sweep(pt, op.num_cols, op.den))
 
 
 def transfer_matrix(pt: SpectralPoint) -> SparseOperator:
-    """T at pt as a 2^L by 2^L operator: one sweep of every basis vector,
-    whose integer columns over c D are the operator, with no gcd."""
-    return SparseOperator.from_integers(*_sweep(pt, [{j: ONE} for j in range(1 << pt.length)]))
+    """T at pt as a 2^L by 2^L operator: T times the identity."""
+    return transfer_times(pt, SparseOperator.identity(1 << pt.length))
 
 
 def transfer_apply(vec: Sequence[Scalar], pt: SpectralPoint) -> list[Scalar]:
-    """T(pt) applied to a coefficient vector in the pattern basis, in one
-    sweep seeded with every nonzero component."""
+    """T(pt) applied to a coefficient vector in the pattern basis: one sweep
+    of its `cleared_columns`, read back as Scalars, one gcd per entry."""
     if len(vec) != 1 << pt.length:
         raise ValueError("vector length mismatch")
-    (col,) = _read(_sweep(pt, [{j: x for j, x in enumerate(vec) if not x.is_zero()}]))
-    return [col.get(r, ZERO) for r in range(len(vec))]
+    seeds = {j: x for j, x in enumerate(vec) if not x.is_zero()}
+    (col,), d = _sweep(pt, *cleared_columns([seeds]))
+    return [Scalar.from_integers(col[r], d) if r in col else ZERO for r in range(len(vec))]
 
 
 # -- naive oracle ------------------------------------------------------
@@ -574,13 +574,13 @@ def transfer_matrix_naive(pt: SpectralPoint) -> SparseOperator:
 
 
 def check_interlace(pt: SpectralPoint, tmat: SparseOperator) -> list[bool]:
-    """O_i T(pt) = T(pi_i pt) O_i for i = 0..L, given tmat = T(pt): the
-    exchange of neighbouring z's in the bulk and the reflections at both
-    walls."""
+    """O_i T(pt) = T(pi_i pt) O_i for i = 0..L (the exchange of
+    neighbouring z's in the bulk, the reflections at both walls), given
+    tmat = T(pt); the right side is one sweep of O_i, so no T is built."""
     verdicts = []
     for i in range(pt.length + 1):
         op = exchange_operator(pt, i)
-        verdicts.append(op @ tmat == transfer_matrix(pi_point(pt, i)) @ op)
+        verdicts.append(op @ tmat == transfer_times(pi_point(pt, i), op))
     return verdicts
 
 
@@ -589,8 +589,8 @@ def _check_embedding(pt: SpectralPoint, reduced: SpectralPoint, embed) -> bool:
     at pt against one sweep of the whole basis at the reduced point,
     compared on their integer columns by `same_columns`."""
     embedded = [index_of(embed(word)) for word in all_patterns(reduced.length)]
-    lhs, dl = _sweep(pt, [{j: ONE} for j in embedded])
-    rhs, dr = _sweep(reduced, [{j: ONE} for j in range(len(embedded))])
+    lhs, dl = _sweep(pt, [{j: (1, 0, 0, 0)} for j in embedded], 1)
+    rhs, dr = _sweep(reduced, [{j: (1, 0, 0, 0)} for j in range(len(embedded))], 1)
     return same_columns(lhs, dl, [{embedded[r]: n for r, n in col.items()} for col in rhs], dr)
 
 

@@ -42,6 +42,7 @@ from .transfer import (
     reduction,
     transfer_matrix,
     transfer_matrix_naive,
+    transfer_times,
 )
 
 __all__ = ["SUITE_NAMES", "run_suite"]
@@ -120,9 +121,9 @@ def suite_transfer(length: int, trials: int, rng: random.Random) -> Rows:
     for _ in range(trials):
         pt = _point(rng, length)
         (w2,) = generic_parameters(rng, 1, avoid=[pt.w.rational_value()])
-        tmat = transfer_matrix(pt)
-        other = transfer_matrix(pt.with_w(w2))
-        yield "commuting family: [T(v), T(w)] = 0", [tmat @ other == other @ tmat]
+        tmat, other = transfer_matrix(pt), transfer_matrix(pt.with_w(w2))
+        vw, wv = transfer_times(pt, other), transfer_times(pt.with_w(w2), tmat)
+        yield "commuting family: [T(v), T(w)] = 0", [vw == wv]
         yield "stochastic columns: every column of T sums to one", [
             total == ONE for total in tmat.column_sums()
         ]

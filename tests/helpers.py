@@ -1,4 +1,5 @@
-"""Shared draw helpers for the test suite, and a spy on the p-adic lifting.
+"""Shared draw helpers for the test suite, a spy on the p-adic lifting
+and a frontier sweep with one wrong entry.
 
 Every test that needs spectral parameters draws them through
 `draw_point` with an explicit seed, so failures reproduce exactly.
@@ -11,6 +12,7 @@ from random import Random
 from openloop import ONE, Scalar, SpectralPoint
 from openloop import exactla
 from openloop.groundstate import generic_parameters
+from openloop.transfer import _sweep
 
 
 def draw_point(rng: Random, length: int, s: Scalar = ONE) -> SpectralPoint:
@@ -64,3 +66,21 @@ def spy_lifting(monkeypatch) -> dict:
 
     monkeypatch.setattr(exactla, "_certified", spy_certified)
     return record
+
+
+def mutated_sweep(target: int, calls: list):
+    """A stand-in for `transfer._sweep` that appends each call's point to
+    calls and, in call number target (from 0), adds one to the first
+    numerator of the lowest row of the first nonzero column."""
+
+    def mutated(point, cols, den):
+        out, d = _sweep(point, cols, den)
+        if len(calls) == target:
+            col = next(c for c in out if c)
+            row = min(col)
+            n0, n1, n2, n3 = col[row]
+            col[row] = (n0 + 1, n1, n2, n3)
+        calls.append(point)
+        return out, d
+
+    return mutated

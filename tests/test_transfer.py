@@ -17,6 +17,7 @@ from openloop import (
     ZETA,
     NonGenericPointError,
     Scalar,
+    SparseOperator,
     SpectralPoint,
     check_T_recursion,
     check_interlace,
@@ -28,19 +29,20 @@ from openloop import (
     transfer_apply,
     transfer_matrix,
     transfer_matrix_naive,
+    transfer_times,
 )
+from openloop.exactfield import cleared_columns
 from openloop.groundstate import generic_parameters, recursion_factor, solve
 from openloop.transfer import (
     _check_embedding,
     _plan,
-    _read,
     _sweep,
     _tile_weights,
     _unpack,
     assert_generic,
 )
 
-from helpers import draw_point, rational
+from helpers import draw_point, mutated_sweep, rational
 
 
 def test_spectral_point_validation():
@@ -144,8 +146,8 @@ def test_sweep_bodies_agree(length):
     # oracle there.
     pt = draw_point(Random(211 + length), length)
     dim = 1 << length
-    even, d_even = _sweep(pt, [{j: ONE} for j in range(dim)])
-    odd, d_odd = _sweep(pt, [{j: ZETA} for j in range(dim)])
+    even, d_even = _sweep(pt, [{j: (1, 0, 0, 0)} for j in range(dim)], 1)
+    odd, d_odd = _sweep(pt, [{j: (0, 1, 0, 0)} for j in range(dim)], 1)
     assert d_odd == d_even
     assert all(n1 == n3 == 0 for col in even for n0, n1, n2, n3 in col.values())
     times_zeta = [{r: (0, n0, 0, n2) for r, (n0, n1, n2, n3) in col.items()} for col in even]
@@ -166,13 +168,20 @@ def test_bulk_tiles_with_equal_arguments_share_their_weights():
     assert len({id(fw) for fw in generic}) == 8
 
 
+def scalar_sweep(pt: SpectralPoint, vectors: list[dict]) -> list[dict]:
+    """The sweep of sparse Scalar vectors, cleared to one denominator on
+    the way in and read back as Scalar columns, one gcd per entry."""
+    cols, den = _sweep(pt, *cleared_columns(vectors))
+    return [{r: Scalar.from_integers(n, den) for r, n in col.items()} for col in cols]
+
+
 def test_sweep_batch_with_different_denominators():
     # A batch is swept over one common denominator and reads back as its
     # vectors swept alone.
     pt = draw_point(Random(127), 3)
     u = {index_of("()("): rational(1, 3), index_of(")(("): rational(2) + ZETA}
     v = {index_of("()("): ZETA / 5 - rational(1, 7), index_of("((("): rational(3, 11)}
-    assert _read(_sweep(pt, [u, v])) == _read(_sweep(pt, [u])) + _read(_sweep(pt, [v]))
+    assert scalar_sweep(pt, [u, v]) == scalar_sweep(pt, [u]) + scalar_sweep(pt, [v])
     # Above NAIVE_CAP, against T.apply, whose addmul products share no
     # packed slots with the sweep: a batch of ~1000-bit mixed-sign
     # numerators, a basis vector and odd powers of zeta, at three offsets,
@@ -191,7 +200,7 @@ def test_sweep_batch_with_different_denominators():
         odd = {j: rational(j + 1, 5) + ZETA**j for j in range(0, dim, 3)}
         batch = [big, {dim - 1: ONE}, odd]
         tmat = transfer_matrix(pt)
-        for col, vec in zip(_read(_sweep(pt, batch)), batch):
+        for col, vec in zip(scalar_sweep(pt, batch), batch):
             applied = tmat.apply([vec.get(j, ZERO) for j in range(dim)])
             assert col == {r: x for r, x in enumerate(applied) if not x.is_zero()}
 
@@ -202,24 +211,73 @@ def test_transfer_recursion_fails_on_a_mutated_sweep_entry(monkeypatch):
     # fails that index alone.
     pt = draw_point(Random(91), 3)
     assert check_T_recursion(pt) == [True] * 4
-    sweep = transfer._sweep
     for target in range(8):
         calls = []
-
-        def mutated(point, vectors):
-            cols, den = sweep(point, vectors)
-            if len(calls) == target:
-                col = next(c for c in cols if c)
-                row = min(col)
-                n0, n1, n2, n3 = col[row]
-                col[row] = (n0 + 1, n1, n2, n3)
-            calls.append(point)
-            return cols, den
-
-        monkeypatch.setattr(transfer, "_sweep", mutated)
+        monkeypatch.setattr(transfer, "_sweep", mutated_sweep(target, calls))
         verdicts = check_T_recursion(pt)
         assert len(calls) == 8
         assert verdicts == [i != target // 2 for i in range(4)], target
+
+
+def wide_operator(rng: Random, dim: int, odd: bool) -> SparseOperator:
+    """Three entries per column, over denominators that differ between
+    columns, with ~1000-bit mixed-sign numerators, odd powers of zeta
+    where odd is set, and one all-zero column."""
+    cols = []
+    for j in range(dim):
+        col = {}
+        for r in rng.sample(range(dim), min(dim, 3)):
+            nums = [rng.choice((-1, 1)) * rng.getrandbits(1000) for _ in range(4)]
+            if not odd:
+                nums[1] = nums[3] = 0
+            col[r] = Scalar.from_integers(nums, 3 ** (j % 5) * 7 ** (r % 2))
+        cols.append(col)
+    cols[rng.randrange(dim)] = {}
+    return SparseOperator(dim, cols)
+
+
+@pytest.mark.parametrize("length", range(7))
+def test_transfer_times_matches_compose(length):
+    # One sweep of the integer columns of X against the reference product
+    # `compose` of the swept basis with X, at a rational point and with
+    # odd powers of zeta in every weight, for X in Z[omega] and with odd
+    # powers of zeta in its entries.
+    rng = Random(503 + length)
+    pt = draw_point(rng, length)
+    dim = 1 << length
+    for point in (pt, odd_everywhere(pt)):
+        tmat = transfer_matrix(point)
+        for odd in (False, True):
+            x = wide_operator(rng, dim, odd)
+            assert transfer_times(point, x) == tmat @ x, (point, odd)
+    with pytest.raises(ValueError):
+        transfer_times(pt, SparseOperator.identity(2 * dim))
+
+
+def test_interlace_fails_on_a_mutated_sweep_entry(monkeypatch):
+    # The right side of index k is the k-th sweep of check_interlace (the
+    # left side is a product with the given T); one numerator off by one
+    # there fails index k alone.
+    pt = draw_point(Random(509), 3)
+    tmat = transfer_matrix(pt)
+    assert check_interlace(pt, tmat) == [True] * 4
+    for target in range(4):
+        calls = []
+        monkeypatch.setattr(transfer, "_sweep", mutated_sweep(target, calls))
+        verdicts = check_interlace(pt, tmat)
+        assert calls == [pi_point(pt, i) for i in range(4)]
+        assert verdicts == [i != target for i in range(4)], target
+
+
+def test_interlace_builds_no_transfer_matrix(monkeypatch):
+    pt = draw_point(Random(521), 3)
+    tmat = transfer_matrix(pt)
+
+    def refuse(point):
+        raise AssertionError(f"check_interlace built T at {point}")
+
+    monkeypatch.setattr(transfer, "transfer_matrix", refuse)
+    assert check_interlace(pt, tmat) == [True] * 4
 
 
 @pytest.mark.parametrize("width", [8, 16, 208])

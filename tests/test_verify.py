@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from openloop import SUITE_NAMES, run_suite, verify
+from openloop import SUITE_NAMES, run_suite, transfer, verify
+
+from helpers import mutated_sweep
 
 
 def test_suite_names_are_stable():
@@ -83,3 +85,30 @@ def test_sumrule_checks_the_character_recursion_from_two_sites():
     assert (label, True) in run_suite("sumrule", 3, 2, seed=4)
     assert (label, True) in run_suite("sumrule", 2, 1, seed=0)
     assert label not in dict(run_suite("sumrule", 1, 1, seed=4))
+
+
+def test_transfer_trial_builds_two_transfer_matrices(monkeypatch):
+    # T(v) and T(w); every other product with T is a sweep.
+    built = []
+    build = transfer.transfer_matrix
+
+    def counted(pt):
+        built.append(pt)
+        return build(pt)
+
+    monkeypatch.setattr(verify, "transfer_matrix", counted)
+    monkeypatch.setattr(transfer, "transfer_matrix", counted)
+    report = run_suite("transfer", 3, 2, seed=0)
+    assert report and all(ok for _, ok in report)
+    assert len(built) == 4
+
+
+def test_commuting_row_fails_on_a_mutated_sweep_entry(monkeypatch):
+    # A trial sweeps the basis at v and at w, then T(v) T(w) and T(w) T(v)
+    # as sweeps of T(w) and T(v); one numerator off by one in either
+    # product fails the commuting row alone.
+    for target in (2, 3):
+        calls = []
+        monkeypatch.setattr(transfer, "_sweep", mutated_sweep(target, calls))
+        failed = [label for label, ok in run_suite("transfer", 3, 1, seed=0) if not ok]
+        assert failed == ["commuting family: [T(v), T(w)] = 0"], target
