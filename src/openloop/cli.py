@@ -51,15 +51,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_scalar(text: str) -> Scalar:
-    """A rational "p", "p/d", or a coefficient 4-tuple "a:b:c:d"."""
+    """A rational "p", "p/d", or a coefficient 4-tuple "a:b:c:d" of them,
+    each an optionally signed integer or such a fraction: with no exponent
+    or decimal point, no value has more digits than its text."""
     text = text.strip()
     try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 4:
-                raise ValueError("coefficient tuples need exactly 4 entries")
-            return Scalar(tuple(Fraction(p) for p in parts))
-        return Scalar.from_rational(Fraction(text))
+        parts = text.split(":")
+        if len(parts) not in (1, 4):
+            raise ValueError("coefficient tuples need exactly 4 entries")
+        if bad := [p for p in parts if not re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", p)]:
+            raise ValueError(f"{bad[0]!r} is not an integer p or a fraction p/d")
+        coeffs = tuple(Fraction(p) for p in parts)
+        return Scalar(coeffs) if len(coeffs) == 4 else Scalar.from_rational(coeffs[0])
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliError(f"cannot parse scalar {text!r}: {exc}") from None
 

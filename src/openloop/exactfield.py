@@ -40,10 +40,10 @@ zeta^3 part, `addmul` multiplies in Z[zeta^2] = Z[omega], omega^2 =
 omega - 1, on two numerators instead of four: every value at a rational
 point lies there.  The transfer sweep multiplies only in Z[omega], on
 numerators packed for a whole batch of vectors, and carries a Z[zeta]
-numerator as its two Z[omega] parts x + zeta y.  `ring_degree` is the
-one rule that reads the smallest of Z, Z[zeta^2] and Z[zeta] holding
-some numerators; the sweep and the p-adic lifting choose their ring
-with it.
+numerator as its two Z[omega] parts x + zeta y, storing no zero part,
+so it needs no choice of ring.  `ring_degree` is the one rule that
+reads the smallest of Z, Z[zeta^2] and Z[zeta] holding some
+numerators; the p-adic lifting chooses its ring with it.
 """
 
 from __future__ import annotations

@@ -26,20 +26,23 @@ connectivity merge across patterns and columns.  Where each state goes
 depends only on L, so `_plan` finds it once per L and a sweep only does
 arithmetic.  Columns are keyed by basis index and hold Z[zeta]
 numerators over one denominator, as a `SparseOperator` does, and each
-tile's two weights share another, kept outside the sweep.  Products are
-in Z[omega], omega = zeta^2: a Z[zeta] amplitude is x + zeta y with x
-and y in Z[omega], and where a weight or an entering entry has an odd
-power of zeta (`ring_degree` 4) each state splits into these two parts,
-else it keeps x alone, which every rational point takes.  A part packs
-the batch's numerators into one big int per power of omega, with a slot
-of fixed width per column (Kronecker substitution), so a tile step is
-one Z[omega] product per part and weight factor, run in C with no gcd.
-The sweep returns columns in the same form: `transfer_times(pt, op)`
-keeps them as T(pt) @ op, `transfer_matrix` is T times the identity,
-and the recursion checks compare two sweeps with `same_columns`, all
-with no gcd; only `transfer_apply` clears and reads back Scalars.
+tile's two weights share another, cleared once per distinct tile and
+kept outside the sweep.  Products are in Z[omega], omega = zeta^2: a
+Z[zeta] amplitude is x + zeta y with x and y in Z[omega], each state
+carries these two parts under one key layout, and a zero part is never
+stored, so at a rational point, where every y is 0, a state keeps x
+alone.  A part packs the batch's numerators into one big int per power
+of omega, with a slot of fixed width per column (Kronecker
+substitution), so a tile step is one Z[omega] product per part and
+weight factor, run in C with no gcd.  The sweep returns columns in the
+same form: `transfer_times(pt, op)` keeps them as T(pt) @ op,
+`transfer_matrix` is T times the identity, and the recursion checks
+compare two sweeps with `same_columns`, all with no gcd; only
+`transfer_apply` clears and reads back Scalars.
 `transfer_matrix_naive` expands the 2^(2L+2) planar fillings by
-explicit path tracing, independently of the sweep, as its oracle.
+explicit path tracing, independently of the sweep, as its oracle: each
+filling with a nonzero weight is weighed and traced through the slab
+once per point, and every pattern then closes those paths.
 
 The exchange, reflection and recursion relations are indexed by a site
 i = 0..L: 0 is the left wall, 1..L-1 the bulk and L the right wall.
@@ -47,19 +50,21 @@ Their index-i data is written once, in tables that reject any other i
 and L = 0: `pi_point` (the moved point pi_i), `exchange_coefficients`
 (the (A, B, D) of O_i = (A - B e_i) / D, from the `baxter` triples),
 which `exchange_operator` assembles, and `reduction` (the specialised
-point, the reduced point and the pattern embedding of the size-lowering
-recursion).  `check_interlace`, `check_T_recursion` and their
-groundstate counterparts return one verdict per index, left wall first.
+point, the reduced point and the table of the pattern embedding of the
+size-lowering recursion).  `check_interlace`, `check_T_recursion` and
+their groundstate counterparts return one verdict per index, left wall
+first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import chain, count
-from typing import Callable, Iterable, Sequence
+from itertools import count
+from typing import Iterable, Sequence
 
 from .baxter import (
+    FaceWeights,
     baxterised,
     face_weights_K0,
     face_weights_KL,
@@ -75,7 +80,6 @@ from .exactfield import (
     ZERO,
     cleared,
     cleared_columns,
-    ring_degree,
     same_columns,
 )
 from .linkpat import (
@@ -208,28 +212,31 @@ def exchange_operator(pt: SpectralPoint, i: int) -> SparseOperator:
     return baxterised(i, exchange_coefficients(pt, i), pt.length)
 
 
-def reduction(
-    pt: SpectralPoint, i: int
-) -> tuple[SpectralPoint, SpectralPoint, Callable[[str], str]]:
-    """(specialised, reduced, embed) of the size-lowering recursion at i.
+def reduction(pt: SpectralPoint, i: int) -> tuple[SpectralPoint, SpectralPoint, list[int]]:
+    """(specialised, reduced, image) of the size-lowering recursion at i,
+    where image[j] is the basis index of the embedded reduced pattern j.
 
     Left wall: z_1 = q zeta_1, site 1 dropped with zeta_1 advanced to
-    q zeta_1, embed prepends a strand to the left wall.  Bulk:
-    z_{i+1} = q z_i, sites i, i+1 dropped, embed inserts a small link at
-    (i, i+1).  Right wall: z_L = zeta_2 / q, site L dropped with zeta_2
-    moved to zeta_2 / q, embed appends a strand to the right wall.
+    q zeta_1, the embedding prepends a strand to the left wall.  Bulk:
+    z_{i+1} = q z_i, sites i, i+1 dropped, the embedding inserts a small
+    link at (i, i+1).  Right wall: z_L = zeta_2 / q, site L dropped with
+    zeta_2 moved to zeta_2 / q, the embedding appends a strand to the
+    right wall.
     """
     length = _relation_length(pt, i)
     if i == 0:
         specialised = pt.with_z(1, Q * pt.zeta1)
         reduced = replace(specialised.without_sites((1,)), zeta1=Q * pt.zeta1)
-        return specialised, reduced, insert_left
-    if i == length:
+        embed = insert_left
+    elif i == length:
         specialised = pt.with_z(length, pt.zeta2 / Q)
         reduced = replace(specialised.without_sites((length,)), zeta2=pt.zeta2 / Q)
-        return specialised, reduced, insert_right
-    specialised = pt.with_z(i + 1, Q * pt.z[i - 1])
-    return specialised, specialised.without_sites((i, i + 1)), partial(insert_link, i)
+        embed = insert_right
+    else:
+        specialised = pt.with_z(i + 1, Q * pt.z[i - 1])
+        reduced = specialised.without_sites((i, i + 1))
+        embed = partial(insert_link, i)
+    return specialised, reduced, [index_of(embed(word)) for word in all_patterns(reduced.length)]
 
 
 def _slots(length: int) -> list:
@@ -334,19 +341,19 @@ def _sweep(
     with no gcd.  Every product is taken in Z[omega],
     omega = zeta^2 with omega^2 = omega - 1: a Z[zeta] numerator is
     x + zeta y with x = (n0, n2) and y = (n1, n3) in Z[omega], its parts
-    0 and 1.  When some weight or entering entry has a zeta or zeta^3
-    part (`ring_degree` 4), state i of the plan is split into the keys
-    i << 1 | part, else every y is 0 and only part 0, keyed i, is kept.
-    A key holds its part's Z[omega] numerators for the whole batch as
-    (off, A0, A2): slot j of A0 and of A2, W bits wide, is the 1 and the
-    omega numerator of column off + j.  A weight C + zeta D sends (x, y) to
-    (x C + y omega D, x D + y C), so each source part has a list of
-    (is_e, target part, Z[omega] factor) with zero factors dropped
-    (`_factors`), and a tile step is one Z[omega] product per (key,
-    factor), sending the key's state i to succ[i][is_e], after which
-    keys of different offsets add once the higher one is shifted left by
-    W per offset step (`_layer`).  Each distinct tile is cleared once:
-    at z_i = 1 all 2L bulk tiles share one FaceWeights.
+    0 and 1, and state i of the plan is split into the keys i << 1 | part.
+    A zero part is never stored, so at a rational point, where every y is
+    0, only the even keys are.  A key holds its part's Z[omega] numerators
+    for the whole batch as (off, A0, A2): slot j of A0 and of A2, W bits
+    wide, is the 1 and the omega numerator of column off + j.  A weight
+    C + zeta D sends (x, y) to (x C + y omega D, x D + y C), so each
+    source part has a list of (is_e, target part, Z[omega] factor) with
+    zero factors dropped (`_factors`), and a tile step is one Z[omega]
+    product per (key, factor), sending the key's state i to
+    succ[i][is_e], after which keys of different offsets add once the
+    higher one is shifted left by W per offset step (`_layer`).  Each
+    distinct tile is cleared once, keyed by its FaceWeights object: at
+    z_i = 1 all 2L bulk tiles share one (`_tile_weights`).
 
     Packing is linear: a packed int is sum_j a_j 2^(W j) over its slots
     a_j, and products with weights, sums and shifts keep it so.  Only the
@@ -356,7 +363,7 @@ def _sweep(
     |a b|_1 <= 2 |a|_1 |b|_1 in Z[omega] (omega^2 = omega - 1 has l1
     norm 2), a tile multiplies the l1 mass of one column, summed over
     keys and powers of omega, by at most g_t = 2 max_p sum_f |f|_1, the
-    sum over the factors f of source part p.  With part 0 alone this is
+    sum over the factors f of source part p.  With no odd weight this is
     2 (|id_t|_1 + |cup_t|_1); otherwise |omega D|_1 <= 2 |D|_1, so g_t
     is at most twice that.  Every slot, and every partial sum of slots,
     is bounded by its column's mass, hence by M = max_v |v|_1 prod_t
@@ -365,36 +372,31 @@ def _sweep(
     are the rows, is read back exactly with `_unpack`, both parts of a
     row into one (n0, n1, n2, n3).
     """
-    tiles, plan = {}, []
-    for succ, (_, fw) in zip(_plan(pt.length), _tile_weights(pt)):
-        if (tile := tiles.get(fw)) is None:  # a repeated tile is cleared once
-            tile = tiles[fw] = cleared((fw.id_weight, fw.cup_weight))
-        plan.append((succ, *tile))
-    numerators = chain(*(nums for nums, _ in tiles.values()), *(col.values() for col in cols))
-    sh = int(ring_degree(numerators) == 4)
+    tiles: dict = {}
     steps, c, bound = [], 1, 1
-    for succ, nums, d in plan:
-        factors = _factors(nums, sh)
-        c *= d
-        bound *= 2 * max(sum(abs(b0) + abs(b2) for _, _, b0, b2, _ in fs) for fs in factors)
+    for succ, (_, fw) in zip(_plan(pt.length), _tile_weights(pt)):
+        if (tile := tiles.get(id(fw))) is None:  # a shared tile is cleared once
+            tile = tiles[id(fw)] = _factors(fw)
+        factors, d, g = tile
+        c, bound = c * d, bound * g
         steps.append((succ, factors))
     mass = max((sum(abs(x) for n in col.values() for x in n) for col in cols), default=0)
     width = -(-((mass * bound).bit_length() + 2) // 8) * 8
     states: dict = {}
     for v, col in enumerate(cols):
         for j, n in col.items():
-            for part in range(1 + sh):
+            for part in (0, 1):
                 a0, a2 = n[part], n[part + 2]
-                if (prev := states.get(k := j << sh | part)) is not None:
+                if (prev := states.get(k := j << 1 | part)) is not None:
                     shift = width * (v - prev[0])  # v rises, so the earlier offset stays
                     states[k] = (prev[0], prev[1] + (a0 << shift), prev[2] + (a2 << shift))
                 elif a0 or a2:
                     states[k] = (v, a0, a2)
     for succ, factors in steps:
-        states = _layer(states, succ, factors, sh, width)
+        states = _layer(states, succ, factors, width)
     out: list[dict] = [{} for _ in cols]
     for k, (off, a0, a2) in states.items():
-        r, part = k >> sh, k & sh
+        r, part = k >> 1, k & 1
         span = len(cols) - off
         for j, x, y in zip(count(off), _unpack(a0, span, width), _unpack(a2, span, width)):
             if x or y:
@@ -403,34 +405,37 @@ def _sweep(
     return out, c * den
 
 
-def _factors(nums: list[tuple[int, int, int, int]], sh: int) -> list[list[tuple]]:
-    """Per source part (part 0 alone when sh is 0), the (is_e, target
-    part, b0, b2, b0 + b2) of a tile with cleared weights nums, each
-    C + zeta D with C = (n0, n2), D = (n1, n3) in Z[omega]: x goes to
-    x C in part 0 and x D in part 1, y to y omega D in part 0 and y C in
-    part 1, where omega D = (-n3, n1 + n3).  Zero factors are dropped."""
-    parts: list[list[tuple]] = [[], []]
+def _factors(fw: FaceWeights) -> tuple[tuple[list, list], int, int]:
+    """(factors, d, g) of a tile: its weights cleared over d, each
+    C + zeta D with C = (n0, n2), D = (n1, n3) in Z[omega], as the
+    (is_e, target part, b0, b2, b0 + b2) per source part, and its growth
+    bound g = 2 max_p sum_f |f|_1 of `_sweep`.  x goes to x C in part 0
+    and x D in part 1, y to y omega D in part 0 and y C in part 1, where
+    omega D = (-n3, n1 + n3).  Zero factors are dropped, so a weight with
+    no odd part sends x to part 0 alone."""
+    nums, d = cleared((fw.id_weight, fw.cup_weight))
+    parts: tuple[list, list] = ([], [])
     for is_e, (n0, n1, n2, n3) in enumerate(nums):
         for src, tgt, b0, b2 in ((0, 0, n0, n2), (0, 1, n1, n3), (1, 0, -n3, n1 + n3), (1, 1, n0, n2)):
             if b0 or b2:
                 parts[src].append((is_e, tgt, b0, b2, b0 + b2))
-    return parts[: 1 + sh]
+    return parts, d, 2 * max(sum(abs(b0) + abs(b2) for _, _, b0, b2, _ in fs) for fs in parts)
 
 
-def _layer(states: dict, succ: tuple, factors: list, sh: int, width: int) -> dict:
-    """One tile of `_sweep` on keys i << sh | part holding (off, A0, A2)
+def _layer(states: dict, succ: tuple, factors: tuple, width: int) -> dict:
+    """One tile of `_sweep` on keys i << 1 | part holding (off, A0, A2)
     in Z[omega], with each (is_e, target part, b0, b2, b0 + b2) of the
     key's part: (a0 + a2 omega)(b0 + b2 omega) = (a0 b0 - a2 b2) +
     ((a0 + a2)(b0 + b2) - a0 b0) omega, as omega^2 = omega - 1."""
     out: dict = {}
     while states:  # popitem frees each state once it is spent
         key, (off, a0, a2) = states.popitem()
-        a02, targets = a0 + a2, succ[key >> sh]
-        for is_e, part, b0, b2, b02 in factors[key & sh]:
+        a02, targets = a0 + a2, succ[key >> 1]
+        for is_e, part, b0, b2, b02 in factors[key & 1]:
             t = a0 * b0
             p0 = t - a2 * b2
             p2 = a02 * b02 - t
-            k = targets[is_e] << sh | part
+            k = targets[is_e] << 1 | part
             if (q := out.get(k)) is None:
                 out[k] = (off, p0, p2)
                 continue
@@ -476,8 +481,14 @@ def transfer_apply(vec: Sequence[Scalar], pt: SpectralPoint) -> list[Scalar]:
 # -- naive oracle ------------------------------------------------------
 
 
-def _naive_column(word: str, tiles) -> dict[int, Scalar]:
-    """Sum over all 2^(2L+2) filled slabs with explicit path tracing.
+def _fillings(pt: SpectralPoint) -> list[tuple[Scalar, dict]]:
+    """(weight, ends) of every filled slab of nonzero weight, in the order
+    of the bit masks that number them: bit t is set where tile t holds its
+    e, the tiles taken as the bottom row left to right, the right wall,
+    the top row left to right and the left wall.  ends maps each strand
+    end of the slab, ("in", j) below or ("out", j) above site j, to the
+    far end of its path, traced edge by edge through the slab: another
+    strand end or a wall, "L" or "R".
 
     Filling A of a bulk tile pairs its (bottom, left) and (top, right)
     edges, filling B its (bottom, right) and (top, left).  The top row's
@@ -487,74 +498,59 @@ def _naive_column(word: str, tiles) -> dict[int, Scalar]:
     filling (the auxiliary strand makes a U-turn) and its e the turn-back
     of both edges into the wall.
     """
-    length = len(word)
-    fws = [fw for _, fw in tiles]
-    bottom, kL, top, k0 = fws[:length], fws[length], fws[2 * length : length : -1], fws[-1]
-    m = closure(word)
-    base_edges: list[tuple] = []
-    for a, b in m.pairs:
-        base_edges.append((("in", a), ("in", b)))
-    for a in m.left:
-        base_edges.append((("in", a), "L"))
-    for a in m.right:
-        base_edges.append((("in", a), "R"))
-
-    ntiles = 2 * length + 2
-    column: dict[int, Scalar] = {}
-    for mask in range(1 << ntiles):
-        weight = ONE
-        edges = list(base_edges)
-        bit = 0
-
-        def crossing(fw) -> bool:
-            """Whether this slab fills the next tile with its crossing."""
-            nonlocal weight, bit
-            c = (mask >> bit) & 1
-            bit += 1
-            weight = weight * (fw.cup_weight if c else fw.id_weight)
-            return not c
-
-        for j in range(1, length + 1):
-            s, wv, n, e = ("in", j), ("bh", j - 1), ("mid", j), ("bh", j)
-            if crossing(bottom[j - 1]):
-                edges += [(s, e), (n, wv)]
-            else:
-                edges += [(s, wv), (n, e)]
-        if crossing(kL):
-            edges.append((("bh", length), ("th", length)))
-        else:
-            edges += [(("bh", length), "R"), (("th", length), "R")]
-        for j in range(1, length + 1):
-            s, wv, n, e = ("mid", j), ("th", j - 1), ("out", j), ("th", j)
-            if crossing(top[j - 1]):
-                edges += [(s, wv), (n, e)]
-            else:
-                edges += [(s, e), (n, wv)]
-        if crossing(k0):
-            edges.append((("bh", 0), ("th", 0)))
-        else:
-            edges += [(("bh", 0), "L"), (("th", 0), "L")]
-
-        if weight.is_zero():
-            continue
+    length = pt.length
+    fws = [fw for _, fw in _tile_weights(pt)]
+    choices = []  # per tile: its FaceWeights, the edges of its crossing and of its e
+    for j, fw in enumerate(fws[:length], start=1):
+        s, wv, n, e = ("in", j), ("bh", j - 1), ("mid", j), ("bh", j)
+        choices.append((fw, [(s, e), (n, wv)], [(s, wv), (n, e)]))
+    bh, th = ("bh", length), ("th", length)
+    choices.append((fws[length], [(bh, th)], [(bh, "R"), (th, "R")]))
+    for j, fw in enumerate(fws[2 * length : length : -1], start=1):
+        s, wv, n, e = ("mid", j), ("th", j - 1), ("out", j), ("th", j)
+        choices.append((fw, [(s, wv), (n, e)], [(s, e), (n, wv)]))
+    bh, th = ("bh", 0), ("th", 0)
+    choices.append((fws[-1], [(bh, th)], [(bh, "L"), (th, "L")]))
+    slabs = [(ONE, [])]
+    for fw, crossing, e in choices:  # each tile is the next higher bit
+        options = ((fw.id_weight, crossing), (fw.cup_weight, e))
+        slabs = [(w * x, edges + more) for x, more in options if not x.is_zero() for w, edges in slabs]
+    fillings = []
+    for weight, edges in slabs:
         adj: dict = {}
         for a, b in edges:
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)
+        ends = {}
+        for start in adj:
+            if start[0] in ("in", "out"):  # "L"[0] and "R"[0] are neither
+                prev, cur = start, adj[start][0]
+                while cur[0] not in ("L", "R", "in", "out"):
+                    a, b = adj[cur]
+                    prev, cur = cur, b if a == prev else a
+                ends[start] = cur
+        fillings.append((weight, ends))
+    return fillings
+
+
+def _naive_column(word: str, fillings: list[tuple[Scalar, dict]]) -> dict[int, Scalar]:
+    """Sum over the `_fillings` of the slab on word: the path from each
+    ("out", j) runs through the slab, and through the arcs and wall
+    strands of word below it, to a wall or to another ("out", k)."""
+    m = closure(word)
+    below = {("in", a): "L" for a in m.left} | {("in", a): "R" for a in m.right}
+    for a, b in m.pairs:
+        below["in", a], below["in", b] = ("in", b), ("in", a)
+    column: dict[int, Scalar] = {}
+    for weight, ends in fillings:
         symbols = []
-        for j in range(1, length + 1):
-            prev = ("out", j)
-            cur = adj[prev][0]
-            while cur not in ("L", "R") and not (isinstance(cur, tuple) and cur[0] == "out"):
-                nbrs = list(adj[cur])
-                nbrs.remove(prev)
-                prev, cur = cur, nbrs[0]
-            if cur == "L":
-                symbols.append(")")
-            elif cur == "R":
-                symbols.append("(")
-            else:
-                symbols.append("(" if cur[1] > j else ")")
+        for j in range(1, len(word) + 1):
+            end = ends["out", j]
+            while end[0] == "in":
+                end = below[end]
+                end = ends.get(end, end)  # a wall ends the path
+            # A path to the left wall or back to an earlier site closes.
+            symbols.append(")" if end == "L" or (end != "R" and end[1] < j) else "(")
         idx = index_of("".join(symbols))
         acc = column.get(idx)
         column[idx] = weight if acc is None else acc + weight
@@ -564,10 +560,9 @@ def _naive_column(word: str, tiles) -> dict[int, Scalar]:
 def transfer_matrix_naive(pt: SpectralPoint) -> SparseOperator:
     if pt.length > NAIVE_CAP:
         raise ValueError(f"naive expansion refused for L > NAIVE_CAP = {NAIVE_CAP}")
-    tiles = _tile_weights(pt)
-    length = pt.length
-    cols = [_naive_column(word_of(idx, length), tiles) for idx in range(1 << length)]
-    return SparseOperator(1 << length, cols)
+    fillings = _fillings(pt)
+    cols = [_naive_column(word_of(idx, pt.length), fillings) for idx in range(1 << pt.length)]
+    return SparseOperator(1 << pt.length, cols)
 
 
 # -- identity checks ---------------------------------------------------
@@ -584,14 +579,14 @@ def check_interlace(pt: SpectralPoint, tmat: SparseOperator) -> list[bool]:
     return verdicts
 
 
-def _check_embedding(pt: SpectralPoint, reduced: SpectralPoint, embed) -> bool:
-    """T(pt) o embed = embed o T(reduced): one sweep of the embedded basis
-    at pt against one sweep of the whole basis at the reduced point,
-    compared on their integer columns by `same_columns`."""
-    embedded = [index_of(embed(word)) for word in all_patterns(reduced.length)]
-    lhs, dl = _sweep(pt, [{j: (1, 0, 0, 0)} for j in embedded], 1)
-    rhs, dr = _sweep(reduced, [{j: (1, 0, 0, 0)} for j in range(len(embedded))], 1)
-    return same_columns(lhs, dl, [{embedded[r]: n for r, n in col.items()} for col in rhs], dr)
+def _check_embedding(pt: SpectralPoint, reduced: SpectralPoint, image: list[int]) -> bool:
+    """T(pt) o embed = embed o T(reduced), embed sending reduced pattern j
+    to basis index image[j]: one sweep of the embedded basis at pt
+    against one sweep of the whole basis at the reduced point, compared
+    on their integer columns by `same_columns`."""
+    lhs, dl = _sweep(pt, [{j: (1, 0, 0, 0)} for j in image], 1)
+    rhs, dr = _sweep(reduced, [{j: (1, 0, 0, 0)} for j in range(len(image))], 1)
+    return same_columns(lhs, dl, [{image[r]: n for r, n in col.items()} for col in rhs], dr)
 
 
 def check_T_recursion(pt: SpectralPoint) -> list[bool]:

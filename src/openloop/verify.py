@@ -153,12 +153,12 @@ def suite_qkz(length: int, trials: int, rng: random.Random) -> Rows:
 
 
 def _extracted_bulk_factor(pt: SpectralPoint, i: int) -> Scalar:
-    specialised, reduced, embed = reduction(pt, i)
+    specialised, reduced, image = reduction(pt, i)
     big = solve(specialised, normalization="sum", check_w=False)
     small = solve(reduced, normalization="all_open", check_w=False)
-    for word, val in small.as_dict().items():
+    for j, val in zip(image, small.components):
         if not val.is_zero():
-            return big[embed(word)] / val
+            return big[j] / val
     raise NonGenericPointError("reduced vector vanished identically")
 
 

@@ -27,6 +27,16 @@ def test_parse_scalar_forms():
     assert parse_scalar("3/4") == Scalar.from_rational(Fraction(3, 4))
     assert parse_scalar("-2") == Scalar.from_rational(-2)
     assert parse_scalar("0:0:1:0") == Scalar((0, 0, 1, 0))
+    assert parse_scalar("-2:+1:0:3/4") == Scalar((-2, 1, 0, Fraction(3, 4)))
+
+
+@pytest.mark.parametrize("text", ["1e3", "1.5", "1:0:0:1e3", "1_000", "1/0", "2:3"])
+def test_parse_scalar_rejects_undocumented_forms(capsys, text):
+    # Only p and p/d are literals, alone or in each slot of a 4-tuple:
+    # an exponent would be expanded before any check, so none is read.
+    code, out, err = run_cli(capsys, "solve", "--L", "1", "--z", "2", "--w", text)
+    assert code == 1 and out == ""
+    assert f"cannot parse scalar {text!r}" in err
 
 
 def test_solve_json_output(capsys):

@@ -31,7 +31,8 @@ from openloop import (
     transfer_matrix_naive,
     transfer_times,
 )
-from openloop.exactfield import cleared_columns
+from openloop.baxter import FaceWeights
+from openloop.exactfield import cleared, cleared_columns
 from openloop.groundstate import generic_parameters, recursion_factor, solve
 from openloop.transfer import (
     _check_embedding,
@@ -157,15 +158,36 @@ def test_sweep_bodies_agree(length):
         assert transfer_matrix(field) == transfer_matrix_naive(field)
 
 
-def test_bulk_tiles_with_equal_arguments_share_their_weights():
+def test_bulk_tiles_with_equal_arguments_share_their_weights(monkeypatch):
     # At z_i = 1 every bulk tile is face_weights_R(w, 1): one FaceWeights
     # for all 2L of them, made afresh on each call.
-    pt = replace(draw_point(Random(223), 4), z=(ONE,) * 4)
+    generic_pt = draw_point(Random(223), 4)
+    pt = replace(generic_pt, z=(ONE,) * 4)
     tiles = [fw for slot, fw in _tile_weights(pt) if isinstance(slot, int)]
     assert len(tiles) == 8 and all(fw is tiles[0] for fw in tiles)
     assert _tile_weights(pt)[0][1] is not tiles[0]
-    generic = [fw for slot, fw in _tile_weights(draw_point(Random(223), 4)) if isinstance(slot, int)]
+    generic = [fw for slot, fw in _tile_weights(generic_pt) if isinstance(slot, int)]
     assert len({id(fw) for fw in generic}) == 8
+    # The sweep clears each distinct tile once, keyed by its FaceWeights
+    # object, and hashes none: one shared bulk tile and the two walls at
+    # z_i = 1, all 2L + 2 tiles at a generic point.
+    refs = {p: transfer_matrix_naive(p) for p in (pt, generic_pt)}
+
+    def unhashable(self):
+        raise TypeError("the sweep hashed a FaceWeights")
+
+    calls = []
+
+    def spy(xs):
+        calls.append(xs)
+        return cleared(xs)
+
+    monkeypatch.setattr(FaceWeights, "__hash__", unhashable)
+    monkeypatch.setattr(transfer, "cleared", spy)
+    for point, distinct in ((pt, 3), (generic_pt, 10)):
+        calls.clear()
+        assert transfer_matrix(point) == refs[point]
+        assert len(calls) == distinct
 
 
 def scalar_sweep(pt: SpectralPoint, vectors: list[dict]) -> list[dict]:
@@ -361,10 +383,18 @@ def test_transfer_recursion_boundaries():
     pt = draw_point(rng, 3)
     left, *_, right = check_T_recursion(pt)
     assert left and right
-    # Unspecialised, the two sweeps differ: the comparison can fail.
-    for i in (0, 1, 3):
-        _, reduced, embed = reduction(pt, i)
-        assert not _check_embedding(pt, reduced, embed)
+    # The embedding tables: a strand prepended at the left wall, a small
+    # link at (1, 2), a strand appended at the right wall.
+    tables = {
+        0: [")((", ")()", "))(", ")))"],
+        1: ["()(", "())"],
+        3: ["(((", "()(", ")((", "))("],
+    }
+    for i, embedded in tables.items():
+        _, reduced, image = reduction(pt, i)
+        assert image == [index_of(word) for word in embedded]
+        # Unspecialised, the two sweeps differ: the comparison can fail.
+        assert not _check_embedding(pt, reduced, image)
 
 
 def test_index_tables_reject_out_of_range():
