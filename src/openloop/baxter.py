@@ -70,7 +70,8 @@ def _ratios(coeffs: tuple[Scalar, Scalar, Scalar], pole: str) -> tuple[Scalar, S
     a, b, d = coeffs
     if d.is_zero():
         raise SingularParameterError(pole)
-    return a / d, b / d
+    inv = d.inv()
+    return a * inv, b * inv
 
 
 def baxterised(i: int, coeffs: tuple[Scalar, Scalar, Scalar], length: int) -> SparseOperator:

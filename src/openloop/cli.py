@@ -201,8 +201,6 @@ def cmd_character(args) -> int:
     except ValueError as exc:
         raise _CliError(f"cannot parse --lambda: {exc}") from None
     points = parse_scalar_list(args.points)
-    for k, v in enumerate(points, start=1):
-        _require_nonzero(f"point {k}", v)
     try:
         value = character_auto(lam, points)
         if not args.confluent and _collides(points):

@@ -20,8 +20,11 @@ Products are reduced with zeta**4 = zeta**2 - 1 (hence zeta**6 = -1),
 so the representation is canonical and syntactic equality of the
 coefficient vectors coincides with equality in the field.  There is no
 floating point anywhere: the four coefficients are kept as integer
-numerators over one positive common denominator in lowest terms, and
-`Scalar.coeffs` hands them out as `fractions.Fraction` values.
+numerators over one positive common denominator in lowest terms.
+Scalars combine and compare only with Scalars: a Python int or Fraction
+enters the field through a constructor (`Scalar(coeffs)`,
+`Scalar.from_rational`, `Scalar.from_integers`) and leaves it through
+`Scalar.coeffs` or `Scalar.rational_value`, as Fraction values.
 
 An inverse is a conjugate over the norm.  Every value at a rational
 point with s = +-1 lies in the subfield Q(zeta^2) = Q(sqrt(-3)), where
@@ -48,7 +51,6 @@ numerators; the p-adic lifting chooses its ring with it.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Collection, Iterable, Sequence, Union
@@ -70,9 +72,7 @@ __all__ = [
     "same_columns",
 ]
 
-_HASH_P, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 _RationalLike = Union[int, Fraction]
-_ScalarLike = Union["Scalar", int, Fraction]
 
 
 def _raw(n: tuple[int, int, int, int], d: int) -> Scalar:
@@ -98,7 +98,10 @@ class Scalar:
     denominator, with the gcd of all five equal to 1.  That form is
     canonical, so equality and hashing compare it directly, and the
     ring operations run on machine integers with a single gcd at the
-    end instead of one per rational coefficient.
+    end instead of one per rational coefficient.  Arithmetic and
+    equality take only Scalars (the exponent of ** is an int): Python
+    numbers enter through the constructors and leave through `coeffs`
+    and `rational_value`, so ONE != 1 and ONE + 1 is a TypeError.
     """
 
     __slots__ = ("_n", "_d")
@@ -161,18 +164,12 @@ class Scalar:
         return Fraction(self._n[0], self._d)
 
     # -- ring operations ----------------------------------------------
+    # Every operand is a Scalar; anything else is NotImplemented.  The
+    # reflected names stay attributes: perfbench/tracer.py wraps each one
+    # by name through Scalar.__dict__.
 
-    @staticmethod
-    def _coerce(other: _ScalarLike) -> Scalar | None:
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, (int, Fraction)):  # ints have denominator 1
-            return _raw((other.numerator, 0, 0, 0), other.denominator)
-        return None
-
-    def __add__(self, other: _ScalarLike) -> Scalar:
-        o = self._coerce(other)
-        if o is None:
+    def __add__(self, o: Scalar) -> Scalar:
+        if not isinstance(o, Scalar):
             return NotImplemented
         # As in Fraction addition: each operand's numerators are coprime
         # to its denominator, so only a factor of g = gcd(da, db) cancels.
@@ -189,21 +186,14 @@ class Scalar:
     def __neg__(self) -> Scalar:
         return _raw(tuple(-a for a in self._n), self._d)
 
-    def __sub__(self, other: _ScalarLike) -> Scalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+    def __sub__(self, o: Scalar) -> Scalar:
+        return self + (-o) if isinstance(o, Scalar) else NotImplemented
 
-    def __rsub__(self, other: _ScalarLike) -> Scalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def __rsub__(self, o: Scalar) -> Scalar:
+        return o - self if isinstance(o, Scalar) else NotImplemented
 
-    def __mul__(self, other: _ScalarLike) -> Scalar:
-        o = self._coerce(other)
-        if o is None:
+    def __mul__(self, o: Scalar) -> Scalar:
+        if not isinstance(o, Scalar):
             return NotImplemented
         a0, a1, a2, a3 = self._n
         b0, b1, b2, b3 = o._n
@@ -245,17 +235,11 @@ class Scalar:
         (a0, a1, a2, a3), da = adj._n, adj._d
         return _make(a0 * d, a1 * d, a2 * d, a3 * d, da * norm)
 
-    def __truediv__(self, other: _ScalarLike) -> Scalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
+    def __truediv__(self, o: Scalar) -> Scalar:
+        return self * o.inv() if isinstance(o, Scalar) else NotImplemented
 
-    def __rtruediv__(self, other: _ScalarLike) -> Scalar:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
+    def __rtruediv__(self, o: Scalar) -> Scalar:
+        return o * self.inv() if isinstance(o, Scalar) else NotImplemented
 
     def __pow__(self, n: int) -> Scalar:
         if not isinstance(n, int):
@@ -272,23 +256,13 @@ class Scalar:
 
     # -- comparisons and hashing --------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        o = self._coerce(other) if isinstance(other, (Scalar, int, Fraction)) else None
-        if o is None:
+    def __eq__(self, o: object) -> bool:
+        if not isinstance(o, Scalar):
             return NotImplemented
         return self._d == o._d and self._n == o._n
 
     def __hash__(self) -> int:
-        # A rational Scalar equals its int or Fraction, so it hashes as
-        # they do: |n0| / d modulo the hash modulus P, signed as n0, with
-        # inf where P divides d and -1 mapped to -2.  n0 / d is in lowest
-        # terms already, so no Fraction (and no gcd) is needed.
-        if not self.is_rational():
-            return hash((self._n, self._d))
-        n, d = self._n[0], self._d
-        h = _HASH_INF if d % _HASH_P == 0 else abs(n) % _HASH_P * pow(d, -1, _HASH_P) % _HASH_P
-        h = h if n >= 0 else -h
-        return -2 if h == -1 else h
+        return hash((self._n, self._d))
 
     def __bool__(self) -> bool:
         return not self.is_zero()

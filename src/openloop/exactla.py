@@ -553,7 +553,7 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     del rows
     if anchor is not None:
         index, value, hint = anchor
-        scaled = value * hint
+        scaled = value * Scalar.from_integers((hint, 0, 0, 0), 1)
     res = [-c for c in parts[free][:d]]
     # v mod p^k on the ring basis, d coordinates per entry; no digit
     # touches the free column, which stays 1.

@@ -215,6 +215,13 @@ def test_character_generic(capsys):
     assert "481/36" in out
 
 
+def test_character_zero_point_is_a_usage_error(capsys):
+    # character_auto's own check names the error; the CLI adds none.
+    code, out, err = run_cli(capsys, "character", "--lambda", "1,0", "--points", "0,2")
+    assert (code, out) == (1, "")
+    assert err == "error: character arguments must be nonzero\n"
+
+
 def test_character_confluent_flow(capsys):
     code, out, err = run_cli(capsys, "character", "--lambda", "1,0,0", "--points", "1,1,1")
     assert code == 2

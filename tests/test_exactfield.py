@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from random import Random
 
@@ -10,6 +9,8 @@ import pytest
 
 from openloop import FOURTH_ROOTS, IMAG, ONE, Q, ZERO, ZETA, Scalar, bracket, kfun
 from openloop.exactfield import addmul, cleared, ring_degree
+
+from helpers import rational
 
 
 def test_defining_relation():
@@ -41,33 +42,30 @@ def test_rational_embedding():
     assert bool(ONE) and not bool(ZERO)
 
 
-def test_mixed_arithmetic_with_ints_and_fractions():
-    x = Scalar.from_rational(Fraction(1, 2))
-    assert x + 1 == Scalar.from_rational(Fraction(3, 2))
-    assert 1 - x == x
-    assert 2 * x == ONE
-    assert x / Fraction(1, 2) == ONE
-    assert (ONE + ZETA) - ZETA == ONE
-
-
-def test_rational_scalars_hash_as_the_numbers_they_equal():
-    # The hash is computed from (n0, d) without a Fraction; it must agree
-    # with int and Fraction, also where the modulus P = 2^61 - 1 divides
-    # a numerator or the denominator (Fraction gives inf there).
-    p = sys.hash_info.modulus
-    values = [0, 1, -1, -2, 7, 2**70, -(3**90), p, -p, p - 1, 2 * p + 1]
-    values += [Fraction(1, 2), Fraction(-1, 2), Fraction(-7, 3), Fraction(5, 2**70)]
-    values += [Fraction(1, p), Fraction(-1, p), Fraction(2**100 + 1, p), Fraction(3, 2 * p)]
-    values += [Fraction(-(7**80), 11**30), Fraction(p - 1, p + 1)]
-    for value in values:
-        x = Scalar.from_rational(value)
-        assert x == value and hash(x) == hash(Fraction(value))
-        if Fraction(value).denominator == 1:
-            assert hash(x) == hash(int(value))
-    assert len({ONE, 1}) == 1 and len({ZERO, 0, Fraction(0)}) == 1
-    assert {Scalar.from_rational(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
-    # Field elements off Q keep their own hash, and still equal themselves.
-    assert hash(ZETA) == hash(ZETA**13) and hash(ONE + ZETA) != hash(ONE)
+def test_scalars_combine_and_compare_only_with_scalars():
+    # An int or a Fraction enters the field only through a constructor:
+    # mixed arithmetic on either side is a TypeError and mixed equality
+    # is False, so a Scalar and the number it names are two set members.
+    for number in (1, Fraction(1, 2)):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b):
+            for left, right in ((ONE, number), (number, ONE)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+    assert not ONE == 1 and ONE != 1 and not ZERO == Fraction(0)
+    assert len({ONE, 1}) == 2 and len({ZERO, Fraction(0)}) == 2
+    # The hash is that of the canonical (numerators, denominator), so equal
+    # Scalars built different ways hash alike.
+    half = Scalar.from_rational(Fraction(1, 2))
+    for built in (
+        Scalar.from_integers((3, 0, 0, 0), 6),
+        Scalar((Fraction(1, 2), 0, 0, 0)),
+        ONE - half,
+        ONE / rational(2),
+    ):
+        assert built == half and hash(built) == hash(half) == hash(((1, 0, 0, 0), 2))
+    zeta = Scalar.from_integers((0, 4, 0, 0), 4)
+    assert zeta == ZETA == ZETA**13 and hash(zeta) == hash(ZETA) == hash(ZETA**13)
+    assert hash(ONE + ZETA) != hash(ONE) and hash(ZERO) == hash(((0, 0, 0, 0), 1))
 
 
 def test_inverse_and_powers():
@@ -89,9 +87,10 @@ def _three_conjugate_inverse(x: Scalar) -> Scalar:
     zeta^7, zeta^11 over the norm, with no call to Scalar.inv."""
     adj = ONE
     for k in (5, 7, 11):
-        adj = adj * sum((c * ZETA ** (j * k) for j, c in enumerate(x.coeffs)), ZERO)
+        terms = (Scalar.from_rational(c) * ZETA ** (j * k) for j, c in enumerate(x.coeffs))
+        adj = adj * sum(terms, ZERO)
     norm = (x * adj).rational_value()
-    return adj * (1 / norm)
+    return adj * Scalar.from_rational(1 / norm)
 
 
 def test_inverse_on_the_subfield_q_sqrt_minus_3():
@@ -102,17 +101,17 @@ def test_inverse_on_the_subfield_q_sqrt_minus_3():
     units = [ZETA ** (2 * k) for k in range(6)]
     drawn = [
         Scalar((Fraction(rng.randint(-30, 30)), 0, Fraction(rng.randint(-30, 30)), 0))
-        / rng.randint(1, 40)
+        / rational(rng.randint(1, 40))
         for _ in range(60)
     ]
     rationals = [Scalar.from_rational(f) for f in (1, -1, 7, Fraction(-3, 8), Fraction(2**70, 3))]
-    for x in units + [Q, ONE - Q, Q * 5 - 2] + drawn + rationals:
+    for x in units + [Q, ONE - Q, Q * rational(5) - rational(2)] + drawn + rationals:
         if x.is_zero():
             continue
         assert x.coeffs[1] == x.coeffs[3] == 0
         assert x * x.inv() == ONE, x
         assert x.inv() == _three_conjugate_inverse(x), x
-    assert (ONE - Q).inv() == (ONE - Q.inv()) / 3  # norm 3
+    assert (ONE - Q).inv() == (ONE - Q.inv()) / rational(3)  # norm 3
     assert Q.inv() == Q * Q
 
 

@@ -161,7 +161,7 @@ def test_fixed_vector_matches_the_exact_kernel(length):
     points = {
         "rational": pt,
         "zeta1 = 2 + zeta": odd,
-        "zeta1 = 2 zeta": replace(pt, zeta1=ZETA * 2),
+        "zeta1 = 2 zeta": replace(pt, zeta1=ZETA * rational(2)),
         "s = i": replace(pt, s=IMAG),
     }
     for name, point in points.items():
@@ -329,7 +329,7 @@ def test_every_embedding_factors_the_first_embeddings_pivot_block(monkeypatch):
     p = PRIMES[0]
     powers, _ = exactla._embeddings(p, 4)
     a = ZETA - rational(powers[0][1])  # powers[0][1] = r
-    op = SparseOperator(2, [{0: a, 1: a * 2}, {0: ONE, 1: rational(2)}])
+    op = SparseOperator(2, [{0: a, 1: a * rational(2)}, {0: ONE, 1: rational(2)}])
     oracle = _kernel_oracle(op)
 
     def refuse(rows, ncols):
@@ -422,7 +422,8 @@ def test_exact_fallback_reads_integer_columns(monkeypatch):
 
     monkeypatch.setattr(exactla, "kernel_basis", spy)
     assert kernel_vector(op) == [b, ONE, ZERO]
-    assert calls == [[[a * m, -a * b * m, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]]]
+    am = a * rational(m)
+    assert calls == [[[am, -am * b, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]]]
     # Rank 1 of 3 over Q and mod every prime: the kernel is a plane.
     ones = SparseOperator.from_integers([{0: (k, 0, 0, 0), 1: (0, k, 0, 0)} for k in (1, 2, 3)], 1)
     with pytest.raises(NonGenericPointError, match="dimension 2, expected 1"):
@@ -651,7 +652,7 @@ def _big_operator(d: int, rng: Random) -> SparseOperator:
 
     n = 5
     cols = [
-        [draw(1 << 200) + rational(1 << 200) * rng.choice((-1, 1)) for _ in range(n)]
+        [draw(1 << 200) + rational(rng.choice((-1, 1)) << 200) for _ in range(n)]
         for _ in range(n - 1)
     ]
     c = [draw(50) + ONE for _ in range(n - 1)]
@@ -738,7 +739,7 @@ def test_laurent_fit_at_field_valued_points():
     ys = [target.eval_at(x) for x in xs]
     (fitted,) = laurent_fit(xs, [ys], -1, 2)
     assert fitted == target
-    holdout = ZETA * 2 - IMAG
+    holdout = ZETA * rational(2) - IMAG
     assert fitted.eval_at(holdout) == target.eval_at(holdout)
 
 
@@ -751,7 +752,7 @@ def test_multi_column_fit_equals_the_per_column_fits(nodes):
     if nodes == "rational":
         xs = [Scalar.from_rational(Fraction(k, 3)) for k in (-7, -2, 1, 2, 4, 5, 8)]
     else:
-        xs = [ZETA * k + Scalar.from_rational(Fraction(1, k)) for k in range(1, 8)]
+        xs = [ZETA * rational(k) + Scalar.from_rational(Fraction(1, k)) for k in range(1, 8)]
     targets = [
         LaurentPoly({e: _rand_scalar(rng) for e in range(lo, hi + 1) if rng.random() < 0.7})
         for _ in range(4)

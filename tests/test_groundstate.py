@@ -301,9 +301,9 @@ def test_every_solve_but_raw_lifts_anchored(monkeypatch):
     bulk, _, _ = reduction(pt, 1)
     cases = {
         "rational": (pt, "auto", 0),
-        "z_1 = 2 zeta^2": (pt.with_z(1, ZETA * ZETA * 2), "auto", 0),
+        "z_1 = 2 zeta^2": (pt.with_z(1, ZETA * ZETA * rational(2)), "auto", 0),
         "zeta_1 = 2 + zeta": (replace(pt, zeta1=rational(2) + ZETA), "auto", 0),
-        "zeta_2 = 3 zeta": (replace(pt, zeta2=ZETA * 3), "all_open", 0),
+        "zeta_2 = 3 zeta": (replace(pt, zeta2=ZETA * rational(3)), "all_open", 0),
         "vanishing all-open form at z_1 = q zeta_1": (pt.with_z(1, Q * pt.zeta1), "auto", 7),
         "vanishing extremal forms at z_2 = q z_1": (bulk, "auto", None),
         "sum": (pt, "sum", None),

@@ -107,7 +107,7 @@ def test_seeded_apply_matches_matrix_apply():
             [Scalar.from_rational(k % 3 - 1 + k % 5) for k in range(dim)],
             [ZERO] * dim,
             *([ONE if k == j else ZERO for k in range(dim)] for j in range(dim)),
-            [rational(k + 1, 7) + ZETA / (k + 2) for k in range(dim)],
+            [rational(k + 1, 7) + ZETA / rational(k + 2) for k in range(dim)],
         ):
             applied = transfer_apply(vec, pt)
             assert applied == tmat.apply(vec) == naive.apply(vec)
@@ -202,7 +202,7 @@ def test_sweep_batch_with_different_denominators():
     # vectors swept alone.
     pt = draw_point(Random(127), 3)
     u = {index_of("()("): rational(1, 3), index_of(")(("): rational(2) + ZETA}
-    v = {index_of("()("): ZETA / 5 - rational(1, 7), index_of("((("): rational(3, 11)}
+    v = {index_of("()("): ZETA / rational(5) - rational(1, 7), index_of("((("): rational(3, 11)}
     assert scalar_sweep(pt, [u, v]) == scalar_sweep(pt, [u]) + scalar_sweep(pt, [v])
     # Above NAIVE_CAP, against T.apply, whose addmul products share no
     # packed slots with the sweep: a batch of ~1000-bit mixed-sign
