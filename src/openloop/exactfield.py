@@ -35,17 +35,14 @@ Bulk contractions skip the per-product gcd and run on those Z[zeta]
 numerators, plain 4-tuples of ints: `cleared` (and `cleared_columns`,
 for sparse columns) puts Scalars over one denominator.  A
 `SparseOperator` holds only that integer form, sparse columns over one
-denominator.  `addmul`, the entry-by-entry Z[zeta] multiply-add, is
-behind its products, sums and scalings and behind the p-adic lifting,
-and `same_columns` compares two such forms by cross-multiplying their
-denominators; neither takes a gcd.  Where no factor has a zeta or
-zeta^3 part, `addmul` multiplies in Z[zeta^2] = Z[omega], omega^2 =
-omega - 1, on two numerators instead of four: every value at a rational
-point lies there.  The transfer sweep multiplies only in Z[omega], on
-numerators packed for a whole batch of vectors, and carries a Z[zeta]
-numerator as its two Z[omega] parts x + zeta y, storing no zero part,
-so it needs no choice of ring.  `ring_degree` is the one rule that
-reads the smallest of Z, Z[zeta^2] and Z[zeta] holding some
+denominator.  `zmul` is the one product rule on such numerators, in
+the smallest of Z, Z[zeta^2] and Z[zeta] holding both factors: it is
+behind `Scalar.__mul__` and `Scalar.inv`, behind `addmul`, the
+multiply-add of operator products, and behind the p-adic lifting, on
+packed big ints.  The transfer sweep alone writes its Z[zeta^2] product
+out inline, which is faster (`transfer._layer`).  Neither `addmul` nor
+`same_columns`, which cross-multiplies two denominators, takes a gcd.
+`ring_degree` reads the smallest of those rings holding some
 numerators; the p-adic lifting chooses its ring with it.
 """
 
@@ -68,6 +65,7 @@ __all__ = [
     "cleared",
     "cleared_columns",
     "ring_degree",
+    "zmul",
     "addmul",
     "same_columns",
 ]
@@ -195,20 +193,7 @@ class Scalar:
     def __mul__(self, o: Scalar) -> Scalar:
         if not isinstance(o, Scalar):
             return NotImplemented
-        a0, a1, a2, a3 = self._n
-        b0, b1, b2, b3 = o._n
-        t4 = a1 * b3 + a2 * b2 + a3 * b1
-        t5 = a2 * b3 + a3 * b2
-        t6 = a3 * b3
-        # Reduce degree 4..6: zeta^4 = zeta^2 - 1, zeta^5 = zeta^3 - zeta,
-        # zeta^6 = -1.
-        return _make(
-            a0 * b0 - t4 - t6,
-            a0 * b1 + a1 * b0 - t5,
-            a0 * b2 + a1 * b1 + a2 * b0 + t4,
-            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5,
-            self._d * o._d,
-        )
+        return _make(*zmul(self._n, o._n), self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -226,14 +211,11 @@ class Scalar:
         (c0, c1, c2, c3), d = self._n, self._d
         if not (c1 or c3):
             return _make(d * (c0 + c2), 0, -d * c2, 0, c0 * c0 + c0 * c2 + c2 * c2)
-        s5 = _make(c0 + c2, -c1, -c2, c1 + c3, 1)
-        s7 = _make(c0, -c1, c2, -c3, 1)
-        s11 = _make(c0 + c2, c1, -c2, -c1 - c3, 1)
-        adj = s5 * s7 * s11
+        s5, s7 = (c0 + c2, -c1, -c2, c1 + c3), (c0, -c1, c2, -c3)
+        adj = zmul(zmul(s5, s7), (c0 + c2, c1, -c2, -c1 - c3))
         # self * adj = norm(numerators) / d, a nonzero rational.
-        norm = (_make(c0, c1, c2, c3, 1) * adj)._n[0]
-        (a0, a1, a2, a3), da = adj._n, adj._d
-        return _make(a0 * d, a1 * d, a2 * d, a3 * d, da * norm)
+        norm = zmul(self._n, adj)[0]
+        return _make(*(a * d for a in adj), norm)
 
     def __truediv__(self, o: Scalar) -> Scalar:
         return self * o.inv() if isinstance(o, Scalar) else NotImplemented
@@ -333,34 +315,44 @@ def ring_degree(nums: Iterable[tuple[int, int, int, int]]) -> int:
     return d
 
 
-def addmul(acc: dict, b: tuple[int, int, int, int], items: Iterable[tuple]) -> None:
-    """acc[k] += a * b for every (k, a) in items, on Z[zeta] numerators.
+def zmul(a: tuple, b: tuple) -> tuple:
+    """The product a b of two Z[zeta] numerator 4-tuples, the package's
+    one product rule, reduced by zeta^4 = zeta^2 - 1, zeta^5 = zeta^3 -
+    zeta and zeta^6 = -1, each of l1 norm at most 2: |a b|_1 <= 2 |a|_1
+    |b|_1.  Where neither factor has a zeta or zeta^3 part it is taken in
+    Z[omega], omega = zeta^2: (a0 + a2 omega)(b0 + b2 omega) = (a0 b0 -
+    a2 b2) + ((a0 + a2)(b0 + b2) - a0 b0) omega, three products, and in
+    Z, one product, where neither has an omega part either.
 
-    The product is that of `Scalar.__mul__`, without its gcd.  Where
-    neither a nor b has a zeta or zeta^3 part (`ring_degree` 2 or 1) it
-    is taken in Z[omega], omega = zeta^2 with omega^2 = omega - 1:
-    (a0 + a2 omega)(b0 + b2 omega) = (a0 b0 - a2 b2) + ((a0 + a2)(b0 +
-    b2) - a0 b0) omega, three products instead of sixteen; every other
-    term takes the full Z[zeta] product.  The sum adds all four numerators,
-    so an entry of acc keeps its odd parts whatever a b is.  Z[zeta]
-    has no zero divisors, so with a and b nonzero only a sum can cancel,
-    and an entry that does is deleted rather than stored as zero.
-    Operator products and the p-adic lifting contract with it; the
-    transfer sweep writes the same products out on packed big ints.
+    Being linear in each factor, it takes one factor's parts packed,
+    sum_i x_i 2^(W i) over signed slots below 2^(W-1) in size: the
+    product is the packing of the slot by slot products while they stay
+    below that too, and a packed part is 0 only where all its slots are.
     """
+    a0, a1, a2, a3 = a
     b0, b1, b2, b3 = b
-    even, b02 = not (b1 or b3), b0 + b2
-    for k, (a0, a1, a2, a3) in items:
-        if even and not (a1 or a3):
-            t = a0 * b0
-            p0, p1, p2, p3 = t - a2 * b2, 0, (a0 + a2) * b02 - t, 0
-        else:
-            t4 = a1 * b3 + a2 * b2 + a3 * b1
-            t5 = a2 * b3 + a3 * b2
-            p0 = a0 * b0 - t4 - a3 * b3
-            p1 = a0 * b1 + a1 * b0 - t5
-            p2 = a0 * b2 + a1 * b1 + a2 * b0 + t4
-            p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
+    if a1 or a3 or b1 or b3:
+        t4 = a1 * b3 + a2 * b2 + a3 * b1
+        t5 = a2 * b3 + a3 * b2
+        return (
+            a0 * b0 - t4 - a3 * b3,
+            a0 * b1 + a1 * b0 - t5,
+            a0 * b2 + a1 * b1 + a2 * b0 + t4,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5,
+        )
+    if a2 or b2:
+        t = a0 * b0
+        return (t - a2 * b2, 0, (a0 + a2) * (b0 + b2) - t, 0)
+    return (a0 * b0, 0, 0, 0)
+
+
+def addmul(acc: dict, b: tuple[int, int, int, int], items: Iterable[tuple]) -> None:
+    """acc[k] += `zmul`(a, b) for every (k, a) in items, on Z[zeta]
+    numerators, with no gcd.  Z[zeta] has no zero divisors, so with a and
+    b nonzero only a sum can cancel, and an entry that does is deleted
+    rather than stored as zero."""
+    for k, a in items:
+        p0, p1, p2, p3 = zmul(a, b)
         prev = acc.get(k)
         if prev is None:
             acc[k] = (p0, p1, p2, p3)

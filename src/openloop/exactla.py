@@ -9,9 +9,11 @@ The linear algebra shared by the character and groundstate modules:
 - one Gaussian elimination mod p on packed rows, each row one big int
   (Kronecker substitution), behind Dixon's p-adic lifting of the one
   ray of the kernel of a `SparseOperator`; its triangular solves and
-  its exact residual are packed too, and its certificate A v == 0
-  contracts the operator's Z[zeta] integer columns with
-  `exactfield.addmul`.  Given an anchor (an entry or the entries' sum,
+  its exact residual are packed too.  Its residual updates and its
+  anchored reading multiply with `exactfield.zmul`, the one Z[zeta]
+  product rule, whose l1 bound sizes the packed slots, and its
+  certificate A v == 0 contracts the operator's Z[zeta] integer columns
+  with `exactfield.addmul`.  Given an anchor (an entry or the entries' sum,
   its value and a multiple of the anchored vector's denominator, which
   `groundstate.solve` predicts from the point), the lifting reads the
   anchored vector's numerators over that hint after each step, in
@@ -29,11 +31,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, NonGenericPointError
-from .exactfield import ONE, ZERO, Scalar, addmul, cleared, ring_degree
+from .exactfield import ONE, ZERO, Scalar, addmul, cleared, ring_degree, zmul
 from .linkpat import SparseOperator
 
 __all__ = [
@@ -318,23 +320,23 @@ def _reconstruct(residues: Sequence[int], m: int) -> tuple[list[int], int] | Non
     return nums, den
 
 
-def _pack(cols: Sequence[dict], g: int, images: list[list[int]], width: int, pad: int):
+def _pack(cols: Sequence[dict], g: int, powers: list[list[int]], width: int, pad: int):
     """One pass over the operator's Z[zeta] integer columns cols {row:
     numerators}, which divides each entry's d ring parts by the content
     g and packs them width bits a slot, then embeds each column.
 
-    Returns, for each column, its ring parts zeta^(4j/d), j < d, each
-    packed over the rows with signed slots below 2^(width - 1) in size,
-    in the form `_operand` gives `_submul`; and for each embedding,
-    whose images of the ring basis are images[e], the n rows: entry
+    Returns, for each column, its Z[zeta] numerators, each packed over
+    the rows with signed slots below 2^(width - 1) in size (a part off
+    the ring basis zeta^(4j/d), j < d, is 0); and for each of the d
+    embeddings, whose images of zeta^t are powers[e], the n rows: entry
     (i, j) is slot i of column j's `_embedded` image, so it is
     nonnegative and right mod p."""
-    n, d = len(cols), len(images)
+    n, d = len(cols), len(powers)
     step, wb = 4 // d, width // 8
     half = 1 << (width - 1)  # offsets a signed slot into [0, 2^width)
     blank = half.to_bytes(wb, "little") * n
     offset = int.from_bytes(blank, "little")
-    rows = [[bytearray(n * wb) for _ in range(n)] for _ in images]
+    rows = [[bytearray(n * wb) for _ in range(n)] for _ in powers]
     columns = []
     try:
         for j, col in enumerate(cols):
@@ -344,12 +346,12 @@ def _pack(cols: Sequence[dict], g: int, images: list[list[int]], width: int, pad
                 for x, buf in zip(a, parts):
                     if x:
                         buf[i * wb : (i + 1) * wb] = (x + half).to_bytes(wb, "little")
-            packed = [int.from_bytes(buf, "little") - offset for buf in parts]
-            for image, embedded in zip(images, rows):
-                raw = _embedded(image, packed, pad).to_bytes(n * wb, "little")
+            column = _quad([int.from_bytes(buf, "little") - offset for buf in parts], d, 0)
+            for pw, embedded in zip(powers, rows):
+                raw = _embedded(pw, column, pad).to_bytes(n * wb, "little")
                 for i in col:
                     embedded[i][j * wb : (j + 1) * wb] = raw[i * wb : (i + 1) * wb]
-            columns.append(_operand(packed))
+            columns.append(column)
     except OverflowError:  # only where width is below `_width`
         raise ConsistencyError(f"a packed slot outgrew its {width} bits") from None
     for embedded in rows:
@@ -359,40 +361,10 @@ def _pack(cols: Sequence[dict], g: int, images: list[list[int]], width: int, pad
 
 
 def _embedded(image: Sequence[int], parts: Sequence[int], pad: int) -> int:
-    """sum_t image[t] parts[t] + pad: the image under one embedding of a
-    packed vector over the ring basis, pad a multiple of p in every slot
-    that keeps the slots nonnegative."""
+    """sum_t image[t] parts[t] + pad: the image under one embedding,
+    image[t] that of zeta^t, of a packed vector with Z[zeta] parts, pad a
+    multiple of p in every slot that keeps the slots nonnegative."""
     return sum(map(mul, image, parts)) + pad
-
-
-def _operand(parts: list[int]) -> list[int]:
-    """The ring parts of a factor on the basis zeta^(4j/d) in the form
-    `_submul` takes them: at d = 2 with their sum appended, for its
-    three-product Z[omega] form."""
-    return parts + [parts[0] + parts[1]] if len(parts) == 2 else parts
-
-
-def _submul(res: list[int], x: Sequence[int], c: Sequence[int]) -> None:
-    """res -= x c, part by part on the ring basis zeta^(4j/d), for a
-    digit x and a column's packed parts c from `_pack`.  At d = 2 this
-    is the three-product Z[omega] form of `exactfield.addmul`, with
-    c = (c0, c2, c0 + c2); at d = 4 it is the full Z[zeta] product."""
-    if len(res) == 1:
-        res[0] -= x[0] * c[0]
-    elif len(res) == 2:
-        x0, x2 = x
-        t = x0 * c[0]
-        res[0] -= t - x2 * c[1]
-        res[1] -= (x0 + x2) * c[2] - t
-    else:
-        a0, a1, a2, a3 = c
-        b0, b1, b2, b3 = x
-        t4 = a1 * b3 + a2 * b2 + a3 * b1
-        t5 = a2 * b3 + a3 * b2
-        res[0] -= a0 * b0 - t4 - a3 * b3
-        res[1] -= a0 * b1 + a1 * b0 - t5
-        res[2] -= a0 * b2 + a1 * b1 + a2 * b0 + t4
-        res[3] -= a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5
 
 
 def _quad(flat: Sequence[int], d: int, j: int) -> tuple[int, int, int, int]:
@@ -418,7 +390,7 @@ def _anchored(acc: Sequence[int], d: int, index: int | None, scaled: Scalar, m: 
 
     1 / u mod m is its conjugate over its norm (`Scalar.inv`), read mod
     m, where p does not divide that norm.  The products c v_j are
-    `_submul`'s, so one body serves every d.  The free column's v_j is
+    `zmul`'s, so one body serves every d.  The free column's v_j is
     1, so its residues are c's own and are tested first: a step that is
     still too short costs one inverse."""
     if index is None:
@@ -439,13 +411,11 @@ def _anchored(acc: Sequence[int], d: int, index: int | None, scaled: Scalar, m: 
     factor = [a * e % m for a in ring]
     if any(bound < a < m - bound for a in factor):
         return None
-    parts = _operand(factor)
+    c = _quad(factor, d, 0)
     nums = []
-    for j in range(0, len(acc), d):
-        prod = [0] * d
-        _submul(prod, acc[j : j + d], parts)
-        for a in prod:
-            a = -a % m
+    for j in range(len(acc) // d):
+        for a in zmul(c, _quad(acc, d, j))[:: 4 // d]:
+            a %= m
             if bound < a < m - bound:
                 return None
             nums.append(a - m if a > half else a)
@@ -484,17 +454,16 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
 
     Everything from the columns to that certificate is packed
     (Kronecker substitution): a row, a column of L or U, a right-hand
-    side, or one ring part of the residual over the rows is one int
+    side, or one Z[zeta] part of the residual over the rows is one int
     sum_i a_i 2^(W i), and a factorisation step, a substitution step or
     a residual update is a few big-int operations.  One W, from
     `_width`, serves the whole lifting.  Let N be the largest l1 norm of
     a row of cols / g, over its entries and their ring parts, and let
     B = 2 d N.
     - Residual: r starts as minus the free column, so |r_i|_1 <= N <= B.
-      A digit x has d coordinates in [0, p), and |a x|_1 <= 2 |a|_1 |x|_1
-      in Z[zeta], whose zeta^4, zeta^5 and zeta^6 have l1 norm at most 2.
-      So |(A x)_i|_1 <= 2 d (p - 1) N, and (r - A x) / p keeps
-      |r_i|_1 <= B.
+      A step subtracts the `zmul` product of each digit x, d coordinates
+      in [0, p), with its packed column, and by `zmul`'s l1 bound
+      |(A x)_i|_1 <= 2 d (p - 1) N, so (r - A x) / p keeps |r_i|_1 <= B.
     - Embedding e sends a packed vector with parts R_t to sum_t rho_e^t
       R_t + p B (`_embedded`), with rho_e^t in [0, p), so its slots lie
       in [0, 2 p B).  The right-hand sides are such images, and so are
@@ -515,7 +484,6 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     hands the operator to the next prime.
     """
     powers, vinv = _embeddings(p, d)
-    images = [pw[:: 4 // d] for pw in powers]
     n = len(cols)
     l1, norms = [0] * n, [0] * n
     for col in cols:
@@ -526,7 +494,7 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     bound = 2 * d * (max(l1, default=0) // g)
     width = _width(p, n, bound)
     pad = p * bound * _packed([1] * n, width)
-    parts, rows = _pack(cols, g, images, width, pad)
+    parts, rows = _pack(cols, g, powers, width, pad)
     first = _PackedLU(rows[0], n, p, width)
     if len(first.steps) != n - 1:
         return None
@@ -554,24 +522,23 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     if anchor is not None:
         index, value, hint = anchor
         scaled = value * Scalar.from_integers((hint, 0, 0, 0), 1)
-    res = [-c for c in parts[free][:d]]
+    res = tuple(-c for c in parts[free])
     # v mod p^k on the ring basis, d coordinates per entry; no digit
     # touches the free column, which stays 1.
     acc = [0] * (d * n)
     acc[d * free] = 1
     pk = 1
     for _ in range(budget):
-        xs = [lu.solve(_embedded(image, res, pad)) for lu, image in zip(factors, images)]
+        xs = [lu.solve(_embedded(pw, res, pad)) for lu, pw in zip(factors, powers)]
         for j, y in enumerate(zip(*xs)):
             if any(y):
                 digit = [sum(map(mul, row, y)) % p for row in vinv]
-                _submul(res, digit, parts[j])
+                res = tuple(map(sub, res, zmul(_quad(digit, d, 0), parts[j])))
                 for t, x in enumerate(digit, d * j):
                     acc[t] += x * pk
-        for t, r in enumerate(res):
-            res[t], rem = divmod(r, p)
-            if rem:
-                return None
+        res, rems = zip(*(divmod(r, p) for r in res))
+        if any(rems):
+            return None
         pk *= p
         if anchor is not None and (nums := _anchored(acc, d, index, scaled, pk)):
             if vec := _certified(cols, nums, d, hint):

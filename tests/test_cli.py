@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from openloop import ConsistencyError, Scalar, SpectralPoint, closed_form_all_open, groundstate
-from openloop.chars import symplectic_character
+from openloop.chars import character_auto, symplectic_character
 from openloop.cli import main, parse_scalar
 from openloop.verify import SUITE_NAMES
 
@@ -253,6 +253,17 @@ def test_character_colliding_points_need_the_flag(capsys):
         capsys, "character", "--lambda", "1,0", "--points", "2,1/2", "--confluent"
     )
     assert code == 0 and err == ""
+
+
+def test_character_prints_values_beyond_the_int_string_limit(capsys):
+    # sp_(8000)(2) has numerators of about 7000 digits, past the 4300 that
+    # Python allows an int-to-str conversion by default: it prints in full.
+    code, out, err = run_cli(capsys, "character", "--lambda", "8000", "--points", "2")
+    assert code == 0 and err == ""
+    line = out.splitlines()[0]
+    assert len(line) > 4300
+    printed = Scalar([Fraction(c) for c in line.strip("()").split(", ")])
+    assert printed == character_auto([8000], [Scalar.from_rational(2)])
 
 
 def test_verify_command_deterministic(capsys):

@@ -8,7 +8,8 @@ from random import Random
 import pytest
 
 from openloop import FOURTH_ROOTS, IMAG, ONE, Q, ZERO, ZETA, Scalar, bracket, kfun
-from openloop.exactfield import addmul, cleared, ring_degree
+from openloop.exactfield import addmul, cleared, ring_degree, zmul
+from openloop.transfer import _unpack
 
 from helpers import rational
 
@@ -124,8 +125,7 @@ def test_ring_operations_match_coefficientwise_fractions():
         return [Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 6, 9, 12, 35)))
                 for _ in range(4)]
 
-    for _ in range(200):
-        a, b = draw(), draw()
+    def check(a, b):
         x, y = Scalar(a), Scalar(b)
         assert (x + y).coeffs == tuple(p + q for p, q in zip(a, b))
         assert (x - y).coeffs == tuple(p - q for p, q in zip(a, b))
@@ -136,7 +136,40 @@ def test_ring_operations_match_coefficientwise_fractions():
         assert (x * y).coeffs == (t[0] - t[4] - t[6], t[1] - t[5], t[2] + t[4], t[3] + t[5])
         back = (x + y) - y
         assert back == x and hash(back) == hash(x)
-    assert (x - x).is_zero() and x - x == ZERO and hash(x - x) == hash(ZERO)
+        assert (x - x).is_zero() and x - x == ZERO and hash(x - x) == hash(ZERO)
+
+    for _ in range(200):
+        check(draw(), draw())
+    # Rationals and elements of Q(sqrt(-3)) = Q(zeta^2), against each other
+    # and against general elements, so that each ring of the product, Z,
+    # Z[zeta^2] and Z[zeta], meets the convolution reference.
+    kept = ((0,), (0, 2), (0, 1, 2, 3))
+    for _ in range(300):
+        a, b = ([c if k in ring else 0 for k, c in enumerate(draw())]
+                for ring in (rng.choice(kept), rng.choice(kept)))
+        check(a, b)
+
+
+def test_zmul_on_packed_parts_packs_the_slotwise_products():
+    # The lifting multiplies a digit of plain ints by a column whose four
+    # parts are packed over the rows, slot i signed and width bits wide:
+    # in either order, zmul's parts must read back slot by slot (with
+    # `transfer._unpack`) as the products with each row's entry.  Rows mix
+    # rationals, Z[zeta^2] and Z[zeta] entries, so a column's ring must
+    # hold all of its rows.
+    rng = Random(35)
+    n, width = 6, 64
+    kept = ((0,), (0, 2), (0, 1, 2, 3))
+    for _ in range(200):
+        rings = [rng.choice(kept) for _ in range(n)]
+        rows = [tuple(rng.randint(-2**20, 2**20) if t in ring else 0 for t in range(4))
+                for ring in rings]
+        packed = tuple(sum(row[t] << width * i for i, row in enumerate(rows)) for t in range(4))
+        ring = rng.choice(kept)
+        digit = tuple(rng.randint(-2**20, 2**20) if t in ring else 0 for t in range(4))
+        for product in (zmul(digit, packed), zmul(packed, digit)):
+            slots = [_unpack(part, n, width) for part in product]
+            assert list(zip(*slots)) == [zmul(digit, row) for row in rows]
 
 
 def _accumulated(acc: dict, b, items) -> dict:
