@@ -38,6 +38,7 @@ from .exactfield import ONE, Q, ZERO, Scalar, kfun
 from .exactla import det
 
 __all__ = [
+    "PART_CAP",
     "lambda_partition",
     "symplectic_character",
     "character_auto",
@@ -54,10 +55,15 @@ def lambda_partition(length: int) -> tuple[int, ...]:
     return tuple((length - j) // 2 for j in range(1, length + 1))
 
 
+# The largest partition part evaluated: time and memory grow with it, as
+# 0.8 / 1.8 / 3.1 s and 29 / 37 / 46 MB at lam_1 = 8000 / 10000 / 12000, x = 2.
+PART_CAP = 10_000
+
+
 def _padded(lam: Sequence[int], n: int) -> tuple[int, ...]:
     lam = tuple(lam)
-    if any(a < 0 for a in lam):
-        raise ValueError("partition parts must be nonnegative")
+    if any(not 0 <= a <= PART_CAP for a in lam):
+        raise ValueError(f"partition parts must lie in 0..PART_CAP = {PART_CAP}")
     if any(a < b for a, b in zip(lam, lam[1:])):
         raise ValueError("partition parts must be non-increasing")
     if len(lam) > n and any(a != 0 for a in lam[n:]):

@@ -6,7 +6,8 @@ like "0:1:0:0".  Output is JSON (schemaVersion 1) or CSV; every run
 with the same flags and seed prints byte-identical text.
 
 Exit codes: 0 success, 1 argument or parse error (including L beyond
-the exact-solve cap and an unwritable --output path) or a failed
+the exact-solve cap, a partition part beyond `chars.PART_CAP` and an
+unwritable --output path) or a failed
 verification (a FAIL row or a failed sum rule), 2 any other domain
 error (non-generic point, confluent character arguments, failed
 cross-check, degree bound), 3 singular parameter (an operator pole at

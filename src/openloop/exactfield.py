@@ -89,6 +89,37 @@ def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> Scalar:
     return _raw((n0 // g, n1 // g, n2 // g, n3 // g), d // g)
 
 
+def zmul(a: tuple, b: tuple) -> tuple:
+    """The product a b of two Z[zeta] numerator 4-tuples, the package's
+    one product rule, reduced by zeta^4 = zeta^2 - 1, zeta^5 = zeta^3 -
+    zeta and zeta^6 = -1, each of l1 norm at most 2: |a b|_1 <= 2 |a|_1
+    |b|_1.  Where neither factor has a zeta or zeta^3 part it is taken in
+    Z[omega], omega = zeta^2: (a0 + a2 omega)(b0 + b2 omega) = (a0 b0 -
+    a2 b2) + ((a0 + a2)(b0 + b2) - a0 b0) omega, three products, and in
+    Z, one product, where neither has an omega part either.
+
+    Being linear in each factor, it takes one factor's parts packed,
+    sum_i x_i 2^(W i) over signed slots below 2^(W-1) in size: the
+    product is the packing of the slot by slot products while they stay
+    below that too, and a packed part is 0 only where all its slots are.
+    """
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    if a1 or a3 or b1 or b3:
+        t4 = a1 * b3 + a2 * b2 + a3 * b1
+        t5 = a2 * b3 + a3 * b2
+        return (
+            a0 * b0 - t4 - a3 * b3,
+            a0 * b1 + a1 * b0 - t5,
+            a0 * b2 + a1 * b1 + a2 * b0 + t4,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5,
+        )
+    if a2 or b2:
+        t = a0 * b0
+        return (t - a2 * b2, 0, (a0 + a2) * (b0 + b2) - t, 0)
+    return (a0 * b0, 0, 0, 0)
+
+
 class Scalar:
     """An element of Q(zeta12) in the basis (1, zeta, zeta^2, zeta^3).
 
@@ -126,16 +157,6 @@ class Scalar:
     @classmethod
     def one(cls) -> Scalar:
         return cls((1, 0, 0, 0))
-
-    @classmethod
-    def root_of_unity(cls, k: int) -> Scalar:
-        """zeta**k for any integer k, reduced into the basis."""
-        k %= 12
-        if k >= 6:  # zeta^6 = -1
-            return -cls.root_of_unity(k - 6)
-        # zeta^4 = zeta^2 - 1 and zeta^5 = zeta^3 - zeta.
-        basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-        return cls((basis + ((-1, 0, 1, 0), (0, -1, 0, 1)))[k])
 
     @classmethod
     def from_integers(cls, nums: Sequence[int], den: int) -> Scalar:
@@ -263,9 +284,9 @@ class Scalar:
 
 ZERO = Scalar.zero()
 ONE = Scalar.one()
-ZETA = Scalar.root_of_unity(1)
-Q = Scalar.root_of_unity(4)
-IMAG = Scalar.root_of_unity(3)
+ZETA = Scalar((0, 1, 0, 0))
+Q = ZETA ** 4
+IMAG = ZETA ** 3
 
 # All solutions of s**4 = 1, by the name the command line gives them.
 FOURTH_ROOTS = {"1": ONE, "-1": -ONE, "i": IMAG, "-i": -IMAG}
@@ -313,37 +334,6 @@ def ring_degree(nums: Iterable[tuple[int, int, int, int]]) -> int:
         if n2:
             d = 2
     return d
-
-
-def zmul(a: tuple, b: tuple) -> tuple:
-    """The product a b of two Z[zeta] numerator 4-tuples, the package's
-    one product rule, reduced by zeta^4 = zeta^2 - 1, zeta^5 = zeta^3 -
-    zeta and zeta^6 = -1, each of l1 norm at most 2: |a b|_1 <= 2 |a|_1
-    |b|_1.  Where neither factor has a zeta or zeta^3 part it is taken in
-    Z[omega], omega = zeta^2: (a0 + a2 omega)(b0 + b2 omega) = (a0 b0 -
-    a2 b2) + ((a0 + a2)(b0 + b2) - a0 b0) omega, three products, and in
-    Z, one product, where neither has an omega part either.
-
-    Being linear in each factor, it takes one factor's parts packed,
-    sum_i x_i 2^(W i) over signed slots below 2^(W-1) in size: the
-    product is the packing of the slot by slot products while they stay
-    below that too, and a packed part is 0 only where all its slots are.
-    """
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    if a1 or a3 or b1 or b3:
-        t4 = a1 * b3 + a2 * b2 + a3 * b1
-        t5 = a2 * b3 + a3 * b2
-        return (
-            a0 * b0 - t4 - a3 * b3,
-            a0 * b1 + a1 * b0 - t5,
-            a0 * b2 + a1 * b1 + a2 * b0 + t4,
-            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + t5,
-        )
-    if a2 or b2:
-        t = a0 * b0
-        return (t - a2 * b2, 0, (a0 + a2) * (b0 + b2) - t, 0)
-    return (a0 * b0, 0, 0, 0)
 
 
 def addmul(acc: dict, b: tuple[int, int, int, int], items: Iterable[tuple]) -> None:

@@ -559,15 +559,16 @@ def kernel_vector(
 ) -> list[Scalar]:
     """The one ray of the kernel of the square operator op, scaled so
     that its last nonzero entry is 1, or, with an anchor (index, value,
-    hint), so that its `anchor_entry` is value where that entry is
-    nonzero.  hint is a multiple of the anchored vector's common
-    denominator as the caller predicts it (`groundstate.solve` reads one
-    off the point), or any positive integer: it picks how the lifting
-    reads the vector, never which vector comes out, for the vector of
-    Wang's reconstruction is scaled to the anchor too.  The lifting reads
-    op's Z[zeta] integer columns `num_cols` and not its denominator, which does not
-    change the kernel, and divides out their integer content g, with
-    which its integers would only grow, as it packs them (`_pack`).
+    hint), so that its `anchor_entry` is value; an anchored entry that is
+    zero raises ConsistencyError.  hint is a multiple of the anchored
+    vector's common denominator as the caller predicts it
+    (`groundstate.solve` reads one off the point), or any positive
+    integer: it picks how the lifting reads the vector, never which
+    vector comes out, for the vector of Wang's reconstruction is scaled
+    to the anchor too.  The lifting reads op's Z[zeta] integer columns
+    `num_cols` and not its denominator, which does not change the kernel,
+    and divides out their integer content g, with which its integers
+    would only grow, as it packs them (`_pack`).
 
     Dixon's method: the rank profile is found mod a prime p of PRIMES,
     one pivot block is factored in each embedding of Z[zeta] into F_p,
@@ -601,10 +602,13 @@ def kernel_vector(
         if len(basis) != 1:
             raise NonGenericPointError(f"kernel has dimension {len(basis)}, expected 1")
         vec = basis[0]
-    if anchor is not None and (entry := anchor_entry(vec, anchor[0])):
+    if anchor is None:
+        scale = next(x for x in reversed(vec) if x).inv()
+    elif entry := anchor_entry(vec, anchor[0]):
         scale = anchor[1] / entry
     else:
-        scale = next(x for x in reversed(vec) if x).inv()
+        pinned = "the sum of its entries" if anchor[0] is None else f"its entry {anchor[0]}"
+        raise ConsistencyError(f"the kernel vector cannot be anchored: {pinned} is zero")
     return vec if scale == ONE else [x * scale for x in vec]
 
 

@@ -266,12 +266,13 @@ def solve(
     normalization's chain that does not vanish (auto tries all_open,
     entry 0; all_close, entry n - 1; sum, the component sum, whose closed
     form is `chars.z_product`), handed to the lifting with the denominator
-    that `_denominator_hint` predicts.  raw, and auto where every closed
-    form vanishes, keep the lifting's scale (last nonzero component 1);
-    a named anchor that vanishes raises NonGenericPointError once the
-    kernel is solved.  A closed form tried that vanishes while its
-    component does not, or the reverse, raises ConsistencyError.  An
-    unknown normalization raises ValueError before T is built.
+    that `_denominator_hint` predicts; the lifting raises ConsistencyError
+    where that entry of the kernel vector vanishes.  A named normalization
+    whose closed form vanishes raises NonGenericPointError, and an unknown
+    one ValueError, both before T is built.  raw, and auto where every
+    closed form vanishes, keep the lifting's scale (last nonzero
+    component 1).  A form that auto skips because it vanishes must have a
+    vanishing component too, or ConsistencyError is raised.
 
     With check_w the vector is re-verified against T at an independently
     shifted auxiliary parameter, which must fix it too, or
@@ -282,15 +283,16 @@ def solve(
     if normalization not in _CHAINS:
         raise ValueError(f"unknown normalization {normalization!r}")
     size = 1 << pt.length
-    tried = []  # (name, pinned entry, closed form), up to the first nonzero form
+    chosen, anchor, skipped = "raw", None, []  # skipped: (name, pinned entry)
     for name in _CHAINS[normalization]:
+        index = {"all_open": 0, "all_close": size - 1}.get(name)
         value = _CLOSED_FORMS[name](pt)
-        tried.append((name, {"all_open": 0, "all_close": size - 1}.get(name), value))
         if not value.is_zero():
+            chosen, anchor = name, (index, value, _denominator_hint(pt))
             break
-    anchor = None
-    if tried and not tried[-1][2].is_zero():
-        anchor = tried[-1][1:] + (_denominator_hint(pt),)
+        skipped.append((name, index))
+    if skipped and normalization != "auto":
+        raise NonGenericPointError(f"{normalization} anchor vanishes at this point")
     op = transfer_matrix(pt) - SparseOperator.identity(size)
     vec = kernel_vector(op, anchor)
     if check_w:
@@ -299,18 +301,13 @@ def solve(
             raise ConsistencyError(
                 "fixed vector is not independent of the auxiliary parameter"
             )
-    for name, index, value in tried:
-        if value.is_zero() != anchor_entry(vec, index).is_zero():
+    for name, index in skipped:
+        if not anchor_entry(vec, index).is_zero():
             raise ConsistencyError(
                 f"{name} anchor contradicts the solved vector: closed form "
-                f"{'vanishes' if value.is_zero() else 'is nonzero'} but the "
-                f"component does not agree"
+                "vanishes but the component does not"
             )
-    if anchor is not None:
-        return GroundstateVector(pt, tried[-1][0], tuple(vec))
-    if normalization not in ("auto", "raw"):
-        raise NonGenericPointError(f"{normalization} anchor vanishes at this point")
-    return GroundstateVector(pt, "raw", tuple(vec))
+    return GroundstateVector(pt, chosen, tuple(vec))
 
 
 def check_sum_rule(pt: SpectralPoint) -> bool:

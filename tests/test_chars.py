@@ -20,7 +20,7 @@ from openloop import (
     symplectic_character,
     z_product,
 )
-from openloop.chars import check_char_recursion
+from openloop.chars import PART_CAP, check_char_recursion
 from openloop.exactla import laurent_fit
 from openloop.groundstate import generic_parameters
 
@@ -195,6 +195,13 @@ def test_character_recursion_random_point():
     assert check_char_recursion(zs, 2)
     with pytest.raises(ValueError):
         check_char_recursion([vals[0], vals[1]], 1)
+
+
+def test_both_evaluators_refuse_a_part_beyond_the_cap():
+    xs = [rational(2), rational(3)]
+    for evaluate in (character_auto, symplectic_character):
+        with pytest.raises(ValueError, match="PART_CAP"):
+            evaluate([PART_CAP + 1, 1], xs)
 
 
 def test_z_product_level_one():

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from openloop import ConsistencyError, Scalar, SpectralPoint, closed_form_all_open, groundstate
-from openloop.chars import character_auto, symplectic_character
+from openloop.chars import PART_CAP, character_auto, symplectic_character
 from openloop.cli import main, parse_scalar
 from openloop.verify import SUITE_NAMES
 
@@ -264,6 +264,15 @@ def test_character_prints_values_beyond_the_int_string_limit(capsys):
     assert len(line) > 4300
     printed = Scalar([Fraction(c) for c in line.strip("()").split(", ")])
     assert printed == character_auto([8000], [Scalar.from_rational(2)])
+
+
+@pytest.mark.parametrize("part", ["99999999999999999999", "9223372036854775807"])
+def test_character_refuses_a_part_beyond_the_cap(capsys, part):
+    # A part past any list length (OverflowError) or past memory
+    # (MemoryError) is refused before h_0..h_(lam_1) is built.
+    code, out, err = run_cli(capsys, "character", "--lambda", part, "--points", "2")
+    assert (code, out) == (1, "")
+    assert err == f"error: partition parts must lie in 0..PART_CAP = {PART_CAP}\n"
 
 
 def test_verify_command_deterministic(capsys):

@@ -449,8 +449,8 @@ def test_fixed_vector_scales_its_last_nonzero_entry_to_one():
 def test_an_anchor_scales_its_entry_unless_that_entry_is_zero():
     # Kernel vector (-2, 1, 0): anchored at entry 0 it is scaled so that
     # entry is 3, whatever the hint, and anchored at the sum (index None)
-    # so that its entries sum to 3; anchored at the zero entry 2 it keeps
-    # its last nonzero entry at 1.
+    # so that its entries sum to 3; anchored at the zero entry 2 it cannot
+    # be scaled, and the error names that entry.
     op = _from_rows([
         [ONE, rational(2), ZERO],
         [ZERO, ZERO, ONE],
@@ -460,7 +460,12 @@ def test_an_anchor_scales_its_entry_unless_that_entry_is_zero():
     for hint in (1, 2, 7**40):
         assert kernel_vector(op, (0, three, hint)) == [three, -rational(3, 2), ZERO]
         assert kernel_vector(op, (None, three, hint)) == [rational(6), -three, ZERO]
-        assert kernel_vector(op, (2, three, hint)) == [-rational(2), ONE, ZERO]
+        with pytest.raises(ConsistencyError, match="its entry 2 is zero"):
+            kernel_vector(op, (2, three, hint))
+    # Kernel vector (1, -1): its entries sum to zero.
+    op = _from_rows([[ONE, ONE], [ZERO, ZERO]])
+    with pytest.raises(ConsistencyError, match="the sum of its entries is zero"):
+        kernel_vector(op, (None, three, 1))
 
 
 def _prime_factor(n: int) -> int:

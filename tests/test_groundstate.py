@@ -337,8 +337,22 @@ def test_a_closed_form_that_contradicts_its_component_raises(monkeypatch):
             solve(pt, check_w=False)
     right, _, _ = reduction(pt, 3)
     monkeypatch.setitem(groundstate._CLOSED_FORMS, "all_close", lambda p: ONE)
-    with pytest.raises(ConsistencyError, match="all_close anchor .* closed form is nonzero"):
+    with pytest.raises(ConsistencyError, match="cannot be anchored: its entry 7 is zero"):
         solve(right, normalization="all_close", check_w=False)
+
+
+def test_a_named_anchor_that_vanishes_is_refused_before_t_is_built(monkeypatch):
+    # The all-open form vanishes at z_1 = q zeta_1, and a sum form patched
+    # to vanish: neither named normalization reaches T.
+    built = []
+    monkeypatch.setattr(groundstate, "transfer_matrix", built.append)
+    pt = draw_point(Random(965), 3)
+    with pytest.raises(NonGenericPointError, match="all_open anchor vanishes"):
+        solve(pt.with_z(1, Q * pt.zeta1), normalization="all_open")
+    monkeypatch.setitem(groundstate._CLOSED_FORMS, "sum", lambda p: Scalar.zero())
+    with pytest.raises(NonGenericPointError, match="sum anchor vanishes"):
+        solve(pt, normalization="sum")
+    assert built == []
 
 
 def test_the_hint_at_a_rational_point_is_the_product_of_its_parameters():

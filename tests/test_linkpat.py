@@ -13,6 +13,7 @@ from openloop import (
     ONE,
     Q,
     ZERO,
+    ZETA,
     Scalar,
     SingularParameterError,
     all_patterns,
@@ -435,7 +436,7 @@ def test_c_from_zeta_values():
     assert c_from_zeta(ONE) == ONE
     assert c_from_zeta(Scalar.from_rational(2)) == Scalar.from_rational(Fraction(4, 7))
     # zeta^2 = q makes 1 + zeta^2 + zeta^-2 = 0.
-    zeta = Scalar.root_of_unity(2)
+    zeta = ZETA ** 2
     assert zeta * zeta == Q
     with pytest.raises(SingularParameterError):
         c_from_zeta(zeta)
