@@ -60,14 +60,17 @@ def lambda_partition(length: int) -> tuple[int, ...]:
 PART_CAP = 10_000
 
 
-def _padded(lam: Sequence[int], n: int) -> tuple[int, ...]:
-    lam = tuple(lam)
+def _padded(lam: Sequence[int], xs: Sequence[Scalar]) -> tuple[int, ...]:
+    """lam checked and padded to len(xs) parts; every x must be nonzero."""
+    lam, n = tuple(lam), len(xs)
     if any(not 0 <= a <= PART_CAP for a in lam):
         raise ValueError(f"partition parts must lie in 0..PART_CAP = {PART_CAP}")
     if any(a < b for a, b in zip(lam, lam[1:])):
         raise ValueError("partition parts must be non-increasing")
     if len(lam) > n and any(a != 0 for a in lam[n:]):
         raise ValueError(f"partition has more than {n} nonzero parts")
+    if any(x.is_zero() for x in xs):
+        raise ValueError("character arguments must be nonzero")
     return (lam + (0,) * n)[:n]
 
 
@@ -84,9 +87,7 @@ def symplectic_character(lam: Sequence[int], xs: Sequence[Scalar]) -> Scalar:
     """chi_lam at pairwise generic arguments; raises ConfluentPointError
     when the Weyl denominator vanishes."""
     n = len(xs)
-    lam = _padded(lam, n)
-    if any(x.is_zero() for x in xs):
-        raise ValueError("character arguments must be nonzero")
+    lam = _padded(lam, xs)
     if n == 0:
         return ONE
     if _collides(xs):
@@ -116,9 +117,7 @@ def _complete_homogeneous(xs: Sequence[Scalar], top: int) -> list[Scalar]:
 def character_auto(lam: Sequence[int], xs: Sequence[Scalar]) -> Scalar:
     """chi_lam at any nonzero arguments, confluent or not, as the
     Koike-Terada determinant."""
-    lam = [a for a in _padded(lam, len(xs)) if a]
-    if any(x.is_zero() for x in xs):
-        raise ValueError("character arguments must be nonzero")
+    lam = [a for a in _padded(lam, xs) if a]
     if not lam:
         return ONE
     ell = len(lam)

@@ -5,14 +5,16 @@ Exact values cross the boundary as strings: rationals like "5" or
 like "0:1:0:0".  Output is JSON (schemaVersion 1) or CSV; every run
 with the same flags and seed prints byte-identical text.
 
-Exit codes: 0 success, 1 argument or parse error (including L beyond
-the exact-solve cap, a partition part beyond `chars.PART_CAP` and an
-unwritable --output path) or a failed
+The library decides which inputs it accepts.  The commands parse, call
+and print, and `main` alone maps exception types to exit codes: 0
+success, 1 argument or parse error (a ValueError from the library, such
+as a zero parameter or a partition part beyond `chars.PART_CAP`; L
+beyond the exact-solve cap; an unwritable --output path) or a failed
 verification (a FAIL row or a failed sum rule), 2 any other domain
-error (non-generic point, confluent character arguments, failed
-cross-check, degree bound), 3 singular parameter (an operator pole at
-the given values), 141 standard output closed before all was written
-(as when piped into head; 128 + SIGPIPE, as a shell reports).
+error (non-generic point, failed cross-check, degree bound), 3 singular
+parameter (an operator pole at the given values), 141 standard output
+closed before all was written (as when piped into head; 128 + SIGPIPE,
+as a shell reports).
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .chars import _collides, character_auto, z_product
-from .errors import ConfluentPointError, OpenLoopError, SingularParameterError
+from .chars import character_auto, z_product
+from .errors import OpenLoopError, SingularParameterError
 from .exactfield import FOURTH_ROOTS, Scalar
 from .groundstate import SOLVE_CAP, GroundstateVector, generic_parameters, solve, sum_components
 from .transfer import SpectralPoint
@@ -74,15 +76,10 @@ def parse_scalar_list(text: str) -> list[Scalar]:
     return [parse_scalar(part) for part in text.split(",")]
 
 
-def _require_nonzero(name: str, value: Scalar) -> Scalar:
-    if value.is_zero():
-        raise _CliError(f"parameter {name} must be nonzero")
-    return value
-
-
 def _default_w(seed: int, fixed: Sequence[Scalar]) -> Scalar:
-    """Deterministic small rational clear of every provided parameter."""
-    avoid = [v.rational_value() for v in fixed if v.is_rational()]
+    """Deterministic small rational clear of every provided parameter;
+    a zero one is left to `SpectralPoint` to refuse."""
+    avoid = [v.rational_value() for v in fixed if v.is_rational() and not v.is_zero()]
     (w,) = generic_parameters(random.Random(seed), 1, avoid=avoid)
     return w
 
@@ -93,12 +90,8 @@ def _build_point(args) -> SpectralPoint:
     zs = parse_scalar_list(args.z) if args.z else []
     if len(zs) != args.L:
         raise _CliError(f"--z must provide exactly L = {args.L} values, got {len(zs)}")
-    for k, v in enumerate(zs, start=1):
-        _require_nonzero(f"z_{k}", v)
-    zeta1 = _require_nonzero("zeta1", parse_scalar(args.zeta1))
-    zeta2 = _require_nonzero("zeta2", parse_scalar(args.zeta2))
+    zeta1, zeta2 = parse_scalar(args.zeta1), parse_scalar(args.zeta2)
     w = parse_scalar(args.w) if args.w else _default_w(args.seed, zs + [zeta1, zeta2])
-    _require_nonzero("w", w)
     return SpectralPoint(tuple(zs), zeta1, zeta2, w, FOURTH_ROOTS[args.s])
 
 
@@ -184,10 +177,7 @@ def cmd_verify(args) -> int:
     A row with no instance at this L is left out, not passed: at L = 1
     the transfer suite has no bulk index and prints "7/7 checks passed".
     """
-    try:
-        report = run_suite(args.suite, args.L, args.trials, args.seed)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    report = run_suite(args.suite, args.L, args.trials, args.seed)
     failed = 0
     for label, ok in report:
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
@@ -201,16 +191,7 @@ def cmd_character(args) -> int:
         lam = [int(part) for part in args.lam.split(",")] if args.lam.strip() else []
     except ValueError as exc:
         raise _CliError(f"cannot parse --lambda: {exc}") from None
-    points = parse_scalar_list(args.points)
-    try:
-        value = character_auto(lam, points)
-        if not args.confluent and _collides(points):
-            raise ConfluentPointError("character arguments collide")
-    except ConfluentPointError as exc:
-        print(f"error: {exc}; re-run with --confluent", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+    value = character_auto(lam, parse_scalar_list(args.points))
     print("(" + ", ".join(str(c) for c in value.coeffs) + ")")
     if value.is_rational():
         print(str(value.rational_value()))
@@ -249,10 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     cha = subs.add_parser("character", help="evaluate one symplectic character")
     cha.add_argument("--lambda", dest="lam", required=True,
                      help="comma-separated partition, e.g. 1,0,0")
-    cha.add_argument("--points", required=True, help="comma-separated arguments")
-    cha.add_argument("--confluent", action="store_true",
-                     help="allow colliding arguments (every input is evaluated by "
-                     "the Koike-Terada determinant)")
+    cha.add_argument("--points", required=True,
+                     help="comma-separated nonzero arguments, colliding or not")
     return parser
 
 
@@ -279,7 +258,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Point stdout at devnull so that the interpreter's final flush is quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except _CliError as exc:
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SingularParameterError as exc:

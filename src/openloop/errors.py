@@ -31,7 +31,8 @@ class NonGenericPointError(OpenLoopError):
 
 
 class ConfluentPointError(OpenLoopError):
-    """Character arguments collide; the confluent evaluator is needed."""
+    """Character arguments collide; only the Weyl-ratio oracle
+    `chars.symplectic_character` raises it (`character_auto` takes them)."""
 
 
 class DegreeBoundError(OpenLoopError):

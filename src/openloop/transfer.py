@@ -134,11 +134,12 @@ class SpectralPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(self.z))
+        for k, x in enumerate(self.z, start=1):
+            if x.is_zero():
+                raise ValueError(f"spectral parameter z_{k} must be nonzero")
         for name in ("zeta1", "zeta2", "w", "s"):
             if getattr(self, name).is_zero():
                 raise ValueError(f"spectral parameter {name} must be nonzero")
-        if any(x.is_zero() for x in self.z):
-            raise ValueError("bulk spectral parameters must be nonzero")
         if self.s not in FOURTH_ROOTS.values():
             raise ValueError("s must be a fourth root of unity")
 

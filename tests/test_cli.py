@@ -13,7 +13,7 @@ import pytest
 
 from openloop import ConsistencyError, Scalar, SpectralPoint, closed_form_all_open, groundstate
 from openloop.chars import PART_CAP, character_auto, symplectic_character
-from openloop.cli import main, parse_scalar
+from openloop.cli import main, parse_scalar, parse_scalar_list
 from openloop.verify import SUITE_NAMES
 
 
@@ -141,10 +141,24 @@ def test_repeated_bulk_parameters_are_fine(capsys):
     assert code == 0
 
 
-def test_zero_parameter_is_a_usage_error(capsys):
-    code, out, err = run_cli(capsys, "solve", "--L", "1", "--z", "0")
-    assert code == 1
-    assert "error:" in err
+@pytest.mark.parametrize("command", ["solve", "sumrule"])
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--z", "0,3"], "z_1"),
+        (["--z", "2,0", "--w", "5/2"], "z_2"),
+        (["--z", "2,3", "--zeta1", "0"], "zeta1"),
+        (["--z", "2,3", "--zeta2", "0"], "zeta2"),
+        (["--z", "2,3", "--w", "0"], "w"),
+    ],
+    ids=["z-default-w", "z", "zeta1", "zeta2", "w"],
+)
+def test_zero_parameter_is_a_usage_error(capsys, command, flags, name):
+    # SpectralPoint alone refuses a zero; without --w the zero first passes
+    # through the default w's draw, which must not choke on it.
+    code, out, err = run_cli(capsys, command, "--L", "2", *flags)
+    assert (code, out) == (1, "")
+    assert err == f"error: spectral parameter {name} must be nonzero\n"
 
 
 def test_bad_length_mismatch(capsys):
@@ -222,15 +236,20 @@ def test_character_zero_point_is_a_usage_error(capsys):
     assert err == "error: character arguments must be nonzero\n"
 
 
-def test_character_confluent_flow(capsys):
-    code, out, err = run_cli(capsys, "character", "--lambda", "1,0,0", "--points", "1,1,1")
-    assert code == 2
-    assert "--confluent" in err
-    code, out, err = run_cli(
-        capsys, "character", "--lambda", "1,0,0", "--points", "1,1,1", "--confluent"
-    )
-    assert code == 0
-    assert out.strip().splitlines()[-1].endswith("6")
+@pytest.mark.parametrize("lam, points, printed", [("1,0,0", "1,1,1", "6"), ("1,0", "2,1/2", "5")])
+def test_character_evaluates_colliding_points(capsys, lam, points, printed):
+    # The Koike-Terada determinant takes any nonzero arguments, so
+    # repeated or reciprocal ones need no flag.
+    code, out, err = run_cli(capsys, "character", "--lambda", lam, "--points", points)
+    assert (code, err) == (0, "")
+    value = character_auto([int(a) for a in lam.split(",")], parse_scalar_list(points))
+    assert out.splitlines() == ["(" + ", ".join(str(c) for c in value.coeffs) + ")", printed]
+
+
+def test_confluent_flag_is_an_unrecognised_argument(capsys):
+    argv = ["character", "--lambda", "1,0,0", "--points", "1,1,1", "--confluent"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: unrecognized arguments: --confluent\n")
 
 
 def test_character_generic_output_matches_the_weyl_ratio(capsys):
@@ -241,18 +260,6 @@ def test_character_generic_output_matches_the_weyl_ratio(capsys):
     assert code == 0 and err == ""
     value = symplectic_character([2, 1, 0], [parse_scalar(x) for x in points.split(",")])
     assert out.splitlines()[0] == "(" + ", ".join(str(c) for c in value.coeffs) + ")"
-    flagged = run_cli(capsys, "character", "--lambda", "2,1,0", "--points", points, "--confluent")
-    assert flagged == (code, out, err)
-
-
-def test_character_colliding_points_need_the_flag(capsys):
-    code, out, err = run_cli(capsys, "character", "--lambda", "1,0", "--points", "2,1/2")
-    assert (code, out) == (2, "")
-    assert err == "error: character arguments collide; re-run with --confluent\n"
-    code, out, err = run_cli(
-        capsys, "character", "--lambda", "1,0", "--points", "2,1/2", "--confluent"
-    )
-    assert code == 0 and err == ""
 
 
 def test_character_prints_values_beyond_the_int_string_limit(capsys):
@@ -339,6 +346,18 @@ def test_length_beyond_solve_cap_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "solve", "--L", "9", "--z", zs)
     assert code == 1
     assert "at most 8" in err
+
+
+def test_library_value_error_exits_one(capsys, monkeypatch):
+    # main maps a ValueError from any command to exit 1; no command wraps it.
+    from openloop import cli
+
+    def refuse(pt):
+        raise ValueError("no groundstate at this point")
+
+    monkeypatch.setattr(cli, "solve", refuse)
+    code, out, err = run_cli(capsys, "solve", "--L", "1", "--z", "2")
+    assert (code, out, err) == (1, "", "error: no groundstate at this point\n")
 
 
 def test_degree_bound_error_exits_two(capsys, monkeypatch):
