@@ -21,9 +21,11 @@ carries the boundary weight b = 1, so each generator maps a basis word
 to a single basis word and the matrices have exactly one unit entry
 per column.
 
-This module is the one home of strand reconnection: a frontier state
-maps each live slot to ("P", y), a strand to slot y, or to a wall
-marker.  `new_pair`, `swap`, `connect` and `to_wall` are the only
+This module is the one home of strand reconnection.  A frontier state
+is a list indexed by slot: entry x holds the slot at the other end of
+the strand that ends at x (>= 0), or the wall that strand runs to,
+LEFT_WALL = -1 or RIGHT_WALL = -2, and the state is hashed as
+tuple(st).  `new_pair`, `swap`, `connect` and `to_wall` are the only
 reconnection rules, and e is `cup_cap` (two strand ends) or `wall_cap`
 (one end and a wall).  `apply_e` applies one e to a `seed`ed word, the
 transfer sweep applies a crossing or an e per tile, and both read out
@@ -51,7 +53,6 @@ __all__ = [
     "closure",
     "connect",
     "cup_cap",
-    "freeze",
     "generator_matrix",
     "hamiltonian",
     "idempotents",
@@ -124,97 +125,87 @@ def closure(word: str) -> Matching:
 
 # -- frontier states ----------------------------------------------------
 
-LEFT_WALL = ("L",)
-RIGHT_WALL = ("R",)
+LEFT_WALL = -1
+RIGHT_WALL = -2
 
 
-def new_pair(st: dict, x: int, y: int) -> None:
+def new_pair(st: list[int], x: int, y: int) -> None:
     """Join slots x and y by a fresh strand."""
-    st[x] = ("P", y)
-    st[y] = ("P", x)
+    st[x] = y
+    st[y] = x
 
 
-def swap(st: dict, x: int, y: int) -> None:
+def swap(st: list[int], x: int, y: int) -> None:
     """Cross the strand ends at slots x and y: each moves to the other slot."""
     cx = st[x]
     cy = st[y]
-    if cx == ("P", y):
+    if cx == y:
         return  # the two ends of one strand
     st[x] = cy
     st[y] = cx
-    if cy[0] == "P":
-        st[cy[1]] = ("P", x)
-    if cx[0] == "P":
-        st[cx[1]] = ("P", y)
+    if cy >= 0:
+        st[cy] = x
+    if cx >= 0:
+        st[cx] = y
 
 
-def connect(st: dict, x: int, y: int) -> None:
-    """Join the strand ends at x and y; both slots leave the frontier."""
-    cx = st.pop(x)
-    cy = st.pop(y)
-    if cx == ("P", y):
-        return  # closed loop, weight 1
-    if cx[0] == "P" and cy[0] == "P":
-        new_pair(st, cx[1], cy[1])
-    elif cx[0] == "P":
-        st[cx[1]] = cy
-    elif cy[0] == "P":
-        st[cy[1]] = cx
-    # both ends on a wall: arc dropped with weight 1
+def connect(st: list[int], x: int, y: int) -> None:
+    """Join the strand ends at x and y; both slots leave the frontier, and
+    their entries are stale.  Two wall ends drop an arc with weight 1, and
+    the two ends of one strand close a loop with weight 1: then the
+    assignments only rewrite x and y."""
+    cx = st[x]
+    cy = st[y]
+    if cx >= 0:
+        st[cx] = cy
+    if cy >= 0:
+        st[cy] = cx
 
 
-def to_wall(st: dict, x: int, wall: tuple) -> None:
-    """Tie the strand end at x into `wall`; slot x leaves the frontier."""
-    conn = st.pop(x)
-    if conn[0] == "P":
-        st[conn[1]] = wall
+def to_wall(st: list[int], x: int, wall: int) -> None:
+    """Tie the strand end at x into `wall`; slot x leaves the frontier,
+    and its entry is stale."""
+    if (far := st[x]) >= 0:
+        st[far] = wall
 
 
-def cup_cap(st: dict, x: int, y: int) -> None:
+def cup_cap(st: list[int], x: int, y: int) -> None:
     """e on slots x, y: join the strand ends there, then a fresh x-y strand."""
     connect(st, x, y)
     new_pair(st, x, y)
 
 
-def wall_cap(st: dict, x: int, wall: tuple) -> None:
+def wall_cap(st: list[int], x: int, wall: int) -> None:
     """e on slot x and `wall`: tie its strand end into the wall, then a
     fresh strand from the wall to x."""
     to_wall(st, x, wall)
     st[x] = wall
 
 
-def freeze(st: dict) -> tuple:
-    """Hashable form of a frontier state."""
-    return tuple(sorted(st.items()))
-
-
-def seed(word: str) -> dict:
-    """Frontier state of a word, site k in slot k."""
-    st: dict = {}
+def seed(word: str) -> list[int]:
+    """Frontier state of a word of length L in slots 0..L + 1: site k in
+    slot k, and slots 0 and L + 1 joined by a spare strand, which the
+    transfer sweep makes its auxiliary strand and `apply_e` leaves alone."""
+    length = len(validate_pattern(word))
+    st = [0] * (length + 2)
+    new_pair(st, 0, length + 1)
     stack: list[int] = []
-    for pos, ch in enumerate(validate_pattern(word), start=1):
+    for pos, ch in enumerate(word, start=1):
         if ch == "(":
             stack.append(pos)
         elif stack:
             new_pair(st, stack.pop(), pos)
         else:
             st[pos] = LEFT_WALL
-    st.update(dict.fromkeys(stack, RIGHT_WALL))
+    for pos in stack:
+        st[pos] = RIGHT_WALL
     return st
 
 
-def read_word(st: dict, slots: Iterable[int]) -> str:
-    """The word a state reads along `slots`, which hold every strand end."""
-    symbols = []
-    for slot in slots:
-        conn = st[slot]
-        if conn == LEFT_WALL:
-            symbols.append(")")
-        elif conn == RIGHT_WALL:
-            symbols.append("(")
-        else:
-            symbols.append("(" if conn[1] > slot else ")")
-    return "".join(symbols)
+def read_word(st: list[int], slots: Iterable[int]) -> str:
+    """The word a state reads along `slots`, which hold every strand end:
+    ')' for an end tied to the left wall or to an earlier slot."""
+    return "".join(")" if st[x] == LEFT_WALL or 0 <= st[x] < x else "(" for x in slots)
 
 
 def apply_e(i: int, word: str) -> str:

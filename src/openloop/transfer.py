@@ -90,12 +90,10 @@ from .linkpat import (
     closure,
     connect,
     cup_cap,
-    freeze,
     index_of,
     insert_left,
     insert_link,
     insert_right,
-    new_pair,
     read_word,
     seed,
     swap,
@@ -273,47 +271,40 @@ def assert_generic(pt: SpectralPoint) -> None:
     _tile_weights(pt)
 
 
-# Frontier slots.  Site j's strand end stays in slot j for the whole
-# sweep; the auxiliary strand runs from _K0B (its start at the left
-# wall) to the moving end _AUX.
-_K0B = -1
-_AUX = -2
-
-
 @lru_cache(maxsize=None)
 def _plan(length: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Where the sweep at L = length takes each state; no weight enters.
-    Layer 0 holds the 2^L seeded patterns in `index_of` order.  Entry i
-    of each tile is the (crossing, e) pair of next-layer indices of state
-    i: at a site the crossing swaps its strand with the auxiliary one, at
-    a wall it does nothing.  The last tile also closes the auxiliary
-    strand, so its pairs are the rows the states read."""
-    layer = []
-    for word in all_patterns(length):
-        st = seed(word)
-        new_pair(st, _K0B, _AUX)
-        layer.append(freeze(st))
+    Layer 0 holds the 2^L `seed`ed patterns in `index_of` order, each
+    state keyed by tuple(st).  Site j's strand end stays in slot j for the
+    whole sweep, and the seed's spare strand is the auxiliary one: it runs
+    from slot 0, its start at the left wall, to its moving end in slot
+    L + 1.  Entry i of each tile is the (crossing, e) pair of next-layer
+    indices of state i: at a site (slot > 0) the crossing swaps its strand
+    with the auxiliary one, at a wall (a negative wall code) it does
+    nothing.  The last tile also closes the auxiliary strand, so its pairs
+    are the rows the states read."""
+    aux = length + 1
+    layer = [tuple(seed(word)) for word in all_patterns(length)]
     tiles = []
     for slot in _slots(length):
         index: dict = {}
         succ = []
         for key in layer:
-            pair = []
-            for is_e in (False, True):
-                st = dict(key)
-                if isinstance(slot, int):
-                    (cup_cap if is_e else swap)(st, slot, _AUX)
-                elif is_e:
-                    wall_cap(st, _AUX, slot)
-                pair.append(index.setdefault(freeze(st), len(index)))
-            succ.append(tuple(pair))
+            cross, e = list(key), list(key)
+            if slot > 0:
+                swap(cross, slot, aux)
+                cup_cap(e, slot, aux)
+            else:
+                wall_cap(e, aux, slot)
+            i = index.setdefault(tuple(cross), len(index))
+            succ.append((i, index.setdefault(tuple(e), len(index))))
         tiles.append(tuple(succ))
         layer = list(index)
     rows = []
     for key in layer:
-        st = dict(key)
-        connect(st, _K0B, _AUX)
-        rows.append(index_of(read_word(st, range(1, length + 1))))
+        st = list(key)
+        connect(st, 0, aux)
+        rows.append(index_of(read_word(st, range(1, aux))))
     tiles[-1] = tuple(tuple(rows[k] for k in pair) for pair in tiles[-1])
     return tuple(tiles)
 

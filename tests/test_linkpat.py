@@ -36,10 +36,11 @@ from openloop.linkpat import (
     LEFT_WALL,
     RIGHT_WALL,
     SparseOperator,
-    new_pair,
+    connect,
     read_word,
     seed,
     swap,
+    to_wall,
     validate_pattern,
 )
 
@@ -86,15 +87,15 @@ def test_closure_roundtrip():
 
 
 def test_swap_crosses_two_strand_ends():
-    # Crossing twice restores every state, auxiliary strand included.
+    # Crossing twice restores every state, auxiliary strand (slots 0 and
+    # L + 1 = 5) included.
     for word in all_patterns(4):
         st = seed(word)
-        new_pair(st, -1, -2)
-        before = dict(st)
+        before = list(st)
         for j in range(1, 5):
-            swap(st, j, -2)
-            assert st[j] == ("P", -1) and st[-1] == ("P", j)
-            swap(st, j, -2)
+            swap(st, j, 5)
+            assert st[j] == 0 and st[0] == j
+            swap(st, j, 5)
             assert st == before
     # Crossing the two ends of one strand changes nothing.
     st = seed("()")
@@ -103,10 +104,50 @@ def test_swap_crosses_two_strand_ends():
     # A wall end moves with its slot, and the partner follows the other.
     st = seed(")()")
     swap(st, 1, 2)
-    assert st == {1: ("P", 3), 3: ("P", 1), 2: LEFT_WALL}
+    assert st == [4, 3, LEFT_WALL, 1, 0]
     st = seed(")(")
     swap(st, 1, 2)
-    assert st == {1: RIGHT_WALL, 2: LEFT_WALL}
+    assert st == [3, RIGHT_WALL, LEFT_WALL, 0]
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        # The two ends of one strand close a loop, and its far ends, x and
+        # y themselves, leave with them: no other slot changes.
+        ([5, 2, 1, 4, 3, 0], [5, None, None, 4, 3, 0]),
+        # Partner with partner: the far ends form a new pair.
+        ([5, 3, 4, 1, 2, 0], [5, None, None, 4, 3, 0]),
+        # Partner with wall, and wall with partner: the far end takes the wall.
+        ([5, 3, LEFT_WALL, 1, RIGHT_WALL, 0], [5, None, None, LEFT_WALL, RIGHT_WALL, 0]),
+        ([5, RIGHT_WALL, 4, LEFT_WALL, 2, 0], [5, None, None, LEFT_WALL, RIGHT_WALL, 0]),
+        # Wall with wall: the arc drops out and no other slot changes.
+        ([5, LEFT_WALL, RIGHT_WALL, 4, 3, 0], [5, None, None, 4, 3, 0]),
+    ],
+)
+def test_connect_joins_the_far_ends(before, after):
+    # connect on slots 1 and 2 of a four-site state, the auxiliary strand
+    # in slots 0 and 5.  Slots 1 and 2 leave the frontier (None): their
+    # stale entries are not compared.
+    st = list(before)
+    connect(st, 1, 2)
+    assert [x if y is not None else None for x, y in zip(st, after)] == after
+
+
+def test_to_wall_ties_the_far_end():
+    # A strand from slot 1 to slot 2: its far end now runs to the wall,
+    # from either end.
+    st = seed("()(")
+    to_wall(st, 1, LEFT_WALL)
+    assert [st[k] for k in (0, 2, 3, 4)] == [4, LEFT_WALL, RIGHT_WALL, 0]
+    st = seed("()(")
+    to_wall(st, 2, RIGHT_WALL)
+    assert [st[k] for k in (0, 1, 3, 4)] == [4, RIGHT_WALL, RIGHT_WALL, 0]
+    # A strand already on a wall: tying its other end drops it, and no
+    # other slot changes.
+    st = seed(")()")
+    to_wall(st, 1, RIGHT_WALL)
+    assert [st[k] for k in (0, 2, 3, 4)] == [4, 3, 2, 0]
 
 
 def test_apply_e_examples():
