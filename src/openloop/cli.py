@@ -9,12 +9,12 @@ The library decides which inputs it accepts.  The commands parse, call
 and print, and `main` alone maps exception types to exit codes: 0
 success, 1 argument or parse error (a ValueError from the library, such
 as a zero parameter or a partition part beyond `chars.PART_CAP`; L
-beyond the exact-solve cap; an unwritable --output path) or a failed
-verification (a FAIL row or a failed sum rule), 2 any other domain
-error (non-generic point, failed cross-check, degree bound), 3 singular
-parameter (an operator pole at the given values), 141 standard output
-closed before all was written (as when piped into head; 128 + SIGPIPE,
-as a shell reports).
+beyond the exact-solve cap `SOLVE_CAP` = 9; an unwritable --output path)
+or a failed verification (a FAIL row or a failed sum rule), 2 any other
+domain error (non-generic point, failed cross-check, degree bound), 3
+singular parameter (an operator pole at the given values), 141 standard
+output closed before all was written (as when piped into head; 128 +
+SIGPIPE, as a shell reports).
 """
 
 from __future__ import annotations

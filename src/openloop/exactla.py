@@ -7,20 +7,22 @@ The linear algebra shared by the character and groundstate modules:
   prime has the generic rank and is the oracle the lifting is tested
   against;
 - one Gaussian elimination mod p on packed rows, each row one big int
-  (Kronecker substitution), behind Dixon's p-adic lifting of the one
-  ray of the kernel of a `SparseOperator`; its triangular solves and
-  its exact residual are packed too.  Its residual updates and its
-  anchored reading multiply with `exactfield.zmul`, the one Z[zeta]
-  product rule, whose l1 bound sizes the packed slots, and its
-  certificate A v == 0 contracts the operator's Z[zeta] integer columns
-  with `exactfield.addmul`.  Given an anchor (an entry or the entries' sum,
-  its value and a multiple of the anchored vector's denominator, which
-  `groundstate.solve` predicts from the point), the lifting reads the
-  anchored vector's numerators over that hint after each step, in
-  about half the steps that Wang's rational reconstruction needs to
-  find a denominator of its own; Wang's reconstruction stays as the
-  fallback, scaled to the anchor, so a wrong hint costs steps and never
-  changes the vector.  Only this module scales to an anchor;
+  (Kronecker substitution), behind Dixon's p-adic lifting of the one ray
+  of the kernel of a `SparseOperator`; its triangular solves and its
+  exact residual are packed too.  Its ring degree d counts the
+  embeddings into F_p; every other value of the lifting is a Z[zeta]
+  4-tuple.  Its residual updates and its anchored reading multiply with
+  `exactfield.zmul`, the one Z[zeta] product rule, whose l1 bound sizes
+  the packed slots, and its certificate A v == 0 contracts the
+  operator's Z[zeta] integer columns with `exactfield.addmul`.  Given an
+  anchor (an entry or the entries' sum, its value and a multiple of the
+  anchored vector's denominator, which `groundstate.solve` predicts from
+  the point), the lifting reads the anchored vector's numerators over
+  that hint after each step, in about half the steps that Wang's
+  rational reconstruction needs to find a denominator of its own; Wang's
+  reconstruction stays as the fallback, scaled to the anchor, so a wrong
+  hint costs steps and never changes the vector.  Only this module
+  scales to an anchor;
 - the Laurent fit `laurent_fit`, which builds one interpolation map per
   set of nodes as a `SparseOperator`, applies it to any number of value
   columns, and returns the interpolated groundstate components as
@@ -322,15 +324,15 @@ def _reconstruct(residues: Sequence[int], m: int) -> tuple[list[int], int] | Non
 
 def _pack(cols: Sequence[dict], g: int, powers: list[list[int]], width: int, pad: int):
     """One pass over the operator's Z[zeta] integer columns cols {row:
-    numerators}, which divides each entry's d ring parts by the content
-    g and packs them width bits a slot, then embeds each column.
+    numerators}, which divides each entry's parts on the ring basis
+    zeta^(4j/d), j < d, by the content g and packs them width bits a
+    slot, then embeds each column in the d = len(powers) embeddings.
 
-    Returns, for each column, its Z[zeta] numerators, each packed over
-    the rows with signed slots below 2^(width - 1) in size (a part off
-    the ring basis zeta^(4j/d), j < d, is 0); and for each of the d
-    embeddings, whose images of zeta^t are powers[e], the n rows: entry
-    (i, j) is slot i of column j's `_embedded` image, so it is
-    nonnegative and right mod p."""
+    Returns, for each column, its Z[zeta] 4-tuple of parts, each packed
+    over the rows with signed slots below 2^(width - 1) in size (a part
+    off the ring basis is 0); and for each embedding, whose images of
+    zeta^t are powers[e], the n rows: entry (i, j) is slot i of column
+    j's `_embedded` image, so it is nonnegative and right mod p."""
     n, d = len(cols), len(powers)
     step, wb = 4 // d, width // 8
     half = 1 << (width - 1)  # offsets a signed slot into [0, 2^width)
@@ -346,7 +348,8 @@ def _pack(cols: Sequence[dict], g: int, powers: list[list[int]], width: int, pad
                 for x, buf in zip(a, parts):
                     if x:
                         buf[i * wb : (i + 1) * wb] = (x + half).to_bytes(wb, "little")
-            column = _quad([int.from_bytes(buf, "little") - offset for buf in parts], d, 0)
+            column = [0, 0, 0, 0]
+            column[::step] = [int.from_bytes(buf, "little") - offset for buf in parts]
             for pw, embedded in zip(powers, rows):
                 raw = _embedded(pw, column, pad).to_bytes(n * wb, "little")
                 for i in col:
@@ -367,54 +370,42 @@ def _embedded(image: Sequence[int], parts: Sequence[int], pad: int) -> int:
     return sum(map(mul, image, parts)) + pad
 
 
-def _quad(flat: Sequence[int], d: int, j: int) -> tuple[int, int, int, int]:
-    """Entry j of a vector held as d ring coordinates per entry, on the
-    basis zeta^(4t/d), as Z[zeta] numerators."""
-    b = [0, 0, 0, 0]
-    b[:: 4 // d] = flat[d * j : d * j + d]
-    return tuple(b)
-
-
 def anchor_entry(vec: Sequence[Scalar], index: int | None) -> Scalar:
     """The entry of vec that an anchor pins: vec[index], or the sum of
     every entry where index is None."""
     return sum(vec, ZERO) if index is None else vec[index]
 
 
-def _anchored(acc: Sequence[int], d: int, index: int | None, scaled: Scalar, m: int):
+def _anchored(acc: Sequence[int], index: int | None, scaled: Scalar, m: int):
     """The numerators over the hint of the vector v whose `anchor_entry`
-    u is the anchor value, from v mod m and scaled = hint * value: the
-    symmetric residues of c v_j mod m, c = scaled / u, on the ring basis
-    zeta^(4t/d) as `_reconstruct` returns them; or None unless c lies in
-    the ring and every residue is below m / 2^(2 _MARGIN + 1).
+    u is the anchor value, from v mod m, a Z[zeta] 4-tuple per entry, and
+    scaled = hint * value: the symmetric residues of c v_j mod m, c =
+    scaled / u, four per entry; or None unless every residue is below
+    m / 2^(2 _MARGIN + 1).
 
     1 / u mod m is its conjugate over its norm (`Scalar.inv`), read mod
     m, where p does not divide that norm.  The products c v_j are
-    `zmul`'s, so one body serves every d.  The free column's v_j is
-    1, so its residues are c's own and are tested first: a step that is
-    still too short costs one inverse."""
+    `zmul`'s; a c off the operator's ring gives a kernel vector too.
+    The free column's v_j is 1, so its residues are c's own and are
+    tested first: a step that is still too short costs one inverse."""
     if index is None:
-        x = _quad([sum(acc[t::d]) % m for t in range(d)], d, 0)
+        x = [sum(acc[t::4]) % m for t in range(4)]
     else:
-        x = _quad(acc, d, index)
+        x = acc[4 * index : 4 * index + 4]
     if not any(x):
         return None
     (c,), den = cleared([scaled * Scalar.from_integers(x, 1).inv()])
-    ring = c[:: 4 // d]
-    if _quad(ring, d, 0) != c:
-        return None
     try:
         e = pow(den, -1, m)
     except ValueError:  # p divides the norm of v_index
         return None
     bound, half = m >> (2 * _MARGIN + 1), m >> 1
-    factor = [a * e % m for a in ring]
-    if any(bound < a < m - bound for a in factor):
+    c = [a * e % m for a in c]
+    if any(bound < a < m - bound for a in c):
         return None
-    c = _quad(factor, d, 0)
     nums = []
-    for j in range(len(acc) // d):
-        for a in zmul(c, _quad(acc, d, j))[:: 4 // d]:
+    for j in range(0, len(acc), 4):
+        for a in zmul(c, acc[j : j + 4]):
             a %= m
             if bound < a < m - bound:
                 return None
@@ -422,9 +413,9 @@ def _anchored(acc: Sequence[int], d: int, index: int | None, scaled: Scalar, m: 
     return nums
 
 
-def _certified(cols: Sequence[dict], nums: Sequence[int], d: int, den: int):
-    """The vector nums / den, its d ring coordinates per entry, if it is
-    nonzero and the `addmul` contraction of cols with its numerators
+def _certified(cols: Sequence[dict], nums: Sequence[int], den: int):
+    """The vector nums / den, four Z[zeta] numerators per entry, if it
+    is nonzero and the `addmul` contraction of cols with its numerators
     vanishes; else None.  The numerators are contracted over their gcd
     with den, which a hint above the true denominator leaves behind."""
     if not any(nums):
@@ -432,7 +423,7 @@ def _certified(cols: Sequence[dict], nums: Sequence[int], d: int, den: int):
     g = gcd(den, *nums)
     if g > 1:
         nums, den = [a // g for a in nums], den // g
-    full = [_quad(nums, d, j) for j in range(len(cols))]
+    full = [nums[t : t + 4] for t in range(0, len(nums), 4)]
     check: dict = {}
     for col, b in zip(cols, full):
         if any(b):
@@ -441,15 +432,17 @@ def _certified(cols: Sequence[dict], nums: Sequence[int], d: int, den: int):
 
 
 def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
-    """The kernel vector of the operator whose Z[zeta] integer columns cols
-    {row: numerators} have content g, lifted in the first d embeddings
-    mod p; None if p does not show the rank n - 1.  A reconstruction v is
-    returned only once the `addmul` contraction of cols with v vanishes.
-    With an anchor (index, value, hint), each step first reads v scaled
-    so that its `anchor_entry` is value, over the denominator hint
-    (`_anchored`).  Where that reading does not fit, Wang's
-    reconstruction runs as it does without an anchor, and returns v with
-    its free column at 1: a wrong hint costs steps, never a wrong
+    """The kernel vector of the operator whose Z[zeta] integer columns
+    cols {row: numerators} have content g, lifted in the first d
+    embeddings mod p; None if p does not show the rank n - 1.  d counts
+    embeddings only: every other value, v mod p^k included, is a Z[zeta]
+    4-tuple, with zero parts off the ring basis zeta^(4j/d), j < d.  A
+    reconstruction v is returned only once the `addmul` contraction of
+    cols with v vanishes.  With an anchor (index, value, hint), each step
+    first reads v scaled so that its `anchor_entry` is value, over the
+    denominator hint (`_anchored`).  Where that reading does not fit,
+    Wang's reconstruction runs as it does without an anchor, and returns v
+    with its free column at 1: a wrong hint costs steps, never a wrong
     vector, and the caller scales whichever vector comes back.
 
     Everything from the columns to that certificate is packed
@@ -461,8 +454,8 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     a row of cols / g, over its entries and their ring parts, and let
     B = 2 d N.
     - Residual: r starts as minus the free column, so |r_i|_1 <= N <= B.
-      A step subtracts the `zmul` product of each digit x, d coordinates
-      in [0, p), with its packed column, and by `zmul`'s l1 bound
+      A step subtracts the `zmul` product of each digit x, d parts in
+      [0, p), with its packed column, and by `zmul`'s l1 bound
       |(A x)_i|_1 <= 2 d (p - 1) N, so (r - A x) / p keeps |r_i|_1 <= B.
     - Embedding e sends a packed vector with parts R_t to sum_t rho_e^t
       R_t + p B (`_embedded`), with rho_e^t in [0, p), so its slots lie
@@ -523,31 +516,32 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
         index, value, hint = anchor
         scaled = value * Scalar.from_integers((hint, 0, 0, 0), 1)
     res = tuple(-c for c in parts[free])
-    # v mod p^k on the ring basis, d coordinates per entry; no digit
-    # touches the free column, which stays 1.
-    acc = [0] * (d * n)
-    acc[d * free] = 1
+    # v mod p^k, a Z[zeta] 4-tuple per entry; no digit touches the free
+    # column, which stays 1.
+    acc = [0] * (4 * n)
+    acc[4 * free] = 1
+    digit = [0, 0, 0, 0]
     pk = 1
     for _ in range(budget):
         xs = [lu.solve(_embedded(pw, res, pad)) for lu, pw in zip(factors, powers)]
         for j, y in enumerate(zip(*xs)):
             if any(y):
-                digit = [sum(map(mul, row, y)) % p for row in vinv]
-                res = tuple(map(sub, res, zmul(_quad(digit, d, 0), parts[j])))
-                for t, x in enumerate(digit, d * j):
+                digit[:: 4 // d] = [sum(map(mul, row, y)) % p for row in vinv]
+                res = tuple(map(sub, res, zmul(digit, parts[j])))
+                for t, x in enumerate(digit, 4 * j):
                     acc[t] += x * pk
         res, rems = zip(*(divmod(r, p) for r in res))
         if any(rems):
             return None
         pk *= p
-        if anchor is not None and (nums := _anchored(acc, d, index, scaled, pk)):
-            if vec := _certified(cols, nums, d, hint):
+        if anchor is not None and (nums := _anchored(acc, index, scaled, pk)):
+            if vec := _certified(cols, nums, hint):
                 return vec
         found = _reconstruct(acc, pk)
         if found is None:
             continue
         nums, den = found
-        if vec := _certified(cols, nums, d, den):
+        if vec := _certified(cols, nums, den):
             return vec
     raise ConsistencyError(
         f"p-adic lifting found no certified kernel vector within {budget} steps"

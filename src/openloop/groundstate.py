@@ -89,7 +89,7 @@ __all__ = [
     "sum_components",
 ]
 
-SOLVE_CAP = 8
+SOLVE_CAP = 9
 
 # Forward references: typing caches every subscripted Callable, and a
 # cached alias that held the classes would keep this module, and every

@@ -246,10 +246,10 @@ def _slots(length: int) -> list:
     return sites + [RIGHT_WALL] + sites[::-1] + [LEFT_WALL]
 
 
-def _tile_weights(pt: SpectralPoint) -> list[tuple]:
-    """(site or wall, FaceWeights) of every tile, in `_slots` order.  Bulk
-    tiles with the same arguments share one FaceWeights, computed once:
-    at z_i = 1 all 2L of them are face_weights_R(w, 1)."""
+def _tile_weights(pt: SpectralPoint) -> list[FaceWeights]:
+    """The FaceWeights of every tile, in `_slots` order.  Bulk tiles with
+    the same arguments share one FaceWeights, computed once: at z_i = 1
+    all 2L of them are face_weights_R(w, 1)."""
     bulk: dict = {}
 
     def tile_r(z: Scalar, w: Scalar):
@@ -257,13 +257,12 @@ def _tile_weights(pt: SpectralPoint) -> list[tuple]:
             fw = bulk[z, w] = face_weights_R(z, w)
         return fw
 
-    weights = (
+    return (
         [tile_r(pt.w, z) for z in pt.z]
         + [face_weights_KL(pt.w, pt.zeta2)]
         + [tile_r(z * pt.w, ONE) for z in reversed(pt.z)]
         + [face_weights_K0(pt.w.inv(), pt.zeta1)]
     )
-    return list(zip(_slots(pt.length), weights))
 
 
 def assert_generic(pt: SpectralPoint) -> None:
@@ -366,7 +365,7 @@ def _sweep(
     """
     tiles: dict = {}
     steps, c, bound = [], 1, 1
-    for succ, (_, fw) in zip(_plan(pt.length), _tile_weights(pt)):
+    for succ, fw in zip(_plan(pt.length), _tile_weights(pt)):
         if (tile := tiles.get(id(fw))) is None:  # a shared tile is cleared once
             tile = tiles[id(fw)] = _factors(fw)
         factors, d, g = tile
@@ -495,7 +494,7 @@ def _fillings(pt: SpectralPoint) -> list[tuple[Scalar, dict]]:
     of both edges into the wall.
     """
     length = pt.length
-    fws = [fw for _, fw in _tile_weights(pt)]
+    fws = _tile_weights(pt)
     choices = []  # per tile: its FaceWeights, the edges of its crossing and of its e
     for j, fw in enumerate(fws[:length], start=1):
         s, wv, n, e = ("in", j), ("bh", j - 1), ("mid", j), ("bh", j)

@@ -58,8 +58,8 @@ def spy_lifting(monkeypatch) -> dict:
     counted("_reconstruct", "wang")
     certified = exactla._certified
 
-    def spy_certified(cols, nums, d, den):
-        vec = certified(cols, nums, d, den)
+    def spy_certified(cols, nums, den):
+        vec = certified(cols, nums, den)
         if vec is not None:
             record["certified"].append(den)
         return vec

@@ -313,9 +313,9 @@ def test_verify_at_zero_sites_is_a_usage_error(capsys, suite):
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_verify_beyond_solve_cap_is_a_usage_error(capsys, suite):
-    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--L", "9", "--trials", "1")
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--L", "10", "--trials", "1")
     assert code == 1
-    assert err.splitlines() == ["error: suites run up to L = SOLVE_CAP = 8, got L = 9"]
+    assert err.splitlines() == ["error: suites run up to L = SOLVE_CAP = 9, got L = 10"]
     assert out == ""
 
 
@@ -342,10 +342,10 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
 
 
 def test_length_beyond_solve_cap_is_a_usage_error(capsys):
-    zs = ",".join(str(k) for k in range(2, 11))
-    code, out, err = run_cli(capsys, "solve", "--L", "9", "--z", zs)
+    zs = ",".join(str(k) for k in range(2, 12))
+    code, out, err = run_cli(capsys, "solve", "--L", "10", "--z", zs)
     assert code == 1
-    assert "at most 8" in err
+    assert "at most 9" in err
 
 
 def test_library_value_error_exits_one(capsys, monkeypatch):

@@ -507,6 +507,27 @@ def test_a_wrong_hint_returns_the_same_vector_through_wangs_reconstruction(monke
         assert found != bad and spy["anchored"] == spy["wang"] > 0, bad
 
 
+@pytest.mark.parametrize("length", [2, 3, 4])
+def test_an_anchor_off_the_operators_ring_is_read_over_the_hint(length, monkeypatch):
+    # T - 1 at a rational point lies in Q(zeta^2), and (2 + zeta) times
+    # the all-open closed form does not.  The vector anchored to it is
+    # the all-open one times 2 + zeta, still a kernel vector: the
+    # anchored reading returns it over the hint, in fewer steps than
+    # Wang's reconstruction takes on the same operator.
+    pt = draw_point(Random(870 + length), length)
+    op = _minus_one(transfer_matrix(pt))
+    value, hint = closed_form_all_open(pt), groundstate._denominator_hint(pt)
+    plain = kernel_vector(op, (0, value, hint))
+    spy = spy_lifting(monkeypatch)
+    kernel_vector(op)
+    wang_steps = spy["wang"]
+    spy.update(anchored=0, wang=0, certified=[])
+    factor = rational(2) + ZETA
+    assert kernel_vector(op, (0, factor * value, hint)) == [factor * x for x in plain]
+    assert spy["certified"] == [hint]
+    assert spy["anchored"] < wang_steps, (spy, wang_steps)
+
+
 # -- the packed factorisation against a dense reference ------------------
 
 

@@ -134,8 +134,8 @@ def test_solve_cap_guard():
 
 
 def test_solve_reaches_seven_sites():
-    # SOLVE_CAP = 8 is within reach: a certified L = 7 solve, with the
-    # second-w check, anchored to the all-open closed form.
+    # A certified L = 7 solve, with the second-w check, anchored to the
+    # all-open closed form.
     pt = draw_point(Random(46), 7)
     gs = solve(pt)
     assert gs.normalization == "all_open"

@@ -38,6 +38,7 @@ from openloop.groundstate import generic_parameters, recursion_factor, solve
 from openloop.transfer import (
     _check_embedding,
     _plan,
+    _slots,
     _sweep,
     _tile_weights,
     _unpack,
@@ -183,10 +184,10 @@ def test_bulk_tiles_with_equal_arguments_share_their_weights(monkeypatch):
     # for all 2L of them, made afresh on each call.
     generic_pt = draw_point(Random(223), 4)
     pt = replace(generic_pt, z=(ONE,) * 4)
-    tiles = [fw for slot, fw in _tile_weights(pt) if slot > 0]
+    tiles = [fw for slot, fw in zip(_slots(4), _tile_weights(pt)) if slot > 0]
     assert len(tiles) == 8 and all(fw is tiles[0] for fw in tiles)
-    assert _tile_weights(pt)[0][1] is not tiles[0]
-    generic = [fw for slot, fw in _tile_weights(generic_pt) if slot > 0]
+    assert _tile_weights(pt)[0] is not tiles[0]
+    generic = [fw for slot, fw in zip(_slots(4), _tile_weights(generic_pt)) if slot > 0]
     assert len({id(fw) for fw in generic}) == 8
     # The sweep clears each distinct tile once, keyed by its FaceWeights
     # object, and hashes none: one shared bulk tile and the two walls at
@@ -342,7 +343,7 @@ def test_zero_tile_weight_matches_naive(length):
     # w = z_1 zeroes the cup weight of the first bottom-row tile.
     pt = draw_point(Random(131 + length), length)
     pt = pt.with_w(pt.z[0])
-    assert _tile_weights(pt)[0][1].cup_weight.is_zero()
+    assert _tile_weights(pt)[0].cup_weight.is_zero()
     tmat = transfer_matrix(pt)
     assert tmat == transfer_matrix_naive(pt)
     assert tmat.column_sums() == [ONE] * (1 << length)
