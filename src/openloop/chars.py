@@ -22,7 +22,7 @@ over 1 <= i, j <= l(lam), the first column holding h_(lam_i - i + 1)
 alone.  Here h_k is the complete homogeneous polynomial in the 2n
 variables x_1^(+-1)..x_n^(+-1), and h_k = 0 for k < 0.  The Weyl ratio
 stays as `symplectic_character`, an independent oracle that refuses
-confluent arguments.
+confluent arguments with NonGenericPointError.
 
 The groundstate normalisation uses the staircase-halves
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import ConfluentPointError
+from .errors import NonGenericPointError
 from .exactfield import ONE, Q, ZERO, Scalar, kfun
 from .exactla import det
 
@@ -84,16 +84,14 @@ def _collides(xs: Sequence[Scalar]) -> bool:
 
 
 def symplectic_character(lam: Sequence[int], xs: Sequence[Scalar]) -> Scalar:
-    """chi_lam at pairwise generic arguments; raises ConfluentPointError
+    """chi_lam at pairwise generic arguments; raises NonGenericPointError
     when the Weyl denominator vanishes."""
     n = len(xs)
     lam = _padded(lam, xs)
     if n == 0:
         return ONE
     if _collides(xs):
-        raise ConfluentPointError(
-            "character arguments collide; use character_auto"
-        )
+        raise NonGenericPointError("character arguments collide; use character_auto")
     num = [[xs[i] ** e - xs[i] ** (-e) for e in _exponents(lam, n)] for i in range(n)]
     den = [[xs[i] ** d - xs[i] ** (-d) for d in _exponents([0] * n, n)] for i in range(n)]
     return det(num) / det(den)

@@ -7,14 +7,14 @@ with the same flags and seed prints byte-identical text.
 
 The library decides which inputs it accepts.  The commands parse, call
 and print, and `main` alone maps exception types to exit codes: 0
-success, 1 argument or parse error (a ValueError from the library, such
-as a zero parameter or a partition part beyond `chars.PART_CAP`; L
-beyond the exact-solve cap `SOLVE_CAP` = 9; an unwritable --output path)
-or a failed verification (a FAIL row or a failed sum rule), 2 any other
-domain error (non-generic point, failed cross-check, degree bound), 3
-singular parameter (an operator pole at the given values), 141 standard
-output closed before all was written (as when piped into head; 128 +
-SIGPIPE, as a shell reports).
+success, 1 argument or parse error (a ValueError from the parser, the
+commands or the library, such as a zero parameter or a partition part
+beyond `chars.PART_CAP`; L beyond the exact-solve cap `SOLVE_CAP` = 9;
+an unwritable --output path) or a failed verification (a FAIL row or a
+failed sum rule), 2 any other domain error (non-generic point, failed
+cross-check, degree bound), 3 singular parameter (an operator pole at
+the given values), 141 standard output closed before all was written
+(as when piped into head; 128 + SIGPIPE, as a shell reports).
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ from .verify import SUITE_NAMES, run_suite
 SCHEMA_VERSION = "1"
 
 
-class _CliError(Exception):
-    """Bad arguments or unparsable values; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -50,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-([\d.]|i$)")
 
     def error(self, message: str):
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -67,7 +63,7 @@ def parse_scalar(text: str) -> Scalar:
         coeffs = tuple(Fraction(p) for p in parts)
         return Scalar(coeffs) if len(coeffs) == 4 else Scalar.from_rational(coeffs[0])
     except (ValueError, ZeroDivisionError) as exc:
-        raise _CliError(f"cannot parse scalar {text!r}: {exc}") from None
+        raise ValueError(f"cannot parse scalar {text!r}: {exc}") from None
 
 
 def parse_scalar_list(text: str) -> list[Scalar]:
@@ -86,10 +82,10 @@ def _default_w(seed: int, fixed: Sequence[Scalar]) -> Scalar:
 
 def _build_point(args) -> SpectralPoint:
     if args.L > SOLVE_CAP:
-        raise _CliError(f"--L must be at most {SOLVE_CAP} for an exact solve")
+        raise ValueError(f"--L must be at most {SOLVE_CAP} for an exact solve")
     zs = parse_scalar_list(args.z) if args.z else []
     if len(zs) != args.L:
-        raise _CliError(f"--z must provide exactly L = {args.L} values, got {len(zs)}")
+        raise ValueError(f"--z must provide exactly L = {args.L} values, got {len(zs)}")
     zeta1, zeta2 = parse_scalar(args.zeta1), parse_scalar(args.zeta2)
     w = parse_scalar(args.w) if args.w else _default_w(args.seed, zs + [zeta1, zeta2])
     return SpectralPoint(tuple(zs), zeta1, zeta2, w, FOURTH_ROOTS[args.s])
@@ -142,7 +138,7 @@ def _emit(text: str, path: str | None) -> None:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     except OSError as exc:
-        raise _CliError(f"cannot write {path}: {exc.strerror}") from None
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _print_sum_rule(gs: GroundstateVector) -> bool:
@@ -190,7 +186,7 @@ def cmd_character(args) -> int:
     try:
         lam = [int(part) for part in args.lam.split(",")] if args.lam.strip() else []
     except ValueError as exc:
-        raise _CliError(f"cannot parse --lambda: {exc}") from None
+        raise ValueError(f"cannot parse --lambda: {exc}") from None
     value = character_auto(lam, parse_scalar_list(args.points))
     print("(" + ", ".join(str(c) for c in value.coeffs) + ")")
     if value.is_rational():
@@ -250,7 +246,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "L", 0) < 0:
-            raise _CliError("--L must be nonnegative")
+            raise ValueError("--L must be nonnegative")
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code
@@ -258,7 +254,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Point stdout at devnull so that the interpreter's final flush is quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (_CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SingularParameterError as exc:

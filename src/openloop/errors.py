@@ -12,7 +12,6 @@ __all__ = [
     "OpenLoopError",
     "SingularParameterError",
     "NonGenericPointError",
-    "ConfluentPointError",
     "DegreeBoundError",
     "ConsistencyError",
 ]
@@ -27,12 +26,9 @@ class SingularParameterError(OpenLoopError):
 
 
 class NonGenericPointError(OpenLoopError):
-    """A point fails a genericity requirement (degenerate kernel, ...)."""
-
-
-class ConfluentPointError(OpenLoopError):
-    """Character arguments collide; only the Weyl-ratio oracle
-    `chars.symplectic_character` raises it (`character_auto` takes them)."""
+    """A point fails a genericity requirement: a degenerate kernel, or
+    character arguments that collide in the Weyl-ratio oracle
+    `chars.symplectic_character` (`character_auto` takes them)."""
 
 
 class DegreeBoundError(OpenLoopError):

@@ -29,12 +29,13 @@ tuple(st).  `new_pair`, `swap`, `connect` and `to_wall` are the only
 reconnection rules, and e is `cup_cap` (two strand ends) or `wall_cap`
 (one end and a wall).  `apply_e` applies one e to a `seed`ed word, the
 transfer sweep applies a crossing or an e per tile, and both read out
-with `read_word`.
+with `read_word`.  `seed` is the one parse of a word: the naive oracle
+`transfer.transfer_matrix_naive` reads its input words through it too,
+and traces its paths without these rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
@@ -44,13 +45,11 @@ from .exactfield import ONE, ZERO, Scalar, addmul, cleared, cleared_columns, sam
 
 __all__ = [
     "LEFT_WALL",
-    "Matching",
     "RIGHT_WALL",
     "SparseOperator",
     "all_patterns",
     "apply_e",
     "c_from_zeta",
-    "closure",
     "connect",
     "cup_cap",
     "generator_matrix",
@@ -95,32 +94,6 @@ def word_of(index: int, length: int) -> str:
 def all_patterns(length: int) -> Iterator[str]:
     for idx in range(1 << length):
         yield word_of(idx, length)
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Connectivity of a word: bulk arches plus boundary strands."""
-
-    length: int
-    pairs: frozenset[tuple[int, int]]
-    left: frozenset[int]
-    right: frozenset[int]
-
-
-def closure(word: str) -> Matching:
-    """Match parentheses; leftovers become boundary strands."""
-    validate_pattern(word)
-    stack: list[int] = []
-    pairs = set()
-    left = set()
-    for pos, ch in enumerate(word, start=1):
-        if ch == "(":
-            stack.append(pos)
-        elif stack:
-            pairs.add((stack.pop(), pos))
-        else:
-            left.add(pos)
-    return Matching(len(word), frozenset(pairs), frozenset(left), frozenset(stack))
 
 
 # -- frontier states ----------------------------------------------------

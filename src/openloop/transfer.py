@@ -8,9 +8,10 @@ closes at the left wall (K_0 tile).  Each tile is id_weight * 1 +
 cup_weight * e on the auxiliary strand and one site or wall, where 1
 crosses the two strands (at a wall it does nothing) and e is the
 `linkpat` e that `apply_e` uses.  At the combinatorial point every loop
-and boundary closure carries weight 1.  Tile weights (fixed once and
-singled out among all argument conventions by the identity suite and
-the exact L = 1, 2 groundstates), in the order the strand meets them:
+and every arc from wall to wall carries weight 1.  Tile weights (fixed
+once and singled out among all argument conventions by the identity
+suite and the exact L = 1, 2 groundstates), in the order the strand
+meets them:
 
     bottom row, site j = 1..L:   face_weights_R(w, z_j),
     right wall:                  face_weights_KL(w, zeta_2),
@@ -87,7 +88,6 @@ from .linkpat import (
     RIGHT_WALL,
     SparseOperator,
     all_patterns,
-    closure,
     connect,
     cup_cap,
     index_of,
@@ -531,11 +531,10 @@ def _fillings(pt: SpectralPoint) -> list[tuple[Scalar, dict]]:
 def _naive_column(word: str, fillings: list[tuple[Scalar, dict]]) -> dict[int, Scalar]:
     """Sum over the `_fillings` of the slab on word: the path from each
     ("out", j) runs through the slab, and through the arcs and wall
-    strands of word below it, to a wall or to another ("out", k)."""
-    m = closure(word)
-    below = {("in", a): "L" for a in m.left} | {("in", a): "R" for a in m.right}
-    for a, b in m.pairs:
-        below["in", a], below["in", b] = ("in", b), ("in", a)
+    strands of word below it, to a wall or to another ("out", k).  Below
+    the slab, ("in", k) leads to ("in", seed(word)[k]) or to its wall."""
+    walls = {LEFT_WALL: "L", RIGHT_WALL: "R"}
+    below = {("in", k): walls.get(p, ("in", p)) for k, p in enumerate(seed(word)[1:-1], start=1)}
     column: dict[int, Scalar] = {}
     for weight, ends in fillings:
         symbols = []

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from openloop import (
-    ConfluentPointError,
+    NonGenericPointError,
     ONE,
     Q,
     Scalar,
@@ -87,7 +87,7 @@ def test_character_symmetries():
 def test_confluent_point_detection_and_limit():
     lam = (1, 0, 0)
     ones = [ONE, ONE, ONE]
-    with pytest.raises(ConfluentPointError):
+    with pytest.raises(NonGenericPointError, match="character arguments collide"):
         symplectic_character(lam, ones)
     # Weyl dimension of the C_3 vector representation.
     assert character_auto(lam, ones) == Scalar.from_rational(6)

@@ -7,11 +7,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from openloop import ConsistencyError, Scalar, SpectralPoint, closed_form_all_open, groundstate
+from openloop import ConsistencyError, Scalar, SpectralPoint, cli, closed_form_all_open, groundstate
 from openloop.chars import PART_CAP, character_auto, symplectic_character
 from openloop.cli import main, parse_scalar, parse_scalar_list
 from openloop.verify import SUITE_NAMES
@@ -221,6 +222,34 @@ def test_sumrule_command(capsys):
     code, out, err = run_cli(capsys, "sumrule", "--L", "2", "--z", "3,5", "--seed", "4")
     assert code == 0
     assert "sum rule holds" in out
+
+
+def test_sumrule_mismatch_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "z_product", lambda pt: Scalar.from_rational(0))
+    code, out, err = run_cli(capsys, "sumrule", "--L", "2", "--z", "3,5", "--seed", "4")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2:] == ["character product  = 0", "sum rule FAILED"]
+
+
+def test_verify_fail_row_exits_one(capsys, monkeypatch):
+    rows = [("first: holds", True), ("second: fails", False)]
+    monkeypatch.setattr(cli, "run_suite", lambda name, length, trials, seed: rows)
+    code, out, err = run_cli(capsys, "verify", "--suite", "algebra", "--L", "2", "--trials", "1")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "PASS  first: holds",
+        "FAIL  second: fails",
+        "1/2 checks passed",
+    ]
+
+
+def test_raw_normalization_warns(capsys, monkeypatch):
+    solve = cli.solve
+    monkeypatch.setattr(cli, "solve", lambda pt: replace(solve(pt), normalization="raw"))
+    code, out, err = run_cli(capsys, "solve", "--L", "1", "--z", "2", "--w", "5/2")
+    assert (code, err) == (0, "")
+    assert json.loads(out[: out.rindex("}") + 1])["normalization"] == "raw"
+    assert out.splitlines()[-1] == "warning: every closed-form anchor vanished; raw normalization"
 
 
 def test_character_generic(capsys):

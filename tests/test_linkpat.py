@@ -19,7 +19,6 @@ from openloop import (
     all_patterns,
     apply_e,
     c_from_zeta,
-    closure,
     generator_matrix,
     hamiltonian,
     idempotents,
@@ -69,19 +68,22 @@ def test_validate_pattern_rejects_junk():
     assert validate_pattern("") == ""
 
 
-def test_closure_examples():
-    m = closure("()")
-    assert m.pairs == frozenset({(1, 2)})
-    assert m.left == frozenset() and m.right == frozenset()
-    m = closure(")(")
-    assert m.pairs == frozenset()
-    assert m.left == frozenset({1}) and m.right == frozenset({2})
-    m = closure("(())((")
-    assert m.pairs == frozenset({(2, 3), (1, 4)})
-    assert m.right == frozenset({5, 6})
+def test_seed_examples():
+    # Literal partner lists: site k sits in slot k, slots 0 and L + 1
+    # hold the spare strand, and an unmatched ')' or '(' runs to a wall.
+    table = {
+        "": [1, 0],
+        "()": [3, 2, 1, 0],
+        ")(": [3, LEFT_WALL, RIGHT_WALL, 0],
+        ")()(": [5, LEFT_WALL, 3, 2, RIGHT_WALL, 0],
+        "(())((": [7, 4, 3, 2, 1, RIGHT_WALL, RIGHT_WALL, 0],
+        "))(()": [6, LEFT_WALL, LEFT_WALL, RIGHT_WALL, 5, 4, 0],
+    }
+    for word, partners in table.items():
+        assert seed(word) == partners
 
 
-def test_closure_roundtrip():
+def test_seed_roundtrip():
     for word in all_patterns(6):
         assert read_word(seed(word), range(1, 7)) == word
 
@@ -165,8 +167,7 @@ def test_apply_e_examples():
 def test_apply_e_creates_the_small_link():
     for word in all_patterns(5):
         for i in range(1, 5):
-            image = closure(apply_e(i, word))
-            assert (i, i + 1) in image.pairs
+            assert seed(apply_e(i, word))[i] == i + 1
         assert apply_e(0, word)[0] == ")"
         assert apply_e(5, word)[-1] == "("
 
@@ -508,5 +509,5 @@ def test_insert_helpers():
         i = rng.randint(1, 5)
         grown = insert_link(i, word)
         assert grown[i - 1 : i + 1] == "()"
-        assert (i, i + 1) in closure(grown).pairs
+        assert seed(grown)[i] == i + 1
         assert grown[: i - 1] + grown[i + 1 :] == word
