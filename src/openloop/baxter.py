@@ -22,14 +22,22 @@ turn-back filling (both strand ends leave into the boundary).
 `face_weights_R` reads r_coefficients at u = z/w; the wall tiles read
 k_coefficients at (q w, zeta) and (w, zeta), so the one-site assembled
 tile equals Kcheck, which pins every sign.
+
+The three face-weight functions are memoized on their arguments, each
+in a `functools.lru_cache` of at most `exactfield.CACHE_SIZE` entries:
+they are pure functions of immutable Scalars, so the nodes of a Laurent
+window, where only one z moves, reuse every tile that did not, and
+equal arguments give the very same FaceWeights.  A pole raises
+SingularParameterError on every call, for lru_cache keeps no exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import SingularParameterError
-from .exactfield import Q, Scalar, bracket, kfun
+from .exactfield import CACHE_SIZE, Q, Scalar, bracket, kfun
 from .linkpat import SparseOperator, generator_matrix
 
 __all__ = [
@@ -98,12 +106,14 @@ def kcheckL(z: Scalar, zeta: Scalar, length: int) -> SparseOperator:
     return baxterised(length, k_coefficients(z, zeta), length)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def face_weights_R(z: Scalar, w: Scalar) -> FaceWeights:
     """Bulk tile weights of R(z, w): a = [q w/z]/[q z/w], b = -[z/w]/[q z/w]."""
     a, b = _ratios(r_coefficients(z / w), "R tile pole: [q z/w] = 0")
     return FaceWeights(a, -b)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def face_weights_K0(w: Scalar, zeta: Scalar) -> FaceWeights:
     """Left boundary tile of K_0(w, zeta).
 
@@ -115,6 +125,7 @@ def face_weights_K0(w: Scalar, zeta: Scalar) -> FaceWeights:
     return FaceWeights(a, -b)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def face_weights_KL(w: Scalar, zeta: Scalar) -> FaceWeights:
     """Right boundary tile of K_L(w, zeta); assembles to Kcheck_L(w, zeta)."""
     a, b = _ratios(k_coefficients(w, zeta), "K_L tile pole: k(1/w, zeta) = 0")

@@ -27,14 +27,22 @@ confluent arguments with NonGenericPointError.
 The groundstate normalisation uses the staircase-halves
 
     lambda(L)_j = floor((L - j) / 2).
+
+Its staircase characters S_n = chi_{lambda(n)} at the squares of the
+arguments (`s_character`) are memoized on the argument tuple, in a
+`functools.lru_cache` of at most `exactfield.CACHE_SIZE` entries: a
+character is a pure function of immutable Scalars, and the four of
+`z_product` share their arguments with the closed forms of a solve and
+with its sum-rule check.  An exception is never cached.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import NonGenericPointError
-from .exactfield import ONE, Q, ZERO, Scalar, kfun
+from .exactfield import CACHE_SIZE, ONE, Q, ZERO, Scalar, kfun
 from .exactla import det
 
 __all__ = [
@@ -132,7 +140,13 @@ def character_auto(lam: Sequence[int], xs: Sequence[Scalar]) -> Scalar:
 
 
 def s_character(ys: Sequence[Scalar]) -> Scalar:
-    """S_n(y_1..y_n) = chi_{lambda(n)} evaluated at the squares y_i^2."""
+    """S_n(y_1..y_n) = chi_{lambda(n)} evaluated at the squares y_i^2,
+    memoized on tuple(ys) (`_staircase`)."""
+    return _staircase(tuple(ys))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _staircase(ys: tuple[Scalar, ...]) -> Scalar:
     return character_auto(lambda_partition(len(ys)), [y * y for y in ys])
 
 

@@ -44,15 +44,26 @@ out inline, which is faster (`transfer._layer`).  Neither `addmul` nor
 `same_columns`, which cross-multiplies two denominators, takes a gcd.
 `ring_degree` reads the smallest of those rings holding some
 numerators; the p-adic lifting chooses its ring with it.
+
+A Scalar is immutable, and equal Scalars hash alike, so a pure function
+of Scalars can be memoized on its arguments.  `kfun`, the tile weights
+of `baxter` and the staircase characters of `chars` are, each in a
+`functools.lru_cache` of at most CACHE_SIZE entries: the interpolation
+nodes of one Laurent window, the moved points of a suite and the CLI's
+sum-rule line then reuse every value whose arguments did not change.
+An exception (a pole, a zero argument) is never cached, so a bad
+argument raises on every call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Collection, Iterable, Sequence, Union
 
 __all__ = [
+    "CACHE_SIZE",
     "Scalar",
     "ZERO",
     "ONE",
@@ -71,6 +82,12 @@ __all__ = [
 ]
 
 _RationalLike = Union[int, Fraction]
+
+# The bound of every memo of a pure function of Scalars (`kfun`, the tile
+# weights of `baxter`, the staircase characters of `chars`).  At small
+# rational parameters a full memo holds 0.4-0.9 MB (tracemalloc); a round
+# of three L = 3 degree-window operations fills at most 360 entries of one.
+CACHE_SIZE = 1024
 
 
 def _raw(n: tuple[int, int, int, int], d: int) -> Scalar:
@@ -297,8 +314,9 @@ def bracket(z: Scalar) -> Scalar:
     return z - z.inv()
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def kfun(z: Scalar, zeta: Scalar) -> Scalar:
-    """k(z, zeta) = [z/(q zeta)] [z zeta / q].
+    """k(z, zeta) = [z/(q zeta)] [z zeta / q], memoized on (z, zeta).
 
     Expanding with q + 1/q = -1 gives the handy normal form
     k(z, zeta) = q z^2 + 1/(q z^2) - zeta^2 - 1/zeta^2, so k is even

@@ -18,8 +18,9 @@ The linear algebra shared by the character and groundstate modules:
   anchor (an entry or the entries' sum, its value and a multiple of the
   anchored vector's denominator, which `groundstate.solve` predicts from
   the point), the lifting reads the anchored vector's numerators over
-  that hint after each step, in about half the steps that Wang's
-  rational reconstruction needs to find a denominator of its own; Wang's
+  that hint, in about half the steps that Wang's rational
+  reconstruction needs to find a denominator of its own, from the first
+  step at which the anchored entry's own numerators fit; Wang's
   reconstruction stays as the fallback, scaled to the anchor, so a wrong
   hint costs steps and never changes the vector.  Only this module
   scales to an anchor;
@@ -413,6 +414,21 @@ def _anchored(acc: Sequence[int], index: int | None, scaled: Scalar, m: int):
     return nums
 
 
+def _fits(own: Sequence[int], m: int, reach: int) -> bool:
+    """Whether the symmetric residues mod m of the integers own lie within
+    reach times `_anchored`'s bound m / 2^(2 _MARGIN + 1).
+
+    With own the numerators of scaled = hint * value, in Z[zeta], that is
+    a necessary condition for the anchored reading mod m: the anchored
+    entry's residues are scaled's, and a sum of n entries that each fit
+    fits in n bounds, below m / 2.  So `_lift` skips a reading where it
+    fails, and the inverse mod m that the reading would take first.  A
+    residue lies in [-bound, bound] exactly where a + bound lies in
+    [0, 2 bound] mod m, one reduction per integer."""
+    bound = reach * (m >> (2 * _MARGIN + 1))
+    return all((a + bound) % m <= 2 * bound for a in own)
+
+
 def _certified(cols: Sequence[dict], nums: Sequence[int], den: int):
     """The vector nums / den, four Z[zeta] numerators per entry, if it
     is nonzero and the `addmul` contraction of cols with its numerators
@@ -438,12 +454,16 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     embeddings only: every other value, v mod p^k included, is a Z[zeta]
     4-tuple, with zero parts off the ring basis zeta^(4j/d), j < d.  A
     reconstruction v is returned only once the `addmul` contraction of
-    cols with v vanishes.  With an anchor (index, value, hint), each step
+    cols with v vanishes.  With an anchor (index, value, hint), a step
     first reads v scaled so that its `anchor_entry` is value, over the
-    denominator hint (`_anchored`).  Where that reading does not fit,
-    Wang's reconstruction runs as it does without an anchor, and returns v
-    with its free column at 1: a wrong hint costs steps, never a wrong
-    vector, and the caller scales whichever vector comes back.
+    denominator hint (`_anchored`), once the numerators of value * hint
+    fit the reading's bound mod p^k (`_fits`, n bounds for the sum of
+    the n entries): before that no reading can fit, and where value *
+    hint is not in Z[zeta] (a wrong hint) every step reads.  Where that
+    reading does not fit, Wang's reconstruction runs as it does without
+    an anchor, and returns v with its free column at 1: a wrong hint
+    costs steps, never a wrong vector, and the caller scales whichever
+    vector comes back.
 
     Everything from the columns to that certificate is packed
     (Kronecker substitution): a row, a column of L or U, a right-hand
@@ -515,6 +535,8 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     if anchor is not None:
         index, value, hint = anchor
         scaled = value * Scalar.from_integers((hint, 0, 0, 0), 1)
+        (own,), over = cleared([scaled])
+        reach = n if index is None else 1
     res = tuple(-c for c in parts[free])
     # v mod p^k, a Z[zeta] 4-tuple per entry; no digit touches the free
     # column, which stays 1.
@@ -534,7 +556,11 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
         if any(rems):
             return None
         pk *= p
-        if anchor is not None and (nums := _anchored(acc, index, scaled, pk)):
+        if (
+            anchor is not None
+            and (over > 1 or _fits(own, pk, reach))
+            and (nums := _anchored(acc, index, scaled, pk))
+        ):
             if vec := _certified(cols, nums, hint):
                 return vec
         found = _reconstruct(acc, pk)
@@ -569,8 +595,10 @@ def kernel_vector(
     and the solution is lifted p-adically with exact residual updates
     (r - A x) / p, all on packed big ints (`_lift`).  After each step
     the anchored vector's numerators over the hint are read off first,
-    which a right hint allows after about half the steps that Wang's
-    rational reconstruction needs to find a denominator of its own; then
+    from the step at which the anchored entry's own numerators, those of
+    value * hint, fit the reading's bound, which a right hint allows
+    after about half the steps that Wang's rational reconstruction needs
+    to find a denominator of its own; then
     Wang's reconstruction over one common denominator.  Either is
     returned only once it satisfies A v == 0, contracted with the same
     columns in Z[zeta] integers by `addmul`.  A wrong reconstruction

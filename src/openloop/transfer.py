@@ -247,20 +247,14 @@ def _slots(length: int) -> list:
 
 
 def _tile_weights(pt: SpectralPoint) -> list[FaceWeights]:
-    """The FaceWeights of every tile, in `_slots` order.  Bulk tiles with
-    the same arguments share one FaceWeights, computed once: at z_i = 1
-    all 2L of them are face_weights_R(w, 1)."""
-    bulk: dict = {}
-
-    def tile_r(z: Scalar, w: Scalar):
-        if (fw := bulk.get((z, w))) is None:
-            fw = bulk[z, w] = face_weights_R(z, w)
-        return fw
-
+    """The FaceWeights of every tile, in `_slots` order.  The face weights
+    are memoized (`baxter`), so tiles with the same arguments share one
+    FaceWeights, computed once: at z_i = 1 all 2L bulk tiles are
+    face_weights_R(w, 1), and a point that moves one z reuses the rest."""
     return (
-        [tile_r(pt.w, z) for z in pt.z]
+        [face_weights_R(pt.w, z) for z in pt.z]
         + [face_weights_KL(pt.w, pt.zeta2)]
-        + [tile_r(z * pt.w, ONE) for z in reversed(pt.z)]
+        + [face_weights_R(z * pt.w, ONE) for z in reversed(pt.z)]
         + [face_weights_K0(pt.w.inv(), pt.zeta1)]
     )
 

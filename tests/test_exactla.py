@@ -507,6 +507,47 @@ def test_a_wrong_hint_returns_the_same_vector_through_wangs_reconstruction(monke
         assert found != bad and spy["anchored"] == spy["wang"] > 0, bad
 
 
+@pytest.mark.parametrize("length", [2, 3, 4, 5])
+def test_a_right_hint_is_read_once_where_the_anchored_entry_fits(length, monkeypatch):
+    # The anchored reading starts at the step where value * hint fits its
+    # bound, and with the hint that `solve` predicts that is the step
+    # where every numerator over the hint fits: one reading, after as
+    # many steps, d solves each, as the least p^k whose bound holds them.
+    pt = draw_point(Random(880 + length), length)
+    op = _minus_one(transfer_matrix(pt))
+    value, hint = closed_form_all_open(pt), groundstate._denominator_hint(pt)
+    d = ring_degree(c for col in op.num_cols for c in col.values())
+    exactla._embeddings(PRIMES[0], d)  # its own solves, once per process
+    spy = spy_lifting(monkeypatch)
+    solve = exactla._PackedLU.solve
+    solves = []
+
+    def counted(lu, rhs):
+        solves.append(rhs)
+        return solve(lu, rhs)
+
+    monkeypatch.setattr(exactla._PackedLU, "solve", counted)
+    vec = kernel_vector(op, (0, value, hint))
+    nums, den = cleared(vec)
+    top = max(abs(a) * (hint // den) for n in nums for a in n)
+    steps = next(k for k in range(1, 99) if top <= PRIMES[0] ** k >> 2 * exactla._MARGIN + 1)
+    assert spy["certified"] == [hint]
+    assert (spy["anchored"], spy["wang"], len(solves)) == (1, steps - 1, d * steps)
+
+
+def test_a_sum_anchor_is_read_where_its_sum_fits_n_bounds(monkeypatch):
+    # The kernel of [[b, -a], [b, -a]] is (a, b), both just below the
+    # reading's bound at step 1 and their sum above it: anchored to that
+    # sum over the hint 1, the vector is read at step 1, for a sum of n
+    # entries that each fit fits in n bounds.
+    bound = PRIMES[0] >> 2 * exactla._MARGIN + 1
+    a, b = rational(bound - 1), rational(bound - 2)
+    op = _from_rows([[b, -a], [b, -a]])
+    spy = spy_lifting(monkeypatch)
+    assert kernel_vector(op, (None, a + b, 1)) == [a, b]
+    assert (spy["anchored"], spy["wang"], spy["certified"]) == (1, 0, [1])
+
+
 @pytest.mark.parametrize("length", [2, 3, 4])
 def test_an_anchor_off_the_operators_ring_is_read_over_the_hint(length, monkeypatch):
     # T - 1 at a rational point lies in Q(zeta^2), and (2 + zeta) times

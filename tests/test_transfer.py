@@ -181,12 +181,12 @@ def test_sweep_bodies_agree(length):
 
 def test_bulk_tiles_with_equal_arguments_share_their_weights(monkeypatch):
     # At z_i = 1 every bulk tile is face_weights_R(w, 1): one FaceWeights
-    # for all 2L of them, made afresh on each call.
+    # for all 2L of them, and the memo returns it again on a later call.
     generic_pt = draw_point(Random(223), 4)
     pt = replace(generic_pt, z=(ONE,) * 4)
     tiles = [fw for slot, fw in zip(_slots(4), _tile_weights(pt)) if slot > 0]
     assert len(tiles) == 8 and all(fw is tiles[0] for fw in tiles)
-    assert _tile_weights(pt)[0] is not tiles[0]
+    assert _tile_weights(pt)[0] is tiles[0]
     generic = [fw for slot, fw in zip(_slots(4), _tile_weights(generic_pt)) if slot > 0]
     assert len({id(fw) for fw in generic}) == 8
     # The sweep clears each distinct tile once, keyed by its FaceWeights
