@@ -14,16 +14,17 @@ The linear algebra shared by the character and groundstate modules:
   4-tuple.  Its residual updates and its anchored reading multiply with
   `exactfield.zmul`, the one Z[zeta] product rule, whose l1 bound sizes
   the packed slots, and its certificate A v == 0 contracts the
-  operator's Z[zeta] integer columns with `exactfield.addmul`.  Given an
-  anchor (an entry or the entries' sum, its value and a multiple of the
-  anchored vector's denominator, which `groundstate.solve` predicts from
-  the point), the lifting reads the anchored vector's numerators over
-  that hint, in about half the steps that Wang's rational
-  reconstruction needs to find a denominator of its own, from the first
-  step at which the anchored entry's own numerators fit; Wang's
-  reconstruction stays as the fallback, scaled to the anchor, so a wrong
-  hint costs steps and never changes the vector.  Only this module
-  scales to an anchor;
+  operator's Z[zeta] integer columns with `exactfield.addmul`.  One
+  reader, `_reconstruct`, reads every residue vector: Wang's rational
+  reconstruction under a denominator bound.  Given an anchor (an entry
+  or the entries' sum, its value and a multiple of the anchored vector's
+  denominator, which `groundstate.solve` predicts from the point), the
+  lifting reads the anchored vector's numerators over that hint at the
+  denominator bound 1, from the first step at which the anchored entry's
+  own numerators fit, in about half the steps that the balanced bounds
+  need to find a denominator of their own; the balanced reading stays as
+  the fallback, scaled to the anchor, so a wrong hint costs steps and
+  never changes the vector.  Only this module scales to an anchor;
 - the Laurent fit `laurent_fit`, which builds one interpolation map per
   set of nodes as a `SparseOperator`, applies it to any number of value
   columns, and returns the interpolated groundstate components as
@@ -298,23 +299,35 @@ def _embeddings(p: int, d: int) -> tuple[list[list[int]], list[list[int]]]:
     return powers, [list(row) for row in zip(*cols)]
 
 
-def _reconstruct(residues: Sequence[int], m: int) -> tuple[list[int], int] | None:
+def _reconstruct(
+    residues: Sequence[int], m: int, den_bound: int | None = None
+) -> tuple[list[int], int] | None:
     """Integers a_q and one den > 0 with a_q / den = residues[q] (mod m),
-    |a_q| and den below Wang's bound sqrt(m / 2) less _MARGIN bits, or
-    None.  Each residue that den does not yet clear refines den by the
-    denominator Wang's half-extended Euclid finds for it."""
-    bound = isqrt(m >> 1) >> _MARGIN
+    or None: the lifting's one reader.  den is at most den_bound and
+    every |a_q| at most m / 2^(2 _MARGIN + 1) over den_bound, so
+    den_bound = 1 reads the symmetric residues themselves, as the
+    anchored reading over its hint does.  Without a den_bound both
+    bounds are Wang's balanced one, sqrt(m / 2) less _MARGIN bits.  Each
+    residue that den does not yet clear refines den by the denominator,
+    at least 2, that Wang's half-extended Euclid finds for it, so where
+    2 den passes den_bound the residues are refused first."""
+    if den_bound is None:
+        bound = den_bound = isqrt(m >> 1) >> _MARGIN
+    else:
+        bound = (m >> 2 * _MARGIN + 1) // den_bound
     den = 1
     for u in residues:
         t = den * u % m
         if t <= bound or m - t <= bound:
             continue
+        if 2 * den > den_bound:
+            return None
         r0, r1, t0, t1 = m, t, 0, 1
         while r1 > bound:
             q = r0 // r1
             r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
         den *= abs(t1)
-        if den > bound or gcd(r1, t1) != 1:
+        if den > den_bound or gcd(r1, t1) != 1:
             return None
     nums = [den * u % m for u in residues]
     nums = [a - m if a > m >> 1 else a for a in nums]
@@ -378,17 +391,15 @@ def anchor_entry(vec: Sequence[Scalar], index: int | None) -> Scalar:
 
 
 def _anchored(acc: Sequence[int], index: int | None, scaled: Scalar, m: int):
-    """The numerators over the hint of the vector v whose `anchor_entry`
-    u is the anchor value, from v mod m, a Z[zeta] 4-tuple per entry, and
-    scaled = hint * value: the symmetric residues of c v_j mod m, c =
-    scaled / u, four per entry; or None unless every residue is below
-    m / 2^(2 _MARGIN + 1).
+    """The residues mod m of c v, four per entry, for the vector v whose
+    `anchor_entry` u is the anchor value, from v mod m, a Z[zeta] 4-tuple
+    per entry, and scaled = hint * value: c = scaled / u, so that c v
+    holds the anchored vector's numerators over the hint once m is large
+    enough.  None where u is 0 mod m or p divides its norm.
 
     1 / u mod m is its conjugate over its norm (`Scalar.inv`), read mod
-    m, where p does not divide that norm.  The products c v_j are
-    `zmul`'s; a c off the operator's ring gives a kernel vector too.
-    The free column's v_j is 1, so its residues are c's own and are
-    tested first: a step that is still too short costs one inverse."""
+    m.  The products c v_j are `zmul`'s; a c off the operator's ring
+    gives a kernel vector too."""
     if index is None:
         x = [sum(acc[t::4]) % m for t in range(4)]
     else:
@@ -400,33 +411,8 @@ def _anchored(acc: Sequence[int], index: int | None, scaled: Scalar, m: int):
         e = pow(den, -1, m)
     except ValueError:  # p divides the norm of v_index
         return None
-    bound, half = m >> (2 * _MARGIN + 1), m >> 1
     c = [a * e % m for a in c]
-    if any(bound < a < m - bound for a in c):
-        return None
-    nums = []
-    for j in range(0, len(acc), 4):
-        for a in zmul(c, acc[j : j + 4]):
-            a %= m
-            if bound < a < m - bound:
-                return None
-            nums.append(a - m if a > half else a)
-    return nums
-
-
-def _fits(own: Sequence[int], m: int, reach: int) -> bool:
-    """Whether the symmetric residues mod m of the integers own lie within
-    reach times `_anchored`'s bound m / 2^(2 _MARGIN + 1).
-
-    With own the numerators of scaled = hint * value, in Z[zeta], that is
-    a necessary condition for the anchored reading mod m: the anchored
-    entry's residues are scaled's, and a sum of n entries that each fit
-    fits in n bounds, below m / 2.  So `_lift` skips a reading where it
-    fails, and the inverse mod m that the reading would take first.  A
-    residue lies in [-bound, bound] exactly where a + bound lies in
-    [0, 2 bound] mod m, one reduction per integer."""
-    bound = reach * (m >> (2 * _MARGIN + 1))
-    return all((a + bound) % m <= 2 * bound for a in own)
+    return [a for j in range(0, len(acc), 4) for a in zmul(c, acc[j : j + 4])]
 
 
 def _certified(cols: Sequence[dict], nums: Sequence[int], den: int):
@@ -454,16 +440,18 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     embeddings only: every other value, v mod p^k included, is a Z[zeta]
     4-tuple, with zero parts off the ring basis zeta^(4j/d), j < d.  A
     reconstruction v is returned only once the `addmul` contraction of
-    cols with v vanishes.  With an anchor (index, value, hint), a step
-    first reads v scaled so that its `anchor_entry` is value, over the
-    denominator hint (`_anchored`), once the numerators of value * hint
-    fit the reading's bound mod p^k (`_fits`, n bounds for the sum of
-    the n entries): before that no reading can fit, and where value *
-    hint is not in Z[zeta] (a wrong hint) every step reads.  Where that
-    reading does not fit, Wang's reconstruction runs as it does without
-    an anchor, and returns v with its free column at 1: a wrong hint
-    costs steps, never a wrong vector, and the caller scales whichever
-    vector comes back.
+    cols with v vanishes.  Each step hands v mod p^k to the one reader,
+    `_reconstruct`, at most twice.  With an anchor (index, value, hint),
+    it first reads v scaled so that its `anchor_entry` is value, over
+    the denominator hint (`_anchored`), at the denominator bound 1.  That
+    reading starts at the step where the numerators of value * hint fit
+    its bound, n bounds for the sum of the n entries: a certified
+    anchored entry's numerators are those, so no earlier reading can be
+    certified.  Where value * hint is not in Z[zeta] (a wrong hint)
+    every step reads.  Where that reading is not certified, the reader
+    runs at Wang's balanced bounds, as it does without an anchor, and
+    returns v with its free column at 1: a wrong hint costs steps, never
+    a wrong vector, and the caller scales whichever vector comes back.
 
     Everything from the columns to that certificate is packed
     (Kronecker substitution): a row, a column of L or U, a right-hand
@@ -536,7 +524,7 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
         index, value, hint = anchor
         scaled = value * Scalar.from_integers((hint, 0, 0, 0), 1)
         (own,), over = cleared([scaled])
-        reach = n if index is None else 1
+        top, reach = max(map(abs, own)), n if index is None else 1
     res = tuple(-c for c in parts[free])
     # v mod p^k, a Z[zeta] 4-tuple per entry; no digit touches the free
     # column, which stays 1.
@@ -556,19 +544,14 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
         if any(rems):
             return None
         pk *= p
-        if (
-            anchor is not None
-            and (over > 1 or _fits(own, pk, reach))
-            and (nums := _anchored(acc, index, scaled, pk))
-        ):
-            if vec := _certified(cols, nums, hint):
+        readings = [(acc, {}, 1)]  # Wang's, over a denominator of its own
+        if anchor is not None and (over > 1 or top <= reach * (pk >> 2 * _MARGIN + 1)):
+            if (fitted := _anchored(acc, index, scaled, pk)) is not None:
+                readings.insert(0, (fitted, {"den_bound": 1}, hint))
+        for residues, bounds, scale in readings:
+            found = _reconstruct(residues, pk, **bounds)
+            if found and (vec := _certified(cols, found[0], scale * found[1])):
                 return vec
-        found = _reconstruct(acc, pk)
-        if found is None:
-            continue
-        nums, den = found
-        if vec := _certified(cols, nums, den):
-            return vec
     raise ConsistencyError(
         f"p-adic lifting found no certified kernel vector within {budget} steps"
     )
@@ -594,21 +577,24 @@ def kernel_vector(
     one pivot block is factored in each embedding of Z[zeta] into F_p,
     and the solution is lifted p-adically with exact residual updates
     (r - A x) / p, all on packed big ints (`_lift`).  After each step
-    the anchored vector's numerators over the hint are read off first,
-    from the step at which the anchored entry's own numerators, those of
-    value * hint, fit the reading's bound, which a right hint allows
-    after about half the steps that Wang's rational reconstruction needs
-    to find a denominator of its own; then
-    Wang's reconstruction over one common denominator.  Either is
-    returned only once it satisfies A v == 0, contracted with the same
-    columns in Z[zeta] integers by `addmul`.  A wrong reconstruction
-    costs one more lifting step, never a wrong vector.  With the rank
-    n - 1 mod p that proves v spans the kernel.  A prime that does not
-    show the rank n - 1 is skipped: one with any other rank, or one
-    whose residual stops being divisible by p, which an operator with
-    no kernel shows where its rank mod p is n - 1.  When every prime is
-    skipped, the exact `kernel_basis` of `op.to_rows()` decides, and a
-    kernel that is not a line raises NonGenericPointError.  The last
+    one reader, `_reconstruct`, reads v mod p^k at most twice: first the
+    anchored vector's numerators over the hint, at the denominator bound
+    1, from the step at which the anchored entry's own numerators, those
+    of value * hint, fit that bound, which a right hint allows after
+    about half the steps that the balanced bounds need; then Wang's
+    balanced reading over one common denominator.  Either is returned
+    only once it satisfies A v == 0, contracted with the same columns in
+    Z[zeta] integers by `addmul`.  A wrong reconstruction costs one more
+    lifting step, never a wrong vector.  With the rank n - 1 mod p that
+    proves v spans the kernel.  A prime that does not show the rank
+    n - 1 is skipped: one with any other rank, or one whose residual
+    stops being divisible by p, which an operator with no kernel shows
+    where its rank mod p is n - 1.  When every prime is skipped, the
+    exact `kernel_basis` of `op.to_rows()` decides, and a kernel that is
+    not a line raises NonGenericPointError.  A degenerate fixed space
+    ends there, at a cost that grows about 15x per site: refusing
+    `solve --z 1,...,1 --zeta1 0:0:1:0 --zeta2 0:0:1:0` took 0.27 / 1.63
+    / 26.3 s at L = 5 / 6 / 7 (Python 3.11.7, 2 CPUs).  The last
     nonzero entry is the free column of `kernel_basis`'s RREF, so both
     give the same vector.
     """

@@ -39,7 +39,8 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 from .chars import s_character, z_product
 from .errors import (
@@ -141,8 +142,17 @@ def generic_parameters(
     Candidates are p/q with |p|, q <= 9.  Only once that pool holds no
     admissible value does the range widen, in steps of 9 up to 99, so a
     seed that never exhausts the pool draws the same values as ever;
-    beyond 99 NonGenericPointError is raised.
+    beyond 99 NonGenericPointError is raised.  These are the first count
+    values of `_draws`.
     """
+    return [Scalar.from_rational(f) for f in islice(_draws(rng, avoid), count)]
+
+
+def _draws(rng: random.Random, avoid: Iterable[Fraction] = ()) -> Iterator[Fraction]:
+    """The values of `generic_parameters`, one at a time: each draw
+    excludes itself, its negative and their inverses from every later
+    one, so a caller that needs one value at a time draws from one
+    stream and carries no list of its own."""
     excluded = {Fraction(0), Fraction(1), Fraction(-1)}
 
     def take(g: Fraction) -> None:
@@ -150,9 +160,8 @@ def generic_parameters(
 
     for g in avoid:
         take(Fraction(g))
-    out: list[Scalar] = []
     bound = 9
-    while len(out) < count:
+    while True:
         while all(
             Fraction(p, q) in excluded
             for q in range(1, bound + 1)
@@ -165,8 +174,7 @@ def generic_parameters(
         if f in excluded:
             continue
         take(f)
-        out.append(Scalar.from_rational(f))
-    return out
+        yield f
 
 
 def a_const(length: int) -> Scalar:
@@ -482,12 +490,11 @@ def interpolate_all(
     top = _z_window(length)
     width = 2 * top + 1
     rng = rng if rng is not None else random.Random(23)
-    avoid: list[Fraction] = []
+    draws = _draws(rng)
     xs: list[Scalar] = []
     cols: list[tuple[Scalar, ...]] = []
     while len(xs) < width + 2:
-        (cand,) = generic_parameters(rng, 1, avoid=avoid)
-        avoid.append(cand.rational_value())
+        cand = Scalar.from_rational(next(draws))
         try:
             gs = solve(pt.with_z(var_index, cand), normalization="all_open", check_w=False)
         except (NonGenericPointError, SingularParameterError):

@@ -36,26 +36,28 @@ def rational(num: int, den: int = 1) -> Scalar:
 def spy_lifting(monkeypatch) -> dict:
     """What the p-adic lifting of `exactla` reads, step by step.
 
-    Each lifting step tries the anchored reading (`_anchored`) where an
-    anchor is given and then Wang's reconstruction (`_reconstruct`),
-    unless the anchored one is certified; "anchored" and "wang" count
-    those calls, so a lifting took max(anchored, wang) steps.
+    Each lifting step tries the anchored reading (`_anchored`, read by
+    `_reconstruct` at a den_bound) where an anchor is given and then
+    Wang's reconstruction (`_reconstruct` without a den_bound), unless
+    the anchored one is certified; "anchored" and "wang" count those
+    calls, so a lifting took max(anchored, wang) steps.
     "certified" lists the denominator of each vector that passed the
     certificate: the hint where the anchored reading was returned.
     """
     record = {"anchored": 0, "wang": 0, "certified": []}
+    anchored, reconstruct = exactla._anchored, exactla._reconstruct
 
-    def counted(name, key):
-        inner = getattr(exactla, name)
+    def spy_anchored(*args):
+        record["anchored"] += 1
+        return anchored(*args)
 
-        def spy(*args):
-            record[key] += 1
-            return inner(*args)
+    def spy_reconstruct(residues, m, den_bound=None):
+        if den_bound is None:
+            record["wang"] += 1
+        return reconstruct(residues, m, den_bound)
 
-        monkeypatch.setattr(exactla, name, spy)
-
-    counted("_anchored", "anchored")
-    counted("_reconstruct", "wang")
+    monkeypatch.setattr(exactla, "_anchored", spy_anchored)
+    monkeypatch.setattr(exactla, "_reconstruct", spy_reconstruct)
     certified = exactla._certified
 
     def spy_certified(cols, nums, den):

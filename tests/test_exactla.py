@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, isqrt
 from operator import mul
 from random import Random
 
@@ -567,6 +568,74 @@ def test_an_anchor_off_the_operators_ring_is_read_over_the_hint(length, monkeypa
     assert kernel_vector(op, (0, factor * value, hint)) == [factor * x for x in plain]
     assert spy["certified"] == [hint]
     assert spy["anchored"] < wang_steps, (spy, wang_steps)
+
+
+# -- the reader ---------------------------------------------------------
+
+
+def _balanced_reconstruct(residues, m):
+    """Wang's reconstruction at the balanced bound sqrt(m / 2) less
+    _MARGIN bits for numerators and denominator alike, written out once
+    more as the reference for `exactla._reconstruct`'s default."""
+    bound = isqrt(m >> 1) >> exactla._MARGIN
+    den = 1
+    for u in residues:
+        t = den * u % m
+        if t <= bound or m - t <= bound:
+            continue
+        r0, r1, t0, t1 = m, t, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        den *= abs(t1)
+        if den > bound or gcd(r1, t1) != 1:
+            return None
+    nums = [den * u % m for u in residues]
+    nums = [a - m if a > m >> 1 else a for a in nums]
+    if any(abs(a) > bound for a in nums):
+        return None
+    return nums, den
+
+
+def test_the_reader_at_den_bound_1_returns_the_symmetric_residues():
+    m = PRIMES[0] ** 2
+    bound = m >> 2 * exactla._MARGIN + 1
+    nums = [0, 1, -1, 7, bound, -bound, bound // 3]
+    residues = [a % m for a in nums]
+    assert exactla._reconstruct(residues, m, den_bound=1) == (nums, 1)
+    # Halves need den = 2: refused at den_bound 1, read by the default.
+    half = pow(2, -1, m)
+    halves = [a * half % m for a in (1, -3, 5)]
+    assert exactla._reconstruct(residues + halves, m, den_bound=1) is None
+    assert exactla._reconstruct(halves, m) == ([1, -3, 5], 2)
+    # One past the bound is refused too.
+    assert exactla._reconstruct([bound + 1], m, den_bound=1) is None
+    assert exactla._reconstruct([m - bound - 1], m, den_bound=1) is None
+
+
+def test_the_default_reader_agrees_with_wangs_balanced_reconstruction():
+    # Residue sets of a / den mod p^k with numerators and denominators
+    # drawn around the balanced bound, and some of no small fraction at
+    # all: the default reads and refuses exactly as the reference does.
+    rng = Random(45)
+    read = refused = 0
+    for _ in range(400):
+        m = PRIMES[rng.randrange(3)] ** rng.randint(1, 3)
+        bits = (m >> 1).bit_length() // 2 - exactla._MARGIN
+        if rng.random() < 0.1:
+            residues = [rng.randrange(m) for _ in range(rng.randint(1, 6))]
+        else:
+            top = 1 << rng.randint(0, bits + 1)
+            dens = [rng.getrandbits(rng.randint(1, bits + 1)) | 1 for _ in range(2)]
+            residues = [
+                rng.randint(-top, top) * pow(dens[rng.randrange(2)], -1, m) % m
+                for _ in range(rng.randint(1, 6))
+            ]
+        expected = _balanced_reconstruct(residues, m)
+        assert exactla._reconstruct(residues, m) == expected, (residues, m)
+        read += expected is not None
+        refused += expected is None
+    assert read > 100 and refused > 100, (read, refused)
 
 
 # -- the packed factorisation against a dense reference ------------------

@@ -91,6 +91,37 @@ def test_generic_parameters_widen_after_the_pool_runs_out():
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
+def test_generic_parameters_keep_their_widened_draws():
+    # Random(0) runs the |p|, q <= 9 pool dry after 27 draws; the 13
+    # after it come from the widened range, and stay as they were drawn.
+    vals = [str(v.rational_value()) for v in generic_parameters(Random(0), 40)]
+    assert vals[27:] == [
+        "-16/9", "7/18", "-11/16", "1/13", "3/10", "3/11", "1/11",
+        "18/13", "-13/3", "-13/7", "-12/13", "-14", "-16/7",
+    ]
+    assert vals[:4] == ["3/7", "-8/5", "7/8", "3/5"]
+
+
+def test_interpolation_draws_its_nodes_from_one_stream(monkeypatch):
+    # The nodes of one interpolation exclude each other as the draws of
+    # one generic_parameters call do, and stay as they were drawn.
+    nodes = []
+    inner = groundstate.solve
+
+    def spy(pt, **kwargs):
+        nodes.append(str(pt.z[0].rational_value()))
+        return inner(pt, **kwargs)
+
+    monkeypatch.setattr(groundstate, "solve", spy)
+    interpolate_all(1, draw_point(Random(45), 3))
+    assert nodes == [
+        "-9/5", "4/7", "7/6", "-5/4", "-1/8", "-9/4", "5",
+        "-3", "2/3", "-2", "-4/3", "1/9", "-7/2",
+    ]
+    expected = [str(v.rational_value()) for v in generic_parameters(Random(23), 13)]
+    assert nodes == expected
+
+
 def test_vanishing_homogeneous_anchor_raises():
     # zeta_1 = zeta12^2 makes the all-open closed form vanish at z_i = 1.
     code = (
