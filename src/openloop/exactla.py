@@ -19,12 +19,12 @@ The linear algebra shared by the character and groundstate modules:
   reconstruction under a denominator bound.  Given an anchor (an entry
   or the entries' sum, its value and a multiple of the anchored vector's
   denominator, which `groundstate.solve` predicts from the point), the
-  lifting reads the anchored vector's numerators over that hint at the
-  denominator bound 1, from the first step at which the anchored entry's
-  own numerators fit, in about half the steps that the balanced bounds
-  need to find a denominator of their own; the balanced reading stays as
-  the fallback, scaled to the anchor, so a wrong hint costs steps and
-  never changes the vector.  Only this module scales to an anchor;
+  lifting reads nothing before the anchored entry's own numerators fit,
+  in about half the steps the balanced bounds need, and then reads the
+  anchored vector's numerators over that hint at the denominator bound
+  1; the balanced reading stays as the fallback, scaled to the anchor,
+  so a wrong hint costs steps and never changes the vector.  Only this
+  module scales to an anchor;
 - the Laurent fit `laurent_fit`, which builds one interpolation map per
   set of nodes as a `SparseOperator`, applies it to any number of value
   columns, and returns the interpolated groundstate components as
@@ -443,15 +443,14 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     cols with v vanishes.  Each step hands v mod p^k to the one reader,
     `_reconstruct`, at most twice.  With an anchor (index, value, hint),
     it first reads v scaled so that its `anchor_entry` is value, over
-    the denominator hint (`_anchored`), at the denominator bound 1.  That
-    reading starts at the step where the numerators of value * hint fit
-    its bound, n bounds for the sum of the n entries: a certified
-    anchored entry's numerators are those, so no earlier reading can be
-    certified.  Where value * hint is not in Z[zeta] (a wrong hint)
-    every step reads.  Where that reading is not certified, the reader
-    runs at Wang's balanced bounds, as it does without an anchor, and
-    returns v with its free column at 1: a wrong hint costs steps, never
-    a wrong vector, and the caller scales whichever vector comes back.
+    the denominator hint (`_anchored`), at the denominator bound 1.  A
+    certified anchored entry's numerators are those of value * hint, so
+    the gate, decided once, lifts an anchor as none where value * hint
+    is off Z[zeta] or past that bound (n bounds for a sum of n entries)
+    at the budget's last step, and otherwise reads nothing before they
+    fit.  Where the anchored reading is not certified, the reader runs
+    at Wang's balanced bounds, as at every step without an anchor, and
+    returns v with its free column at 1, which the caller scales.
 
     Everything from the columns to that certificate is packed
     (Kronecker substitution): a row, a column of L or U, a right-hand
@@ -525,6 +524,8 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
         scaled = value * Scalar.from_integers((hint, 0, 0, 0), 1)
         (own,), over = cleared([scaled])
         top, reach = max(map(abs, own)), n if index is None else 1
+        if over > 1 or top > reach * (p**budget >> 2 * _MARGIN + 1):
+            anchor = None  # no anchored reading can be certified
     res = tuple(-c for c in parts[free])
     # v mod p^k, a Z[zeta] 4-tuple per entry; no digit touches the free
     # column, which stays 1.
@@ -544,17 +545,17 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
         if any(rems):
             return None
         pk *= p
-        readings = [(acc, {}, 1)]  # Wang's, over a denominator of its own
-        if anchor is not None and (over > 1 or top <= reach * (pk >> 2 * _MARGIN + 1)):
+        if anchor is not None:
+            if top > reach * (pk >> 2 * _MARGIN + 1):
+                continue
             if (fitted := _anchored(acc, index, scaled, pk)) is not None:
-                readings.insert(0, (fitted, {"den_bound": 1}, hint))
-        for residues, bounds, scale in readings:
-            found = _reconstruct(residues, pk, **bounds)
-            if found and (vec := _certified(cols, found[0], scale * found[1])):
-                return vec
-    raise ConsistencyError(
-        f"p-adic lifting found no certified kernel vector within {budget} steps"
-    )
+                found = _reconstruct(fitted, pk, den_bound=1)
+                if found and (vec := _certified(cols, found[0], hint)):
+                    return vec
+        found = _reconstruct(acc, pk)  # Wang's, over a denominator of its own
+        if found and (vec := _certified(cols, *found)):
+            return vec
+    raise ConsistencyError(f"p-adic lifting found no certified kernel vector within {budget} steps")
 
 
 def kernel_vector(
@@ -576,13 +577,12 @@ def kernel_vector(
     Dixon's method: the rank profile is found mod a prime p of PRIMES,
     one pivot block is factored in each embedding of Z[zeta] into F_p,
     and the solution is lifted p-adically with exact residual updates
-    (r - A x) / p, all on packed big ints (`_lift`).  After each step
-    one reader, `_reconstruct`, reads v mod p^k at most twice: first the
-    anchored vector's numerators over the hint, at the denominator bound
-    1, from the step at which the anchored entry's own numerators, those
-    of value * hint, fit that bound, which a right hint allows after
-    about half the steps that the balanced bounds need; then Wang's
-    balanced reading over one common denominator.  Either is returned
+    (r - A x) / p, all on packed big ints (`_lift`).  One reader,
+    `_reconstruct`, reads v mod p^k at most twice a step: the anchored
+    vector's numerators over the hint, at the denominator bound 1, and
+    then Wang's balanced reading over one common denominator, from the
+    step that `_lift`'s gate picks: for a right hint, about half the
+    steps that the balanced bounds need.  Either reading is returned
     only once it satisfies A v == 0, contracted with the same columns in
     Z[zeta] integers by `addmul`.  A wrong reconstruction costs one more
     lifting step, never a wrong vector.  With the rank n - 1 mod p that

@@ -36,11 +36,15 @@ def rational(num: int, den: int = 1) -> Scalar:
 def spy_lifting(monkeypatch) -> dict:
     """What the p-adic lifting of `exactla` reads, step by step.
 
-    Each lifting step tries the anchored reading (`_anchored`, read by
-    `_reconstruct` at a den_bound) where an anchor is given and then
-    Wang's reconstruction (`_reconstruct` without a den_bound), unless
-    the anchored one is certified; "anchored" and "wang" count those
-    calls, so a lifting took max(anchored, wang) steps.
+    Without an anchor each lifting step reads Wang's reconstruction
+    (`_reconstruct` without a den_bound).  With one, a step reads nothing
+    until the anchored entry, value * hint, fits the reading's bound, and
+    from then on tries the anchored reading (`_anchored`, read by
+    `_reconstruct` at a den_bound) and then Wang's, unless the anchored
+    one is certified; an anchor that never fits, off Z[zeta] or past the
+    lifting's budget, is lifted as none.  "anchored" and "wang" count
+    those calls, so an unanchored lifting took "wang" steps and an
+    anchored one counts its steps from the anchored fit.
     "certified" lists the denominator of each vector that passed the
     certificate: the hint where the anchored reading was returned.
     """

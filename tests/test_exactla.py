@@ -480,19 +480,27 @@ def _valuation(n: int, q: int) -> int:
     return e
 
 
-def test_a_wrong_hint_returns_the_same_vector_through_wangs_reconstruction(monkeypatch):
-    # The anchored vector of T - 1, all-open closed form in entry 0, over
-    # the hint that `solve` predicts at a rational point; then over a hint
-    # of 1, one that lacks a prime of the true denominator D, and one that
-    # holds that prime to one power less than D does.  None of the three
-    # is certified, and Wang's reconstruction finds the same vector.
+def _anchored_kernel():
+    """T - 1 at a rational L = 4 point, the value of its all-open closed
+    form (entry 0), its anchored vector, that vector's common denominator
+    D and the hint that `solve` predicts."""
     pt = draw_point(Random(850), 4)
     op = _minus_one(transfer_matrix(pt))
     value = closed_form_all_open(pt)
     oracle = _kernel_oracle(op)
     expected = [x * (value / oracle[0]) for x in oracle]
-    _, den = cleared(expected)
-    hint = groundstate._denominator_hint(pt)
+    return op, value, expected, cleared(expected)[1], groundstate._denominator_hint(pt)
+
+
+def test_a_wrong_hint_returns_the_same_vector_through_wangs_reconstruction(monkeypatch):
+    # The anchored vector of T - 1, all-open closed form in entry 0, over
+    # the hint that `solve` predicts at a rational point; then over a hint
+    # of 1, one that lacks a prime of the true denominator D, and one that
+    # holds that prime to one power less than D does.  Each of the three
+    # leaves value * hint off Z[zeta], so no anchored reading could be
+    # certified: none is made, and Wang's reconstruction finds the same
+    # vector.
+    op, value, expected, den, hint = _anchored_kernel()
     assert hint % den == 0
     spy = spy_lifting(monkeypatch)
     assert kernel_vector(op, (0, value, hint)) == expected
@@ -505,15 +513,44 @@ def test_a_wrong_hint_returns_the_same_vector_through_wangs_reconstruction(monke
         spy.update(anchored=0, wang=0, certified=[])
         assert kernel_vector(op, (0, value, bad)) == expected, bad
         (found,) = spy["certified"]
-        assert found != bad and spy["anchored"] == spy["wang"] > 0, bad
+        assert cleared([value * rational(bad)])[1] > 1, bad
+        assert found != bad and spy["anchored"] == 0 < spy["wang"], bad
+
+
+def test_a_hint_in_z_zeta_short_of_d_reads_both_from_the_anchored_fit(monkeypatch):
+    # The denominator of value itself puts value * hint in Z[zeta] but is
+    # not a multiple of D: from the step where value * hint fits, every
+    # step reads the anchored vector, which is never certified, and then
+    # Wang's, which returns the same vector.
+    op, value, expected, den, _ = _anchored_kernel()
+    own = cleared([value])[1]
+    assert own % den != 0
+    spy = spy_lifting(monkeypatch)
+    assert kernel_vector(op, (0, value, own)) == expected
+    (found,) = spy["certified"]
+    assert found != own and spy["anchored"] == spy["wang"] > 0
+
+
+def test_a_hint_whose_anchored_entry_cannot_fit_lifts_unanchored(monkeypatch):
+    # A multiple of the right hint whose anchored numerators outgrow
+    # p^99, past this operator's budget of about 70 steps: no anchored
+    # reading is made, and Wang's reads the same vector rather than the
+    # lifting running out of steps.
+    op, value, expected, _, hint = _anchored_kernel()
+    huge = hint << 128 * 99
+    spy = spy_lifting(monkeypatch)
+    assert kernel_vector(op, (0, value, huge)) == expected
+    (found,) = spy["certified"]
+    assert found != huge and spy["anchored"] == 0 < spy["wang"]
 
 
 @pytest.mark.parametrize("length", [2, 3, 4, 5])
 def test_a_right_hint_is_read_once_where_the_anchored_entry_fits(length, monkeypatch):
-    # The anchored reading starts at the step where value * hint fits its
-    # bound, and with the hint that `solve` predicts that is the step
-    # where every numerator over the hint fits: one reading, after as
-    # many steps, d solves each, as the least p^k whose bound holds them.
+    # Nothing is read before the step where value * hint fits its bound,
+    # and with the hint that `solve` predicts that is the step where
+    # every numerator over the hint fits: one anchored reading and no
+    # Wang reading, after as many steps, d solves each, as the least p^k
+    # whose bound holds them.
     pt = draw_point(Random(880 + length), length)
     op = _minus_one(transfer_matrix(pt))
     value, hint = closed_form_all_open(pt), groundstate._denominator_hint(pt)
@@ -533,7 +570,7 @@ def test_a_right_hint_is_read_once_where_the_anchored_entry_fits(length, monkeyp
     top = max(abs(a) * (hint // den) for n in nums for a in n)
     steps = next(k for k in range(1, 99) if top <= PRIMES[0] ** k >> 2 * exactla._MARGIN + 1)
     assert spy["certified"] == [hint]
-    assert (spy["anchored"], spy["wang"], len(solves)) == (1, steps - 1, d * steps)
+    assert (spy["anchored"], spy["wang"], len(solves)) == (1, 0, d * steps)
 
 
 def test_a_sum_anchor_is_read_where_its_sum_fits_n_bounds(monkeypatch):
