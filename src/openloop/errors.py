@@ -37,4 +37,5 @@ class DegreeBoundError(OpenLoopError):
 
 class ConsistencyError(OpenLoopError):
     """A cross-check failed: two independent computation routes disagreed,
-    or the fixed vector depends on the auxiliary parameter w."""
+    the fixed vector depends on the auxiliary parameter w, or no prime
+    decides the kernel."""

@@ -3,27 +3,27 @@
 The linear algebra shared by the character and groundstate modules:
 
 - one Gauss-Jordan pass over Q(zeta12), behind `det` and the reduced
-  row echelon `kernel_basis`, which decides the dimension where no
-  prime has the generic rank and is the oracle the lifting is tested
-  against;
+  row echelon `kernel_basis`, the oracle the lifting is tested against;
 - one Gaussian elimination mod p on packed rows, each row one big int
-  (Kronecker substitution), behind Dixon's p-adic lifting of the one ray
-  of the kernel of a `SparseOperator`; its triangular solves and its
-  exact residual are packed too.  Its ring degree d counts the
-  embeddings into F_p; every other value of the lifting is a Z[zeta]
-  4-tuple.  Its residual updates and its anchored reading multiply with
-  `exactfield.zmul`, the one Z[zeta] product rule, whose l1 bound sizes
-  the packed slots, and its certificate A v == 0 contracts the
-  operator's Z[zeta] integer columns with `exactfield.addmul`.  One
-  reader, `_reconstruct`, reads every residue vector: Wang's rational
-  reconstruction under a denominator bound.  Given an anchor (an entry
-  or the entries' sum, its value and a multiple of the anchored vector's
-  denominator, which `groundstate.solve` predicts from the point), the
-  lifting reads nothing before the anchored entry's own numerators fit,
-  in about half the steps the balanced bounds need, and then reads the
-  anchored vector's numerators over that hint at the denominator bound
-  1; the balanced reading stays as the fallback, scaled to the anchor,
-  so a wrong hint costs steps and never changes the vector.  Only this
+  (Kronecker substitution), behind Dixon's p-adic lifting of the kernel
+  of a `SparseOperator`, one vector per free column mod p, which gives
+  its dimension exactly and its one ray where that is 1; its triangular
+  solves and its exact residual are packed too.  Its ring degree d
+  counts the embeddings into F_p; every other value of the lifting is a
+  Z[zeta] 4-tuple.  Its residual updates and its anchored reading
+  multiply with `exactfield.zmul`, the one Z[zeta] product rule, whose
+  l1 bound sizes the packed slots, and its certificate A v == 0
+  contracts the operator's Z[zeta] integer columns with
+  `exactfield.addmul`.  One reader, `_reconstruct`, reads every residue
+  vector: Wang's rational reconstruction under a denominator bound.
+  Given an anchor (an entry or the entries' sum, its value and a
+  multiple of the anchored vector's denominator, which
+  `groundstate.solve` predicts from the point), the lifting reads
+  nothing before the anchored entry's own numerators fit, in about half
+  the steps the balanced bounds need, and then reads the anchored
+  vector's numerators over that hint at the denominator bound 1; the
+  balanced reading stays as the fallback, scaled to the anchor, so a
+  wrong hint costs steps and never changes the vector.  Only this
   module scales to an anchor;
 - the Laurent fit `laurent_fit`, which builds one interpolation map per
   set of nodes as a `SparseOperator`, applies it to any number of value
@@ -416,10 +416,11 @@ def _anchored(acc: Sequence[int], index: int | None, scaled: Scalar, m: int):
 
 
 def _certified(cols: Sequence[dict], nums: Sequence[int], den: int):
-    """The vector nums / den, four Z[zeta] numerators per entry, if it
-    is nonzero and the `addmul` contraction of cols with its numerators
-    vanishes; else None.  The numerators are contracted over their gcd
-    with den, which a hint above the true denominator leaves behind."""
+    """The vector nums / den as (four Z[zeta] numerators per entry, den),
+    if it is nonzero and the `addmul` contraction of cols with its
+    numerators vanishes; else None.  The numerators are contracted over
+    their gcd with den, which a hint above the true denominator leaves
+    behind."""
     if not any(nums):
         return None
     g = gcd(den, *nums)
@@ -430,27 +431,47 @@ def _certified(cols: Sequence[dict], nums: Sequence[int], den: int):
     for col, b in zip(cols, full):
         if any(b):
             addmul(check, b, col.items())
-    return None if check else [Scalar.from_integers(b, den) for b in full]
+    return None if check else (full, den)
 
 
 def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
-    """The kernel vector of the operator whose Z[zeta] integer columns
+    """A basis of the kernel of the operator whose Z[zeta] integer columns
     cols {row: numerators} have content g, lifted in the first d
-    embeddings mod p; None if p does not show the rank n - 1.  d counts
+    embeddings mod p, each vector as (Z[zeta] numerators per entry, den);
+    None if p does not decide the kernel's dimension.  d counts
     embeddings only: every other value, v mod p^k included, is a Z[zeta]
-    4-tuple, with zero parts off the ring basis zeta^(4j/d), j < d.  A
-    reconstruction v is returned only once the `addmul` contraction of
-    cols with v vanishes.  Each step hands v mod p^k to the one reader,
-    `_reconstruct`, at most twice.  With an anchor (index, value, hint),
-    it first reads v scaled so that its `anchor_entry` is value, over
-    the denominator hint (`_anchored`), at the denominator bound 1.  A
-    certified anchored entry's numerators are those of value * hint, so
-    the gate, decided once, lifts an anchor as none where value * hint
-    is off Z[zeta] or past that bound (n bounds for a sum of n entries)
-    at the budget's last step, and otherwise reads nothing before they
-    fit.  Where the anchored reading is not certified, the reader runs
-    at Wang's balanced bounds, as at every step without an anchor, and
-    returns v with its free column at 1, which the caller scales.
+    4-tuple, with zero parts off the ring basis zeta^(4j/d), j < d.
+
+    The first embedding's rank profile at p names its dep rows and its
+    k = n - rank free columns.  Every other embedding factors the same
+    block, with those rows and columns masked, or p is skipped.  One
+    vector is lifted per free column f, on the same factorisations: it
+    solves A x = -(column f) on the block, with v_f = 1 and the other
+    free columns 0, and is kept only once the `addmul` contraction of
+    cols with it vanishes.  Rank mod p bounds the rank from below (a
+    nonzero minor mod p lifts to a nonzero minor), so the kernel has
+    dimension at most k; k certified vectors, each nonzero on its own
+    free column only, are independent, so it has dimension exactly k,
+    and k = 0 needs no lifting.  The dep rows ride along in the residual
+    unread: where column f has a kernel vector, the block's solution
+    satisfies those rows too, so their slots stay divisible by p, and
+    the budget of steps suffices to read it.  A nonzero remainder, or a
+    budget spent with no certified vector, means that it has none,
+    although the rank mod p says so: p shows a rank too low, and None
+    hands the operator to the next prime, so a prime whose rank is too
+    low costs that prime, never a wrong dimension.
+
+    Each step hands v mod p^k to the one reader, `_reconstruct`, at most
+    twice.  With an anchor (index, value, hint), it first reads v scaled
+    so that its `anchor_entry` is value, over the denominator hint
+    (`_anchored`), at the denominator bound 1.  A certified anchored
+    entry's numerators are those of value * hint, so the gate, decided
+    once, lifts an anchor as none where value * hint is off Z[zeta] or
+    past that bound (n bounds for a sum of n entries) at the budget's
+    last step, and otherwise reads nothing before they fit.  Where the
+    anchored reading is not certified, the reader runs at Wang's
+    balanced bounds, as at every step without an anchor, and reads v
+    with its free column at 1, which the caller scales.
 
     Everything from the columns to that certificate is packed
     (Kronecker substitution): a row, a column of L or U, a right-hand
@@ -476,12 +497,6 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
       one divmod gives the packing of the slots' quotients.  A packed
       int that outgrows its slots raises ConsistencyError, so a W too
       narrow costs an error or this prime, never a wrong vector.
-    The first embedding's dep row rides along in the residual unread:
-    where the operator has a kernel, the block's solution satisfies that
-    row too, so its slot stays divisible by p.  A nonzero remainder means
-    that it has none, although its rank mod p is n - 1 (its determinant
-    divisible by p in that embedding): p does not show the rank, and None
-    hands the operator to the next prime.
     """
     powers, vinv = _embeddings(p, d)
     n = len(cols)
@@ -496,26 +511,26 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     pad = p * bound * _packed([1] * n, width)
     parts, rows = _pack(cols, g, powers, width, pad)
     first = _PackedLU(rows[0], n, p, width)
-    if len(first.steps) != n - 1:
-        return None
-    (dep,) = set(range(n)).difference(row for row, _, _ in first.steps)
-    (free,) = set(range(n)).difference(col for _, col, _ in first.steps)
-    # Hadamard: every conjugate of det A and of its Cramer numerators is
-    # at most H = prod_i |row i|, with 2^hadamard >= H^2.  The solution's
-    # coefficients are (numerator) / N(det A), both below 2 H^d, and
-    # reconstruction needs m > 2 (2^_MARGIN 2 H^d)^2.
-    hadamard = sum((x // (g * g)).bit_length() for i, x in enumerate(norms) if i != dep)
+    deps = set(range(n)).difference(row for row, _, _ in first.steps)
+    frees = sorted(set(range(n)).difference(col for _, col, _ in first.steps))
+    if not frees:
+        return []
+    # Hadamard: every conjugate of the block's determinant and of its
+    # Cramer numerators is at most H = prod_i |row i| over the block's
+    # rows, with 2^hadamard >= H^2.  A kernel vector's coefficients are
+    # (numerator) / N(det), both below 2 H^d, and reconstruction needs
+    # m > 2 (2^_MARGIN 2 H^d)^2.
+    hadamard = sum((x // (g * g)).bit_length() for i, x in enumerate(norms) if i not in deps)
     budget = -(-(d * hadamard + 2 * _MARGIN + 3) // (p.bit_length() - 1)) + 1
-    # Solve A x = -(column free) on the other rows and columns, v_free = 1:
-    # the first embedding's dep row and free column leave the one block
+    # The first embedding's dep rows and free columns leave the one block
     # that every other embedding factors too.
-    keep = ~(((1 << width) - 1) << width * free)
+    keep = ~sum(((1 << width) - 1) << width * f for f in frees)
     factors = [first]
     for embedded in rows[1:]:
         for i, row in enumerate(embedded):
-            embedded[i] = 0 if i == dep else row & keep
+            embedded[i] = 0 if i in deps else row & keep
         lu = _PackedLU(embedded, n, p, width)
-        if len(lu.steps) != n - 1:
+        if len(lu.steps) != len(first.steps):
             return None
         factors.append(lu)
     del rows
@@ -526,36 +541,41 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
         top, reach = max(map(abs, own)), n if index is None else 1
         if over > 1 or top > reach * (p**budget >> 2 * _MARGIN + 1):
             anchor = None  # no anchored reading can be certified
-    res = tuple(-c for c in parts[free])
-    # v mod p^k, a Z[zeta] 4-tuple per entry; no digit touches the free
-    # column, which stays 1.
-    acc = [0] * (4 * n)
-    acc[4 * free] = 1
-    digit = [0, 0, 0, 0]
-    pk = 1
-    for _ in range(budget):
-        xs = [lu.solve(_embedded(pw, res, pad)) for lu, pw in zip(factors, powers)]
-        for j, y in enumerate(zip(*xs)):
-            if any(y):
-                digit[:: 4 // d] = [sum(map(mul, row, y)) % p for row in vinv]
-                res = tuple(map(sub, res, zmul(digit, parts[j])))
-                for t, x in enumerate(digit, 4 * j):
-                    acc[t] += x * pk
-        res, rems = zip(*(divmod(r, p) for r in res))
-        if any(rems):
-            return None
-        pk *= p
-        if anchor is not None:
-            if top > reach * (pk >> 2 * _MARGIN + 1):
-                continue
-            if (fitted := _anchored(acc, index, scaled, pk)) is not None:
-                found = _reconstruct(fitted, pk, den_bound=1)
-                if found and (vec := _certified(cols, found[0], hint)):
-                    return vec
-        found = _reconstruct(acc, pk)  # Wang's, over a denominator of its own
-        if found and (vec := _certified(cols, *found)):
-            return vec
-    raise ConsistencyError(f"p-adic lifting found no certified kernel vector within {budget} steps")
+    basis = []
+    for free in frees:
+        res = tuple(-c for c in parts[free])
+        # v mod p^k, a Z[zeta] 4-tuple per entry; no digit touches a free
+        # column, so this one stays 1 and the others 0.
+        acc = [0] * (4 * n)
+        acc[4 * free] = 1
+        digit = [0, 0, 0, 0]
+        pk = 1
+        for _ in range(budget):
+            xs = [lu.solve(_embedded(pw, res, pad)) for lu, pw in zip(factors, powers)]
+            for j, y in enumerate(zip(*xs)):
+                if any(y):
+                    digit[:: 4 // d] = [sum(map(mul, row, y)) % p for row in vinv]
+                    res = tuple(map(sub, res, zmul(digit, parts[j])))
+                    for t, x in enumerate(digit, 4 * j):
+                        acc[t] += x * pk
+            res, rems = zip(*(divmod(r, p) for r in res))
+            if any(rems):
+                return None
+            pk *= p
+            if anchor is not None:
+                if top > reach * (pk >> 2 * _MARGIN + 1):
+                    continue
+                if (fitted := _anchored(acc, index, scaled, pk)) is not None:
+                    found = _reconstruct(fitted, pk, den_bound=1)
+                    if found and (vec := _certified(cols, found[0], hint)):
+                        break
+            found = _reconstruct(acc, pk)  # Wang's, over a denominator of its own
+            if found and (vec := _certified(cols, *found)):
+                break
+        else:
+            return None  # by the budget above, this column has no kernel vector
+        basis.append(vec)
+    return basis
 
 
 def kernel_vector(
@@ -576,40 +596,40 @@ def kernel_vector(
 
     Dixon's method: the rank profile is found mod a prime p of PRIMES,
     one pivot block is factored in each embedding of Z[zeta] into F_p,
-    and the solution is lifted p-adically with exact residual updates
-    (r - A x) / p, all on packed big ints (`_lift`).  One reader,
-    `_reconstruct`, reads v mod p^k at most twice a step: the anchored
-    vector's numerators over the hint, at the denominator bound 1, and
-    then Wang's balanced reading over one common denominator, from the
-    step that `_lift`'s gate picks: for a right hint, about half the
-    steps that the balanced bounds need.  Either reading is returned
-    only once it satisfies A v == 0, contracted with the same columns in
-    Z[zeta] integers by `addmul`.  A wrong reconstruction costs one more
-    lifting step, never a wrong vector.  With the rank n - 1 mod p that
-    proves v spans the kernel.  A prime that does not show the rank
-    n - 1 is skipped: one with any other rank, or one whose residual
-    stops being divisible by p, which an operator with no kernel shows
-    where its rank mod p is n - 1.  When every prime is skipped, the
-    exact `kernel_basis` of `op.to_rows()` decides, and a kernel that is
-    not a line raises NonGenericPointError.  A degenerate fixed space
-    ends there, at a cost that grows about 15x per site: refusing
-    `solve --z 1,...,1 --zeta1 0:0:1:0 --zeta2 0:0:1:0` took 0.27 / 1.63
-    / 26.3 s at L = 5 / 6 / 7 (Python 3.11.7, 2 CPUs).  The last
-    nonzero entry is the free column of `kernel_basis`'s RREF, so both
-    give the same vector.
+    and one solution per free column is lifted p-adically with exact
+    residual updates (r - A x) / p, all on packed big ints (`_lift`).
+    One reader, `_reconstruct`, reads v mod p^k at most twice a step:
+    the anchored vector's numerators over the hint, at the denominator
+    bound 1, and then Wang's balanced reading over one common
+    denominator, from the step that `_lift`'s gate picks: for a right
+    hint, about half the steps that the balanced bounds need.  Either
+    reading is kept only once it satisfies A v == 0, contracted with the
+    same columns in Z[zeta] integers by `addmul`, so a wrong
+    reconstruction costs one more lifting step, never a wrong vector.
+    The rank mod p bounds the kernel's dimension from above and the
+    certified vectors bound it from below (`_lift`), so the first prime
+    that decides gives it exactly: dimension 1 returns its one vector,
+    which is then read out as Scalars, and any other raises
+    NonGenericPointError.  A prime is skipped where another embedding
+    shows another rank, a residual stops being divisible by p, or a
+    vector is not certified within the lifting's budget; where no prime
+    of PRIMES decides, ConsistencyError is raised.  The last
+    nonzero entry is the free column, as in `kernel_basis`'s RREF, so
+    both give the same vector.
     """
     cols = op.num_cols
     g = gcd(*(a for col in cols for c in col.values() for a in c)) or 1
     d = ring_degree(c for col in cols for c in col.values())
     for p in PRIMES:
-        vec = _lift(cols, g, d, p, anchor)
-        if vec is not None:
+        basis = _lift(cols, g, d, p, anchor)
+        if basis is not None:
             break
     else:
-        basis = kernel_basis(op.to_rows(), op.dim)
-        if len(basis) != 1:
-            raise NonGenericPointError(f"kernel has dimension {len(basis)}, expected 1")
-        vec = basis[0]
+        raise ConsistencyError("no prime of PRIMES decides the kernel's dimension")
+    if len(basis) != 1:
+        raise NonGenericPointError(f"kernel has dimension {len(basis)}, expected 1")
+    ((full, den),) = basis
+    vec = [Scalar.from_integers(b, den) for b in full]
     if anchor is None:
         scale = next(x for x in reversed(vec) if x).inv()
     elif entry := anchor_entry(vec, anchor[0]):

@@ -1,5 +1,6 @@
-"""Shared draw helpers for the test suite, a spy on the p-adic lifting
-and a frontier sweep with one wrong entry.
+"""Shared draw helpers for the test suite, a spy on the p-adic lifting,
+a guard against the exact kernel and a frontier sweep with one wrong
+entry.
 
 Every test that needs spectral parameters draws them through
 `draw_point` with an explicit seed, so failures reproduce exactly.
@@ -72,6 +73,16 @@ def spy_lifting(monkeypatch) -> dict:
 
     monkeypatch.setattr(exactla, "_certified", spy_certified)
     return record
+
+
+def refuse_exact_kernel(monkeypatch) -> None:
+    """Make any call of the exact RREF `exactla.kernel_basis` fail the
+    test: the lifting alone decides the kernel."""
+
+    def refuse(rows, ncols):
+        raise AssertionError("fell back to the exact kernel")
+
+    monkeypatch.setattr(exactla, "kernel_basis", refuse)
 
 
 def mutated_sweep(target: int, calls: list):

@@ -17,6 +17,8 @@ from openloop.chars import PART_CAP, character_auto, symplectic_character
 from openloop.cli import main, parse_scalar, parse_scalar_list
 from openloop.verify import SUITE_NAMES
 
+from helpers import refuse_exact_kernel
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -171,6 +173,18 @@ def test_degenerate_w_exits_two(capsys):
     code, out, err = run_cli(capsys, "solve", "--L", "1", "--z", "2", "--w", "1")
     assert code == 2
     assert "dimension" in err
+
+
+@pytest.mark.parametrize("length", [5, 6, 7])
+def test_a_degenerate_fixed_space_exits_two_without_the_exact_kernel(capsys, monkeypatch, length):
+    # z_i = 1 and zeta_1 = zeta_2 = zeta^2 fix a plane: the first prime
+    # shows two free columns, and their two certified vectors report it.
+    refuse_exact_kernel(monkeypatch)
+    ones = ",".join(["1"] * length)
+    argv = ["--L", str(length), "--z", ones, "--zeta1", "0:0:1:0", "--zeta2", "0:0:1:0"]
+    code, out, err = run_cli(capsys, "solve", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: kernel has dimension 2, expected 1\n"
 
 
 def test_w_dependent_fixed_vector_exits_two(capsys, monkeypatch):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import mul
 from random import Random
 
@@ -38,7 +38,7 @@ from openloop.exactla import (
     laurent_fit,
 )
 
-from helpers import draw_point, rational, spy_lifting
+from helpers import draw_point, rational, refuse_exact_kernel, spy_lifting
 
 
 def _rand_scalar(rng: Random) -> Scalar:
@@ -212,13 +212,13 @@ def test_rational_operators_lift_with_d_1(monkeypatch):
         degrees.clear()
         assert kernel_vector(op) == _kernel_oracle(op), length
         assert degrees == [1], length
-    # Rank 1 of 3 over Q and mod every prime: every prime is tried at
-    # d = 1, and the exact kernel reports the plane.
+    # Rank 1 of 3 over Q and mod PRIMES[0]: two certified vectors at d = 1
+    # report the plane, and no other prime is tried.
     op = _from_rows([[ONE, rational(2), ZERO], [rational(3), rational(6), ZERO], [ZERO] * 3])
     degrees.clear()
     with pytest.raises(NonGenericPointError, match="dimension 2, expected 1"):
         kernel_vector(op)
-    assert degrees == [1] * len(PRIMES)
+    assert degrees == [1]
 
 
 def test_kernel_vector_does_not_depend_on_a_field_valued_scale(monkeypatch):
@@ -305,21 +305,38 @@ def test_certificate_rejects_a_wrong_reconstruction(monkeypatch):
 
 def test_fixed_vector_skips_a_prime_dividing_a_pivot(monkeypatch):
     # Rank 2 with kernel vector (1, 1, 1), but mod PRIMES[0] the first
-    # pivot vanishes and the rank drops to 1.
+    # pivot vanishes and the rank drops to 1: the vector of free column 0
+    # leaves a residual in its dep row 0 that p stops dividing.
+    refuse_exact_kernel(monkeypatch)
     p = rational(PRIMES[0])
     op = _from_rows([[p, ZERO, -p], [ZERO, ONE, -ONE], [ZERO, ZERO, ZERO]])
-    calls = []
-
-    def spy(rows, ncols):
-        calls.append(ncols)
-        return kernel_basis(rows, ncols)
-
-    monkeypatch.setattr(exactla, "kernel_basis", spy)
-    assert kernel_vector(op) == [ONE, ONE, ONE]
-    assert calls == []  # lifted from PRIMES[1]
+    assert kernel_vector(op) == [ONE, ONE, ONE]  # lifted from PRIMES[1]
     monkeypatch.setattr(exactla, "PRIMES", PRIMES[:1])
-    assert kernel_vector(op) == [ONE, ONE, ONE]
-    assert calls == [3]  # with PRIMES[0] alone the exact kernel decides
+    with pytest.raises(ConsistencyError, match="no prime of PRIMES decides"):
+        kernel_vector(op)
+
+
+@pytest.mark.parametrize(
+    "big", [PRIMES[0], PRIMES[0] ** 3, prod(PRIMES)], ids=["p", "p cubed", "every prime"]
+)
+def test_a_prime_whose_rank_is_too_low_costs_only_that_prime(big, monkeypatch):
+    # Rows (1, 1, -2), (1, 1 + P, -2 - P) and 0 have the kernel (1, 1, 1).
+    # Mod a prime that divides P = big the rank is 1, and the free
+    # columns' vectors leave a residual in dep row 1 that p stops
+    # dividing, or that outlasts the lifting's budget where p^3 divides
+    # it: that prime is skipped.  PRIMES[1] decides P = PRIMES[0] and
+    # PRIMES[0]^3; for the product of every prime, no prime does.
+    refuse_exact_kernel(monkeypatch)
+    degrees = _spy_degrees(monkeypatch)
+    big, two = rational(big), rational(2)
+    op = _from_rows([[ONE, ONE, -two], [ONE, ONE + big, -two - big], [ZERO] * 3])
+    if big != rational(prod(PRIMES)):
+        assert kernel_vector(op) == [ONE, ONE, ONE]
+        assert degrees == [1, 1]
+    else:
+        with pytest.raises(ConsistencyError, match="no prime of PRIMES decides"):
+            kernel_vector(op)
+        assert degrees == [1] * len(PRIMES)
 
 
 def test_every_embedding_factors_the_first_embeddings_pivot_block(monkeypatch):
@@ -332,41 +349,99 @@ def test_every_embedding_factors_the_first_embeddings_pivot_block(monkeypatch):
     a = ZETA - rational(powers[0][1])  # powers[0][1] = r
     op = SparseOperator(2, [{0: a, 1: a * rational(2)}, {0: ONE, 1: rational(2)}])
     oracle = _kernel_oracle(op)
-
-    def refuse(rows, ncols):
-        raise AssertionError("fell back to the exact kernel")
-
     monkeypatch.setattr(exactla, "PRIMES", (p,))
-    monkeypatch.setattr(exactla, "kernel_basis", refuse)
+    refuse_exact_kernel(monkeypatch)
     assert kernel_vector(op) == oracle == [-a.inv(), ONE]
 
 
-def test_fixed_vector_falls_back_to_the_exact_kernel_when_every_prime_fails():
-    # The zero operator has a plane for kernel: rank 0 mod every prime,
-    # and the exact kernel reports the dimension.
+def test_every_embedding_factors_the_first_embeddings_block_of_a_plane(monkeypatch):
+    # a = zeta - r as above.  Rows k (a, a, 1), k = 1, 2, 3: in the first
+    # embedding the free columns are 0 and 1, and every other embedding
+    # would pivot on column 1 unless both leave its matrix.  Their
+    # vectors (1, 0, -a) and (0, 1, -a) span the plane.
+    p = PRIMES[0]
+    powers, _ = exactla._embeddings(p, 4)
+    a = ZETA - rational(powers[0][1])
+    plane = _from_rows([[a * rational(k), a * rational(k), rational(k)] for k in (1, 2, 3)])
+    lifted = exactla._lift(plane.num_cols, 1, 4, p, None)
+    assert [[Scalar.from_integers(b, den) for b in full] for full, den in lifted] == [
+        [ONE, ZERO, -a],
+        [ZERO, ONE, -a],
+    ]
+    monkeypatch.setattr(exactla, "PRIMES", (p,))
+    refuse_exact_kernel(monkeypatch)
+    with pytest.raises(NonGenericPointError, match="dimension 2, expected 1"):
+        kernel_vector(plane)
+
+
+def test_the_first_prime_decides_a_dimension_other_than_1(monkeypatch):
+    # The zero operator has a plane for kernel: rank 0 mod PRIMES[0], and
+    # the two unit vectors are certified at once.
+    refuse_exact_kernel(monkeypatch)
+    degrees = _spy_degrees(monkeypatch)
     with pytest.raises(NonGenericPointError, match="dimension 2, expected 1"):
         kernel_vector(SparseOperator(2, [{}, {}]))
-    # An invertible operator has full rank mod every prime.
+    # An invertible operator has full rank mod PRIMES[0]: nothing is lifted.
     with pytest.raises(NonGenericPointError, match="dimension 0, expected 1"):
         kernel_vector(_from_rows([[ONE, ZERO], [ZERO, rational(2)]]))
+    assert degrees == [1, 1]
     # A line, but row 0 vanishes mod every prime of PRIMES; the unit in
     # row 1 keeps the columns from sharing a factor that would hide it.
+    # Each prime shows rank 1, and free column 0's vector leaves a
+    # residual in dep row 0 that the prime stops dividing: no prime
+    # decides.
     m = rational(PRIMES[0] * PRIMES[1] * PRIMES[2])
     op = _from_rows([[m, -m, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]])
-    assert kernel_vector(op) == [ONE, ONE, ZERO]
+    with pytest.raises(ConsistencyError, match="no prime of PRIMES decides"):
+        kernel_vector(op)
 
 
 def test_an_invertible_operator_of_rank_n_minus_1_mod_p_raises(monkeypatch):
     # det = p: rank 1 mod PRIMES[0], so the lifting runs, but no kernel
     # exists.  Row 0, the dep row that no solve reads, keeps a residual
     # of -1 after one step, which p does not divide: PRIMES[0] does not
-    # show the rank, the other primes show rank 2, and the exact kernel
-    # reports dimension 0.
+    # show the rank, and PRIMES[1] shows rank 2, dimension 0.  At det =
+    # p^2 that residual stays divisible through the lifting's two steps,
+    # and the spent budget skips PRIMES[0] just the same.
     degrees = _spy_degrees(monkeypatch)
-    p = rational(PRIMES[0])
-    with pytest.raises(NonGenericPointError, match="dimension 0, expected 1"):
-        kernel_vector(_from_rows([[p, ZERO], [ZERO, ONE]]))
-    assert degrees == [1] * len(PRIMES)
+    for p in (rational(PRIMES[0]), rational(PRIMES[0] ** 2)):
+        degrees.clear()
+        with pytest.raises(NonGenericPointError, match="dimension 0, expected 1"):
+            kernel_vector(_from_rows([[p, ZERO], [ZERO, ONE]]))
+        assert degrees == [1, 1]
+
+
+def _low_rank(rng: Random, n: int, rank: int, d: int) -> SparseOperator:
+    """An n by n operator, the product of random n by rank and rank by n
+    factors whose small entries lie in the ring of degree d."""
+
+    def entry() -> Scalar:
+        parts = [0, 0, 0, 0]
+        parts[:: 4 // d] = [rng.randint(-3, 3) for _ in range(d)]
+        return Scalar.from_integers(parts, 1)
+
+    left = [[entry() for _ in range(rank)] for _ in range(n)]
+    right = [[entry() for _ in range(n)] for _ in range(rank)]
+    return _from_rows(
+        [[sum((a * r[j] for a, r in zip(row, right)), ZERO) for j in range(n)] for row in left]
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_the_lifted_basis_is_the_exact_kernels(d):
+    # At rank n - 2 and n - 3 the first prime shows every free column, and
+    # one certified vector per free column, 1 there and 0 on the others,
+    # is the RREF's basis vector of that column.
+    rng = Random(860 + d)
+    for n, rank in ((6, 4), (7, 4), (8, 6), (8, 5)):
+        op = _low_rank(rng, n, rank, d)
+        cols = op.num_cols
+        assert ring_degree(c for col in cols for c in col.values()) == d
+        g = gcd(*(a for col in cols for c in col.values() for a in c))
+        basis = exactla._lift(cols, g, d, PRIMES[0], None)
+        lifted = [[Scalar.from_integers(b, den) for b in full] for full, den in basis]
+        assert lifted == kernel_basis(op.to_rows(), n), (n, rank)
+        assert len(lifted) == n - rank
 
 
 def test_kernel_vector_divides_out_a_common_factor_of_the_columns(monkeypatch):
@@ -403,11 +478,13 @@ def test_kernel_vector_divides_out_a_common_factor_of_the_columns(monkeypatch):
             assert lifted == [plain], (length, factor)
 
 
-def test_exact_fallback_reads_integer_columns(monkeypatch):
+def test_integer_columns_that_every_prime_misreads_raise(monkeypatch):
     # m (a, -a b) in row 0 vanishes mod every prime of PRIMES, and row 1
-    # has a unit, so the rank is 1 mod every prime against 2 over Q: the
-    # exact kernel_basis decides, on the rows of the operator.  Its kernel
-    # is the line (b, 1, 0), with a and b carrying every power of zeta.
+    # has a unit, so the rank is 1 mod every prime against 2 over Q.  The
+    # kernel is the line (b, 1, 0), with a and b carrying every power of
+    # zeta, but free column 0's vector leaves m a / p in dep row 0, which
+    # p does not divide: no prime decides.
+    refuse_exact_kernel(monkeypatch)
     m = PRIMES[0] * PRIMES[1] * PRIMES[2]
     a = Scalar.from_integers((1, 2, 3, 4), 1)
     b = Scalar.from_integers((2, -1, 0, 1), 1)
@@ -415,21 +492,13 @@ def test_exact_fallback_reads_integer_columns(monkeypatch):
     op = SparseOperator.from_integers(
         [{0: (m, 2 * m, 3 * m, 4 * m)}, {0: tuple(-m * x for x in ab)}, {1: (1, 0, 0, 0)}], 1
     )
-    calls = []
-
-    def spy(rows, ncols):
-        calls.append(rows)
-        return kernel_basis(rows, ncols)
-
-    monkeypatch.setattr(exactla, "kernel_basis", spy)
-    assert kernel_vector(op) == [b, ONE, ZERO]
-    am = a * rational(m)
-    assert calls == [[[am, -am * b, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]]]
-    # Rank 1 of 3 over Q and mod every prime: the kernel is a plane.
+    assert op.apply([b, ONE, ZERO]) == [ZERO] * 3
+    with pytest.raises(ConsistencyError, match="no prime of PRIMES decides"):
+        kernel_vector(op)
+    # Rank 1 of 3 over Q and mod PRIMES[0]: the kernel is a plane.
     ones = SparseOperator.from_integers([{0: (k, 0, 0, 0), 1: (0, k, 0, 0)} for k in (1, 2, 3)], 1)
     with pytest.raises(NonGenericPointError, match="dimension 2, expected 1"):
         kernel_vector(ones)
-    assert len(calls) == 2
 
 
 def test_fixed_vector_scales_its_last_nonzero_entry_to_one():
