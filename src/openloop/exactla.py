@@ -15,7 +15,8 @@ The linear algebra shared by the character and groundstate modules:
   l1 bound sizes the packed slots, and its certificate A v == 0
   contracts the operator's Z[zeta] integer columns with
   `exactfield.addmul`.  One reader, `_reconstruct`, reads every residue
-  vector: Wang's rational reconstruction under a denominator bound.
+  vector whose residual is not yet exactly zero: Wang's rational
+  reconstruction under a denominator bound.
   Given an anchor (an entry or the entries' sum, its value and a
   multiple of the anchored vector's denominator, which
   `groundstate.solve` predicts from the point), the lifting reads
@@ -461,17 +462,22 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     hands the operator to the next prime, so a prime whose rank is too
     low costs that prime, never a wrong dimension.
 
-    Each step hands v mod p^k to the one reader, `_reconstruct`, at most
-    twice.  With an anchor (index, value, hint), it first reads v scaled
-    so that its `anchor_entry` is value, over the denominator hint
-    (`_anchored`), at the denominator bound 1.  A certified anchored
-    entry's numerators are those of value * hint, so the gate, decided
-    once, lifts an anchor as none where value * hint is off Z[zeta] or
-    past that bound (n bounds for a sum of n entries) at the budget's
-    last step, and otherwise reads nothing before they fit.  Where the
-    anchored reading is not certified, the reader runs at Wang's
-    balanced bounds, as at every step without an anchor, and reads v
-    with its free column at 1, which the caller scales.
+    Each step keeps p^k r_k = -A acc, where acc = e_f + sum_i x_i p^i is
+    v mod p^k (the digits x_i) and r_k the residual, so a residual that
+    is exactly zero has shown A acc = 0: acc over 1 goes to the
+    certificate at once, with no reading.
+
+    Otherwise each step hands v mod p^k to the one reader,
+    `_reconstruct`, at most twice.  With an anchor (index, value, hint),
+    it first reads v scaled so that its `anchor_entry` is value, over
+    the denominator hint (`_anchored`), at the denominator bound 1.  A
+    certified anchored entry's numerators are those of value * hint, so
+    the gate, decided once, lifts an anchor as none where value * hint
+    is off Z[zeta] or past that bound (n bounds for a sum of n entries)
+    at the budget's last step, and otherwise reads nothing before they
+    fit.  Where the anchored reading is not certified, the reader runs
+    at Wang's balanced bounds, as at every step without an anchor, and
+    reads v with its free column at 1, which the caller scales.
 
     Everything from the columns to that certificate is packed
     (Kronecker substitution): a row, a column of L or U, a right-hand
@@ -562,6 +568,8 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
             if any(rems):
                 return None
             pk *= p
+            if not any(res) and (vec := _certified(cols, acc, 1)):
+                break  # p^k r = -A acc = 0: acc itself is a kernel vector
             if anchor is not None:
                 if top > reach * (pk >> 2 * _MARGIN + 1):
                     continue

@@ -206,7 +206,9 @@ class SparseOperator:
     all over the one positive denominator `den`, with no gcd taken.
     Products, sums and scalings run on those integers with `addmul`, and
     equality cross-multiplies by the denominators.  `.cols` reads the
-    Scalar columns out, one gcd per entry, afresh on every read.
+    Scalar columns out, one gcd per entry, afresh on every read; the
+    package itself never reads them, and `.cols` stays for the
+    benchmark's `transfer.T.nnz` hook (`perfbench/tracer.py`).
     """
 
     __slots__ = ("dim", "num_cols", "den")
@@ -301,21 +303,6 @@ class SparseOperator:
             addmul(acc, b, col.items())
             cols.append(acc)
         return SparseOperator.from_integers(cols, self.den * d)
-
-    def column_sums(self) -> list[Scalar]:
-        """One Scalar per column: its numerators summed, then one gcd."""
-        zero = (0, 0, 0, 0)
-        return [
-            Scalar.from_integers([sum(t) for t in zip(zero, *col.values())], self.den)
-            for col in self.num_cols
-        ]
-
-    def to_rows(self) -> list[list[Scalar]]:
-        rows = [[ZERO] * self.dim for _ in range(self.dim)]
-        for j, col in enumerate(self.cols):
-            for r, v in col.items():
-                rows[r][j] = v
-        return rows
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseOperator):

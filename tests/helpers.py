@@ -1,6 +1,6 @@
-"""Shared draw helpers for the test suite, a spy on the p-adic lifting,
-a guard against the exact kernel and a frontier sweep with one wrong
-entry.
+"""Shared draw helpers for the test suite, dense rows and a row of ones
+for a sparse operator, a spy on the p-adic lifting, a guard against the
+exact kernel and a frontier sweep with one wrong entry.
 
 Every test that needs spectral parameters draws them through
 `draw_point` with an explicit seed, so failures reproduce exactly.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from random import Random
 
-from openloop import ONE, Scalar, SpectralPoint
+from openloop import ONE, ZERO, Scalar, SparseOperator, SpectralPoint
 from openloop import exactla
 from openloop.groundstate import generic_parameters
 from openloop.transfer import _sweep
@@ -32,6 +32,23 @@ def rational(num: int, den: int = 1) -> Scalar:
     from fractions import Fraction
 
     return Scalar.from_rational(Fraction(num, den))
+
+
+def dense_rows(op: SparseOperator) -> list[list[Scalar]]:
+    """The rows of op as dense lists of Scalars, for the exact kernel
+    `exactla.kernel_basis` and for references in Scalar arithmetic."""
+    rows = [[ZERO] * op.dim for _ in range(op.dim)]
+    for j, col in enumerate(op.cols):
+        for r, v in col.items():
+            rows[r][j] = v
+    return rows
+
+
+def ones(dim: int) -> SparseOperator:
+    """The operator whose row 0 is all ones and whose other rows vanish:
+    row 0 of ones(dim) @ X holds the column sums of X, so a stochastic X
+    satisfies ones(dim) @ X == ones(dim)."""
+    return SparseOperator.from_column_map(dim, lambda j: 0)
 
 
 def spy_lifting(monkeypatch) -> dict:

@@ -38,7 +38,7 @@ from openloop.exactla import (
     laurent_fit,
 )
 
-from helpers import draw_point, rational, refuse_exact_kernel, spy_lifting
+from helpers import dense_rows, draw_point, rational, refuse_exact_kernel, spy_lifting
 
 
 def _rand_scalar(rng: Random) -> Scalar:
@@ -131,7 +131,7 @@ def test_kernel_vectors_annihilate_rows():
 
 
 def _kernel_oracle(op: SparseOperator) -> list[Scalar]:
-    (vec,) = kernel_basis(op.to_rows(), op.dim)
+    (vec,) = kernel_basis(dense_rows(op), op.dim)
     return vec
 
 
@@ -242,7 +242,7 @@ def test_kernel_vector_does_not_depend_on_a_field_valued_scale(monkeypatch):
 
 def _scalar_apply(tmat: SparseOperator, vec: list[Scalar]) -> list[Scalar]:
     """Reference T v in Scalar arithmetic, independent of `SparseOperator.apply`."""
-    return [sum((v * x for v, x in zip(row, vec)), ZERO) for row in tmat.to_rows()]
+    return [sum((v * x for v, x in zip(row, vec)), ZERO) for row in dense_rows(tmat)]
 
 
 @pytest.mark.parametrize("odd", [False, True])
@@ -396,6 +396,44 @@ def test_the_first_prime_decides_a_dimension_other_than_1(monkeypatch):
         kernel_vector(op)
 
 
+def test_a_residual_that_vanishes_is_certified_unread(monkeypatch):
+    # The zero operator leaves each free column's residual exactly 0
+    # after one step: p r = -A acc = 0, so each unit vector goes to the
+    # certificate as it stands, and no residue vector is read, with an
+    # anchor or without.
+    def refuse(*args, **kwargs):
+        raise AssertionError("read a residue vector")
+
+    monkeypatch.setattr(exactla, "_reconstruct", refuse)
+    zero = SparseOperator(3, [{}, {}, {}])
+    for anchor in (None, (0, ONE, 1), (None, rational(3), 5)):
+        with pytest.raises(NonGenericPointError, match="kernel has dimension 3, expected 1"):
+            kernel_vector(zero, anchor)
+
+
+def test_a_prime_whose_embeddings_show_two_ranks_is_skipped(monkeypatch):
+    # r1 is the image of zeta^2 under the second embedding mod PRIMES[0],
+    # so zeta^2 - r1 vanishes there and in no other embedding: rows
+    # (zeta^2 - r1, 0) and 0 show rank 1 in the first embedding and rank
+    # 0 in the second, and PRIMES[1] decides the line (0, 1).
+    r1 = exactla._embeddings(PRIMES[0], 2)[0][1][2]
+    op = _from_rows([[ZETA**2 - rational(r1), ZERO], [ZERO, ZERO]])
+    lifted = []
+    lift = exactla._lift
+
+    def spy(cols, g, d, p, anchor):
+        basis = lift(cols, g, d, p, anchor)
+        lifted.append((p, d, basis))
+        return basis
+
+    monkeypatch.setattr(exactla, "_lift", spy)
+    assert kernel_vector(op) == [ZERO, ONE]
+    assert [(p, d, basis is None) for p, d, basis in lifted] == [
+        (PRIMES[0], 2, True),
+        (PRIMES[1], 2, False),
+    ]
+
+
 def test_an_invertible_operator_of_rank_n_minus_1_mod_p_raises(monkeypatch):
     # det = p: rank 1 mod PRIMES[0], so the lifting runs, but no kernel
     # exists.  Row 0, the dep row that no solve reads, keeps a residual
@@ -440,7 +478,7 @@ def test_the_lifted_basis_is_the_exact_kernels(d):
         g = gcd(*(a for col in cols for c in col.values() for a in c))
         basis = exactla._lift(cols, g, d, PRIMES[0], None)
         lifted = [[Scalar.from_integers(b, den) for b in full] for full, den in basis]
-        assert lifted == kernel_basis(op.to_rows(), n), (n, rank)
+        assert lifted == kernel_basis(dense_rows(op), n), (n, rank)
         assert len(lifted) == n - rank
 
 

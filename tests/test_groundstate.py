@@ -642,6 +642,45 @@ def test_solve_and_hamiltonian_check_read_no_scalar_columns(monkeypatch):
     assert solve_homogeneous(2, rational(2), rational(3)).normalization == "all_open"
 
 
+def test_check_w_skips_shifted_ws_at_minus_one_and_zero(monkeypatch):
+    # At w = -3 the shifts w + 2 = -1 and w + 3 = 0 are skipped, so the
+    # vector is certified at w + 5 = 2, and only there.
+    seen = []
+    apply = groundstate.transfer_apply
+
+    def spy(vec, pt):
+        seen.append(pt.w)
+        return apply(vec, pt)
+
+    monkeypatch.setattr(groundstate, "transfer_apply", spy)
+    pt = SpectralPoint(
+        tuple(rational(x) for x in (2, 3, 5)), rational(2), rational(3), rational(-3)
+    )
+    assert solve(pt) == solve(pt, check_w=False)
+    assert seen == [rational(2)]
+
+
+def test_at_generic_w_moves_past_a_pole_and_refuses_when_every_candidate_fails():
+    pt = draw_point(Random(67), 1)
+    candidates = [rational(k) for k in (0, 1, -1, 2, 3)]
+    tried = []
+
+    def pole_at_first(p):
+        tried.append(p.w)
+        if len(tried) == 1:
+            raise SingularParameterError("pole")
+        return p.w
+
+    assert groundstate._at_generic_w(pt, candidates, pole_at_first) == rational(3)
+    assert tried == [rational(2), rational(3)]
+
+    def pole(p):
+        raise SingularParameterError("pole")
+
+    with pytest.raises(NonGenericPointError, match="no generic auxiliary parameter found"):
+        groundstate._at_generic_w(pt, candidates, pole)
+
+
 def test_hamiltonian_with_swapped_couplings_fails(monkeypatch):
     # H(c_2, c_1) has a kernel line too, but T(zeta_1, zeta_2) does not fix it.
     hamiltonian = groundstate.hamiltonian

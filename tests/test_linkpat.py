@@ -43,7 +43,7 @@ from openloop.linkpat import (
     validate_pattern,
 )
 
-from helpers import draw_point
+from helpers import dense_rows, draw_point, ones
 
 
 def test_word_index_bijection():
@@ -185,7 +185,7 @@ def test_generator_matrices_are_unit_subpermutations():
     length = 4
     for i in range(length + 1):
         e = generator_matrix(i, length)
-        rows = e.to_rows()
+        rows = dense_rows(e)
         for col in range(1 << length):
             entries = [row[col] for row in rows if not row[col].is_zero()]
             assert entries == [ONE]
@@ -258,7 +258,7 @@ def test_sparse_operator_algebra():
     assert all(not c for c in (swap - swap).cols)
     two = Scalar.from_rational(2)
     assert (swap + swap) == swap.scale(two)
-    assert ident.column_sums() == [ONE] * dim
+    assert ones(dim) @ ident == ones(dim) @ swap == ones(dim)
     assert swap.cols[0] == {1: ONE}
     vec = [Scalar.from_rational(k) for k in range(dim)]
     assert swap.apply(vec) == [vec[1], vec[0], vec[3], vec[2]]
@@ -278,7 +278,7 @@ def _scalar_product(a: SparseOperator, b: SparseOperator) -> SparseOperator:
 
 def _scalar_apply(a: SparseOperator, vec: list[Scalar]) -> list[Scalar]:
     """Reference a.apply(vec) in Scalar arithmetic, as a dense dot product."""
-    rows = a.to_rows()
+    rows = dense_rows(a)
     return [sum((v * x for v, x in zip(row, vec)), ZERO) for row in rows]
 
 
@@ -434,21 +434,21 @@ def test_cols_reads_out_the_constructor_columns():
 
 @pytest.mark.parametrize("length", [1, 2, 3])
 def test_integer_arithmetic_matches_dense_scalar_arithmetic(length):
-    # compose, apply, scale, + and column_sums against dense to_rows
-    # arithmetic in Scalars, with empty columns and entries that cancel.
+    # compose, apply, scale and + against dense arithmetic in Scalars on
+    # `dense_rows`, with empty columns and entries that cancel.
     rng = Random(220 + length)
     dim = 1 << length
     e = [generator_matrix(i, length) for i in range(length + 1)]
     for _ in range(6):
         a, b = _random_operator(rng, dim), _random_operator(rng, dim)
-        ra, rb = a.to_rows(), b.to_rows()
+        ra, rb = dense_rows(a), dense_rows(b)
         s = Scalar([Fraction(rng.randint(-9, 9), rng.choice((1, 5, 6))) for _ in range(4)])
-        assert (a @ b).to_rows() == _dense_product(ra, rb)
-        assert (a + b).to_rows() == [[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)]
-        assert (a - b).to_rows() == [[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)]
-        assert a.scale(s).to_rows() == [[x * s for x in row] for row in ra]
-        assert a.column_sums() == [sum((row[j] for row in ra), ZERO) for j in range(dim)]
-        vec = [v if rng.random() < 0.7 else ZERO for v in b.column_sums()]
+        assert dense_rows(a @ b) == _dense_product(ra, rb)
+        assert dense_rows(a + b) == [[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)]
+        assert dense_rows(a - b) == [[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)]
+        assert dense_rows(a.scale(s)) == [[x * s for x in row] for row in ra]
+        sums = [sum((row[j] for row in rb), ZERO) for j in range(dim)]
+        vec = [v if rng.random() < 0.7 else ZERO for v in sums]
         assert a.apply(vec) == [sum((x * y for x, y in zip(row, vec)), ZERO) for row in ra]
         # Entries that cancel: a - a, a + (-1) a and a scaled by 0; below,
         # e_i (1 - e_i) = 0 cancels every product entry.
@@ -460,8 +460,8 @@ def test_integer_arithmetic_matches_dense_scalar_arithmetic(length):
     for x in e:
         prod = x @ (ident - x)
         assert prod.num_cols == [{}] * dim
-        assert prod.to_rows() == _dense_product(x.to_rows(), (ident - x).to_rows())
-    assert e[0].column_sums() == [ONE] * dim
+        assert dense_rows(prod) == _dense_product(dense_rows(x), dense_rows(ident - x))
+    assert ones(dim) @ e[0] == ones(dim)
 
 
 def test_naive_transfer_matrices_commute():
@@ -490,8 +490,8 @@ def test_hamiltonian_column_sums_vanish():
     c1 = Scalar.from_rational(Fraction(4, 7))
     c2 = Scalar.from_rational(Fraction(3, 5))
     for length in (1, 2, 3):
-        h = hamiltonian(length, c1, c2)
-        assert all(v.is_zero() for v in h.column_sums())
+        dim = 1 << length
+        assert ones(dim) @ hamiltonian(length, c1, c2) == SparseOperator(dim, [{}] * dim)
 
 
 def test_insert_helpers():

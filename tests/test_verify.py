@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
-from openloop import SUITE_NAMES, run_suite, transfer, verify
+from openloop import SUITE_NAMES, DegreeBoundError, groundstate, run_suite, transfer, verify
+from openloop.groundstate import interpolate_all
 
-from helpers import mutated_sweep
+from helpers import draw_point, mutated_sweep
 
 
 def test_suite_names_are_stable():
@@ -112,3 +115,26 @@ def test_commuting_row_fails_on_a_mutated_sweep_entry(monkeypatch):
         monkeypatch.setattr(transfer, "_sweep", mutated_sweep(target, calls))
         failed = [label for label, ok in run_suite("transfer", 3, 1, seed=0) if not ok]
         assert failed == ["commuting family: [T(v), T(w)] = 0"], target
+
+
+def test_stochastic_row_fails_on_a_mutated_sweep_entry(monkeypatch):
+    # Call 0 sweeps the basis at v into T(v): one numerator off by one
+    # moves one column sum of T off one, and 1^T T = 1^T fails.
+    monkeypatch.setattr(transfer, "_sweep", mutated_sweep(0, []))
+    report = dict(run_suite("transfer", 3, 1, seed=0))
+    assert report["stochastic columns: every column of T sums to one"] is False
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_degree_row_fails_on_a_window_one_short(length, monkeypatch):
+    # Negative control: a window of top 2L - 2 misses the components'
+    # top degree, so a holdout disagrees with the fit.  Only the window
+    # row fails; the vanishing rows do not read the window.
+    monkeypatch.setattr(groundstate, "_z_window", lambda n: 2 * n - 2)
+    with pytest.raises(DegreeBoundError):
+        interpolate_all(1, draw_point(Random(90 + length), length))
+    window = "component degree stays inside the Laurent window in each z_i^2"
+    report = run_suite("degree", length, 1, 0)
+    assert (window, False) in report
+    assert all(ok for label, ok in report if label != window)
+    assert len(report) == (3 if length == 1 else 4)  # the bulk row needs L >= 2
