@@ -4,13 +4,13 @@ The linear algebra shared by the character and groundstate modules:
 
 - one Gauss-Jordan pass over Q(zeta12), behind `det` and the reduced
   row echelon `kernel_basis`, the oracle the lifting is tested against;
-- one Gaussian elimination mod p on packed rows, each row one big int
-  (Kronecker substitution), behind Dixon's p-adic lifting of the kernel
-  of a `SparseOperator`, one vector per free column mod p, which gives
-  its dimension exactly and its one ray where that is 1; its triangular
-  solves and its exact residual are packed too.  Its ring degree d
-  counts the embeddings into F_p; every other value of the lifting is a
-  Z[zeta] 4-tuple.  Its residual updates and its anchored reading
+- one Gaussian elimination mod p on packed columns, each column one
+  big int (Kronecker substitution), behind Dixon's p-adic lifting of the
+  kernel of a `SparseOperator`, one vector per free column mod p, which
+  gives its dimension exactly and its one ray where that is 1; its
+  triangular solves and its exact residual are packed too.  Its ring
+  degree d counts the embeddings into F_p; every other value of the
+  lifting is a Z[zeta] 4-tuple.  Its residual updates and its anchored reading
   multiply with `exactfield.zmul`, the one Z[zeta] product rule, whose
   l1 bound sizes the packed slots, and its certificate A v == 0
   contracts the operator's Z[zeta] integer columns with
@@ -35,6 +35,7 @@ The linear algebra shared by the character and groundstate modules:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, count
 from math import gcd, isqrt
 from operator import mul, sub
 from typing import Iterable, Sequence
@@ -195,92 +196,97 @@ def _packed(values: Iterable[int], width: int) -> int:
 
 
 class _PackedLU:
-    """Gaussian elimination mod p of packed rows, column by column,
-    pivoting on the first live row whose current entry is nonzero mod p.
+    """Gaussian elimination mod p of the packed columns of A, slot by slot,
+    each step pivoting on the first live column whose current slot is
+    nonzero mod p: the elimination of the rows of A^T.
 
-    Slot j of rows[i], width bits wide, holds entry (i, j) up to a
+    Slot i of cols[j], width bits wide, holds entry (i, j) up to a
     multiple of p, nonnegative; the list is the work space.  A step
-    reduces and unpacks its pivot row P once.  Every other live row
+    reduces and unpacks its pivot column P once.  Every other live column
     gains (p - f) P, with f its multiplier, which makes its current slot
-    0 mod p, and then every live row shifts right by width, so that the
-    next column is slot 0.  A slot gains less than p^2 per step, for
-    which `_width` leaves room; a pivot row that outgrows its slots
-    raises ConsistencyError.
+    0 mod p, and then every live column shifts right by width, so that
+    the next slot is slot 0.  A slot gains less than p^2 per step, for
+    which `_width` leaves room; a pivot column that outgrows its slots
+    raises ConsistencyError.  A column only ever gains multiples of
+    columns before it, so the pivot columns are the first independent
+    columns of A, and the pivot slots the first independent rows.
 
-    `steps` holds (pivot row, column, inverse pivot).  `lower[k]` is
-    column k of L, packed in natural row order: slot i holds row i's
-    multiplier at step k.  `upper[k]` is column k of U, packed from the
-    pivot of step k up: slot m holds the entry of step k - m's pivot row
-    in step k's column.  The pivot rows and columns index a nonsingular
-    block, which `solve` solves."""
+    `steps` holds (pivot column, slot, inverse pivot).  `pivots[k]` is
+    step k's reduced pivot column P_k from its slot on, and
+    `multipliers[k]` packs the multipliers of that column at the steps
+    before k, from step k - 1 down.  The pivot rows and columns index a
+    nonsingular block, which `solve` solves."""
 
-    __slots__ = ("p", "width", "ncols", "steps", "lower", "upper")
+    __slots__ = ("p", "width", "ncols", "steps", "pivots", "multipliers")
 
-    def __init__(self, rows: list[int], ncols: int, p: int, width: int):
-        self.p, self.width, self.ncols = p, width, ncols
+    def __init__(self, cols: list[int], nrows: int, p: int, width: int):
+        self.p, self.width, self.ncols = p, width, len(cols)
         wb, mask = width // 8, (1 << width) - 1
-        live = list(range(len(rows)))
-        self.steps, self.lower, pivots = [], [], []
-        for col in range(ncols):
-            piv = next((i for i in live if (rows[i] & mask) % p), None)
+        live = list(range(len(cols)))
+        # each column's multipliers, one big-endian slot per step
+        lower = [bytearray() for _ in cols]
+        self.steps, self.pivots, self.multipliers = [], [], []
+        for slot in range(nrows):
+            piv = next((j for j in live if (cols[j] & mask) % p), None)
             if piv is None:
-                for i in live:
-                    rows[i] >>= width
+                for j in live:
+                    cols[j] >>= width
                 continue
             live.remove(piv)
-            size = (ncols - col) * wb
+            size = (nrows - slot) * wb
             try:
-                raw = rows[piv].to_bytes(size, "little")
+                raw = cols[piv].to_bytes(size, "little")
             except OverflowError:  # only where width is below `_width`
                 raise ConsistencyError(f"a packed slot outgrew its {width} bits") from None
-            rows[piv] = 0
-            prow = b"".join(
+            cols[piv] = 0
+            reduced = b"".join(
                 (int.from_bytes(raw[k : k + wb], "little") % p).to_bytes(wb, "little")
                 for k in range(0, size, wb)
             )
-            inv = pow(int.from_bytes(prow[:wb], "little"), -1, p)
-            pivot = int.from_bytes(prow, "little")
-            multipliers = bytearray(len(rows) * wb)
-            for i in live:
-                row = rows[i]
-                if f := (row & mask) * inv % p:
-                    row += (p - f) * pivot
-                    multipliers[i * wb : (i + 1) * wb] = f.to_bytes(wb, "little")
-                rows[i] = row >> width
-            self.steps.append((piv, col, inv))
-            self.lower.append(int.from_bytes(multipliers, "little"))
-            pivots.append(prow)
-        self.upper = []
-        for k, (_, col, _) in enumerate(self.steps):
-            entries = (
-                prow[(col - c) * wb : (col - c + 1) * wb]
-                for prow, (_, c, _) in zip(pivots[k::-1], self.steps[k::-1])
-            )
-            self.upper.append(int.from_bytes(b"".join(entries), "little"))
+            pivot = int.from_bytes(reduced, "little")
+            inv = pow(pivot & mask, -1, p)
+            for j in live:
+                col = cols[j]
+                if f := (col & mask) * inv % p:
+                    col += (p - f) * pivot
+                lower[j] += f.to_bytes(wb, "big")
+                cols[j] = col >> width
+            self.steps.append((piv, slot, inv))
+            self.pivots.append(pivot)
+            self.multipliers.append(int.from_bytes(lower[piv], "big"))
+            lower[piv] = None
 
     def solve(self, rhs: int) -> list[int]:
         """x with A x = rhs mod p on the pivot block, indexed by column and
         zero off the pivot columns.  Slot i of rhs, a nonnegative packed
         int, is row i's entry up to a multiple of p.
 
-        Forward substitution reads slot `row_k` of rhs as y_k and adds
-        (p - y_k) L_k; back substitution packs y from its last entry down,
-        reads x_k off slot 0, adds (p - x_k) U_k and shifts right by
-        width.  Each slot gains less than p^2 per step."""
+        Column c_k of A is P_k plus its multipliers' combination of the
+        P_l, l < k, so A x = sum_k y_k P_k, with y_k = x_(c_k) plus the
+        later x_(c_m) times their multipliers at step k.  Forward
+        substitution replays the elimination on rhs: it shifts rhs to step
+        k's slot, reads y_k = slot 0 times the inverse pivot and adds
+        (p - y_k) P_k.  Back substitution packs y from its last entry
+        down, reads x_(c_m) off slot 0, shifts right by width and adds
+        (p - x_(c_m)) times column c_m's multipliers.  Each slot gains
+        less than p^2 per step."""
         p, width = self.p, self.width
         mask = (1 << width) - 1
-        ys = []
-        for (row, _, _), col_l in zip(self.steps, self.lower):
-            if y := (rhs >> width * row & mask) % p:
-                rhs += (p - y) * col_l
+        ys, at = [], 0
+        for (_, slot, inv), pivot in zip(self.steps, self.pivots):
+            rhs >>= width * (slot - at)
+            at = slot
+            if y := (rhs & mask) * inv % p:
+                rhs += (p - y) * pivot
             ys.append(y)
         y = _packed(reversed(ys), width)
         x = [0] * self.ncols
-        for (_, col, inv), col_u in zip(reversed(self.steps), reversed(self.upper)):
-            if xk := (y & mask) * inv % p:
-                y += (p - xk) * col_u
-                x[col] = xk
+        for (col, _, _), mult in zip(reversed(self.steps), reversed(self.multipliers)):
+            xk = (y & mask) % p
             y >>= width
+            if xk:
+                y += (p - xk) * mult
+                x[col] = xk
         return x
 
 
@@ -288,14 +294,16 @@ class _PackedLU:
 def _embeddings(p: int, d: int) -> tuple[list[list[int]], list[list[int]]]:
     """The images r_k^t of zeta^t, t = 0..3, under the first d embeddings
     zeta -> r_k = r^e of `_EXPS`, and the inverse mod p of the Vandermonde
-    matrix of those embeddings on the ring basis zeta^(4j/d)."""
+    matrix of those embeddings on the ring basis zeta^(4j/d), whose
+    column j holds the images of zeta^(4j/d)."""
     for g in range(2, p):
         r = pow(g, (p - 1) // 12, p)
         if pow(r, 4, p) != 1 and pow(r, 6, p) != 1:  # order exactly 12
             break
     powers = [[pow(r, e * t, p) for t in range(4)] for e in _EXPS[:d]]
     width = _width(p, d, 0)
-    lu = _PackedLU([_packed(pw[:: 4 // d], width) for pw in powers], d, p, width)
+    columns = zip(*(pw[:: 4 // d] for pw in powers))
+    lu = _PackedLU([_packed(col, width) for col in columns], d, p, width)
     cols = [lu.solve(1 << width * k) for k in range(d)]
     return powers, [list(row) for row in zip(*cols)]
 
@@ -337,26 +345,23 @@ def _reconstruct(
     return nums, den
 
 
-def _pack(cols: Sequence[dict], g: int, powers: list[list[int]], width: int, pad: int):
+def _pack(cols: Sequence[dict], g: int, d: int, width: int) -> list[list[int]]:
     """One pass over the operator's Z[zeta] integer columns cols {row:
     numerators}, which divides each entry's parts on the ring basis
     zeta^(4j/d), j < d, by the content g and packs them width bits a
-    slot, then embeds each column in the d = len(powers) embeddings.
+    slot.
 
     Returns, for each column, its Z[zeta] 4-tuple of parts, each packed
     over the rows with signed slots below 2^(width - 1) in size (a part
-    off the ring basis is 0); and for each embedding, whose images of
-    zeta^t are powers[e], the n rows: entry (i, j) is slot i of column
-    j's `_embedded` image, so it is nonnegative and right mod p."""
-    n, d = len(cols), len(powers)
-    step, wb = 4 // d, width // 8
+    off the ring basis is 0).  Each embedding's image of a column, whose
+    slots are nonnegative and right mod p, is its `_embedded` image."""
+    n, step, wb = len(cols), 4 // d, width // 8
     half = 1 << (width - 1)  # offsets a signed slot into [0, 2^width)
     blank = half.to_bytes(wb, "little") * n
     offset = int.from_bytes(blank, "little")
-    rows = [[bytearray(n * wb) for _ in range(n)] for _ in powers]
     columns = []
     try:
-        for j, col in enumerate(cols):
+        for col in cols:
             parts = [bytearray(blank) for _ in range(d)]
             for i, c in col.items():
                 a = c[::step] if g == 1 else [x // g for x in c[::step]]
@@ -365,17 +370,10 @@ def _pack(cols: Sequence[dict], g: int, powers: list[list[int]], width: int, pad
                         buf[i * wb : (i + 1) * wb] = (x + half).to_bytes(wb, "little")
             column = [0, 0, 0, 0]
             column[::step] = [int.from_bytes(buf, "little") - offset for buf in parts]
-            for pw, embedded in zip(powers, rows):
-                raw = _embedded(pw, column, pad).to_bytes(n * wb, "little")
-                for i in col:
-                    embedded[i][j * wb : (j + 1) * wb] = raw[i * wb : (i + 1) * wb]
             columns.append(column)
     except OverflowError:  # only where width is below `_width`
         raise ConsistencyError(f"a packed slot outgrew its {width} bits") from None
-    for embedded in rows:
-        for i, buf in enumerate(embedded):
-            embedded[i] = int.from_bytes(buf, "little")
-    return columns, rows
+    return columns
 
 
 def _embedded(image: Sequence[int], parts: Sequence[int], pad: int) -> int:
@@ -417,31 +415,31 @@ def _anchored(acc: Sequence[int], index: int | None, scaled: Scalar, m: int):
 
 
 def _certified(cols: Sequence[dict], nums: Sequence[int], den: int):
-    """The vector nums / den as (four Z[zeta] numerators per entry, den),
-    if it is nonzero and the `addmul` contraction of cols with its
-    numerators vanishes; else None.  The numerators are contracted over
-    their gcd with den, which a hint above the true denominator leaves
-    behind."""
+    """The vector nums / den, four Z[zeta] numerators per entry, as
+    (numerators, den), if it is nonzero and the `addmul` contraction of
+    cols with its numerators vanishes; else None.  Only the entries with
+    a nonzero numerator are contracted, each with its column.  The
+    numerators are contracted over their gcd with den, which a hint
+    above the true denominator leaves behind."""
     if not any(nums):
         return None
     g = gcd(den, *nums)
     if g > 1:
         nums, den = [a // g for a in nums], den // g
-    full = [nums[t : t + 4] for t in range(0, len(nums), 4)]
     check: dict = {}
-    for col, b in zip(cols, full):
-        if any(b):
-            addmul(check, b, col.items())
-    return None if check else (full, den)
+    for j in {t >> 2 for t in compress(count(), nums)}:
+        addmul(check, nums[4 * j : 4 * j + 4], cols[j].items())
+    return None if check else (nums, den)
 
 
 def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     """A basis of the kernel of the operator whose Z[zeta] integer columns
     cols {row: numerators} have content g, lifted in the first d
-    embeddings mod p, each vector as (Z[zeta] numerators per entry, den);
-    None if p does not decide the kernel's dimension.  d counts
-    embeddings only: every other value, v mod p^k included, is a Z[zeta]
-    4-tuple, with zero parts off the ring basis zeta^(4j/d), j < d.
+    embeddings mod p, each vector as (its Z[zeta] numerators, four per
+    entry, den); None if p does not decide the kernel's dimension.  d
+    counts embeddings only: every other value, v mod p^k included, is
+    made of Z[zeta] 4-tuples, with zero parts off the ring basis
+    zeta^(4j/d), j < d.
 
     The first embedding's rank profile at p names its dep rows and its
     k = n - rank free columns.  Every other embedding factors the same
@@ -480,10 +478,11 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     reads v with its free column at 1, which the caller scales.
 
     Everything from the columns to that certificate is packed
-    (Kronecker substitution): a row, a column of L or U, a right-hand
-    side, or one Z[zeta] part of the residual over the rows is one int
-    sum_i a_i 2^(W i), and a factorisation step, a substitution step or
-    a residual update is a few big-int operations.  One W, from
+    (Kronecker substitution): a column, a pivot column or its
+    multipliers, a right-hand side, or one Z[zeta] part of the residual
+    over the rows is one int sum_i a_i 2^(W i), and a factorisation
+    step, a substitution step or a residual update is a few big-int
+    operations.  One W, from
     `_width`, serves the whole lifting.  Let N be the largest l1 norm of
     a row of cols / g, over its entries and their ring parts, and let
     B = 2 d N.
@@ -494,7 +493,7 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     - Embedding e sends a packed vector with parts R_t to sum_t rho_e^t
       R_t + p B (`_embedded`), with rho_e^t in [0, p), so its slots lie
       in [0, 2 p B).  The right-hand sides are such images, and so are
-      the matrix rows, read off the embedded columns.  Elimination and
+      the columns that the factorisations eliminate.  Elimination and
       substitution add less than p^2 per step to a slot, and back
       substitution starts below p, so every slot stays below
       2 p B + (n + 1) p^2 < 2^W.
@@ -515,10 +514,10 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     bound = 2 * d * (max(l1, default=0) // g)
     width = _width(p, n, bound)
     pad = p * bound * _packed([1] * n, width)
-    parts, rows = _pack(cols, g, powers, width, pad)
-    first = _PackedLU(rows[0], n, p, width)
-    deps = set(range(n)).difference(row for row, _, _ in first.steps)
-    frees = sorted(set(range(n)).difference(col for _, col, _ in first.steps))
+    parts = _pack(cols, g, d, width)
+    first = _PackedLU([_embedded(powers[0], part, pad) for part in parts], n, p, width)
+    frees = set(range(n)).difference(col for col, _, _ in first.steps)
+    deps = set(range(n)).difference(slot for _, slot, _ in first.steps)
     if not frees:
         return []
     # Hadamard: every conjugate of the block's determinant and of its
@@ -528,18 +527,18 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
     # m > 2 (2^_MARGIN 2 H^d)^2.
     hadamard = sum((x // (g * g)).bit_length() for i, x in enumerate(norms) if i not in deps)
     budget = -(-(d * hadamard + 2 * _MARGIN + 3) // (p.bit_length() - 1)) + 1
-    # The first embedding's dep rows and free columns leave the one block
+    # The first embedding's free columns and dep rows leave the one block
     # that every other embedding factors too.
-    keep = ~sum(((1 << width) - 1) << width * f for f in frees)
+    keep = ~sum(((1 << width) - 1) << width * i for i in deps)
     factors = [first]
-    for embedded in rows[1:]:
-        for i, row in enumerate(embedded):
-            embedded[i] = 0 if i in deps else row & keep
+    for pw in powers[1:]:
+        embedded = [
+            0 if j in frees else _embedded(pw, part, pad) & keep for j, part in enumerate(parts)
+        ]
         lu = _PackedLU(embedded, n, p, width)
         if len(lu.steps) != len(first.steps):
             return None
         factors.append(lu)
-    del rows
     if anchor is not None:
         index, value, hint = anchor
         scaled = value * Scalar.from_integers((hint, 0, 0, 0), 1)
@@ -548,7 +547,7 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
         if over > 1 or top > reach * (p**budget >> 2 * _MARGIN + 1):
             anchor = None  # no anchored reading can be certified
     basis = []
-    for free in frees:
+    for free in sorted(frees):
         res = tuple(-c for c in parts[free])
         # v mod p^k, a Z[zeta] 4-tuple per entry; no digit touches a free
         # column, so this one stays 1 and the others 0.
@@ -636,8 +635,8 @@ def kernel_vector(
         raise ConsistencyError("no prime of PRIMES decides the kernel's dimension")
     if len(basis) != 1:
         raise NonGenericPointError(f"kernel has dimension {len(basis)}, expected 1")
-    ((full, den),) = basis
-    vec = [Scalar.from_integers(b, den) for b in full]
+    ((nums, den),) = basis
+    vec = [Scalar.from_integers(nums[t : t + 4], den) for t in range(0, len(nums), 4)]
     if anchor is None:
         scale = next(x for x in reversed(vec) if x).inv()
     elif entry := anchor_entry(vec, anchor[0]):

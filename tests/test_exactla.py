@@ -339,6 +339,15 @@ def test_a_prime_whose_rank_is_too_low_costs_only_that_prime(big, monkeypatch):
         assert degrees == [1] * len(PRIMES)
 
 
+def _read(basis) -> list[list[Scalar]]:
+    """The vectors of a `_lift` basis, four Z[zeta] numerators per entry
+    over a denominator, as Scalars."""
+    return [
+        [Scalar.from_integers(nums[t : t + 4], den) for t in range(0, len(nums), 4)]
+        for nums, den in basis
+    ]
+
+
 def test_every_embedding_factors_the_first_embeddings_pivot_block(monkeypatch):
     # a = zeta - r vanishes in the first embedding zeta -> r mod PRIMES[0]
     # only.  Rows (a, 1) and (2a, 2): there the free column is 0 and the
@@ -364,10 +373,7 @@ def test_every_embedding_factors_the_first_embeddings_block_of_a_plane(monkeypat
     a = ZETA - rational(powers[0][1])
     plane = _from_rows([[a * rational(k), a * rational(k), rational(k)] for k in (1, 2, 3)])
     lifted = exactla._lift(plane.num_cols, 1, 4, p, None)
-    assert [[Scalar.from_integers(b, den) for b in full] for full, den in lifted] == [
-        [ONE, ZERO, -a],
-        [ZERO, ONE, -a],
-    ]
+    assert _read(lifted) == [[ONE, ZERO, -a], [ZERO, ONE, -a]]
     monkeypatch.setattr(exactla, "PRIMES", (p,))
     refuse_exact_kernel(monkeypatch)
     with pytest.raises(NonGenericPointError, match="dimension 2, expected 1"):
@@ -449,17 +455,18 @@ def test_an_invertible_operator_of_rank_n_minus_1_mod_p_raises(monkeypatch):
         assert degrees == [1, 1]
 
 
+def _ring_entry(rng: Random, d: int) -> Scalar:
+    """A small element of the ring of degree d."""
+    parts = [0, 0, 0, 0]
+    parts[:: 4 // d] = [rng.randint(-3, 3) for _ in range(d)]
+    return Scalar.from_integers(parts, 1)
+
+
 def _low_rank(rng: Random, n: int, rank: int, d: int) -> SparseOperator:
     """An n by n operator, the product of random n by rank and rank by n
     factors whose small entries lie in the ring of degree d."""
-
-    def entry() -> Scalar:
-        parts = [0, 0, 0, 0]
-        parts[:: 4 // d] = [rng.randint(-3, 3) for _ in range(d)]
-        return Scalar.from_integers(parts, 1)
-
-    left = [[entry() for _ in range(rank)] for _ in range(n)]
-    right = [[entry() for _ in range(n)] for _ in range(rank)]
+    left = [[_ring_entry(rng, d) for _ in range(rank)] for _ in range(n)]
+    right = [[_ring_entry(rng, d) for _ in range(n)] for _ in range(rank)]
     return _from_rows(
         [[sum((a * r[j] for a, r in zip(row, right)), ZERO) for j in range(n)] for row in left]
     )
@@ -476,10 +483,62 @@ def test_the_lifted_basis_is_the_exact_kernels(d):
         cols = op.num_cols
         assert ring_degree(c for col in cols for c in col.values()) == d
         g = gcd(*(a for col in cols for c in col.values() for a in c))
-        basis = exactla._lift(cols, g, d, PRIMES[0], None)
-        lifted = [[Scalar.from_integers(b, den) for b in full] for full, den in basis]
+        lifted = _read(exactla._lift(cols, g, d, PRIMES[0], None))
         assert lifted == kernel_basis(dense_rows(op), n), (n, rank)
         assert len(lifted) == n - rank
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_a_free_column_in_the_middle(d):
+    # Column f, 2 <= f <= 4, is a col_0 + b col_1 and the other five are
+    # independent: the first independent columns leave f as the one free
+    # column, as the RREF does, so the lifted basis is the RREF's and the
+    # kernel vector is its vector (-a, -b, 0.., 1, 0..), whose last
+    # nonzero entry is the 1 in column f.
+    rng = Random(890 + d)
+    for f in (2, 3, 4, 2, 3, 4):
+        cols = [[_ring_entry(rng, d) for _ in range(6)] for _ in range(6)]
+        a, b = _ring_entry(rng, d), _ring_entry(rng, d)
+        cols[f] = [a * x + b * y for x, y in zip(cols[0], cols[1])]
+        op = SparseOperator(6, [dict(enumerate(col)) for col in cols])
+        num_cols = op.num_cols
+        assert ring_degree(c for col in num_cols for c in col.values()) == d
+        g = gcd(*(x for col in num_cols for c in col.values() for x in c))
+        (expected,) = kernel_basis(dense_rows(op), 6)
+        assert expected[f] == ONE and expected[f + 1 :] == [ZERO] * (5 - f), f
+        assert _read(exactla._lift(num_cols, g, d, PRIMES[0], None)) == [expected], f
+        assert kernel_vector(op) == expected, f
+
+
+def test_a_candidate_with_one_nonzero_entry_contracts_one_column(monkeypatch):
+    # The certificate contracts the entries with a nonzero numerator only,
+    # each with its column: a unit vector contracts its one column,
+    # whether it is certified or not, and the lifting of the 3 x 3 zero
+    # operator contracts one column per free column.
+    contracted = []
+    addmul = exactla.addmul
+
+    def spy(acc, b, items):
+        items = list(items)
+        contracted.append((tuple(b), items))
+        addmul(acc, b, items)
+
+    monkeypatch.setattr(exactla, "addmul", spy)
+    op = _from_rows([[ONE, ZERO, ZETA], [rational(2), ZERO, ONE], [ZERO, ZERO, ZERO]])
+    cols = op.num_cols
+    unit = [0] * 12
+    unit[4] = 1
+    assert exactla._certified(cols, unit, 1) == (unit, 1)
+    assert contracted == [((1, 0, 0, 0), [])]
+    contracted.clear()
+    unit = [0] * 12
+    unit[10] = 3
+    assert exactla._certified(cols, unit, 1) is None
+    assert contracted == [((0, 0, 3, 0), list(cols[2].items()))]
+    contracted.clear()
+    with pytest.raises(NonGenericPointError, match="dimension 3, expected 1"):
+        kernel_vector(SparseOperator(3, [{}, {}, {}]))
+    assert contracted == [((1, 0, 0, 0), [])] * 3
 
 
 def test_kernel_vector_divides_out_a_common_factor_of_the_columns(monkeypatch):
@@ -491,11 +550,10 @@ def test_kernel_vector_divides_out_a_common_factor_of_the_columns(monkeypatch):
     lifted = []
     pack = exactla._pack
 
-    def spy(cols, g, images, width, pad):
-        parts, rows = pack(cols, g, images, width, pad)
-        # the factorisation works in the rows' lists, so keep a copy
-        lifted.append((images, width, pad, parts, [list(r) for r in rows]))
-        return parts, rows
+    def spy(cols, g, d, width):
+        parts = pack(cols, g, d, width)
+        lifted.append((d, width, parts))
+        return parts
 
     monkeypatch.setattr(exactla, "_pack", spy)
     for length, odd in ((3, False), (4, True)):
@@ -786,45 +844,48 @@ def test_the_default_reader_agrees_with_wangs_balanced_reconstruction():
 
 
 def _eliminate(rows: list[list[int]], p: int):
-    """Dense Gaussian elimination mod p, column by column, pivoting on the
-    first remaining row with a nonzero entry: the reference for
-    `exactla._PackedLU`.
+    """Dense Gaussian elimination mod p of the columns of the matrix with
+    these rows, row by row, pivoting on the first remaining column with a
+    nonzero entry there: the reference for `exactla._PackedLU`.
 
-    Returns the steps as (pivot row, column, inverse pivot), the
-    multipliers each row was reduced by, one per earlier step, and the
-    reduced rows."""
-    work = [[a % p for a in row] for row in rows]
+    Returns the steps as (pivot column, row, inverse pivot), the
+    multipliers each column was reduced by, one per earlier step, and the
+    reduced columns."""
+    work = [[a % p for a in col] for col in zip(*rows)]
     live = list(range(len(work)))
     lower: list[list[int]] = [[] for _ in work]
     steps = []
-    for col in range(len(work[0]) if work else 0):
-        piv = next((i for i in live if work[i][col]), None)
+    for row in range(len(rows)):
+        piv = next((j for j in live if work[j][row]), None)
         if piv is None:
             continue
         live.remove(piv)
-        inv = pow(work[piv][col], -1, p)
-        prow = work[piv][col:]
-        for i in live:
-            row = work[i]
-            f = row[col] * inv % p
-            lower[i].append(f)
+        inv = pow(work[piv][row], -1, p)
+        pcol = work[piv][row:]
+        for j in live:
+            col = work[j]
+            f = col[row] * inv % p
+            lower[j].append(f)
             if f:
-                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], prow)]
-        steps.append((piv, col, inv))
+                col[row:] = [(a - f * b) % p for a, b in zip(col[row:], pcol)]
+        steps.append((piv, row, inv))
     return steps, lower, work
 
 
 def _solve(factor, rhs, p: int) -> list[int]:
     """x with A x = rhs mod p on the pivot block of an `_eliminate`
-    factorisation, indexed by column and zero off the pivot columns."""
-    steps, lower, upper = factor
+    factorisation, indexed by column and zero off the pivot columns:
+    column c_k of A is its reduced column P_k plus its multipliers' sum
+    of the P_l, l < k, so A x = sum_k y_k P_k, where y_k is x at c_k
+    plus the later x at c_m times their multipliers at step k."""
+    steps, lower, work = factor
     y: list[int] = []
-    for row, _, _ in steps:
-        y.append((rhs[row] - sum(map(mul, lower[row], y))) % p)
-    x = [0] * len(upper[0])
+    for col, row, inv in steps:
+        y.append((rhs[row] - sum(yl * work[c][row] for yl, (c, _, _) in zip(y, steps))) * inv % p)
+    x = [0] * len(work)
     for k in range(len(steps) - 1, -1, -1):
-        row, col, inv = steps[k]
-        x[col] = (y[k] - sum(map(mul, upper[row], x))) * inv % p
+        col = steps[k][0]
+        x[col] = (y[k] - sum(lower[c][k] * x[c] for c, _, _ in steps[k + 1 :])) % p
     return x
 
 
@@ -833,31 +894,26 @@ def _slots(packed: int, width: int, count: int) -> list[int]:
 
 
 def _assert_factors_as_the_reference(rows: list[list[int]], p: int, rng: Random) -> list:
-    """_PackedLU on rows gives _eliminate's steps, multipliers and pivot
-    rows, and its solve meets A x = rhs mod p on the pivot block, with
-    every slot packed as its residue or as that plus a multiple of p.
-    Returns the steps."""
+    """_PackedLU on the columns of the matrix with these rows gives
+    _eliminate's steps, reduced pivot columns and pivot columns'
+    multipliers, and its solve meets A x = rhs mod p on the pivot block,
+    with every slot packed as its residue or as that plus a multiple of
+    p.  Returns the steps."""
     nrows, ncols = len(rows), len(rows[0])
     width = exactla._width(p, max(nrows, ncols), 0)
     steps, lower, work = _eliminate(rows, p)
     for unreduced in (False, True):
         packed = [
-            exactla._packed([a % p + p * rng.randrange(p) * unreduced for a in row], width)
-            for row in rows
+            exactla._packed([a % p + p * rng.randrange(p) * unreduced for a in col], width)
+            for col in zip(*rows)
         ]
-        lu = exactla._PackedLU(packed, ncols, p, width)
+        lu = exactla._PackedLU(packed, nrows, p, width)
         assert lu.steps == steps
-        live = set(range(nrows))
-        for k, (row, col, _) in enumerate(steps):
-            live.remove(row)
-            assert _slots(lu.upper[k], width, k + 1) == [
-                work[r][col] for r, _, _ in reversed(steps[: k + 1])
-            ]
-            assert _slots(lu.lower[k], width, nrows) == [
-                lower[i][k] if i in live else 0 for i in range(nrows)
-            ]
-        pivot_rows = [r for r, _, _ in steps]
-        pivot_cols = [c for _, c, _ in steps]
+        for k, (col, row, _) in enumerate(steps):
+            assert _slots(lu.pivots[k], width, nrows - row) == work[col][row:]
+            assert _slots(lu.multipliers[k], width, k) == lower[col][::-1]
+        pivot_rows = [r for _, r, _ in steps]
+        pivot_cols = [c for c, _, _ in steps]
         for _ in range(3):
             rhs = [rng.randrange(-(p**2), p**2) for _ in range(nrows)]
             x = lu.solve(exactla._packed([a % p + p * unreduced for a in rhs], width))
@@ -887,8 +943,9 @@ def test_packed_factorisation_matches_the_dense_reference():
     zero_column = [[0 if j == 2 else x for j, x in enumerate(r)] for r in a]
     cases["zero column"] = (zero_column, [0, 1, 3, 4])
     cases["zero row"] = ([row if i != 1 else [0] * 5 for i, row in enumerate(a)], [0, 1, 2, 3])
-    # Column 2 is 2 * column 0 + column 1, so after two steps no live row
-    # has a nonzero entry there, and columns 3 and 4 pivot after it.
+    # Column 2 is 2 * column 0 + column 1, so it only gains multiples of
+    # the columns before it and reduces to zero, and columns 3 and 4 pivot
+    # after it.
     between = [[r[0], r[1], 2 * r[0] + r[1], r[3], r[4]] for r in a]
     cases["no pivot between two"] = (between, [0, 1, 3, 4])
     b = draw(2, 6, big=True)
@@ -901,9 +958,9 @@ def test_packed_factorisation_matches_the_dense_reference():
     for name, (rows, pivot_cols) in cases.items():
         rows = [list(r) for r in rows]
         steps = _assert_factors_as_the_reference(rows, p, rng)
-        assert [c for _, c, _ in steps] == pivot_cols, name
+        assert sorted(c for c, _, _ in steps) == pivot_cols, name
         if name == "zero row":
-            assert 1 not in [r for r, _, _ in steps]
+            assert 1 not in [r for _, r, _ in steps]
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
