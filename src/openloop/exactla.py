@@ -8,13 +8,13 @@ The linear algebra shared by the character and groundstate modules:
   big int (Kronecker substitution), behind Dixon's p-adic lifting of the
   kernel of a `SparseOperator`, one vector per free column mod p, which
   gives its dimension exactly and its one ray where that is 1; its
-  triangular solves and its exact residual are packed too.  Its ring
-  degree d counts the embeddings into F_p; every other value of the
-  lifting is a Z[zeta] 4-tuple.  Its residual updates and its anchored reading
-  multiply with `exactfield.zmul`, the one Z[zeta] product rule, whose
-  l1 bound sizes the packed slots, and its certificate A v == 0
-  contracts the operator's Z[zeta] integer columns with
-  `exactfield.addmul`.  One reader, `_reconstruct`, reads every residue
+  triangular solves, which answer on the pivot columns alone, and its
+  exact residual are packed too.  Its ring degree d counts the
+  embeddings into F_p; every other value of the lifting is a Z[zeta]
+  4-tuple.  Its residual updates and its anchored reading multiply with
+  `exactfield.zmul`, the one Z[zeta] product rule, whose l1 bound sizes
+  the packed slots, and its certificate A v == 0 contracts the
+  operator's Z[zeta] integer columns with `exactfield.addmul`.  One reader, `_reconstruct`, reads every residue
   vector whose residual is not yet exactly zero: Wang's rational
   reconstruction under a denominator bound.
   Given an anchor (an entry or the entries' sum, its value and a
@@ -192,7 +192,7 @@ def _width(p: int, n: int, bound: int) -> int:
 def _packed(values: Iterable[int], width: int) -> int:
     """sum_i values[i] 2^(width i), for values in [0, 2^width)."""
     wb = width // 8
-    return int.from_bytes(b"".join(v.to_bytes(wb, "little") for v in values), "little")
+    return int.from_bytes(b"".join([v.to_bytes(wb, "little") for v in values]), "little")
 
 
 class _PackedLU:
@@ -214,17 +214,17 @@ class _PackedLU:
     `steps` holds (pivot column, slot, inverse pivot).  `pivots[k]` is
     step k's reduced pivot column P_k from its slot on, and
     `multipliers[k]` packs the multipliers of that column at the steps
-    before k, from step k - 1 down.  The pivot rows and columns index a
-    nonsingular block, which `solve` solves."""
+    before k, from step k - 1 down; `_packed` packs both.  The pivot rows
+    and columns index a nonsingular block, which `solve` solves, keyed
+    by the pivot columns."""
 
-    __slots__ = ("p", "width", "ncols", "steps", "pivots", "multipliers")
+    __slots__ = ("p", "width", "steps", "pivots", "multipliers")
 
     def __init__(self, cols: list[int], nrows: int, p: int, width: int):
-        self.p, self.width, self.ncols = p, width, len(cols)
+        self.p, self.width = p, width
         wb, mask = width // 8, (1 << width) - 1
         live = list(range(len(cols)))
-        # each column's multipliers, one big-endian slot per step
-        lower = [bytearray() for _ in cols]
+        lower = [[] for _ in cols]  # each column's multipliers, one per step
         self.steps, self.pivots, self.multipliers = [], [], []
         for slot in range(nrows):
             piv = next((j for j in live if (cols[j] & mask) % p), None)
@@ -239,26 +239,24 @@ class _PackedLU:
             except OverflowError:  # only where width is below `_width`
                 raise ConsistencyError(f"a packed slot outgrew its {width} bits") from None
             cols[piv] = 0
-            reduced = b"".join(
-                (int.from_bytes(raw[k : k + wb], "little") % p).to_bytes(wb, "little")
-                for k in range(0, size, wb)
-            )
-            pivot = int.from_bytes(reduced, "little")
+            reduced = (int.from_bytes(raw[k : k + wb], "little") % p for k in range(0, size, wb))
+            pivot = _packed(reduced, width)
             inv = pow(pivot & mask, -1, p)
             for j in live:
                 col = cols[j]
                 if f := (col & mask) * inv % p:
                     col += (p - f) * pivot
-                lower[j] += f.to_bytes(wb, "big")
+                lower[j].append(f)
                 cols[j] = col >> width
             self.steps.append((piv, slot, inv))
             self.pivots.append(pivot)
-            self.multipliers.append(int.from_bytes(lower[piv], "big"))
+            self.multipliers.append(_packed(reversed(lower[piv]), width))
             lower[piv] = None
 
-    def solve(self, rhs: int) -> list[int]:
-        """x with A x = rhs mod p on the pivot block, indexed by column and
-        zero off the pivot columns.  Slot i of rhs, a nonnegative packed
+    def solve(self, rhs: int) -> dict[int, int]:
+        """x with A x = rhs mod p on the pivot block, as {pivot column:
+        x_(column)}, zero entries included, so every factorisation of one
+        block gives the same keys.  Slot i of rhs, a nonnegative packed
         int, is row i's entry up to a multiple of p.
 
         Column c_k of A is P_k plus its multipliers' combination of the
@@ -280,13 +278,12 @@ class _PackedLU:
                 rhs += (p - y) * pivot
             ys.append(y)
         y = _packed(reversed(ys), width)
-        x = [0] * self.ncols
+        x = {}
         for (col, _, _), mult in zip(reversed(self.steps), reversed(self.multipliers)):
-            xk = (y & mask) % p
+            x[col] = xk = (y & mask) % p
             y >>= width
             if xk:
                 y += (p - xk) * mult
-                x[col] = xk
         return x
 
 
@@ -305,7 +302,7 @@ def _embeddings(p: int, d: int) -> tuple[list[list[int]], list[list[int]]]:
     columns = zip(*(pw[:: 4 // d] for pw in powers))
     lu = _PackedLU([_packed(col, width) for col in columns], d, p, width)
     cols = [lu.solve(1 << width * k) for k in range(d)]
-    return powers, [list(row) for row in zip(*cols)]
+    return powers, [[x[j] for x in cols] for j in range(d)]
 
 
 def _reconstruct(
@@ -443,11 +440,14 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
 
     The first embedding's rank profile at p names its dep rows and its
     k = n - rank free columns.  Every other embedding factors the same
-    block, with those rows and columns masked, or p is skipped.  One
-    vector is lifted per free column f, on the same factorisations: it
-    solves A x = -(column f) on the block, with v_f = 1 and the other
-    free columns 0, and is kept only once the `addmul` contraction of
-    cols with it vanishes.  Rank mod p bounds the rank from below (a
+    block, with those rows and columns masked, or p is skipped, so every
+    embedding pivots on the first one's pivot columns, and each solve
+    answers {pivot column: digit} on them: a step reads each pivot
+    column's d digits at the first answer's keys.  One vector is lifted
+    per free column f, on the same factorisations: it solves
+    A x = -(column f) on the block, with v_f = 1 and the other free
+    columns 0, and is kept only once the `addmul` contraction of cols
+    with it vanishes.  Rank mod p bounds the rank from below (a
     nonzero minor mod p lifts to a nonzero minor), so the kernel has
     dimension at most k; k certified vectors, each nonzero on its own
     free column only, are independent, so it has dimension exactly k,
@@ -557,8 +557,8 @@ def _lift(cols: Sequence[dict], g: int, d: int, p: int, anchor: tuple | None):
         pk = 1
         for _ in range(budget):
             xs = [lu.solve(_embedded(pw, res, pad)) for lu, pw in zip(factors, powers)]
-            for j, y in enumerate(zip(*xs)):
-                if any(y):
+            for j in xs[0]:  # the pivot columns, each with its d digits
+                if any(y := [x[j] for x in xs]):
                     digit[:: 4 // d] = [sum(map(mul, row, y)) % p for row in vinv]
                     res = tuple(map(sub, res, zmul(digit, parts[j])))
                     for t, x in enumerate(digit, 4 * j):
@@ -620,9 +620,15 @@ def kernel_vector(
     NonGenericPointError.  A prime is skipped where another embedding
     shows another rank, a residual stops being divisible by p, or a
     vector is not certified within the lifting's budget; where no prime
-    of PRIMES decides, ConsistencyError is raised.  The last
-    nonzero entry is the free column, as in `kernel_basis`'s RREF, so
-    both give the same vector.
+    of PRIMES decides, ConsistencyError is raised.
+
+    The lifted vector is 1 on its free column mod p, which need not be
+    its last nonzero entry, since a column dependent only mod p is free
+    there: rows (p, -1) and (0, 0) lift (1, p) with column 0 free, and
+    rows (1, 1, 0), (0, p, 1) and (0, 0, 0) lift (-1, 1, -p) with
+    column 1 free.  It is the rescale to last nonzero entry 1 that makes
+    the output `kernel_basis`'s RREF vector, whose free column is its
+    last nonzero entry.
     """
     cols = op.num_cols
     g = gcd(*(a for col in cols for c in col.values() for a in c)) or 1

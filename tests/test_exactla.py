@@ -7,7 +7,6 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, isqrt, prod
-from operator import mul
 from random import Random
 
 import pytest
@@ -510,6 +509,68 @@ def test_a_free_column_in_the_middle(d):
         assert kernel_vector(op) == expected, f
 
 
+def _spy_solves(monkeypatch) -> list[list[tuple]]:
+    """Each `_lift` call's `_PackedLU.solve` calls, in order, as
+    (factorisation, answer) pairs.  Take the embeddings' own solves
+    (`_embeddings`, cached) before the spy goes in."""
+    liftings: list[list[tuple]] = []
+    lift, solve = exactla._lift, exactla._PackedLU.solve
+
+    def spy_lift(*args):
+        liftings.append([])
+        return lift(*args)
+
+    def spy_solve(lu, rhs):
+        x = solve(lu, rhs)
+        liftings[-1].append((lu, x))
+        return x
+
+    monkeypatch.setattr(exactla, "_lift", spy_lift)
+    monkeypatch.setattr(exactla._PackedLU, "solve", spy_solve)
+    return liftings
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_every_solve_of_a_lifting_answers_on_the_first_pivot_columns(d, monkeypatch):
+    # The lifting reads each step's digits at the keys of the first
+    # embedding's answer: every solve of one lifting, in every embedding,
+    # answers on exactly the first embedding's pivot columns, the columns
+    # that are not free, as many as the rank.  Operators of rank n - 1
+    # and n - 2, and H (d = 1) or T - 1 at L = 3, rational (d = 2) or at
+    # zeta_1 = 2 + zeta (d = 4).
+    for p in PRIMES:
+        exactla._embeddings(p, d)
+    rng = Random(900 + d)
+    ops = [_low_rank(rng, n, n - drop, d) for n, drop in ((5, 1), (7, 1), (6, 2), (8, 2))]
+    ops.append(_ring_operator(d, Random(910 + d)))
+    liftings = _spy_solves(monkeypatch)
+    for op in ops:
+        assert ring_degree(c for col in op.num_cols for c in col.values()) == d
+        dim = len(kernel_basis(dense_rows(op), op.dim))
+        liftings.clear()
+        if dim == 1:
+            kernel_vector(op)
+        else:
+            with pytest.raises(NonGenericPointError, match=f"dimension {dim}, expected 1"):
+                kernel_vector(op)
+        (solves,) = liftings  # the first prime decides
+        pivots = {col for col, _, _ in solves[0][0].steps}
+        assert len(pivots) == op.dim - dim
+        assert len({id(lu) for lu, _ in solves}) == d
+        assert all(x.keys() == pivots for _, x in solves)
+
+
+def test_every_solve_on_the_zero_operator_is_empty(monkeypatch):
+    # T(1) - 1 = 0 at L = 3: no column pivots, so each free column's one
+    # step solves for no digit at all.
+    exactla._embeddings(PRIMES[0], 1)
+    liftings = _spy_solves(monkeypatch)
+    with pytest.raises(NonGenericPointError, match="dimension 8, expected 1"):
+        kernel_vector(SparseOperator(8, [{} for _ in range(8)]))
+    (solves,) = liftings
+    assert len(solves) == 8 and all(x == {} for _, x in solves)
+
+
 def test_a_candidate_with_one_nonzero_entry_contracts_one_column(monkeypatch):
     # The certificate contracts the entries with a nonzero numerator only,
     # each with its column: a unit vector contracts its one column,
@@ -872,17 +933,17 @@ def _eliminate(rows: list[list[int]], p: int):
     return steps, lower, work
 
 
-def _solve(factor, rhs, p: int) -> list[int]:
+def _solve(factor, rhs, p: int) -> dict[int, int]:
     """x with A x = rhs mod p on the pivot block of an `_eliminate`
-    factorisation, indexed by column and zero off the pivot columns:
-    column c_k of A is its reduced column P_k plus its multipliers' sum
-    of the P_l, l < k, so A x = sum_k y_k P_k, where y_k is x at c_k
+    factorisation, as {pivot column: x at that column}: column c_k of A
+    is its reduced column P_k plus its multipliers' sum of the P_l,
+    l < k, so A x = sum_k y_k P_k, where y_k is x at c_k
     plus the later x at c_m times their multipliers at step k."""
     steps, lower, work = factor
     y: list[int] = []
     for col, row, inv in steps:
         y.append((rhs[row] - sum(yl * work[c][row] for yl, (c, _, _) in zip(y, steps))) * inv % p)
-    x = [0] * len(work)
+    x: dict[int, int] = {}
     for k in range(len(steps) - 1, -1, -1):
         col = steps[k][0]
         x[col] = (y[k] - sum(lower[c][k] * x[c] for c, _, _ in steps[k + 1 :])) % p
@@ -897,8 +958,8 @@ def _assert_factors_as_the_reference(rows: list[list[int]], p: int, rng: Random)
     """_PackedLU on the columns of the matrix with these rows gives
     _eliminate's steps, reduced pivot columns and pivot columns'
     multipliers, and its solve meets A x = rhs mod p on the pivot block,
-    with every slot packed as its residue or as that plus a multiple of
-    p.  Returns the steps."""
+    keyed by exactly the pivot columns, with every slot packed as its
+    residue or as that plus a multiple of p.  Returns the steps."""
     nrows, ncols = len(rows), len(rows[0])
     width = exactla._width(p, max(nrows, ncols), 0)
     steps, lower, work = _eliminate(rows, p)
@@ -918,9 +979,9 @@ def _assert_factors_as_the_reference(rows: list[list[int]], p: int, rng: Random)
             rhs = [rng.randrange(-(p**2), p**2) for _ in range(nrows)]
             x = lu.solve(exactla._packed([a % p + p * unreduced for a in rhs], width))
             assert x == _solve((steps, lower, work), rhs, p)
-            assert all(x[j] == 0 for j in range(ncols) if j not in pivot_cols)
+            assert sorted(x) == sorted(pivot_cols)
             for i in pivot_rows:
-                assert (sum(map(mul, rows[i], x)) - rhs[i]) % p == 0
+                assert (sum(rows[i][j] * xj for j, xj in x.items()) - rhs[i]) % p == 0
     return steps
 
 
