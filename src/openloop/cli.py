@@ -8,9 +8,10 @@ with the same flags and seed prints byte-identical text.
 The library decides which inputs it accepts.  The commands parse, call
 and print, and `main` alone maps exception types to exit codes: 0
 success, 1 argument or parse error (a ValueError from the parser, the
-commands or the library, such as a zero parameter or a partition part
-beyond `chars.PART_CAP`; L beyond the exact-solve cap `SOLVE_CAP` = 9;
-an unwritable --output path) or a failed verification (a FAIL row or a
+commands or the library, such as a zero parameter, a partition part
+beyond `chars.PART_CAP`, or L beyond the exact-solve cap
+`groundstate.SOLVE_CAP` = 9, which `solve` and the suites refuse; an
+unwritable --output path) or a failed verification (a FAIL row or a
 failed sum rule), 2 any other domain error (non-generic point, failed
 cross-check, degree bound), 3 singular parameter (an operator pole at
 the given values), 141 standard output closed before all was written
@@ -31,7 +32,7 @@ from typing import Sequence
 from .chars import character_auto, z_product
 from .errors import OpenLoopError, SingularParameterError
 from .exactfield import FOURTH_ROOTS, Scalar
-from .groundstate import SOLVE_CAP, GroundstateVector, generic_parameters, solve, sum_components
+from .groundstate import GroundstateVector, generic_parameters, solve, sum_components
 from .transfer import SpectralPoint
 from .verify import SUITE_NAMES, run_suite
 
@@ -81,8 +82,6 @@ def _default_w(seed: int, fixed: Sequence[Scalar]) -> Scalar:
 
 
 def _build_point(args) -> SpectralPoint:
-    if args.L > SOLVE_CAP:
-        raise ValueError(f"--L must be at most {SOLVE_CAP} for an exact solve")
     zs = parse_scalar_list(args.z) if args.z else []
     if len(zs) != args.L:
         raise ValueError(f"--z must provide exactly L = {args.L} values, got {len(zs)}")

@@ -79,9 +79,6 @@ class LaurentPoly:
     def max_exp(self) -> int:
         return max(self._c)
 
-    def eval_at(self, x: Scalar) -> Scalar:
-        return self.eval_powers({e: x**e for e in self._c})
-
     def eval_powers(self, powers: dict[int, Scalar]) -> Scalar:
         """The value at a point x, given powers[e] = x**e for every
         exponent e of self, so that many fits share one point's powers."""

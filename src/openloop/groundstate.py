@@ -78,7 +78,6 @@ __all__ = [
     "check_vanishing",
     "closed_form_all_close",
     "closed_form_all_open",
-    "eval_a",
     "eval_s",
     "generic_parameters",
     "interpolate_all",
@@ -287,7 +286,9 @@ def solve(
     ConsistencyError is raised.
     """
     if pt.length > SOLVE_CAP:
-        raise ValueError(f"refusing exact solve beyond L = SOLVE_CAP = {SOLVE_CAP}")
+        raise ValueError(
+            f"L must be at most {SOLVE_CAP} (SOLVE_CAP) for an exact solve, got L = {pt.length}"
+        )
     if normalization not in _CHAINS:
         raise ValueError(f"unknown normalization {normalization!r}")
     size = 1 << pt.length
@@ -327,21 +328,18 @@ def check_sum_rule(pt: SpectralPoint) -> bool:
 # -- qKZ operators on component evaluators -----------------------------
 
 
-def eval_a(i: int, f: ComponentEvaluator, pt: SpectralPoint) -> Scalar:
-    """(a_i f)(pt) = g(pi_i pt) f(pi_i pt) + g(pt) f(pt), where g = -A/B
-    for the (A, B, D) of `exchange_coefficients`."""
-    total = ZERO
+def eval_s(i: int, f: ComponentEvaluator, pt: SpectralPoint) -> Scalar:
+    """(s_i f)(pt) with s_i = -1 - a_i, where (a_i f)(pt) =
+    g(pi_i pt) f(pi_i pt) + g(pt) f(pt) and g = -A/B for the (A, B, D) of
+    `exchange_coefficients`.  f is read once at each of the two points."""
+    a_f = ZERO
     for p in (pi_point(pt, i), pt):
         a, b, _ = exchange_coefficients(p, i)
         if b.is_zero():
             raise SingularParameterError(f"multiplier pole at i = {i}: B = 0")
-        total = total + (-a / b) * f(p)
-    return total
-
-
-def eval_s(i: int, f: ComponentEvaluator, pt: SpectralPoint) -> Scalar:
-    """(s_i f)(pt) with s_i = -1 - a_i."""
-    return -f(pt) - eval_a(i, f, pt)
+        value = f(p)
+        a_f = a_f + (-a / b) * value
+    return -value - a_f
 
 
 def check_qkz(pt: SpectralPoint) -> list[bool]:

@@ -36,8 +36,9 @@ and traces its paths without these rules.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import matmul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import SingularParameterError
@@ -331,25 +332,18 @@ def generator_matrix(i: int, length: int) -> SparseOperator:
 def idempotents(length: int) -> tuple[SparseOperator, SparseOperator]:
     """The alternating products I1, I2 entering the double quotient.
 
-    I1 multiplies the odd-index generators, I2 the even-index ones;
-    which boundary generators join depends on the parity of L.  All
-    factors inside each product commute, so the order is immaterial.
+    I1 multiplies the odd-index generators e_1, e_3, ... and I2 the
+    even-index ones e_0, e_2, ..., each up to e_L: so the boundary
+    generator e_L joins I1 at odd L and I2 at even L.  All factors inside
+    each product commute, so the order is immaterial.
     """
     if length < 1:
         raise ValueError("idempotents need at least one site")
-    odd = list(range(1, length, 2))
-    even = list(range(0, length + 1, 2))
-    if length % 2 == 1:
-        odd.append(length)
-    # For even L the even list already ends at L.
-    dim = 1 << length
-    i1 = SparseOperator.identity(dim)
-    for i in odd:
-        i1 = i1 @ generator_matrix(i, length)
-    i2 = SparseOperator.identity(dim)
-    for i in even:
-        i2 = i2 @ generator_matrix(i, length)
-    return i1, i2
+    return tuple(
+        reduce(matmul, (generator_matrix(i, length) for i in range(start, length + 1, 2)),
+               SparseOperator.identity(1 << length))
+        for start in (1, 0)
+    )
 
 
 def c_from_zeta(zeta: Scalar) -> Scalar:

@@ -1,6 +1,7 @@
 """Shared draw helpers for the test suite, dense rows and a row of ones
-for a sparse operator, a spy on the p-adic lifting, a guard against the
-exact kernel and a frontier sweep with one wrong entry.
+for a sparse operator, the value of a fitted Laurent polynomial, a spy
+on the p-adic lifting, a guard against the exact kernel and a frontier
+sweep with one wrong entry.
 
 Every test that needs spectral parameters draws them through
 `draw_point` with an explicit seed, so failures reproduce exactly.
@@ -12,6 +13,7 @@ from random import Random
 
 from openloop import ONE, ZERO, Scalar, SparseOperator, SpectralPoint
 from openloop import exactla
+from openloop.exactla import LaurentPoly
 from openloop.groundstate import generic_parameters
 from openloop.transfer import _sweep
 
@@ -49,6 +51,11 @@ def ones(dim: int) -> SparseOperator:
     row 0 of ones(dim) @ X holds the column sums of X, so a stochastic X
     satisfies ones(dim) @ X == ones(dim)."""
     return SparseOperator.from_column_map(dim, lambda j: 0)
+
+
+def laurent_value(poly: LaurentPoly, x: Scalar) -> Scalar:
+    """poly at x, through the package's one evaluator `eval_powers`."""
+    return poly.eval_powers({e: x**e for e in poly._c})
 
 
 def spy_lifting(monkeypatch) -> dict:

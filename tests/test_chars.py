@@ -24,7 +24,7 @@ from openloop.chars import PART_CAP, check_char_recursion
 from openloop.exactla import laurent_fit
 from openloop.groundstate import generic_parameters
 
-from helpers import rational
+from helpers import laurent_value, rational
 
 
 def test_staircase_partitions():
@@ -161,8 +161,8 @@ def _limit_in_first_argument(lam, xs):
     samples = generic_parameters(Random(5), width + 1, avoid=avoid)
     values = [symplectic_character(lam, [y] + rest) for y in samples]
     (poly,) = laurent_fit(samples[:width], [values[:width]], -lam[0], lam[0])
-    assert poly.eval_at(samples[width]) == values[width]
-    return poly.eval_at(xs[0])
+    assert laurent_value(poly, samples[width]) == values[width]
+    return laurent_value(poly, xs[0])
 
 
 def test_mixed_collisions_next_to_generic_arguments():

@@ -9,12 +9,14 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 from openloop import ConsistencyError, Scalar, SpectralPoint, cli, closed_form_all_open, groundstate
 from openloop.chars import PART_CAP, character_auto, symplectic_character
 from openloop.cli import main, parse_scalar, parse_scalar_list
+from openloop.exactfield import FOURTH_ROOTS
 from openloop.verify import SUITE_NAMES
 
 from helpers import refuse_exact_kernel
@@ -420,3 +422,50 @@ def test_verify_without_trials_is_a_usage_error(capsys, trials):
     code, out, err = run_cli(capsys, "verify", "--suite", "algebra", "--L", "3", "--trials", trials)
     assert code == 1
     assert "checks passed" not in out
+
+
+# Edge values for the fuzz: zero, units, a zero denominator, zeta, zeta^2,
+# q = zeta^4, i = zeta^3, the zero tuple, a 20-digit integer and some generic
+# rationals, so that some draws reach a solve.
+_FUZZ_VALUES = [
+    "0", "1", "-1", "1/0", "0:1:0:0", "0:0:1:0", "-1:0:1:0", "0:0:0:1", "0:0:0:0",
+    "12345678901234567890", "2", "-3/4", "5/2", "7",
+]
+# Negative, empty, increasing and ordinary partitions, no part above 20.
+_FUZZ_PARTITIONS = ["-1,0", "", "0,1,2", "1,2", "1,0,0", "2,1", "3,1,1", "20", "20,0"]
+
+
+def _fuzz_argv(rng):
+    command = rng.choice(["solve", "sumrule", "verify", "character"])
+    if command == "verify":
+        length = rng.choice([-1, 0, 1, 2, 2])
+        return ["verify", "--suite", rng.choice(SUITE_NAMES), "--L", str(length),
+                "--trials", "1", "--seed", str(rng.randrange(3))]
+    if command == "character":
+        points = [rng.choice(_FUZZ_VALUES) for _ in range(rng.randint(0, 3))]
+        return ["character", "--lambda", rng.choice(_FUZZ_PARTITIONS), "--points", ",".join(points)]
+    length = rng.choice([-1, 0, 1, 2, 3, 3])
+    zs = [rng.choice(_FUZZ_VALUES) for _ in range(max(length + rng.choice([-1, 0, 0, 0, 1]), 0))]
+    if zs and rng.random() < 0.2:
+        zs = [zs[0]] * len(zs)
+    argv = [command, "--L", str(length), "--z", ",".join(zs)]
+    for flag in ("--zeta1", "--zeta2", "--w"):
+        if rng.random() < 0.5:
+            # The w may equal a z_i.
+            argv += [flag, rng.choice(_FUZZ_VALUES + zs)]
+    if rng.random() < 0.5:
+        argv += ["--s", rng.choice(sorted(FOURTH_ROOTS))]
+    if command == "solve" and rng.random() < 0.3:
+        argv += ["--format", "csv"]
+    return argv
+
+
+def test_fuzzed_arguments_end_in_an_exit_code(capsys):
+    # No CLI input ends in a traceback: every seeded draw over the four
+    # commands returns a documented exit code.
+    rng = Random(1951)
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3, 141), argv

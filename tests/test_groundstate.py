@@ -52,8 +52,9 @@ from openloop.exactfield import FOURTH_ROOTS, cleared
 from openloop.exactla import kernel_vector
 from openloop.groundstate import SOLVE_CAP, a_const, recursion_factor
 from openloop.linkpat import SparseOperator
+from openloop.transfer import exchange_coefficients
 
-from helpers import draw_point, rational, spy_lifting
+from helpers import draw_point, laurent_value, rational, spy_lifting
 
 
 def test_generic_parameters_avoid_degeneracies():
@@ -240,6 +241,31 @@ def test_level_two_chain_relations():
     assert eval_s(0, comp("))"), pt) == comp("()")(pt)
     lhs = eval_s(1, comp("()"), pt) - comp("))")(pt) - comp("((")(pt)
     assert lhs == comp(")(")(pt)
+
+
+@pytest.mark.parametrize("length", [2, 3])
+def test_eval_s_is_minus_one_minus_a_and_reads_each_point_once(length):
+    # (s_i f)(pt) = -f(pt) - (g(pi_i pt) f(pi_i pt) + g(pt) f(pt)) with
+    # g = -A/B, by the definition of a_i, and f is read once at each point.
+    rng = Random(619)
+    reads = Counter()
+
+    def f(p):
+        reads[p] += 1
+        return sum((rational(k + 2) * z for k, z in enumerate(p.z)), p.zeta1 * p.w) + p.s
+
+    def g(p, i):
+        a, b, _ = exchange_coefficients(p, i)
+        return -a / b
+
+    for s in FOURTH_ROOTS.values():
+        pt = draw_point(rng, length, s=s)
+        for i in range(length + 1):
+            moved = pi_point(pt, i)
+            reads.clear()
+            value = eval_s(i, f, pt)
+            assert reads == {moved: 1, pt: 1}
+            assert value == -f(pt) - (g(moved, i) * f(moved) + g(pt, i) * f(pt))
 
 
 def test_normalization_modes():
@@ -713,7 +739,7 @@ def test_interpolation_respects_degree_window():
         for word, poly in polys.items():
             if not poly.is_zero():
                 assert poly.min_exp >= -3 and poly.max_exp <= 3
-            assert poly.eval_at(y) == gs[word]
+            assert laurent_value(poly, y) == gs[word]
 
 
 # sha256 of repr(sorted(interpolate_all(var, pt).items())), every
